@@ -33,10 +33,10 @@ Perturbation legs
 ``engines``
     The same scenario in-process under the ``heap`` backend and every
     other *available* event-dispatch backend (:mod:`repro.sim.backends`)
-    -- ``batched`` always, ``native`` when a C toolchain exists.  The
-    backends are digest-equivalent by contract -- same events, same
-    order, same floats -- so any divergence means a batching (or
-    compiled) fast path changed simulated behaviour.  Full digest.
+    -- ``native`` when a C toolchain exists.  The backends are
+    digest-equivalent by contract -- same events, same order, same
+    floats -- so any divergence means the compiled fast path changed
+    simulated behaviour.  Full digest.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def differential_check(
     uniform keeps digests comparable).  ``engine`` is the backend the
     hashseed/observers/workers perturbations run under; the ``engines``
     leg always compares heap against every other available backend
-    regardless (``batched``, plus ``native`` when a toolchain exists).
+    regardless (``native`` when a toolchain exists).
     """
     unknown = [leg for leg in legs if leg not in DIFFERENTIAL_LEGS]
     if unknown:

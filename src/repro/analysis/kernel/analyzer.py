@@ -21,7 +21,8 @@ Three passes over the program index the FLOW analyzer already builds:
    are the engine-loop surface (``run``/``step``/``dispatch``/
    ``_drain`` in ``repro.sim.*``) plus every *escaped callback*: a
    kernel-zone function whose bound reference appears in a value
-   position anywhere in the program (``self._oce = self._on_core_event``,
+   position anywhere in the program (``engine.schedule(run_for,
+   self._on_core_event, ...)``,
    ``core.idle_callbacks.append(self._idle_steal)``) or that is called
    from inside a lambda/nested def (the closure itself escapes into
    the event system, so its callees run at dispatch time).  A BFS over

@@ -518,7 +518,7 @@ def _bench_compare_pair(args: argparse.Namespace, bench) -> int:
     non-zero when the candidate is more than ``--threshold`` percent
     slower on any bench.  The deterministic event-count check still runs
     first (exit 2 on drift) unless ``--wall-only``; cross-engine pairs
-    are the intended use -- matching counts are the batching parity
+    are the intended use -- matching counts are the engine parity
     tripwire.
     """
     if args.baseline is not None:

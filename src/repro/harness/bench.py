@@ -192,7 +192,7 @@ def run_benches(
     ``engine`` selects the event-dispatch backend for every case (see
     :mod:`repro.sim.backends`).  Backends are digest-equivalent, so the
     per-bench event counts must not move with this knob -- comparing a
-    batched payload against a heap baseline checks exactly that while
+    native payload against a heap baseline checks exactly that while
     the wall-time columns measure the backend speedup.
     """
     if rounds is None:
@@ -341,7 +341,7 @@ def compare_payloads(
 
     Payloads recorded under *different engine backends* compare fine --
     deliberately so.  Backends are digest-equivalent, which makes the
-    cross-engine event-count columns the batching parity tripwire, and
+    cross-engine event-count columns the engine parity tripwire, and
     the wall-time columns the backend speedup measurement.
     """
     if baseline.get("quick") != current.get("quick"):

@@ -110,7 +110,7 @@ def run_app(
         ``repro sanitize`` feeds the schedule sanitizer.
     engine:
         Event-dispatch backend (see :mod:`repro.sim.backends`): "heap"
-        (default) or "batched".  Backends are digest-equivalent; the
+        (default) or "native".  Backends are digest-equivalent; the
         choice only affects wall-clock speed.
     """
     m = machine() if callable(machine) else machine

@@ -47,6 +47,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from repro.harness.experiment import run_app
 from repro.metrics.results import AppRunResult
+from repro.sim.backends import backend_names
 from repro.topology import presets
 from repro.topology.machine import Machine
 
@@ -126,6 +127,15 @@ class RunSpec:
     #: :func:`repro.store.keys.spec_key`) records it explicitly.
     engine: str = "heap"
     params: tuple[tuple[str, Any], ...] = ()
+
+    def __post_init__(self) -> None:
+        # fail at construction, not after a worker's retries: a served
+        # job naming an unregistered engine must be refused at admission
+        if self.engine not in backend_names():
+            raise ValueError(
+                f"unknown engine backend {self.engine!r}; expected one of "
+                f"{backend_names()}"
+            )
 
     @classmethod
     def make(

@@ -88,6 +88,13 @@ class CfsRunQueue:
         heapq.heappush(self._max_heap, (-entry[0], -entry[1], entry))
         self._total_weight += task.weight
         self.count += 1
+        # the max-side heap sheds stale entries only when max_vruntime()
+        # peeks past them, so a queue that never serves a yield would
+        # keep one dead entry per requeue for the whole run; compact
+        # once they dominate (pop order is by unique keys, so this
+        # changes no schedule)
+        if len(self._max_heap) > _COMPACT_FACTOR * self.count + _COMPACT_MIN:
+            self._compact()
 
     def pop_min(self) -> Optional[Task]:
         """Remove and return the leftmost (smallest vruntime) task."""

@@ -6,29 +6,20 @@ event queue is stored and drained is an implementation detail this
 package makes swappable:
 
 ``heap``
-    The original binary heap of ``(time, seq, event)`` triples
-    (:class:`~repro.sim.engine.Engine` itself).  The conservative
-    default.
-``batched``
-    A calendar-queue backend (:class:`~repro.sim.backends.batched
-    .BatchedEngine`): one FIFO bucket per distinct integer timestamp,
-    drained a whole bucket ("tick") at a time.  Same-time events fire
-    in sequence order exactly as the heap does, so every run digest is
-    unchanged; it additionally flips :attr:`Engine.batching` on, which
-    arms the batch-aware memoization fast paths in
-    :class:`~repro.sched.core.CoreSim` and
-    :class:`~repro.balance.linux.LinuxLoadBalancer`.
+    The binary heap of ``(time, seq, event)`` triples
+    (:class:`~repro.sim.engine.Engine` itself).  The default and the
+    reference.
 ``native``
-    The batched backend with its drain loop -- and the fused CFS
-    charge/requeue/pick/start path it dispatches -- compiled to C
+    The same engine with its ``run()`` drain loop -- and the CFS
+    slice-expiry handler it dispatches most -- compiled to C
     (:class:`~repro.sim.backends.native.NativeEngine`).  Built on
     demand with the stock ``cc`` toolchain, bound via stdlib
     :mod:`ctypes`, artifact cached under a source-digest key.  The C
-    twin performs identical float operations in identical order, so
-    digests match the heap reference bit for bit.  Machines without a
-    C compiler get :class:`~repro.sim.backends.nativebuild
-    .NativeUnavailableError` at construction; use
-    :func:`backend_available` to probe.
+    twin pops the very same heap list and performs identical float
+    operations in identical order, so digests match the heap reference
+    bit for bit.  Machines without a C compiler get
+    :class:`~repro.sim.backends.nativebuild.NativeUnavailableError` at
+    construction; use :func:`backend_available` to probe.
 
 Backends are selected by name everywhere a simulation is configured --
 ``System(engine=...)``, ``run_app(engine=...)``, ``RunSpec.engine``
@@ -41,16 +32,12 @@ argued.
 
 from __future__ import annotations
 
-from repro.sim.backends.batched import BatchedEngine
-from repro.sim.backends.heap import HeapEngine
 from repro.sim.backends.native import NativeEngine
 from repro.sim.backends.nativebuild import NativeUnavailableError, native_available
 from repro.sim.engine import Engine
 
 __all__ = [
     "ENGINE_BACKENDS",
-    "BatchedEngine",
-    "HeapEngine",
     "NativeEngine",
     "NativeUnavailableError",
     "backend_available",
@@ -60,8 +47,7 @@ __all__ = [
 
 #: backend name -> engine class; insertion order is documentation order
 ENGINE_BACKENDS: dict[str, type[Engine]] = {
-    "heap": HeapEngine,
-    "batched": BatchedEngine,
+    "heap": Engine,
     "native": NativeEngine,
 }
 
@@ -74,7 +60,7 @@ def backend_names() -> tuple[str, ...]:
 def backend_available(name: str) -> bool:
     """True iff ``name`` can actually be constructed on this machine.
 
-    Registered pure-Python backends are always available; ``native``
+    The pure-Python ``heap`` backend is always available; ``native``
     additionally needs a working C toolchain (probing it compiles and
     caches the library as a side effect, so a True answer means later
     constructions are cheap).

@@ -1,41 +1,41 @@
-"""The native dispatch backend: the batched drain loop compiled to C.
+"""The native dispatch backend: the heap engine's drain loop compiled to C.
 
-:class:`NativeEngine` is :class:`~repro.sim.backends.batched
-.BatchedEngine` with one substitution: ``run()``'s drain loop executes
-inside a small C library (``_native/engine_core.c``) compiled on first
-use with the stock ``cc`` toolchain and bound through stdlib
-:mod:`ctypes`.  Everything else -- the calendar-queue data structures,
-``schedule``/``cancel``, ``step()``, compaction, introspection -- is
-inherited Python; the C side reads and writes the very same attributes
-(``_buckets``, ``_times``, ``_size``, ...), so the two halves can
-interleave freely.
+:class:`NativeEngine` is :class:`~repro.sim.engine.Engine` with one
+substitution: ``run()``'s drain loop executes inside a small C library
+(``_native/engine_core.c``) compiled on first use with the stock ``cc``
+toolchain and bound through stdlib :mod:`ctypes`.  Everything else --
+the ``(time, seq, event)`` heap, ``schedule``/``cancel``, ``step()``,
+compaction, introspection -- is the inherited Python; the C side pops
+and pushes the very same ``_heap`` list with a transcription of
+:mod:`heapq`, so the two halves can interleave freely.
 
-The C loop additionally intercepts the hot fused scheduler event
-(:meth:`CoreSim._on_core_event_batched` on a CFS run queue) and runs a
-line-for-line C twin of it: C ``double`` arithmetic in the identical
+The C loop additionally intercepts the hot scheduler event
+(:meth:`CoreSim._on_core_event` on a CFS run queue with plain
+:class:`~repro.sched.cfs.CfsParams`) and runs a C twin of the reference
+call chain it starts: C ``double`` arithmetic in the identical
 operation order reproduces CPython float results bit for bit, so every
-run digest is unchanged -- the same golden-digest wall that admitted
-the batched backend holds this one to the heap reference.  Cold paths
-(tracing, balancers, observers, blocked/idle transitions, non-CFS
-policies) call back into the ordinary Python methods.
+run digest is unchanged -- the golden-digest wall holds this backend to
+the heap reference.  Cold paths (tracing, balancers, observers,
+blocked/idle transitions, other run-queue or slice policies) call back
+into the ordinary Python methods.
 
 Construction raises :class:`~repro.sim.backends.nativebuild
-.NativeUnavailableError` when no C compiler is available; the
-pure-Python backends remain the reference and the fallback.
+.NativeUnavailableError` when no C compiler is available; the heap
+backend remains the reference and the fallback.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.sim.backends.batched import BatchedEngine
 from repro.sim.backends.nativebuild import load_native_lib
+from repro.sim.engine import Engine
 
 __all__ = ["NativeEngine"]
 
 
-class NativeEngine(BatchedEngine):
-    """Calendar-queue engine whose drain loop runs in compiled C."""
+class NativeEngine(Engine):
+    """Heap engine whose ``run()`` drain loop runs in compiled C."""
 
     def __init__(self, max_events: int = 200_000_000) -> None:
         # compile/load before touching anything else so an unusable

@@ -20,7 +20,7 @@ sat inside the event loop.
 When no C compiler is available the backend is *unavailable*, not
 broken: :func:`load_native_lib` raises :class:`NativeUnavailableError`
 with an actionable message, ``backend_available("native")`` returns
-False, and the pure-Python backends remain the reference and the
+False, and the pure-Python heap backend remains the reference and the
 fallback.  Nothing in this module runs at import time.
 """
 
@@ -48,7 +48,7 @@ __all__ = [
 #: bumped together with the C side's ``repro_native_abi`` whenever the
 #: exported interface changes; a cached artifact with the wrong ABI is
 #: discarded and rebuilt rather than trusted
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 
 _SOURCE = Path(__file__).resolve().parent / "_native" / "engine_core.c"
 
@@ -121,6 +121,9 @@ def _compile(cc: str, out_path: Path) -> None:
         "-shared",
         "-fPIC",
         "-fno-strict-aliasing",
+        # no fused multiply-adds: every float op must round exactly as
+        # the interpreter's does, on every target
+        "-ffp-contract=off",
         f"-I{include_dir}",
         str(_SOURCE),
         "-o",
@@ -159,26 +162,31 @@ def _bind(path: Path) -> ctypes.PyDLL:
 def _support_dict() -> dict:
     # imported here, not at module top: repro.sched.core must not be a
     # hard import dependency of the backends package
-    from collections import deque
-
     from repro.sched.core import _WORK_EPS, CoreSim
     from repro.sched.cfs import CfsParams
-    from repro.sched.runqueue import _entry_counter
+    from repro.sched.runqueue import (
+        _COMPACT_FACTOR,
+        _COMPACT_MIN,
+        CfsRunQueue,
+        _entry_counter,
+    )
     from repro.sched.task import NICE_0_WEIGHT, TaskState, WaitMode
     from repro.sim.engine import Event, SimulationError
 
     return {
         "SimulationError": SimulationError,
         "Event": Event,
-        "fused": CoreSim._on_core_event_batched,
+        "on_core_event": CoreSim._on_core_event,
         "CfsParams": CfsParams,
+        "CfsRunQueue": CfsRunQueue,
         "RUNNING": TaskState.RUNNING,
         "RUNNABLE": TaskState.RUNNABLE,
         "YIELD": WaitMode.YIELD,
         "entry_counter": _entry_counter,
-        "deque": deque,
         "WORK_EPS": float(_WORK_EPS),
         "NICE_0_WEIGHT": float(NICE_0_WEIGHT),
+        "COMPACT_FACTOR": _COMPACT_FACTOR,
+        "COMPACT_MIN": _COMPACT_MIN,
     }
 
 
@@ -199,7 +207,7 @@ def load_native_lib() -> ctypes.PyDLL:
             raise NativeUnavailableError(
                 "the 'native' engine backend needs a C compiler ($CC, cc, "
                 "gcc or clang on PATH) and none was found; install one or "
-                "select --engine heap or --engine batched"
+                "select --engine heap"
             )
         _compile(cc, artifact)
     try:
@@ -238,11 +246,12 @@ def load_native_lib() -> ctypes.PyDLL:
 def native_stats() -> dict[str, int]:
     """Process-lifetime dispatch counters from the C core.
 
-    ``fused`` counts events that ran through the compiled CFS twin,
-    ``generic`` events dispatched via an ordinary Python call, and
-    ``delegated`` fused events handed back to the Python twin (non-CFS
-    slice policies).  Used by tests to prove the fast path is actually
-    exercised rather than silently falling back.
+    ``fused`` counts core events that ran through the compiled twin of
+    :meth:`CoreSim._on_core_event`, ``generic`` events dispatched via an
+    ordinary Python call, and ``delegated`` core events handed back to
+    the Python method (a run queue other than ``CfsRunQueue`` or slice
+    params other than plain ``CfsParams``).  Used by tests to prove the
+    fast path is actually exercised rather than silently falling back.
     """
     lib = load_native_lib()
     return {

@@ -32,10 +32,16 @@ hook to a single truthiness test on a local alias of
 specialized tight loop while still honouring observers installed
 before the run (the list is aliased, not copied, so in-place
 ``append``/``remove`` are seen immediately).
+
+The compiled ``native`` backend (:mod:`repro.sim.backends.native`)
+overrides only ``_drain`` for ``run``: its C twin pops the same
+``_heap`` list with the same heap algorithm, so both backends share
+every other method and can interleave freely.
 """
 
 from __future__ import annotations
 
+import gc
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -139,13 +145,6 @@ class Engine:
     [10]
     """
 
-    #: True on backends that drain same-time events as one batch (see
-    #: :mod:`repro.sim.backends`).  The scheduling layers read this to
-    #: arm their batch-aware memoization fast paths; the heap engine
-    #: keeps them off so the default path stays byte-for-byte the code
-    #: that produced every historical baseline.
-    batching: bool = False
-
     def __init__(self, max_events: int = 200_000_000) -> None:
         self.now: int = 0
         #: (time, seq, event) triples: seq is unique, so heap comparisons
@@ -212,22 +211,34 @@ class Engine:
     # running
     # ------------------------------------------------------------------
     def run(self, until: Optional[int] = None) -> None:
-        """Dispatch events in time order.
+        """Dispatch events in time order, with the cycle collector off.
 
         Stops when the queue is exhausted or, if ``until`` is given,
         when the next event would fire strictly after ``until`` (the
         clock is then advanced to ``until``).
+
+        The drain loop allocates heavily (an Event and a heap entry per
+        dispatch) but drops its garbage promptly via refcounting;
+        Python's cycle collector only adds periodic sweep pauses on
+        top.  Disabling it for the duration of the run is semantically
+        invisible -- nothing in the simulator relies on collection
+        timing -- and it is restored even when the run raises.
         """
         if self._running:
             raise SimulationError("Engine.run is not reentrant")
         self._running = True
         self._stop_requested = False
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
         try:
             self._drain(until, single=False)
             if until is not None and self.now < until and not self._stop_requested:
                 self.now = until
         finally:
             self._running = False
+            if gc_was_enabled:
+                gc.enable()
 
     def step(self) -> bool:
         """Dispatch a single event.  Returns False if the queue is empty.

@@ -89,11 +89,11 @@ class System:
         default) or ``"o1"`` (the pre-CFS fixed-quantum round robin of
         the 2.6.22 kernel DWRR was prototyped on).
     engine:
-        Event-dispatch backend: ``"heap"`` (the default binary heap) or
-        ``"batched"`` (calendar-queue buckets drained per tick, with
-        the batch-aware memoization fast paths armed).  Backends are
-        bit-identical in behaviour -- the golden-digest suite enforces
-        it -- and differ only in speed; see :mod:`repro.sim.backends`.
+        Event-dispatch backend: ``"heap"`` (the default, pure Python)
+        or ``"native"`` (the same engine with its drain loop and CFS
+        dispatch cycle compiled to C).  Backends are bit-identical in
+        behaviour -- the golden-digest suite enforces it -- and differ
+        only in speed; see :mod:`repro.sim.backends`.
     """
 
     def __init__(
@@ -134,20 +134,14 @@ class System:
         #: reproduces the old all-core sweep's float result bit-exactly
         #: (adding 0.0 is exact, so skipping idle/zero cores is too).
         self._mem_scope_busy: dict[int, list[tuple[int, float]]] = {}
-        #: scope key -> one-element version cell, bumped whenever that
-        #: scope's _mem_scope_busy list changes.  The batched backend's
-        #: per-core contention-rate memo is keyed on it; a recompute on
-        #: version change sums the same floats in the same order, so the
-        #: memo is invisible to digests.
-        self._mem_scope_epoch: dict[int, list[int]] = {}
         #: global load epoch: a one-element cell bumped on every
         #: mutation that can change any core's ``nr_running`` (enqueue/
         #: dequeue/interrupt/put-back/dispatch).  Monotonic, so a memo
         #: entry keyed on a stale epoch can never falsely match.  The
-        #: Linux balancer's no-op-pass memo (armed under the batched
-        #: engine) reads it; the lone-task redispatch fast path touches
-        #: no queue state and leaves it alone, which is exactly why
-        #: steady-state balancer ticks collapse to memo hits.
+        #: Linux balancer's no-op-pass replay reads it; the lone-task
+        #: redispatch fast path touches no queue state and leaves it
+        #: alone, which is exactly why steady-state balancer ticks
+        #: collapse to replays.
         self._load_epoch: list[int] = [0]
         #: per-core residency: cid -> {tid: Task} of tasks whose
         #: current-or-last core is cid (see note_residency)

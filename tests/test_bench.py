@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.harness import bench
+from repro.sim.backends import backend_available
 
 
 def fast_results():
@@ -174,13 +175,13 @@ class TestBenchComparePair:
 
     def test_speedup_table_and_exit_zero(self, tmp_path, capsys):
         a = self.write(tmp_path, "heapref", 2.5, engine="heap")
-        b = self.write(tmp_path, "batched", 1.0, engine="batched")
+        b = self.write(tmp_path, "native", 1.0, engine="native")
         rc = self.run_cli("--compare", a, b)
         out = capsys.readouterr().out
         assert rc == 0
         assert "speedup" in out
         assert "2.5" in out  # 2.5s -> 1.0s is a 2.5x speedup
-        assert "heapref" in out and "batched" in out
+        assert "heapref" in out and "native" in out
 
     def test_regression_beyond_threshold_fails(self, tmp_path, capsys):
         a = self.write(tmp_path, "ref", 1.0)
@@ -231,14 +232,16 @@ class TestBenchEngineFlag:
     def test_payload_records_engine(self, tmp_path):
         from repro.cli import main
 
-        rc = main(["bench", "--rounds", "1", "--quick", "--engine", "batched",
+        engine = "native" if backend_available("native") else "heap"
+        rc = main(["bench", "--rounds", "1", "--quick", "--engine", engine,
                    "--out", str(tmp_path), "--label", "b"])
         assert rc == 0
         payload = bench.load_payload(tmp_path / "BENCH_b.json")
-        assert payload["engine"] == "batched"
+        assert payload["engine"] == engine
 
     def test_unknown_engine_rejected(self):
         from repro.cli import build_parser
 
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--engine", "btree"])
+        for name in ("btree", "batched"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bench", "--engine", name])

@@ -131,6 +131,25 @@ class TestCfsRunQueue:
             q.push(t)
         assert set(q.tasks()) == set(ts)
 
+    def test_requeue_churn_keeps_max_heap_bounded(self):
+        # slice rotation without yields never peeks the max side; its
+        # stale entries must still be reclaimed, without changing the
+        # pop order or the maximum
+        q = CfsRunQueue()
+        a, b = task_with_vr(0.0), task_with_vr(0.5)
+        q.push(a)
+        q.push(b)
+        order = []
+        for _ in range(1_000):
+            t = q.pop_min()
+            order.append(t)
+            t.vruntime += 1.0
+            q.push(t)
+            assert len(q._max_heap) <= 4 * len(q) + 64 + 1
+        assert order[:4] == [a, b, a, b]
+        assert q.max_vruntime() == max(a.vruntime, b.vruntime)
+        assert q.pop_min() is (a if a.vruntime < b.vruntime else b)
+
 
 class TestRoundRobinQueue:
     def test_fifo_order(self):

@@ -33,6 +33,7 @@ from repro.analysis.sanitizer import (
 )
 from repro.harness.scenarios import scenario_smokes
 from repro.metrics.trace import TraceRecorder
+from repro.sim.backends import backend_available, backend_names
 from repro.topology import presets
 from repro.topology.machine import DomainLevel
 
@@ -292,17 +293,21 @@ def test_workers_leg_serial_vs_parallel():
     assert differential_check("balance-interval", legs=("workers",)) == []
 
 
-def test_engines_leg_heap_vs_batched():
-    # the calendar-queue backend must reproduce the heap's run digest
-    # bit for bit (events, trace and engine fingerprint)
+@pytest.mark.skipif(not backend_available("native"),
+                    reason="native backend unavailable (no C toolchain)")
+def test_engines_leg_heap_vs_native():
+    # the compiled backend must reproduce the heap's run digest bit for
+    # bit (events, trace and engine fingerprint)
     assert differential_check("balance-interval", legs=("engines",)) == []
 
 
 def test_scenario_digest_engine_parity_and_perturbation():
+    engines = [n for n in backend_names() if backend_available(n)]
     heap = scenario_digest("balance-interval", engine="heap")
-    assert heap == scenario_digest("balance-interval", engine="batched")
+    for other in engines[1:]:
+        assert heap == scenario_digest("balance-interval", engine=other)
     # the digest still discriminates real behaviour changes
-    assert heap != scenario_digest("balance-interval", seed=1, engine="batched")
+    assert heap != scenario_digest("balance-interval", seed=1, engine=engines[-1])
 
 
 def test_unknown_leg_rejected():

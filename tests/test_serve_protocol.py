@@ -50,13 +50,20 @@ class TestSpecCodec:
             balancer="speed",
             cores=(0, 2, 4),
             seed=11,
-            engine="batched",
+            engine="native",
             speed_config=SpeedBalancerConfig(),
         )
         wire = json.loads(json.dumps(spec_to_wire(spec)))
         rebuilt = spec_from_wire(wire)
         assert rebuilt == spec
         assert spec_digest(rebuilt) == wire_digest(wire)
+
+    @pytest.mark.parametrize("engine", ["batched", "bogus"])
+    def test_rejects_unregistered_engine(self, engine):
+        wire = spec_to_wire(_spec())
+        wire["engine"] = engine
+        with pytest.raises(ValueError, match="expected one of \\('heap', 'native'\\)"):
+            spec_from_wire(wire)
 
     def test_rejects_non_repro_references(self):
         wire = spec_to_wire(_spec())

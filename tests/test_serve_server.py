@@ -271,6 +271,25 @@ class TestBackpressure:
         finally:
             bg.drain()
 
+    @pytest.mark.parametrize("engine", ["batched", "bogus"])
+    def test_unregistered_engine_rejected_with_400(self, tmp_path, engine):
+        from repro.serve.protocol import spec_to_wire
+
+        bg = _boot(tmp_path, workers=1, runner=_counting_runner)
+        try:
+            client = ServeClient(bg.base_url)
+            wire = spec_to_wire(_spec(seed=7))
+            wire["engine"] = engine
+            with pytest.raises(ServeError) as err:
+                client.submit_wires([spec_to_wire(_spec(seed=8)), wire])
+            assert err.value.status == 400
+            assert "unknown engine backend" in str(err.value)
+            # the whole batch was refused: nothing admitted, nothing run
+            assert client.jobs() == []
+        finally:
+            bg.drain()
+        assert _RUN_LOG == []
+
 
 class TestFairness:
     def test_three_tenant_overload_no_starvation(self, tmp_path):
