@@ -1,4 +1,4 @@
-"""Correctness tooling for the simulator: static lint + runtime invariants.
+"""Correctness tooling for the simulator: static analysis, invariants, sanitizer.
 
 The whole value of this reproduction rests on two properties that
 ordinary tests check only indirectly:
@@ -13,17 +13,16 @@ ordinary tests check only indirectly:
   speed balancer's two-interval migration block and NUMA-domain fence
   are only reproductions of the artifact if they actually hold.
 
-This package provides one layer per property, plus a third that audits
-the artifacts both are judged from:
+This package provides three layers:
 
-* :mod:`repro.analysis.lint` -- an AST-based determinism linter
-  (``python -m repro.analysis lint src/repro``) with rules SIM001..
-  SIM006, per-line suppression comments and a per-rule allowlist file;
-* :mod:`repro.analysis.flow` -- a whole-program flow analyzer
-  (``python -m repro.analysis flow``) that builds a name-resolved call
-  graph and runs an interprocedural taint fixpoint, closing the SIM
-  rules' cross-function blind spots (rules FLOW001..FLOW005, with a
-  committed strict-ratchet findings baseline);
+* :mod:`repro.analysis.static` -- the static analyzer
+  (``python -m repro.analysis src/repro``): one parse of the source
+  tree, one rule registry (:mod:`repro.analysis.rules`) covering the
+  per-file SIM rules (:mod:`~repro.analysis.lint`), the interprocedural
+  FLOW rules (:mod:`~repro.analysis.flow`) and the KERN rules that
+  guard the native engine's assumptions (:mod:`~repro.analysis.kernel`),
+  with inline ``# sim-lint: ignore[...]`` comments as the only escape
+  hatch;
 * :mod:`repro.analysis.invariants` -- an opt-in runtime
   :class:`~repro.analysis.invariants.InvariantChecker` hooked into
   :class:`~repro.sim.engine.Engine` and :class:`~repro.system.System`
@@ -37,7 +36,9 @@ the artifacts both are judged from:
   under perturbations (hash seed, observers, worker processes) and
   comparing canonical digests (SAN008).
 
-See ``docs/analysis.md`` for the rule catalogues.
+Importing the package loads only the runtime layers: the store, the
+serve workers and the benchmark import the sanitizer and must not pay
+for the AST tooling.  See ``docs/analysis.md`` for the rule catalogues.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ from repro.analysis.invariants import (
     InvariantViolation,
     install_invariant_checker,
 )
-from repro.analysis.flow import FLOW_RULES, FlowFinding, FlowRule, flow_paths
-from repro.analysis.lint import Finding, LintRule, lint_paths, lint_source
 from repro.analysis.sanitizer import (
     SAN_RULES,
     PullPolicy,
@@ -61,14 +60,6 @@ from repro.analysis.sanitizer import (
 )
 
 __all__ = [
-    "Finding",
-    "LintRule",
-    "lint_paths",
-    "lint_source",
-    "FLOW_RULES",
-    "FlowFinding",
-    "FlowRule",
-    "flow_paths",
     "InvariantConfig",
     "InvariantChecker",
     "InvariantViolation",

@@ -1,66 +1,8 @@
-"""``python -m repro.analysis`` entry point.
-
-Subcommands::
-
-    python -m repro.analysis lint [paths...]     # per-file determinism linter
-    python -m repro.analysis flow [paths...]     # whole-program flow analyzer
-    python -m repro.analysis kernel [paths...]   # compiled-kernel readiness
-    python -m repro.analysis rules               # print the rule catalogues
-
-The runtime invariant checker is reached through the main CLI
-(``repro check --invariants``) because it needs a simulation to run.
-"""
-
-from __future__ import annotations
+"""``python -m repro.analysis``: the static analyzer (see :mod:`repro.analysis.static`)."""
 
 import sys
-from typing import Optional, Sequence
 
-from repro.analysis.flow import FLOW_RULES
-from repro.analysis.flow.cli import main as flow_main
-from repro.analysis.invariants import INVARIANTS
-from repro.analysis.kernel import KERN_RULES
-from repro.analysis.kernel.cli import main as kernel_main
-from repro.analysis.lint import RULES, main as lint_main
-from repro.analysis.sanitizer import SAN_RULES
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        print(__doc__.strip())
-        return 0 if argv else 2
-    command, rest = argv[0], argv[1:]
-    if command == "lint":
-        return lint_main(rest)
-    if command == "flow":
-        return flow_main(rest)
-    if command == "kernel":
-        return kernel_main(rest)
-    if command == "rules":
-        print("Static determinism lint rules (repro.analysis.lint):")
-        for rule in RULES.values():
-            print(f"  {rule.id}  {rule.summary}")
-        print("Whole-program flow rules (repro.analysis.flow, `flow`):")
-        for fid, flow_rule in FLOW_RULES.items():
-            print(f"  {fid}  {flow_rule.summary}")
-        print("Compiled-kernel readiness rules (repro.analysis.kernel, `kernel`):")
-        for kid, kern_rule in KERN_RULES.items():
-            print(f"  {kid}  {kern_rule.summary}")
-        print("Runtime invariants (repro.analysis.invariants):")
-        for rid, summary in INVARIANTS.items():
-            print(f"  {rid}  {summary}")
-        print("Schedule sanitizer rules (repro.analysis.sanitizer, `repro sanitize`):")
-        for rid, summary in SAN_RULES.items():
-            print(f"  {rid}  {summary}")
-        return 0
-    print(
-        f"repro.analysis: unknown command {command!r} "
-        "(expected 'lint', 'flow', 'kernel' or 'rules')",
-        file=sys.stderr,
-    )
-    return 2
-
+from repro.analysis.static import main
 
 if __name__ == "__main__":
     sys.exit(main())

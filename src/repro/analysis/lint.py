@@ -1,11 +1,15 @@
-"""AST-based determinism linter for the simulator sources.
+"""The SIM rules: per-file determinism patterns.
 
 The simulator promises bit-reproducible runs: integer-microsecond event
 time, seeded stream-separated randomness, and scheduling decisions that
-depend only on deterministically ordered data.  This module enforces
-the coding rules that promise rests on, as a custom linter (generic
+depend only on deterministically ordered data.  These rules enforce the
+coding patterns that promise rests on, one module at a time (generic
 tools cannot know that ``repro.sim.rng`` is the only legal randomness
-source, or that ``engine.now`` must stay an ``int``).
+source, or that ``engine.now`` must stay an ``int``).  They run as part
+of :func:`repro.analysis.static.analyze`, on the tree
+:func:`repro.analysis.program.load_modules` parsed; the FLOW rules
+follow the same properties across calls, but deliberately leave the
+local and module-level cases to these.
 
 Rule catalogue
 --------------
@@ -43,53 +47,21 @@ SIM007   O(n) aggregate recomputation in a *hot scheduling module*
          queues maintain ``total_weight``/``max_vruntime`` and the
          system maintains the per-scope memory-intensity index).
 ======== =============================================================
-
-Suppression
------------
-Append a trailing comment on the offending line::
-
-    for cid in candidate_set:  # sim-lint: ignore[SIM001]
-
-``# sim-lint: ignore`` (no rule list) suppresses every rule on the
-line; ``# sim-lint: skip-file`` anywhere in a file skips the file.
-
-Allowlist
----------
-A plain-text file of ``RULE  path-glob`` pairs (fnmatch against the
-POSIX form of the file path) silences a rule for whole files.  The
-shipped default (``lint_allowlist.txt`` next to this module) contains
-exactly two entries: ``repro/sim/rng.py`` may import :mod:`random`, as
-it *is* the sanctioned wrapper, and ``repro/harness/bench.py`` may
-read the wall clock, as it measures the simulator from outside rather
-than participating in simulated time.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
-from repro.analysis import reporting, suppress
+from repro.analysis.program import SourceModule, parse_module, syntax_error
+from repro.analysis.rules import DECISION_DIRS, Finding, is_suppressed
 
-__all__ = [
-    "RULES",
-    "Finding",
-    "LintRule",
-    "DEFAULT_ALLOWLIST",
-    "load_allowlist",
-    "lint_source",
-    "lint_paths",
-    "main",
-]
+__all__ = ["lint_module", "lint_source"]
 
-#: directories whose modules make scheduling decisions (SIM001 scope)
-DECISION_DIRS = frozenset({"balance", "sched", "core"})
-
-#: directories on the per-dispatch / per-wake hot path (SIM007 scope);
-#: the allowlist policy keeps these at zero entries -- an O(n)
-#: recomputation there is fixed by maintaining the aggregate, not excused
+#: directories on the per-dispatch / per-wake hot path (SIM007 scope):
+#: an O(n) recomputation there is fixed by maintaining the aggregate
 HOT_AGG_DIRS = frozenset({"sched", "core"})
 
 #: aggregator builtins whose population-wide use SIM007 flags
@@ -128,11 +100,6 @@ _TIME_FUNCS = frozenset(
 #: wall-clock constructors on ``datetime``/``date`` objects (SIM003)
 _DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
 
-#: calls that consume an iterable order-insensitively (SIM001 exempt)
-_ORDER_INSENSITIVE_CALLS = frozenset(
-    {"sorted", "len", "min", "max", "sum", "any", "all", "frozenset", "set"}
-)
-
 #: calls whose result keeps the argument's (arbitrary) iteration order
 _ORDER_PRESERVING_CALLS = frozenset({"list", "tuple", "iter", "enumerate", "reversed"})
 
@@ -141,86 +108,9 @@ _ORDER_PRESERVING_CALLS = frozenset({"list", "tuple", "iter", "enumerate", "reve
 _INT_COERCIONS = frozenset({"int", "round", "ceil", "floor", "len"})
 
 
-@dataclass(frozen=True)
-class LintRule:
-    """One rule of the catalogue."""
-
-    id: str
-    summary: str
-
-
-RULES: dict[str, LintRule] = {
-    r.id: r
-    for r in (
-        LintRule("SIM001", "unordered set/dict-view iteration in a decision module"),
-        LintRule("SIM002", "global `random` module used instead of repro.sim.rng"),
-        LintRule("SIM003", "wall-clock read in simulation code"),
-        LintRule("SIM004", "float arithmetic on an engine timestamp"),
-        LintRule("SIM005", "mutable default argument"),
-        LintRule("SIM006", "unordered filesystem iteration in a harness/analysis module"),
-        LintRule("SIM007", "O(n) aggregate recomputation in a hot scheduling module"),
-    )
-}
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One lint violation."""
-
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-
-    def format(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-        }
-
-
-# ----------------------------------------------------------------------
-# allowlist and suppression comments (conventions shared with the flow
-# analyzer; see repro.analysis.suppress)
-# ----------------------------------------------------------------------
-DEFAULT_ALLOWLIST = Path(__file__).with_name("lint_allowlist.txt")
-
-
-def load_allowlist(path: Path) -> list[tuple[str, str]]:
-    """Parse ``RULE  glob`` lines; ``#`` comments and blanks ignored."""
-    return suppress.load_allowlist(path, frozenset(RULES))
-
-
-def _allowlisted(finding: Finding, allowlist: Sequence[tuple[str, str]]) -> bool:
-    return suppress.allowlisted(finding.rule, finding.path, allowlist)
-
-
-def _is_suppressed(finding: Finding, lines: Sequence[str]) -> bool:
-    return suppress.is_suppressed(finding.rule, finding.line, lines)
-
-
 # ----------------------------------------------------------------------
 # the visitor
 # ----------------------------------------------------------------------
-def _is_decision_module(path: Path) -> bool:
-    return bool(DECISION_DIRS.intersection(path.parts[:-1]))
-
-
-def _is_fs_order_module(path: Path) -> bool:
-    return bool(FS_ORDER_DIRS.intersection(path.parts[:-1]))
-
-
-def _is_hot_module(path: Path) -> bool:
-    return bool(HOT_AGG_DIRS.intersection(path.parts[:-1]))
-
-
 def _mentions_population(node: ast.expr) -> bool:
     """Does this expression reach into a task/core population?"""
     for n in ast.walk(node):
@@ -301,11 +191,11 @@ class _SetTracker:
 
 
 class _Visitor(ast.NodeVisitor):
-    def __init__(self, path: Path):
-        self.path = path
-        self.decision = _is_decision_module(path)
-        self.fs_order = _is_fs_order_module(path)
-        self.hot = _is_hot_module(path)
+    def __init__(self, module: SourceModule):
+        self.module = module
+        self.decision = module.in_dirs(DECISION_DIRS)
+        self.fs_order = module.in_dirs(FS_ORDER_DIRS)
+        self.hot = module.in_dirs(HOT_AGG_DIRS)
         self.findings: list[Finding] = []
         self.sets = _SetTracker()
         self._time_alias: set[str] = set()  # names bound to the time module
@@ -322,11 +212,12 @@ class _Visitor(ast.NodeVisitor):
     def _emit(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(
             Finding(
-                path=str(self.path),
+                path=str(self.module.path),
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0) + 1,
                 rule=rule,
                 message=message,
+                function=self.module.name,
             )
         )
 
@@ -624,96 +515,25 @@ def _floatish(node: ast.expr) -> bool:
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
+def lint_module(module: SourceModule) -> list[Finding]:
+    """Every SIM finding in one parsed module, before suppressions."""
+    visitor = _Visitor(module)
+    visitor.collect_evidence(module.tree)
+    visitor.visit(module.tree)
+    return visitor.findings
+
+
 def lint_source(source: str, path: str | Path) -> list[Finding]:
-    """Lint one module's source text.  Suppression comments applied."""
+    """The SIM findings for one module's source text, suppressions applied.
+
+    ``path`` sets the rule scopes (``balance/fake.py`` is a decision
+    module) and need not exist.
+    """
     p = Path(path)
-    if suppress.has_skip_file(source):
-        return []
     try:
-        tree = ast.parse(source, filename=str(p))
+        module = parse_module(source, p)
     except SyntaxError as exc:
-        return [
-            Finding(
-                path=str(p),
-                line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1,
-                rule="SIM000",
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    visitor = _Visitor(p)
-    visitor.collect_evidence(tree)
-    visitor.visit(tree)
-    lines = source.splitlines()
-    out = [f for f in visitor.findings if not _is_suppressed(f, lines)]
+        return [syntax_error(p, exc)]
+    out = [f for f in lint_module(module) if not is_suppressed(f, module)]
     out.sort(key=lambda f: (f.line, f.col, f.rule))
     return out
-
-
-def lint_paths(
-    paths: Iterable[str | Path],
-    allowlist: Optional[Sequence[tuple[str, str]]] = None,
-) -> list[Finding]:
-    """Lint files and directory trees; returns surviving findings."""
-    if allowlist is None:
-        allowlist = (
-            load_allowlist(DEFAULT_ALLOWLIST) if DEFAULT_ALLOWLIST.exists() else []
-        )
-    files: list[Path] = []
-    for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.py")))
-        else:
-            files.append(p)
-    findings: list[Finding] = []
-    for f in files:
-        for finding in lint_source(f.read_text(), f):
-            if not _allowlisted(finding, allowlist):
-                findings.append(finding)
-    return findings
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI body for ``python -m repro.analysis lint``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro.analysis lint",
-        description="Determinism linter for the scheduling simulator (SIM001..SIM007)",
-    )
-    parser.add_argument("paths", nargs="*", default=["src/repro"], help="files or directories")
-    parser.add_argument(
-        "--allowlist",
-        type=Path,
-        default=None,
-        help=f"per-rule allowlist file (default: {DEFAULT_ALLOWLIST})",
-    )
-    parser.add_argument(
-        "--no-allowlist", action="store_true", help="ignore every allowlist entry"
-    )
-    parser.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule ids to report (default: all)",
-    )
-    reporting.add_format_argument(parser)
-    args = parser.parse_args(argv)
-
-    if args.no_allowlist:
-        allowlist: Optional[list[tuple[str, str]]] = []
-    elif args.allowlist is not None:
-        allowlist = load_allowlist(args.allowlist)
-    else:
-        allowlist = None  # shipped default
-    findings = lint_paths(args.paths, allowlist=allowlist)
-    if args.select:
-        wanted = {r.strip() for r in args.select.split(",")}
-        findings = [f for f in findings if f.rule in wanted]
-    reporting.emit_findings(findings, args.format)
-    n = len(findings)
-    if n:
-        if args.format == "text":
-            print(f"sim-lint: {n} finding{'s' if n != 1 else ''}")
-        return 1
-    return 0

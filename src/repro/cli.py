@@ -127,9 +127,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
 def _invariant_runs(args: argparse.Namespace):
     """Yield one result dict per invariant smoke run.
 
-    The shared matrix behind ``repro check --invariants`` and the
-    invariants leg of ``repro check --all``: balancer modes on a UMA
-    and a NUMA machine with an
+    The matrix behind ``repro check``'s invariant pass: balancer modes
+    on a UMA and a NUMA machine with an
     :class:`~repro.analysis.invariants.InvariantChecker` installed at
     full scan resolution.  Stops at the first violation.
     """
@@ -181,130 +180,38 @@ def _invariant_runs(args: argparse.Namespace):
                 }
 
 
-def _check_all(args: argparse.Namespace) -> int:
-    """``repro check --all``: every layer, one merged JSON report.
-
-    Runs the determinism lint, the flow analyzer and the kernel
-    readiness analyzer (both with their shipped allowlist + ratchet
-    baseline, exactly like their CLIs) plus the invariant smoke matrix,
-    and prints a single JSON object keyed by layer.
-    """
-    import json
-
-    from repro.analysis import flow as flow_pkg
-    from repro.analysis import kernel as kernel_pkg
-    from repro.analysis import suppress
-    from repro.analysis.flow import FLOW_RULES
-    from repro.analysis.flow.baseline import apply_baseline, load_baseline
-    from repro.analysis.kernel import KERN_RULES
-    from repro.analysis.lint import lint_paths
-
-    paths = args.paths or [str(Path(__file__).resolve().parent)]
-    report: dict = {}
-
-    findings = lint_paths(paths)
-    report["lint"] = {
-        "status": "fail" if findings else "ok",
-        "findings": [f.as_dict() for f in findings],
-    }
-
-    for key, pkg, rules in (
-        ("flow", flow_pkg, FLOW_RULES),
-        ("kernel", kernel_pkg, KERN_RULES),
-    ):
-        allowlist = []
-        if pkg.DEFAULT_ALLOWLIST.exists():
-            allowlist = suppress.load_allowlist(pkg.DEFAULT_ALLOWLIST, frozenset(rules))
-        layer = pkg.analyze_paths(paths, allowlist)
-        layer_findings, stale = layer.findings, []
-        if pkg.DEFAULT_BASELINE.exists():
-            allowed = load_baseline(pkg.DEFAULT_BASELINE, frozenset(rules))
-            layer_findings, stale = apply_baseline(layer_findings, allowed)
-        failed = bool(layer_findings) or bool(stale) or bool(layer.errors)
-        report[key] = {
-            "status": "fail" if failed else "ok",
-            "findings": [f.as_dict() for f in layer_findings],
-            "stale_baseline": stale,
-            "errors": [list(e) for e in layer.errors],
-        }
-        if key == "kernel":
-            report[key]["reachable"] = layer.reachable
-
-    runs = list(_invariant_runs(args))
-    inv_ok = all(r["ok"] for r in runs)
-    report["invariants"] = {"status": "ok" if inv_ok else "fail", "runs": runs}
-
-    report["status"] = (
-        "ok"
-        if all(layer["status"] == "ok" for layer in report.values() if isinstance(layer, dict))
-        else "fail"
-    )
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if report["status"] == "ok" else 1
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     """Correctness tooling: static analysis + runtime invariants.
 
-    ``repro check`` runs the per-file lint, the whole-program flow
-    analysis and the invariant smoke; ``--lint`` / ``--flow`` /
-    ``--kernel`` / ``--invariants`` restrict it to one layer and
-    ``--all`` runs every layer (adding the kernel readiness analyzer)
-    with one merged JSON report.  The invariant pass runs a smoke
-    matrix of balancer modes on a UMA and a NUMA machine with an
+    ``repro check`` runs the static analyzer (every SIM, FLOW and KERN
+    rule, exactly as ``python -m repro.analysis`` and CI run it) and
+    the invariant smoke; ``--invariants`` runs only the latter.  The
+    invariant pass runs a smoke matrix of balancer modes on a UMA and a
+    NUMA machine with an
     :class:`~repro.analysis.invariants.InvariantChecker` installed at
     full scan resolution, so every mechanism invariant (INV001..INV004)
     and the speed balancer's policy invariants (INV005/INV006) are
     exercised end to end.
     """
-    from repro.analysis.lint import lint_paths
-
-    if args.all:
-        return _check_all(args)
-
-    restricted = args.lint or args.invariants or args.flow or args.kernel
-    do_lint = args.lint or not restricted
-    do_flow = args.flow or not restricted
-    do_kernel = args.kernel
-    do_invariants = args.invariants or not restricted
     status = 0
+    if not args.invariants:
+        from repro.analysis.static import main as analysis_main
 
-    if do_lint:
-        paths = args.paths or [str(Path(__file__).resolve().parent)]
-        findings = lint_paths(paths)
-        for f in findings:
-            print(f.format())
-        n = len(findings)
-        print(f"lint: {'ok' if not n else f'{n} finding(s)'} ({', '.join(paths)})")
-        if n:
-            status = 1
+        status = analysis_main(["--", *(args.paths or [])])
+        if status == 2:
+            return status
 
-    if do_flow:
-        from repro.analysis.flow.cli import main as flow_main
-
-        paths = args.paths or [str(Path(__file__).resolve().parent)]
-        if flow_main(paths):
-            status = 1
-
-    if do_kernel:
-        from repro.analysis.kernel.cli import main as kernel_main
-
-        paths = args.paths or [str(Path(__file__).resolve().parent)]
-        if kernel_main(paths):
-            status = 1
-
-    if do_invariants:
-        for result in _invariant_runs(args):
-            if not result["ok"]:
-                print(f"FAIL {result['run']}: {result['error']}")
-                return 1
-            print(
-                f"ok   {result['run']}: "
-                f"{result['events']} events, "
-                f"{result['charges']} charges, "
-                f"{result['migrations']} migrations checked"
-            )
-        print("invariants: ok (INV001..INV006 held on the whole smoke matrix)")
+    for result in _invariant_runs(args):
+        if not result["ok"]:
+            print(f"FAIL {result['run']}: {result['error']}")
+            return 1
+        print(
+            f"ok   {result['run']}: "
+            f"{result['events']} events, "
+            f"{result['charges']} charges, "
+            f"{result['migrations']} migrations checked"
+        )
+    print("invariants: ok (INV001..INV006 held on the whole smoke matrix)")
     return status
 
 
@@ -991,29 +898,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="correctness tooling: determinism lint + whole-program flow "
-             "analysis + runtime invariant smoke",
+        help="correctness tooling: static analysis (SIM/FLOW/KERN rules) + "
+             "runtime invariant smoke",
     )
     check.add_argument(
         "--invariants", action="store_true",
         help="run only the runtime invariant smoke matrix",
-    )
-    check.add_argument(
-        "--lint", action="store_true",
-        help="run only the static determinism lint",
-    )
-    check.add_argument(
-        "--flow", action="store_true",
-        help="run only the whole-program flow analyzer",
-    )
-    check.add_argument(
-        "--kernel", action="store_true",
-        help="run only the compiled-kernel readiness analyzer",
-    )
-    check.add_argument(
-        "--all", action="store_true",
-        help="run every layer (lint, flow, kernel, invariants) and "
-             "print one merged JSON report",
     )
     check.add_argument(
         "--paths", nargs="+", default=None,

@@ -18,9 +18,9 @@ as a cross-machine determinism tripwire.
 
 This module deliberately reads the wall clock (``time.perf_counter``);
 it measures the simulator from outside rather than participating in
-simulated time, so it carries a SIM003 entry in the
-``repro.analysis`` lint allowlist.  Nothing here makes scheduling
-decisions.
+simulated time, so its two clock reads carry inline
+``# sim-lint: ignore[SIM003]`` comments.  Nothing here makes
+scheduling decisions.
 """
 
 from __future__ import annotations
@@ -205,9 +205,9 @@ def run_benches(
         best: Optional[float] = None
         events = 0
         for _ in range(rounds):
-            t0 = time.perf_counter()
+            t0 = time.perf_counter()  # sim-lint: ignore[SIM003]
             events = round_fn()
-            elapsed = time.perf_counter() - t0
+            elapsed = time.perf_counter() - t0  # sim-lint: ignore[SIM003]
             if best is None or elapsed < best:
                 best = elapsed
         result = BenchResult(name=name, wall_s=best or 0.0,

@@ -15,7 +15,7 @@ seed and the stream name, so
 from __future__ import annotations
 
 import hashlib
-import random
+import random  # sim-lint: ignore[SIM002]
 from typing import Sequence, TypeVar
 
 __all__ = ["SimRng"]
@@ -46,7 +46,7 @@ class SimRng:
         gen = self._streams.get(name)
         if gen is None:
             digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
-            gen = random.Random(int.from_bytes(digest[:8], "big"))
+            gen = random.Random(int.from_bytes(digest[:8], "big"))  # sim-lint: ignore[SIM002]
             self._streams[name] = gen
         return gen
 

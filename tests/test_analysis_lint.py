@@ -1,26 +1,33 @@
-"""Unit tests for the determinism linter (:mod:`repro.analysis.lint`).
+"""Tests for the SIM rules (:mod:`repro.analysis.lint`) and the analyzer's command.
 
 Each rule gets a positive case (the violation fires), a suppressed case
 (``# sim-lint: ignore[...]`` silences it) and, where relevant, a clean
-case showing the exemptions work.  The mutation tests at the bottom are
-the acceptance check: injecting a real determinism bug into a copy of
-``speed_balancer.py`` must be caught.
+case showing the exemptions work.  The mutation tests are the
+acceptance check: injecting a real determinism bug into a copy of
+``speed_balancer.py`` must be caught.  ``TestCli`` covers the one
+command, ``python -m repro.analysis``, for every rule family, and
+``repro check``, which runs the same analyzer.
 """
 
+import ast
+import json
+import os
+import subprocess
+import sys
 import textwrap
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.analysis.lint import (
-    DEFAULT_ALLOWLIST,
-    RULES,
-    lint_paths,
-    lint_source,
-    load_allowlist,
-)
-from repro.analysis.lint import main as lint_main
+from repro.analysis import flow, program
+from repro.analysis.lint import lint_source
+from repro.analysis.rules import MARKER, RULES, suppressed_rules
+from repro.analysis.static import analyze
+from repro.analysis.static import main as analysis_main
+from tests.test_analysis_flow import write_tree
 
 #: a path inside a scheduling-decision directory (SIM001 applies) ...
 DECISION = Path("src/repro/balance/fake.py")
@@ -171,7 +178,7 @@ class TestSim005MutableDefaults:
         assert rule_ids(src, PLAIN) == []
 
 
-class TestSuppressionAndAllowlist:
+class TestSuppression:
     def test_skip_file_marker(self):
         src = "# sim-lint: skip-file\nimport random\nfor x in {1}:\n    pass\n"
         assert rule_ids(src) == []
@@ -184,85 +191,167 @@ class TestSuppressionAndAllowlist:
         findings = lint_source("def broken(:\n", PLAIN)
         assert [f.rule for f in findings] == ["SIM000"]
 
-    def test_load_allowlist(self, tmp_path):
-        f = tmp_path / "allow.txt"
-        f.write_text("# comment\n\nSIM002  repro/sim/rng.py  # trailing\n")
-        assert load_allowlist(f) == [("SIM002", "repro/sim/rng.py")]
-
-    def test_load_allowlist_rejects_garbage(self, tmp_path):
-        f = tmp_path / "allow.txt"
-        f.write_text("NOTARULE foo.py\n")
-        with pytest.raises(ValueError):
-            load_allowlist(f)
-
-    def test_allowlist_silences_whole_file(self, tmp_path):
-        mod = tmp_path / "repro" / "sim" / "rng.py"
-        mod.parent.mkdir(parents=True)
-        mod.write_text("import random\n")
-        hit = lint_paths([mod], allowlist=[])
-        assert [f.rule for f in hit] == ["SIM002"]
-        assert lint_paths([mod], allowlist=[("SIM002", "repro/sim/rng.py")]) == []
-
-    def test_shipped_allowlist_is_minimal(self):
-        entries = load_allowlist(DEFAULT_ALLOWLIST)
-        assert entries == [
-            ("SIM002", "repro/sim/rng.py"),        # the sanctioned rng wrapper
-            ("SIM003", "repro/harness/bench.py"),  # wall-clock measurement harness
-        ]
-        # policy: decision-path modules are never excused
-        for _, glob in entries:
-            assert "repro/core/" not in glob and "repro/balance/" not in glob
-
 
 class TestRepoIsClean:
-    def test_installed_package_lints_clean(self):
-        pkg = Path(repro.__file__).resolve().parent
-        findings = lint_paths([pkg])
-        assert findings == [], "\n".join(f.format() for f in findings)
+    def test_installed_package_lints_clean(self, capsys):
+        """The default run -- every rule over the installed package."""
+        assert analysis_main([]) == 0, capsys.readouterr().out
 
     def test_rule_catalogue_complete(self):
         assert sorted(RULES) == [
+            "FLOW001", "FLOW002", "FLOW003", "FLOW004", "FLOW005",
+            "KERN002", "KERN005", "KERN006",
             "SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006",
             "SIM007",
         ]
 
+    def test_inline_suppressions_follow_policy(self):
+        """The one escape hatch stays narrow: no suppression in the
+        decision modules, no blanket form, no id outside the registry."""
+        pkg = Path(repro.__file__).resolve().parent
+        seen = 0
+        for path in sorted(pkg.rglob("*.py")):
+            with path.open("rb") as fh:
+                comments = [
+                    tok for tok in tokenize.tokenize(fh.readline)
+                    if tok.type == tokenize.COMMENT and MARKER in tok.string
+                ]
+            for tok in comments:
+                rel = path.relative_to(pkg)
+                where = f"{rel}:{tok.start[0]}: {tok.string}"
+                assert rel.parts[0] not in ("core", "balance"), where
+                assert "skip-file" not in tok.string, where
+                rules = suppressed_rules(tok.string)
+                assert rules, where  # a bare ignore names no rule
+                assert rules <= set(RULES), where
+                seen += 1
+        assert seen  # the shipped suppressions were found
+
+    def test_sanitizer_import_loads_no_static_analyzer(self):
+        """The store, serve workers and benchmark import the sanitizer;
+        they must not pay for the AST tooling."""
+        code = (
+            "import sys, repro.analysis.sanitizer; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        loaded = set(ast.literal_eval(out))
+        assert "repro.analysis.sanitizer" in loaded
+        static = {
+            "repro.analysis.static", "repro.analysis.rules", "repro.analysis.program",
+            "repro.analysis.lint", "repro.analysis.flow", "repro.analysis.kernel",
+        }
+        assert not loaded & static
+
 
 class TestCli:
+    TREE = {
+        "repro/sched/cache.py": """\
+        import random
+
+        _CACHE = {}
+
+
+        def remember(key, value=[]):
+            _CACHE[key] = value
+        """,
+    }
+
     def test_exit_zero_on_clean_file(self, tmp_path, capsys):
         f = tmp_path / "ok.py"
         f.write_text("x = 1\n")
-        assert lint_main([str(f)]) == 0
+        assert analysis_main([str(f)]) == 0
 
     def test_exit_one_and_report_on_findings(self, tmp_path, capsys):
         f = tmp_path / "bad.py"
         f.write_text("import random\n")
-        assert lint_main([str(f)]) == 1
+        assert analysis_main([str(f)]) == 1
         out = capsys.readouterr().out
         assert "SIM002" in out and "bad.py:1:" in out
 
     def test_select_filters_rules(self, tmp_path, capsys):
         f = tmp_path / "bad.py"
         f.write_text("import random\ndef f(x=[]):\n    pass\n")
-        assert lint_main([str(f), "--select", "SIM005"]) == 1
+        assert analysis_main([str(f), "--select", "SIM005"]) == 1
         out = capsys.readouterr().out
         assert "SIM005" in out and "SIM002" not in out
 
-    def test_format_json(self, tmp_path, capsys):
-        import json
+    def test_select_mixes_families(self, tmp_path, capsys):
+        write_tree(tmp_path, self.TREE)
+        assert analysis_main([str(tmp_path), "--select", "SIM002,FLOW004"]) == 1
+        out = capsys.readouterr().out
+        assert "SIM002" in out and "FLOW004" in out and "SIM005" not in out
 
+    def test_unknown_select_rejected(self, tmp_path, capsys):
+        f = tmp_path / "bad.py"
+        f.write_text("import random\n")
+        assert analysis_main([str(f), "--select", "SIM999"]) == 2
+        assert "SIM999" in capsys.readouterr().err
+
+    def test_format_json(self, tmp_path, capsys):
         f = tmp_path / "bad.py"
         f.write_text("import random\ndef g(x=[]):\n    pass\n")
-        assert lint_main([str(f), "--format", "json"]) == 1
+        assert analysis_main([str(f), "--format", "json"]) == 1
         data = json.loads(capsys.readouterr().out)
         assert sorted(d["rule"] for d in data) == ["SIM002", "SIM005"]
         assert all(d["path"] == str(f) for d in data)
+        assert all("function" in d for d in data)
 
-    def test_no_allowlist_flags_the_sanctioned_rng(self, capsys):
-        rng = Path(repro.__file__).resolve().parent / "sim" / "rng.py"
-        assert lint_main([str(rng), "--no-allowlist"]) == 1
-        assert "SIM002" in capsys.readouterr().out
-        capsys.readouterr()
-        assert lint_main([str(rng)]) == 0  # shipped allowlist sanctions it
+    def test_missing_path_is_usage_error(self, tmp_path, capsys):
+        assert analysis_main([str(tmp_path / "nope_dir")]) == 2
+        assert "no such path" in capsys.readouterr().err
+
+    def test_parse_error_reported_once(self, tmp_path, capsys):
+        (tmp_path / "broken.py").write_text("def broken(:\n")
+        assert analysis_main([str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out.count("broken.py") == 1 and "SIM000" in out
+        assert err == ""
+
+    def test_removed_subcommands_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        for command in ("lint", "flow", "kernel"):
+            assert analysis_main([command, "ok.py"]) == 2
+
+    def test_one_parse_per_file_one_index_one_solve(self, tmp_path, monkeypatch):
+        calls: Counter = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(program, "parse_module", counting("parse", program.parse_module))
+        monkeypatch.setattr(
+            program.ProgramIndex, "__init__", counting("index", program.ProgramIndex.__init__)
+        )
+        monkeypatch.setattr(
+            flow.FlowAnalysis, "solve", counting("solve", flow.FlowAnalysis.solve)
+        )
+        write_tree(tmp_path, self.TREE)
+        files = sorted(tmp_path.rglob("*.py"))
+        assert [f.rule for f in analyze([tmp_path])] == ["SIM002", "SIM005", "FLOW004"]
+        assert calls == {"parse": len(files), "index": 1, "solve": 1}
+
+    def test_check_runs_every_rule(self, tmp_path, capsys):
+        """``repro check`` runs the KERN rules CI runs, not just SIM/FLOW."""
+        from repro.cli import main as cli_main
+
+        write_tree(tmp_path, {"repro/sim/loop.py": "def run() -> None: f = lambda: 1\n"})
+        rc = cli_main([
+            "check", "--paths", str(tmp_path), "--seconds", "0.02", "--repeats", "1",
+        ])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "KERN005" in out and "invariants: ok" in out
 
 
 class TestMutationCatches:
@@ -399,10 +488,3 @@ class TestSim007AggregateSweeps:
             "  # sim-lint: ignore[SIM007]\n"
         )
         assert rule_ids(src, self.HOT) == []
-
-    def test_allowlist_policy_keeps_hot_dirs_at_zero(self):
-        # the shipped allowlist must not excuse SIM007 anywhere under
-        # the hot scheduling directories
-        for rule, glob in load_allowlist(DEFAULT_ALLOWLIST):
-            if rule == "SIM007":
-                assert "repro/sched/" not in glob and "repro/core/" not in glob
