@@ -22,6 +22,7 @@ Print the Section 4 analytical model for a configuration::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -69,15 +70,18 @@ def _cmd_benches(args: argparse.Namespace) -> int:
     return 0
 
 
+def _app_spec(args: argparse.Namespace) -> AppSpec:
+    """The workload the spec flags describe: an AppSpec rather than a
+    factory closure, so it pickles to worker processes."""
+    return AppSpec(
+        bench=args.bench, n_threads=args.threads, wait=args.wait,
+        total_compute_us=int(args.seconds * 1_000_000),
+    )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     machine = MACHINES[args.machine]
-    total_us = int(args.seconds * 1_000_000)
-    # an AppSpec rather than a factory closure so --workers can ship the
-    # job to worker processes (closures do not pickle)
-    spec = AppSpec(
-        bench=args.bench, n_threads=args.threads, wait=args.wait,
-        total_compute_us=total_us,
-    )
+    spec = _app_spec(args)
 
     rows = []
     for mode in args.balancer:
@@ -226,8 +230,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     internal child mode those subprocess pairs invoke -- it prints the
     canonical run digest and nothing else.
     """
-    import json as _json
-
     from repro.analysis.sanitizer import run_digest, sanitize_system
     from repro.harness.scenarios import scenario_smokes
 
@@ -273,7 +275,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                 print(f"{name}: differential {'ok' if not diff else 'DIVERGED'}")
 
     if args.json:
-        print(_json.dumps([f.as_dict() for f in findings], indent=2))
+        print(json.dumps([f.as_dict() for f in findings], indent=2))
     else:
         for f in findings:
             print(f.format())
@@ -291,14 +293,12 @@ def _sanitize_stored(args: argparse.Namespace) -> int:
     re-running scenarios; an empty digest list means every traced
     entry in the store.
     """
-    import json as _json
-
     from repro.analysis.sanitizer import sanitize_stored
     from repro.store import ResultStore
 
     store = ResultStore(args.store)
     if args.stored:
-        digests = [_resolve_digest(store, d) for d in args.stored]
+        digests = _resolve_digests(store.digests(), args.stored)
     else:
         digests = [e["digest"] for e in store.entries() if e.get("has_trace")]
         if not digests:
@@ -313,7 +313,7 @@ def _sanitize_stored(args: argparse.Namespace) -> int:
         if not args.json:
             print(f"{digest[:12]}: {len(found)} finding(s)")
     if args.json:
-        print(_json.dumps([f.as_dict() for f in findings], indent=2))
+        print(json.dumps([f.as_dict() for f in findings], indent=2))
     else:
         for f in findings:
             print(f.format())
@@ -481,168 +481,192 @@ def _bench_compare_pair(args: argparse.Namespace, bench) -> int:
 
 
 # ----------------------------------------------------------------------
-# content-addressed store + job service (repro.store / repro.service)
+# job verbs: submit / status / fetch on a store (--store) or a daemon (--url)
 # ----------------------------------------------------------------------
-def _resolve_digest(store, prefix: str) -> str:
-    """A full digest from a (possibly abbreviated) hex prefix."""
+def _check_prefix(prefix: str) -> str:
     if not prefix or any(c not in "0123456789abcdef" for c in prefix):
         raise ValueError(f"invalid digest prefix {prefix!r} (lowercase hex)")
-    matches = [d for d in store.digests() if d.startswith(prefix)]
-    if not matches:
-        raise ValueError(f"no store entry matches digest prefix {prefix!r}")
-    if len(matches) > 1:
-        raise ValueError(
-            f"digest prefix {prefix!r} is ambiguous "
-            f"({len(matches)} matches); give more characters"
-        )
-    return matches[0]
+    return prefix
+
+
+def _resolve_digests(
+    known: Sequence[str], prefixes: Sequence[str], noun: str = "store entry"
+) -> list[str]:
+    """Full digests from (possibly abbreviated) hex prefixes over ``known``."""
+    out = []
+    for prefix in map(_check_prefix, prefixes):
+        matches = [d for d in known if d.startswith(prefix)]
+        if not matches:
+            raise ValueError(f"no {noun} matches digest prefix {prefix!r}")
+        if len(matches) > 1:
+            raise ValueError(
+                f"digest prefix {prefix!r} is ambiguous "
+                f"({len(matches)} matches); give more characters"
+            )
+        out.append(matches[0])
+    return out
 
 
 def _submit_specs(args: argparse.Namespace) -> list:
     """The RunSpec batch behind one ``repro submit`` invocation."""
     from repro.harness.parallel import RunSpec
 
-    total_us = int(args.seconds * 1_000_000)
-    app = AppSpec(
-        bench=args.bench, n_threads=args.threads, wait=args.wait,
-        total_compute_us=total_us,
-    )
+    app = _app_spec(args)
     return [
-        RunSpec.make(
-            args.machine, app, balancer=mode, cores=args.cores, seed=seed,
-            engine=args.engine,
-        )
+        RunSpec.make(args.machine, app, balancer=mode, cores=args.cores,
+                     seed=seed, engine=args.engine)
         for mode in args.balancer
         for seed in range(args.repeats)
     ]
 
 
-def _cmd_submit(args: argparse.Namespace) -> int:
-    """Run a batch through the job service: only cache misses simulate.
+def _follow(client, digest: str, deadline: Optional[float], echo: bool = False) -> str:
+    """Follow one job's SSE stream to its ``end``; the final state.
 
-    The second identical invocation serves everything from the store
-    (``--expect-cached`` turns that into an assertion, exit 1 if any
-    simulation ran -- the CI store-smoke leg).
+    Each event is awaited for at most what is left of ``deadline``
+    (forever without one); ``echo`` prints events as JSON lines.
     """
-    import json as _json
+    from repro.serve import clock as _clock
 
+    timeout = None if deadline is None else max(deadline - _clock.monotonic(), 1e-3)
+    state = ""
+    for event, data in client.events(digest, timeout_s=timeout):
+        if echo:
+            print(json.dumps({"event": event, **data}, sort_keys=True), flush=True)
+        state = data.get("state", state)
+    return state
+
+
+def _submit_to_store(args: argparse.Namespace, specs: list):
+    """``submit --store``: (result dicts, state per digest, executed)."""
     from repro.metrics import export
-    from repro.service import JobFailedError, JobService
-    from repro.store import ResultStore, spec_digest
+    from repro.service import JobService
+    from repro.store import ResultStore
 
-    specs = _submit_specs(args)
-    store = ResultStore(args.store)
-
-    def on_status(st) -> None:
-        line = f"  {st.digest[:12]} {st.state}"
-        if st.attempts > 1:
-            line += f" (attempt {st.attempts})"
-        if st.error:
-            line += f": {st.error}"
-        print(line)
-
-    service = JobService(store, on_status=None if args.json else on_status)
-    try:
-        results = service.submit(
-            specs, workers=args.workers, trace=args.trace,
-            timeout_s=args.job_timeout,
-        )
-    except JobFailedError as exc:
-        print(f"repro submit: {exc}", file=sys.stderr)
-        return 1
-
-    digests = [spec_digest(s) for s in specs]
-    cached = sum(
-        1 for st in service.statuses().values() if st.state == "cached"
+    service = JobService(ResultStore(args.store))
+    results = service.submit(
+        specs, workers=1 if args.workers is None else args.workers,
+        trace=bool(args.trace), timeout_s=args.job_timeout,
     )
-    if args.json:
-        print(_json.dumps(
-            [
-                {"digest": d, "result": export.result_to_dict(r)}
-                for d, r in zip(digests, results)
-            ],
-            indent=2, sort_keys=True,
+    states = {d: st.state for d, st in service.statuses().items()}
+    return [export.result_to_dict(r) for r in results], states, service.executed
+
+
+def _submit_to_daemon(args: argparse.Namespace, specs: list):
+    """``submit --url``: the same triple; a job that was not terminal in
+    the 202 response counts as executed and is followed to its end."""
+    from repro.serve import ServeClient
+    from repro.service import JobFailedError
+
+    client = ServeClient(args.url)
+    jobs = client.submit(specs, tenant=args.tenant or "default")["jobs"]
+    views = {j["digest"]: j for j in jobs}
+    ran = [d for d, v in views.items() if v["state"] not in ("done", "cached", "failed")]
+    for d in ran:
+        _follow(client, d, deadline=None)
+        views[d] = client.status(d)
+    failed = [v for v in views.values() if v["state"] not in ("done", "cached")]
+    if failed:
+        raise JobFailedError("; ".join(
+            f"job {v['digest'][:12]}... {v['state']}: {v['error']}" for v in failed
         ))
+    results = [client.result(j["digest"])["result"] for j in jobs]
+    return results, {d: v["state"] for d, v in views.items()}, len(ran)
+
+
+def _cmd_submit(args: argparse.Namespace) -> int:
+    """Run a batch on a store or a daemon until every job is terminal.
+
+    Only cache misses simulate; the output is the same on both targets.
+    ``--expect-cached`` exits 1 if any job had to run (the CI smokes).
+    """
+    from repro.store import spec_digest
+
+    wrong = ("workers", "trace", "job_timeout") if args.url else ("tenant",)
+    given = [f"--{f.replace('_', '-')}" for f in wrong if getattr(args, f) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} not accepted with "
+                         f"{'--url' if args.url else '--store'}")
+    specs = _submit_specs(args)
+    digests = [spec_digest(s) for s in specs]
+    submit = _submit_to_daemon if args.url else _submit_to_store
+    results, states, executed = submit(args, specs)
+    if args.json:
+        jobs = [{"digest": d, "result": r} for d, r in zip(digests, results)]
+        print(json.dumps(jobs, indent=2, sort_keys=True))
     else:
         rows = [
-            [d[:12], s.balancer, s.seed, r.speedup, r.elapsed_us / 1e6]
+            [d[:12], s.balancer, s.seed, states[d], r["speedup"],
+             r["elapsed_us"] / 1e6]
             for d, s, r in zip(digests, specs, results)
         ]
         print(report.table(
-            ["digest", "balancer", "seed", "speedup", "time (s)"], rows,
-            title=(
-                f"{args.bench}, {args.threads} threads on {args.cores} "
-                f"{args.machine} cores -> {args.store}"
-            ),
+            ["digest", "balancer", "seed", "state", "speedup", "time (s)"],
+            rows,
+            title=f"{args.bench}, {args.threads} threads on {args.cores} "
+                  f"{args.machine} cores -> {args.url or args.store}",
         ))
         print(
-            f"{len(specs)} job(s): {len(set(digests))} unique, "
-            f"{cached} cached, {service.executed} executed"
+            f"{len(specs)} job(s): {len(states)} unique, "
+            f"{len(states) - executed} cached, {executed} executed"
             f"{', traces archived' if args.trace else ''}"
         )
-    if args.expect_cached and service.executed:
-        print(
-            f"repro submit: expected a fully cached batch but "
-            f"{service.executed} job(s) had to run",
-            file=sys.stderr,
-        )
+    if args.expect_cached and executed:
+        print(f"repro submit: expected a fully cached batch but {executed} "
+              "job(s) had to run", file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_status(args: argparse.Namespace) -> int:
-    """List store entries (all of them, or the given digest prefixes).
+def _still_waiting(digests: Sequence[str], timeout: float) -> TimeoutError:
+    return TimeoutError(
+        f"still waiting on {len(digests)} digest(s) after {timeout:g}s: "
+        + ", ".join(d[:12] for d in digests)
+    )
 
-    ``--watch`` turns the listing into a poll: re-read the store every
-    ``--interval`` seconds until every requested digest prefix has an
-    entry (exit 0) or ``--timeout`` elapses first (exit 1).  Watching
-    without digests waits for the store to become non-empty.
+
+def _cmd_status(args: argparse.Namespace) -> int:
+    """A store's entry table or a daemon's metrics; with digests, those
+    entries or job views.
+
+    ``--watch`` waits until every named job is terminal, one
+    ``--timeout`` for the whole set: a store is polled every
+    ``--interval`` seconds; on a daemon each job's SSE stream is
+    followed, one JSON line per transition.  Exit 1 on timeout or on a
+    failed job.
     """
     import time as _time
 
     from repro.serve import clock as _clock
+
+    if args.watch and not args.digest:
+        raise ValueError("status --watch needs at least one digest")
+    deadline = None if args.timeout is None else _clock.monotonic() + args.timeout
+    if args.url is not None:
+        return _status_daemon(args, deadline)
+
     from repro.store import ResultStore
 
     store = ResultStore(args.store)
-    if args.watch:
-        deadline = (
-            _clock.monotonic() + args.timeout
-            if args.timeout is not None
-            else None
-        )
-        while True:
-            digests = store.digests()
-            missing = (
-                [p for p in args.digest if not any(d.startswith(p) for d in digests)]
-                if args.digest
-                else ([] if digests else ["<any entry>"])
-            )
-            if not missing:
-                break
-            if deadline is not None and _clock.monotonic() > deadline:
-                print(
-                    f"repro status: still waiting on {len(missing)} "
-                    f"digest(s) after {args.timeout:g}s: "
-                    + ", ".join(m[:12] for m in missing),
-                    file=sys.stderr,
-                )
-                return 1
-            _time.sleep(args.interval)
+    while args.watch:
+        known = store.digests()
+        # a digest not stored yet is waited on; a malformed one exits 2
+        missing = [p for p in map(_check_prefix, args.digest)
+                   if not any(d.startswith(p) for d in known)]
+        if not missing:
+            break
+        if deadline is not None and _clock.monotonic() > deadline:
+            raise _still_waiting(missing, args.timeout)
+        _time.sleep(args.interval)
 
     entries = store.entries()
     if args.digest:
-        wanted = {_resolve_digest(store, d) for d in args.digest}
+        wanted = set(_resolve_digests(store.digests(), args.digest))
         entries = [e for e in entries if e["digest"] in wanted]
     rows = [
-        [
-            e["digest"][:12],
-            e["seq"],
-            e["kind"],
-            e.get("app") or "-",
-            e.get("balancer") or "-",
-            "-" if e.get("seed") is None else e["seed"],
-            "yes" if e.get("has_trace") else "no",
-        ]
+        [e["digest"][:12], e["seq"], e["kind"], e.get("app") or "-",
+         e.get("balancer") or "-", "-" if e.get("seed") is None else e["seed"],
+         "yes" if e.get("has_trace") else "no"]
         for e in entries
     ]
     print(report.table(
@@ -654,26 +678,54 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
+def _status_daemon(args: argparse.Namespace, deadline: Optional[float]) -> int:
+    from repro.serve import ServeClient
+    from repro.service import JobFailedError
+
+    client = ServeClient(args.url)
+    if not args.digest:
+        print(json.dumps(client.metrics(), indent=2, sort_keys=True))
+        return 0
+    known = [j["digest"] for j in client.jobs()]
+    digests = _resolve_digests(known, args.digest, noun="job")
+    if not args.watch:
+        print(json.dumps([client.status(d) for d in digests], indent=2, sort_keys=True))
+        return 0
+    for i, d in enumerate(digests):
+        try:
+            state = _follow(client, d, deadline, echo=True)
+        except TimeoutError:
+            if deadline is None:
+                raise
+            raise _still_waiting(digests[i:], args.timeout) from None
+        if state not in ("done", "cached"):
+            raise JobFailedError(f"job {d[:12]}... ended in state {state!r}")
+    return 0
+
+
 def _cmd_fetch(args: argparse.Namespace) -> int:
-    """Print the stored result behind one digest."""
-    import json as _json
+    """Print the result behind one digest, from a store or a daemon."""
+    if args.url is not None:
+        from repro.serve import ServeClient
 
-    from repro.metrics import export
-    from repro.store import ResultStore
+        client = ServeClient(args.url)
+        known = [j["digest"] for j in client.jobs()]
+        (digest,) = _resolve_digests(known, [args.digest], noun="job")
+        result = client.result(digest)["result"]
+    else:
+        from repro.metrics import export
+        from repro.store import ResultStore
 
-    store = ResultStore(args.store)
-    digest = _resolve_digest(store, args.digest)
-    entry = store.get(digest)
-    assert entry is not None  # _resolve_digest only returns real entries
-    if entry.kind != "run":
-        print(_json.dumps(entry.value, indent=2, sort_keys=True))
+        store = ResultStore(args.store)
+        (digest,) = _resolve_digests(store.digests(), [args.digest])
+        entry = store.get(digest)
+        assert entry is not None  # _resolve_digests only returns real entries
+        result = (entry.value if entry.kind != "run"
+                  else export.result_to_dict(entry.result))
+    if args.json or not isinstance(result, dict):
+        print(json.dumps({"digest": digest, "result": result}, indent=2, sort_keys=True))
         return 0
-    payload = export.result_to_dict(entry.result)
-    if args.json:
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    pairs = dict(payload)
-    pairs.pop("type", None)
+    pairs = {k: v for k, v in result.items() if k != "type"}
     print(report.kv_block(f"{digest[:12]} ({digest})", pairs))
     return 0
 
@@ -712,28 +764,27 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# serving daemon + client (repro.serve)
+# serving daemon (repro.serve)
 # ----------------------------------------------------------------------
 def _parse_tenant(text: str):
-    """``name[:weight[:rate[:burst[:queue_limit]]]]`` -> TenantConfig."""
+    """``name[:weight[:rate[:burst[:queue_limit]]]]`` -> TenantConfig.
+
+    Omitted fields take :class:`~repro.serve.TenantConfig`'s defaults.
+    """
     from repro.serve import TenantConfig
 
-    parts = text.split(":")
-    if not parts[0]:
+    name, *fields = text.split(":")
+    if not name:
         raise ValueError(f"tenant spec {text!r} has an empty name")
-    if len(parts) > 5:
+    if len(fields) > 4:
         raise ValueError(
             f"tenant spec {text!r} has too many fields; expected "
             "name[:weight[:rate[:burst[:queue_limit]]]]"
         )
+    knobs = zip(("weight", "rate", "burst", "queue_limit"),
+                (float, float, float, int), fields)
     try:
-        return TenantConfig(
-            name=parts[0],
-            weight=float(parts[1]) if len(parts) > 1 else 1.0,
-            rate=float(parts[2]) if len(parts) > 2 else 50.0,
-            burst=float(parts[3]) if len(parts) > 3 else 100.0,
-            queue_limit=int(parts[4]) if len(parts) > 4 else 512,
-        )
+        return TenantConfig(name=name, **{k: cast(v) for k, cast, v in knobs})
     except ValueError as exc:
         raise ValueError(f"tenant spec {text!r}: {exc}") from None
 
@@ -760,106 +811,38 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _client_resolve(client, prefix: str) -> str:
-    """A full job digest from a prefix, via the daemon's job listing."""
-    if not prefix or any(c not in "0123456789abcdef" for c in prefix):
-        raise ValueError(f"invalid digest prefix {prefix!r} (lowercase hex)")
-    if len(prefix) == 64:
-        return prefix
-    matches = [
-        j["digest"] for j in client.jobs() if j["digest"].startswith(prefix)
-    ]
-    if not matches:
-        raise ValueError(f"no job matches digest prefix {prefix!r}")
-    if len(matches) > 1:
-        raise ValueError(
-            f"digest prefix {prefix!r} is ambiguous ({len(matches)} jobs)"
-        )
-    return matches[0]
-
-
-def _cmd_client(args: argparse.Namespace) -> int:
-    """Talk to a running daemon: submit / status / fetch / metrics / watch."""
-    import json as _json
-
-    from repro.serve import ServeClient, ServeError
-
-    client = ServeClient(args.url)
-    try:
-        if args.client_command == "submit":
-            specs = _submit_specs(args)
-            resp = client.submit(specs, tenant=args.tenant)
-            jobs = resp["jobs"]
-            if args.watch:
-                jobs = [
-                    client.wait(j["digest"], timeout_s=args.timeout)
-                    for j in jobs
-                ]
-            if args.json:
-                print(_json.dumps(jobs, indent=2, sort_keys=True))
-            else:
-                rows = [
-                    [j["digest"][:12], j["state"], j["attempts"],
-                     j.get("error") or "-"]
-                    for j in jobs
-                ]
-                print(report.table(
-                    ["digest", "state", "attempts", "error"], rows,
-                    title=f"{len(jobs)} job(s) as tenant "
-                          f"{resp['tenant']!r} via {args.url}",
-                ))
-            failed = [j for j in jobs if j["state"] == "failed"]
-            return 1 if args.watch and failed else 0
-
-        if args.client_command == "status":
-            digest = _client_resolve(client, args.digest)
-            view = (
-                client.wait(digest, poll_s=args.interval, timeout_s=args.timeout)
-                if args.watch
-                else client.status(digest)
-            )
-            print(_json.dumps(view, indent=2, sort_keys=True))
-            if args.watch:
-                return 0 if view["state"] in ("done", "cached") else 1
-            return 0
-
-        if args.client_command == "fetch":
-            digest = _client_resolve(client, args.digest)
-            print(_json.dumps(client.result(digest), indent=2, sort_keys=True))
-            return 0
-
-        if args.client_command == "metrics":
-            print(_json.dumps(client.metrics(), indent=2, sort_keys=True))
-            return 0
-
-        # watch: stream the SSE feed of one job
-        digest = _client_resolve(client, args.digest)
-        final = ""
-        for event, data in client.events(digest):
-            print(_json.dumps({"event": event, **data}, sort_keys=True))
-            if event == "end":
-                final = data.get("state", "")
-        return 0 if final in ("done", "cached") else 1
-    except ServeError as exc:
-        print(f"repro client: {exc}", file=sys.stderr)
-        retry = exc.retry_after_s
-        if retry is not None:
-            print(f"repro client: retry after {retry:.3f}s", file=sys.stderr)
-        return 1
-    except TimeoutError as exc:
-        print(f"repro client: {exc}", file=sys.stderr)
-        return 1
-    except (ConnectionError, OSError) as exc:
-        print(f"repro client: cannot reach {args.url}: {exc}", file=sys.stderr)
-        return 1
-
-
 def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", default="heap", choices=backend_names(),
         help="event-dispatch backend (default: heap; backends are "
              "digest-equivalent, see repro.sim.backends)",
     )
+
+
+def _add_spec_args(parser: argparse.ArgumentParser) -> None:
+    """The nine flags that define a batch of runs (``run``, ``submit``)."""
+    parser.add_argument("--bench", default="ep.C", choices=sorted(FULL_CATALOG))
+    parser.add_argument("--machine", default="tigerton", choices=sorted(MACHINES))
+    parser.add_argument("--threads", type=int, default=16)
+    parser.add_argument("--cores", type=int, default=12)
+    parser.add_argument("--wait", default="yield", choices=sorted(WAITS))
+    parser.add_argument("--seconds", type=float, default=1.0,
+                        help="per-thread compute demand in simulated seconds")
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument(
+        "--balancer", nargs="+", default=["speed", "load"],
+        choices=BALANCER_MODES,
+    )
+    _add_engine_arg(parser)
+
+
+def _add_target_args(parser: argparse.ArgumentParser) -> None:
+    """Where a job verb's jobs live: ``--store DIR`` or ``--url URL``."""
+    target = parser.add_mutually_exclusive_group()
+    target.add_argument("--store", default=".repro-store",
+                        help="store directory (default: .repro-store)")
+    target.add_argument("--url", help="a repro serve daemon instead of a "
+                        "store, e.g. http://127.0.0.1:8421")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -873,24 +856,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("benches", help="list the NAS-like workload catalog")
 
     run = sub.add_parser("run", help="run a workload under one or more balancers")
-    run.add_argument("--bench", default="ep.C", choices=sorted(FULL_CATALOG))
-    run.add_argument("--machine", default="tigerton", choices=sorted(MACHINES))
-    run.add_argument("--threads", type=int, default=16)
-    run.add_argument("--cores", type=int, default=12)
-    run.add_argument("--wait", default="yield", choices=sorted(WAITS))
-    run.add_argument("--seconds", type=float, default=1.0,
-                     help="per-thread compute demand in simulated seconds")
-    run.add_argument("--repeats", type=int, default=3)
-    run.add_argument(
-        "--balancer", nargs="+", default=["speed", "load"],
-        choices=BALANCER_MODES,
-    )
+    _add_spec_args(run)
     run.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for the seed repeats (results are "
              "bit-identical to --workers 1; see docs/performance.md)",
     )
-    _add_engine_arg(run)
 
     model = sub.add_parser("model", help="print the Section 4 analytical model")
     model.add_argument("--threads", type=int, required=True)
@@ -1010,77 +981,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     submit = sub.add_parser(
         "submit",
-        help="run a batch through the content-addressed store: cache "
-             "misses simulate once, everything else is served from disk",
+        help="run a batch on a store or a daemon: cache misses simulate "
+             "once, everything else is served from the store",
     )
-    submit.add_argument("--store", default=".repro-store",
-                        help="store directory (default: .repro-store)")
-    submit.add_argument("--bench", default="ep.C", choices=sorted(FULL_CATALOG))
-    submit.add_argument("--machine", default="tigerton", choices=sorted(MACHINES))
-    submit.add_argument("--threads", type=int, default=16)
-    submit.add_argument("--cores", type=int, default=12)
-    submit.add_argument("--wait", default="yield", choices=sorted(WAITS))
-    submit.add_argument("--seconds", type=float, default=1.0,
-                        help="per-thread compute demand in simulated seconds")
-    submit.add_argument("--repeats", type=int, default=3)
+    _add_target_args(submit)
+    _add_spec_args(submit)
+    # target-specific flags default to None so a wrong-target use shows
+    submit.add_argument("--tenant", help="--url only: submit as this tenant "
+                                         "(default: default)")
+    submit.add_argument("--workers", type=int, help="--store only: worker "
+                        "processes for the cache misses (default: 1)")
+    submit.add_argument("--trace", action="store_true", default=None,
+                        help="--store only: also archive each fresh run's "
+                             "full trace (feeds repro sanitize --stored)")
     submit.add_argument(
-        "--balancer", nargs="+", default=["speed", "load"],
-        choices=BALANCER_MODES,
+        "--job-timeout", type=float,
+        help="--store only: per-job wall-clock budget in seconds; a job "
+             "past it fails and re-enters the retry loop (not with --trace)",
     )
-    submit.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the cache misses",
-    )
-    submit.add_argument(
-        "--trace", action="store_true",
-        help="also archive each fresh run's full trace (feeds "
-             "repro sanitize --stored)",
-    )
-    submit.add_argument(
-        "--job-timeout", type=float, default=None,
-        help="per-job wall-clock budget in seconds; a job past it fails "
-             "with a timeout reason and re-enters the retry loop (not "
-             "combinable with --trace)",
-    )
-    submit.add_argument(
-        "--expect-cached", action="store_true",
-        help="assert the whole batch is already cached; exit 1 if any "
-             "simulation had to run (the CI store-smoke invariant)",
-    )
-    submit.add_argument(
-        "--json", action="store_true",
-        help="emit [{digest, result}] as JSON instead of a table",
-    )
-    _add_engine_arg(submit)
+    submit.add_argument("--expect-cached", action="store_true",
+                        help="exit 1 if any job had to run (the CI smokes)")
+    submit.add_argument("--json", action="store_true",
+                        help="emit [{digest, result}] as JSON, not a table")
 
     status = sub.add_parser(
-        "status", help="list the entries of a content-addressed store",
+        "status",
+        help="a store's entries or a daemon's metrics; with digests, "
+             "those entries or job views",
     )
     status.add_argument("digest", nargs="*", default=[],
                         help="only these digests (prefixes allowed)")
-    status.add_argument("--store", default=".repro-store",
-                        help="store directory (default: .repro-store)")
-    status.add_argument(
-        "--watch", action="store_true",
-        help="poll the store until every given digest (or, with none, "
-             "any entry) exists; exit 1 if --timeout elapses first",
-    )
-    status.add_argument("--interval", type=float, default=0.5,
-                        help="--watch poll interval in seconds (default: 0.5)")
-    status.add_argument(
-        "--timeout", type=float, default=None,
-        help="--watch gives up (exit 1) after this many seconds "
-             "(default: wait forever)",
-    )
+    _add_target_args(status)
+    status.add_argument("--watch", action="store_true",
+                        help="wait until every given job is terminal; exit 1 "
+                             "if one failed or --timeout elapses first")
+    status.add_argument("--interval", type=float, default=0.5, help="--watch "
+                        "poll interval on a store, seconds (default: 0.5)")
+    status.add_argument("--timeout", type=float, help="one --watch deadline "
+                        "for all the digests, seconds (default: none)")
 
-    fetch = sub.add_parser(
-        "fetch", help="print the stored result behind one digest",
-    )
-    fetch.add_argument("digest", help="entry digest (prefix allowed)")
-    fetch.add_argument("--store", default=".repro-store",
-                       help="store directory (default: .repro-store)")
+    fetch = sub.add_parser("fetch", help="print the result behind one digest")
+    fetch.add_argument("digest", help="job digest (prefix allowed)")
+    _add_target_args(fetch)
     fetch.add_argument("--json", action="store_true",
-                       help="emit the result dict as JSON")
+                       help="emit {digest, result} as JSON")
 
     serve = sub.add_parser(
         "serve",
@@ -1120,68 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dispatch attempts per job before it is failed (default: 2)",
     )
 
-    client_p = sub.add_parser(
-        "client",
-        help="talk to a running repro serve daemon: submit, status, "
-             "fetch, metrics, watch",
-    )
-    client_p.add_argument("--url", default="http://127.0.0.1:8421",
-                          help="daemon base URL (default: http://127.0.0.1:8421)")
-    client_sub = client_p.add_subparsers(dest="client_command", required=True)
-
-    c_submit = client_sub.add_parser(
-        "submit", help="submit a spec batch over HTTP (dedup + cache apply)",
-    )
-    c_submit.add_argument("--tenant", default="default")
-    c_submit.add_argument("--bench", default="ep.C", choices=sorted(FULL_CATALOG))
-    c_submit.add_argument("--machine", default="tigerton", choices=sorted(MACHINES))
-    c_submit.add_argument("--threads", type=int, default=16)
-    c_submit.add_argument("--cores", type=int, default=12)
-    c_submit.add_argument("--wait", default="yield", choices=sorted(WAITS))
-    c_submit.add_argument("--seconds", type=float, default=1.0,
-                          help="per-thread compute demand in simulated seconds")
-    c_submit.add_argument("--repeats", type=int, default=3)
-    c_submit.add_argument(
-        "--balancer", nargs="+", default=["speed", "load"],
-        choices=BALANCER_MODES,
-    )
-    c_submit.add_argument(
-        "--watch", action="store_true",
-        help="block until every submitted job is terminal (exit 1 if any "
-             "failed)",
-    )
-    c_submit.add_argument("--timeout", type=float, default=None,
-                          help="--watch deadline in seconds")
-    c_submit.add_argument("--json", action="store_true",
-                          help="emit the job views as JSON")
-    _add_engine_arg(c_submit)
-
-    c_status = client_sub.add_parser(
-        "status", help="one job's status view (digest prefix allowed)",
-    )
-    c_status.add_argument("digest")
-    c_status.add_argument(
-        "--watch", action="store_true",
-        help="poll until the job is terminal; exit 0 on done/cached, "
-             "1 on failed",
-    )
-    c_status.add_argument("--interval", type=float, default=0.2,
-                          help="--watch poll interval in seconds (default: 0.2)")
-    c_status.add_argument("--timeout", type=float, default=None,
-                          help="--watch deadline in seconds")
-
-    c_fetch = client_sub.add_parser(
-        "fetch", help="fetch the stored result behind one job digest",
-    )
-    c_fetch.add_argument("digest")
-
-    client_sub.add_parser("metrics", help="print the /v1/metrics snapshot")
-
-    c_watch = client_sub.add_parser(
-        "watch", help="stream one job's SSE status events until it ends",
-    )
-    c_watch.add_argument("digest")
-
     store_p = sub.add_parser(
         "store", help="store maintenance: gc, verify, stats",
     )
@@ -1208,6 +1090,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _job_failures() -> tuple[type[Exception], ...]:
+    """A job verb's exit-1 failures: a failed job, an HTTP error, a
+    deadline.  ``main`` calls this only once an exception propagates,
+    so a command that succeeds never imports the serving layer."""
+    from repro.serve import ServeError
+    from repro.service import JobFailedError
+
+    return (JobFailedError, ServeError, TimeoutError)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -1223,13 +1115,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "fetch": _cmd_fetch,
         "store": _cmd_store,
         "serve": _cmd_serve,
-        "client": _cmd_client,
     }[args.command]
     try:
         return handler(args)
     except ValueError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    except _job_failures() as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        if getattr(args, "url", None) is None:
+            raise
+        print(f"repro {args.command}: cannot reach {args.url}: {exc}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

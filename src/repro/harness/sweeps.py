@@ -148,12 +148,7 @@ def _cached_outcomes(
 ) -> list:
     """Serve each assignment from the store; run and file the misses."""
     # imported here: the store builds on the harness, not vice versa
-    from repro.store import (
-        ResultStore,
-        StoreIntegrityError,
-        digest_of,
-        sweep_cell_key,
-    )
+    from repro.store import ResultStore, digest_of, sweep_cell_key
 
     if isinstance(store, str):
         store = ResultStore(store)
@@ -162,12 +157,7 @@ def _cached_outcomes(
     outcomes: list[Any] = [None] * len(assignments)
     miss: list[int] = []
     for i, digest in enumerate(digests):
-        entry = None
-        try:
-            entry = store.get(digest)
-        except StoreIntegrityError:
-            # detected corruption: drop the entry and recompute the cell
-            store.delete(digest)
+        entry = store.lookup(digest)
         if entry is None:
             miss.append(i)
         else:

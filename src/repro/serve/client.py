@@ -1,11 +1,11 @@
 """Blocking client for the `repro serve` daemon (stdlib HTTP only).
 
-:class:`ServeClient` is what `repro client ...` and the load-test
-driver use: submit spec batches, poll status, stream SSE events, fetch
-results and metrics.  It deliberately depends on nothing beyond
-``http.client`` -- the daemon speaks one-request-per-connection
-HTTP/1.1, so a connection per call is the protocol, not an
-inefficiency.
+:class:`ServeClient` is what the job verbs (``repro submit | status |
+fetch --url``), ``examples/load_test.py`` and perfbench use: submit
+spec batches, poll status, stream SSE events, fetch results and
+metrics.  It deliberately depends on nothing beyond ``http.client``
+-- the daemon speaks one-request-per-connection HTTP/1.1, so a
+connection per call is the protocol, not an inefficiency.
 """
 
 from __future__ import annotations
@@ -47,6 +47,14 @@ class ServeError(Exception):
         return None
 
 
+def _decode(raw: bytes) -> Any:
+    """A response body: JSON when it parses, else the text."""
+    try:
+        return json.loads(raw.decode()) if raw else None
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return raw.decode(errors="replace")
+
+
 @dataclass
 class ServeClient:
     """Talk to one daemon at ``base_url`` (e.g. http://127.0.0.1:8421)."""
@@ -75,11 +83,7 @@ class ServeClient:
                 headers["Content-Type"] = "application/json"
             conn.request(method, path, body=body, headers=headers)
             resp = conn.getresponse()
-            raw = resp.read()
-            try:
-                decoded = json.loads(raw.decode()) if raw else None
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                decoded = raw.decode(errors="replace")
+            decoded = _decode(resp.read())
             if resp.status >= 400:
                 raise ServeError(resp.status, decoded)
             return decoded
@@ -101,7 +105,8 @@ class ServeClient:
         )
 
     def submit_wires(self, wires: Sequence[dict], tenant: str = "default") -> dict:
-        """Submit pre-encoded wire specs (the CLI's spec-file path)."""
+        """Submit wire specs as given, unchecked: the raw path tests use to
+        send malformed bodies."""
         return self._request(
             "POST", "/v1/jobs", {"tenant": tenant, "specs": list(wires)}
         )
@@ -120,25 +125,27 @@ class ServeClient:
         return self._request("GET", "/v1/metrics")
 
     # -- SSE ------------------------------------------------------------
-    def events(self, digest: str) -> Iterator[tuple[str, dict]]:
+    def events(
+        self, digest: str, timeout_s: Optional[float] = None
+    ) -> Iterator[tuple[str, dict]]:
         """Stream ``(event, data)`` pairs for one job until ``end``.
 
         Yields every status transition the daemon publishes (including
         the replay of transitions that happened before the stream was
-        opened), terminating after the ``end`` event.
+        opened), terminating after the ``end`` event.  ``timeout_s``
+        bounds the wait for each event, not the connect (that is the
+        client's ``timeout_s``): ``None``, the default, follows a job
+        however long it stays pending or running.
         """
         host, port = self._split()
         conn = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
         try:
+            conn.connect()
+            conn.sock.settimeout(timeout_s)
             conn.request("GET", f"/v1/jobs/{digest}/events")
             resp = conn.getresponse()
             if resp.status >= 400:
-                raw = resp.read()
-                try:
-                    decoded = json.loads(raw.decode()) if raw else None
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    decoded = raw.decode(errors="replace")
-                raise ServeError(resp.status, decoded)
+                raise ServeError(resp.status, _decode(resp.read()))
             event, data = "", ""
             while True:
                 line = resp.fp.readline()

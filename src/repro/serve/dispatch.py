@@ -40,11 +40,11 @@ __all__ = ["SpeedAwareDispatcher"]
 
 
 class SpeedAwareDispatcher:
-    """Pick the slowest-served eligible tenant (see module docs)."""
+    """Pick the slowest-served eligible tenant (see module docs).
 
-    def __init__(self) -> None:
-        #: dispatch decisions taken, exposed via /v1/metrics
-        self.decisions = 0
+    Stateless: each tenant's ``dispatched`` counter (in the
+    ``/v1/metrics`` snapshot) already counts the picks.
+    """
 
     def pick(
         self,
@@ -68,6 +68,4 @@ class SpeedAwareDispatcher:
             key = (tenant.service_share(now), tenant.name)
             if best_key is None or key < best_key:
                 best, best_key = tenant, key
-        if best is not None:
-            self.decisions += 1
         return best

@@ -67,7 +67,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.tenants import AdmissionError, Tenant, TenantConfig
 from repro.serve.workers import POOL_BACKENDS, ShardedStore, shard_index
-from repro.store.keys import UnstorableSpecError
+from repro.store import StoreIntegrityError, UnstorableSpecError
 
 __all__ = [
     "BackgroundServer",
@@ -97,12 +97,8 @@ class ServeConfig:
     #: "process" (production) or "thread" (in-suite tests)
     backend: str = "process"
     #: tenants declared up front; unknown tenants are created on first
-    #: submit with the ``default_*`` knobs below
+    #: submit with :class:`TenantConfig`'s defaults
     tenants: tuple[TenantConfig, ...] = ()
-    default_weight: float = 1.0
-    default_rate: float = 50.0
-    default_burst: float = 100.0
-    default_queue_limit: int = 512
     #: service-speed measurement window (the dispatcher's memory)
     window_s: float = 30.0
     #: per-job wall-clock budget; a worker past it is killed + respawned
@@ -326,17 +322,8 @@ class ReproServer:
     def _tenant(self, name: str) -> Tenant:
         tenant = self.tenants.get(name)
         if tenant is None:
-            cfg = self.config
             tenant = Tenant(
-                TenantConfig(
-                    name=name,
-                    weight=cfg.default_weight,
-                    rate=cfg.default_rate,
-                    burst=cfg.default_burst,
-                    queue_limit=cfg.default_queue_limit,
-                ),
-                cfg.window_s,
-                self._clock,
+                TenantConfig(name=name), self.config.window_s, self._clock
             )
             self.tenants[name] = tenant
         return tenant
@@ -608,11 +595,11 @@ class ReproServer:
                 self.metrics.deduped += 1
                 continue
             rec = JobRecord(digest, tenant.name, by_digest[digest], now)
-            entry = None
             try:
                 entry = self.store.get(digest)
-            except Exception:  # noqa: BLE001 - corrupt entry: recompute
-                self.store.delete(digest)
+            except StoreIntegrityError:
+                # a miss; the worker owning the shard deletes and recomputes
+                entry = None
             if entry is not None and entry.result is not None:
                 # store hit: terminal immediately, no queue slot used
                 fresh[digest] = rec

@@ -41,7 +41,7 @@ from repro.harness.parallel import RunSpec, run_spec
 from repro.metrics.results import AppRunResult
 from repro.serve import clock as _clock
 from repro.serve.protocol import spec_from_wire
-from repro.store import ResultStore, StoreEntry, StoreIntegrityError
+from repro.store import ResultStore, StoreEntry
 
 __all__ = [
     "POOL_BACKENDS",
@@ -132,11 +132,7 @@ def _worker_loop(
         start = _clock.monotonic()
         try:
             spec = spec_from_wire(wire)
-            entry = None
-            try:
-                entry = store.get(digest)
-            except StoreIntegrityError:
-                store.delete(digest)  # corrupt entry: recompute below
+            entry = store.lookup(digest)
             if entry is not None and entry.result is not None:
                 # drain-resume / cross-tenant dedup hit: never run twice
                 outq.put(

@@ -6,7 +6,9 @@ pay for one cell") lives here: :class:`JobService` resolves batches of
 content-addressed store (:mod:`repro.store`), simulates only the
 misses via :mod:`repro.harness.parallel`, retries crashed workers with
 bounded backoff and streams per-job status.  Exposed on the CLI as
-``repro submit`` / ``repro status`` / ``repro fetch``.
+``repro submit`` / ``repro status`` / ``repro fetch --store DIR``; the
+same verbs take ``--url URL`` to run against a :mod:`repro.serve`
+daemon instead.
 """
 
 from repro.service.jobs import (

@@ -19,9 +19,9 @@ the machinery that *produces* them:
    ``on_status`` callback, and fresh results are filed back into the
    store before ``submit`` returns.
 
-A corrupt store entry (:class:`~repro.store.StoreIntegrityError`) is
-treated as a miss: the entry is deleted and the configuration is
-recomputed -- corrupt bytes are never returned to a caller.
+A corrupt store entry is a miss (:meth:`~repro.store.ResultStore.lookup`
+deletes it) and the configuration is recomputed -- corrupt bytes are
+never returned to a caller.
 
 Concurrent ``submit`` calls of the *same* spec from two threads
 execute it once: the second submitter blocks on the first's in-flight
@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from repro.harness.experiment import run_app
 from repro.harness.parallel import RunSpec, map_specs, resolve_machine
 from repro.metrics.results import AppRunResult
-from repro.store import ResultStore, StoreIntegrityError, spec_digest
+from repro.store import ResultStore, spec_digest
 
 __all__ = [
     "JOB_STATES",
@@ -240,12 +240,7 @@ class JobService:
         """Serve owned digests from the store; return the misses."""
         to_run: list[str] = []
         for d in owned:
-            entry = None
-            try:
-                entry = self.store.get(d)
-            except StoreIntegrityError:
-                # detected corruption: drop the entry and recompute
-                self.store.delete(d)
+            entry = self.store.lookup(d)
             if entry is not None and isinstance(entry.result, AppRunResult):
                 if trace and not entry.has_trace:
                     # the caller wants a trace but the cached entry has

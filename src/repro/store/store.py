@@ -21,9 +21,10 @@ entry's canonical JSON *without* that field.  Every read recomputes it
 :func:`~repro.analysis.sanitizer.run_digest` over the parsed result)
 and, for traces, the SHA-256 of the decompressed bytes -- and raises
 :class:`StoreIntegrityError` on any mismatch.  A flipped bit on disk
-is therefore *detected*, never silently served; callers like
-:class:`repro.service.JobService` treat the error as a cache miss and
-recompute.
+is therefore *detected*, never silently served; callers that
+recompute a miss (:class:`repro.service.JobService`, the serve workers,
+``sweep(store=...)``) read through :meth:`ResultStore.lookup`, which
+deletes the corrupt entry and reports a miss.
 
 Concurrency
 -----------
@@ -436,6 +437,18 @@ class ResultStore:
             result_digest=doc.get("result_digest"),
             has_trace=doc.get("trace_sha256") is not None,
         )
+
+    def lookup(self, digest_or_spec: Union[str, RunSpec]) -> Optional[StoreEntry]:
+        """:meth:`get` for callers that recompute a miss: a corrupt entry
+        reads as absent and is deleted, so the recompute files a clean
+        one.  Any other read error propagates -- a valid entry is never
+        deleted because it could not be read.
+        """
+        try:
+            return self.get(digest_or_spec)
+        except StoreIntegrityError:
+            self.delete(digest_or_spec)
+            return None
 
     def load_trace(
         self, digest_or_spec: Union[str, RunSpec]

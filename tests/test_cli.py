@@ -2,10 +2,12 @@
 
 import contextlib
 import io
+import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _submit_specs, build_parser, main
+from repro.store import spec_digest
 
 
 def run_cli(argv):
@@ -104,7 +106,7 @@ class TestStoreCommands:
 
         rc, out = run_cli(["fetch", digest[:8], "--store", store, "--json"])
         assert rc == 0
-        assert json.loads(out)["app_name"] == "ep.C"
+        assert json.loads(out)["result"]["app_name"] == "ep.C"
 
     def test_fetch_unknown_digest_clean_error(self, tmp_path, capsys):
         self._submit(str(tmp_path / "s"))
@@ -186,65 +188,188 @@ class TestWatchAndTimeout:
         assert "does not combine with trace" in capsys.readouterr().err
 
 
-class TestClientCommands:
-    """The `repro client` verbs against a live background daemon."""
+def _sleepy_runner(spec):
+    """A daemon runner that takes 0.4 s per job."""
+    import time
 
-    @pytest.fixture()
-    def daemon(self, tmp_path):
-        from repro.serve import BackgroundServer, ServeConfig
+    from tests.test_serve_server import _fake_result
 
-        bg = BackgroundServer(ServeConfig(
-            store_root=str(tmp_path / "serve-store"), port=0,
-            workers=1, backend="thread",
-        )).start()
-        yield bg
+    time.sleep(0.4)
+    return _fake_result(spec)
+
+
+def _daemon(tmp_path, **overrides):
+    from repro.serve import BackgroundServer, ServeConfig
+
+    return BackgroundServer(ServeConfig(
+        store_root=str(tmp_path / "serve-store"), port=0, workers=1,
+        backend="thread", **overrides,
+    )).start()
+
+
+@pytest.fixture(params=["store", "url"])
+def target(request, tmp_path):
+    """The job verbs' target flags: a store directory or a live daemon."""
+    if request.param == "store":
+        yield ["--store", str(tmp_path / "s")]
+        return
+    bg = _daemon(tmp_path)
+    try:
+        yield ["--url", bg.base_url]
+    finally:
         bg.drain()
 
-    def _client(self, daemon, *argv):
-        return run_cli(["client", "--url", daemon.base_url, *argv])
 
-    SPEC = [
-        "submit", "--threads", "4", "--cores", "2", "--seconds", "0.05",
-        "--repeats", "1", "--balancer", "speed",
-    ]
+class TestJobVerbs:
+    """`repro submit | status | fetch`, the same verbs on both targets."""
 
-    def test_submit_watch_fetch_metrics_and_sse(self, daemon):
-        import json
+    SUBMIT = TestStoreCommands.SUBMIT
 
-        rc, out = self._client(
-            daemon, *self.SPEC, "--watch", "--timeout", "120", "--json",
-        )
+    def _digest(self, target):
+        rc, out = run_cli([*self.SUBMIT, *target, "--json"])
+        assert rc == 0
+        return json.loads(out)[0]["digest"]
+
+    def test_submit_then_resubmit_expect_cached(self, target):
+        rc, out = run_cli([*self.SUBMIT, *target])
+        assert rc == 0
+        assert "done" in out and "1 job(s): 1 unique, 0 cached, 1 executed" in out
+        rc, out = run_cli([*self.SUBMIT, *target, "--expect-cached"])
+        assert rc == 0
+        assert "1 cached, 0 executed" in out
+
+    def test_expect_cached_fails_when_a_job_runs(self, target, capsys):
+        rc = main([*self.SUBMIT, *target, "--expect-cached"])
+        assert rc == 1
+        assert "expected a fully cached batch" in capsys.readouterr().err
+
+    def test_failed_job_exits_1_naming_it(self, target, capsys):
+        # cores 16..19 do not exist on tigerton: the run itself fails
+        argv = [*self.SUBMIT, *target, "--cores", "20"]
+        assert main(argv) == 1
+        (spec,) = _submit_specs(build_parser().parse_args(argv))
+        err = capsys.readouterr().err
+        assert "repro submit:" in err and spec_digest(spec)[:12] in err
+
+    def test_submit_json(self, target):
+        rc, out = run_cli([*self.SUBMIT, *target, "--json"])
         assert rc == 0
         (job,) = json.loads(out)
-        assert job["state"] == "done"
-        digest = job["digest"]
+        assert set(job) == {"digest", "result"}
+        assert len(job["digest"]) == 64 and job["result"]["app_name"] == "ep.C"
 
-        rc, out = self._client(daemon, "status", digest[:10], "--watch")
+    def test_status_listing(self, target):
+        digest = self._digest(target)
+        rc, out = run_cli(["status", *target])
         assert rc == 0
-        assert json.loads(out)["state"] == "done"
+        if target[0] == "--store":
+            assert digest[:12] in out and "1 entry" in out
+        else:
+            assert json.loads(out)["completed"] == 1
+        rc, out = run_cli(["status", digest[:10], *target])
+        assert rc == 0 and digest[:12] in out
 
-        rc, out = self._client(daemon, "fetch", digest)
+    def test_status_watch_succeeds(self, target):
+        digest = self._digest(target)
+        rc, out = run_cli(["status", digest[:10], *target, "--watch",
+                           "--interval", "0.01", "--timeout", "60"])
+        assert rc == 0 and digest[:12] in out
+        if target[0] == "--url":
+            events = [json.loads(line) for line in out.splitlines()]
+            states = [e["state"] for e in events if e["event"] == "status"]
+            assert states == ["pending", "running", "done"]
+            assert events[-1] == {"event": "end", "digest": digest, "state": "done"}
+
+    def test_fetch_text_and_json(self, target):
+        digest = self._digest(target)
+        rc, out = run_cli(["fetch", digest[:8], *target])
         assert rc == 0
-        assert json.loads(out)["result"]["app_name"] == "ep.C"
-
-        rc, out = self._client(daemon, "metrics")
+        assert digest in out and "speedup" in out
+        rc, out = run_cli(["fetch", digest[:8], *target, "--json"])
         assert rc == 0
-        snap = json.loads(out)
-        assert snap["completed"] >= 1
+        body = json.loads(out)
+        assert body["digest"] == digest and body["result"]["app_name"] == "ep.C"
 
-        rc, out = self._client(daemon, "watch", digest)
-        assert rc == 0
-        events = [json.loads(line) for line in out.splitlines()]
-        states = [e["state"] for e in events if e["event"] == "status"]
-        assert states == ["pending", "running", "done"]
-        assert events[-1]["event"] == "end"
-
-    def test_unreachable_daemon_clean_error(self, capsys):
-        rc = main([
-            "client", "--url", "http://127.0.0.1:9", "metrics",
+    def test_bad_prefixes_exit_2(self, target, capsys):
+        # 6 balancers x 3 seeds = 18 digests: two must share a first hex digit
+        rc, out = run_cli([
+            "submit", "--threads", "2", "--cores", "2", "--seconds", "0.01",
+            "--repeats", "3", "--balancer", "load", "speed", "pinned", "dwrr",
+            "ule", "none", *target, "--json",
         ])
+        assert rc == 0
+        firsts = [job["digest"][0] for job in json.loads(out)]
+        shared = next(c for c in firsts if firsts.count(c) > 1)
+        for prefix in (shared, "0" * 64, "XYZ"):
+            for verb in (["fetch", prefix], ["status", prefix]):
+                assert main([*verb, *target]) == 2, (verb, prefix)
+        err = capsys.readouterr().err
+        assert "ambiguous" in err and "matches digest prefix" in err
+        assert "invalid digest prefix" in err
+
+    def test_wrong_target_flag_exits_2(self, target, capsys):
+        if target[0] == "--store":
+            wrong = ["--tenant", "ci"]
+        else:
+            wrong = ["--workers", "2", "--trace", "--job-timeout", "5"]
+        assert main([*self.SUBMIT, *target, *wrong]) == 2
+        err = capsys.readouterr().err
+        assert "not accepted with" in err
+        assert all(f in err for f in wrong if f.startswith("--"))
+
+
+class TestOneJobCli:
+    """What holds across the two targets, or of the merged verbs alone."""
+
+    SUBMIT = TestStoreCommands.SUBMIT
+
+    def test_submit_json_byte_identical_on_store_and_url(self, tmp_path):
+        bg = _daemon(tmp_path)
+        try:
+            _, served = run_cli([*self.SUBMIT, "--url", bg.base_url, "--json"])
+        finally:
+            bg.drain()
+        _, direct = run_cli([*self.SUBMIT, "--store", str(tmp_path / "s"), "--json"])
+        assert served == direct and json.loads(direct)
+
+    def test_unreachable_url_exits_1(self, capsys):
+        rc = main(["status", "--url", "http://127.0.0.1:9"])
         assert rc == 1
-        assert "cannot reach" in capsys.readouterr().err
+        assert "repro status: cannot reach" in capsys.readouterr().err
+
+    def test_store_and_url_together_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["fetch", "ab", "--store", "s", "--url", "http://127.0.0.1:9"])
+        assert exc.value.code == 2
+
+    def test_client_verb_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["client", "metrics"])
+        assert exc.value.code == 2
+
+    def test_watch_needs_a_digest(self, tmp_path, capsys):
+        assert main(["status", "--store", str(tmp_path / "s"), "--watch"]) == 2
+        assert "needs at least one digest" in capsys.readouterr().err
+
+    def test_watch_timeout_covers_the_whole_set(self, tmp_path, capsys):
+        """One deadline for all digests: 4 jobs x 0.4 s on one worker
+        cannot all finish inside 0.6 s, though each finishes within
+        0.6 s of its predecessor (a per-job deadline would pass)."""
+        from repro.apps.workloads import AppSpec
+        from repro.harness.parallel import RunSpec
+        from repro.serve import ServeClient
+
+        app = AppSpec(bench="ep.C", n_threads=4, total_compute_us=50_000)
+        specs = [RunSpec.make("tigerton", app, cores=2, seed=s) for s in range(4)]
+        bg = _daemon(tmp_path, runner=_sleepy_runner)
+        try:
+            jobs = ServeClient(bg.base_url).submit(specs)["jobs"]
+            rc = main(["status", "--url", bg.base_url, "--watch",
+                       *[j["digest"] for j in jobs], "--timeout", "0.6"])
+        finally:
+            bg.drain()
+        assert rc == 1
+        assert "still waiting on" in capsys.readouterr().err
 
 
 class TestCliErrorHandling:

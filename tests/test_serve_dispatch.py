@@ -125,12 +125,17 @@ class TestSpeedAwareDispatcher:
         clock = FakeClock()
         a = _tenant(clock, name="a")
         b = _tenant(clock, name="b")
-        b.admit(["x"], now=0.0)
+        b.admit(["x", "z"], now=0.0)
         dispatcher = SpeedAwareDispatcher()
-        assert dispatcher.pick([a, b], now=0.0) is b  # a has no work
+        picked = dispatcher.pick([a, b], now=0.0)
+        assert picked is b  # a has no work
+        picked.pop()
         a.admit(["y"], now=0.0)
-        assert dispatcher.pick([b, a], now=0.0) is a  # tie -> name order
-        assert dispatcher.decisions == 2
+        picked = dispatcher.pick([b, a], now=0.0)
+        assert picked is a  # tie -> name order
+        picked.pop()
+        # each pick the server acts on is one tenant's dispatched job
+        assert (a.counters.dispatched, b.counters.dispatched) == (1, 1)
 
     def test_eligibility_predicate_narrows_candidates(self):
         clock = FakeClock()

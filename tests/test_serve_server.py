@@ -21,10 +21,12 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
     ServeError,
+    ShardedStore,
     TenantConfig,
 )
 from repro.serve.server import SNAPSHOT_NAME
 from repro.service import run_specs_cached
+from repro.store import ResultStore
 
 
 def _spec(seed=0, balancer="speed"):
@@ -66,6 +68,11 @@ def _slow_runner(spec):
     with _RUN_LOCK:
         _RUN_LOG.append(f"{spec.balancer}/{spec.seed}")
     time.sleep(0.05)
+    return _fake_result(spec)
+
+
+def _quiet_runner(spec):
+    time.sleep(1.0)
     return _fake_result(spec)
 
 
@@ -142,6 +149,35 @@ class TestParity:
             bg2.drain()
         assert len(_RUN_LOG) == 1  # never re-executed
 
+    def test_unreadable_entry_is_not_deleted_or_rerun(self, tmp_path, monkeypatch):
+        """Only a corrupt entry is a miss; any other read error leaves the
+        entry alone (and the owning worker, not the parent, deletes)."""
+        spec = _spec(seed=1)
+        bg = _boot(tmp_path, workers=1, runner=_counting_runner)
+        try:
+            client = ServeClient(bg.base_url)
+            (job,) = client.submit([spec])["jobs"]
+            assert client.wait(job["digest"], poll_s=0.02)["state"] == "done"
+        finally:
+            bg.drain()
+
+        def denied(self, digest):
+            raise PermissionError("read denied")
+
+        monkeypatch.setattr(ShardedStore, "get", denied)
+        bg2 = _boot(tmp_path, workers=1, runner=_counting_runner)
+        try:
+            with pytest.raises(ServeError) as err:
+                ServeClient(bg2.base_url).submit([spec])
+            assert err.value.status == 500
+            assert "PermissionError" in str(err.value)
+        finally:
+            bg2.drain()
+        assert ResultStore(
+            tmp_path / "serve-store" / "shard-00"
+        ).contains(job["digest"])
+        assert len(_RUN_LOG) == 1
+
 
 class TestDedup:
     def test_same_digest_executes_once(self, tmp_path):
@@ -215,6 +251,18 @@ class TestSse:
             bg.drain()
         states = [d["state"] for e, d in events if e == "status"]
         assert states == ["pending", "running", "done"]
+
+    def test_quiet_job_outlasts_the_request_timeout(self, tmp_path):
+        """The stream's read timeout is the caller's, not the client's
+        per-request one: a 0.3 s client follows a 1 s job to its end."""
+        bg = _boot(tmp_path, workers=1, runner=_quiet_runner)
+        try:
+            client = ServeClient(bg.base_url, timeout_s=0.3)
+            (job,) = client.submit([_spec(seed=10)])["jobs"]
+            events = list(client.events(job["digest"]))
+        finally:
+            bg.drain()
+        assert events[-1] == ("end", {"digest": job["digest"], "state": "done"})
 
     def test_unknown_job_events_404(self, tmp_path):
         bg = _boot(tmp_path, workers=1)

@@ -224,6 +224,28 @@ class TestCorruptionDetection:
         with pytest.raises(StoreIntegrityError):
             store.load_trace(digest)
 
+    def test_lookup_reads_corrupt_entry_as_deleted_miss(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        spec = _spec()
+        digest = store.put(spec, run_spec(spec))
+        assert store.lookup(digest).digest == digest
+        self._corrupt(store, digest)
+        assert store.lookup(digest) is None
+        assert not store.contains(digest) and digest not in store.digests()
+
+    def test_lookup_keeps_entry_on_other_read_errors(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "s")
+        spec = _spec()
+        digest = store.put(spec, run_spec(spec))
+
+        def denied(self, digest_or_spec):
+            raise PermissionError("read denied")
+
+        monkeypatch.setattr(ResultStore, "get", denied)
+        with pytest.raises(PermissionError):
+            store.lookup(digest)
+        assert store.contains(digest)
+
     def test_wrong_directory_detected(self, tmp_path):
         store = ResultStore(tmp_path / "s")
         spec = _spec()
