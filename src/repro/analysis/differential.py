@@ -146,10 +146,9 @@ def _workers_digest(
     import hashlib
 
     from repro.harness.experiment import repeat_run
-    from repro.harness.parallel import resolve_machine
 
     rep = repeat_run(
-        resolve_machine(smoke.machine),
+        smoke.machine,
         smoke.app,
         balancer=smoke.balancer,
         cores=smoke.cores,

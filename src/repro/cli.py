@@ -326,10 +326,9 @@ def _sanitize_stored(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Perf trajectory: run the bench suite, write/compare BENCH_*.json.
 
-    Exit codes: 0 ok, 1 wall-time regression, 2 events mismatch (a
-    determinism regression -- simulated behaviour drifted from the
-    baseline, which no threshold excuses).  The events check always
-    runs (and fails) before the wall-time one.  See
+    A comparison has a reference and a candidate payload: ``--baseline``
+    and a fresh run (or the one ``--compare`` payload), or the two
+    ``--compare`` payloads in order.  See :func:`_bench_compare`,
     :mod:`repro.harness.bench` and docs/performance.md.
     """
     from repro.harness import bench
@@ -340,21 +339,25 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               end="")
         return 0
 
-    if args.compare is not None and len(args.compare) > 2:
+    compare = args.compare or []
+    if len(compare) > 2:
         print("repro bench: --compare takes one payload (against "
               "--baseline) or exactly two", file=sys.stderr)
         return 2
-
-    if args.compare is not None and len(args.compare) == 2:
-        return _bench_compare_pair(args, bench)
-
-    if args.compare is not None:
-        if args.baseline is None:
-            print("repro bench: --compare with one payload requires "
-                  "--baseline (or give two payloads: --compare A B)",
-                  file=sys.stderr)
+    if len(compare) == 2:
+        if args.baseline is not None:
+            print("repro bench: --baseline does not combine with the "
+                  "two-payload --compare form", file=sys.stderr)
             return 2
-        payload = bench.load_payload(args.compare[0])
+        return _bench_compare(args, bench, *compare)
+    if compare and args.baseline is None:
+        print("repro bench: --compare with one payload requires "
+              "--baseline (or give two payloads: --compare A B)",
+              file=sys.stderr)
+        return 2
+
+    if compare:
+        candidate = compare[0]
     else:
         results = bench.run_benches(
             quick=args.quick,
@@ -368,88 +371,45 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         payload = bench.to_payload(results, label=args.label, quick=args.quick,
                                    engine=args.engine)
-        path = bench.write_payload(payload, out_dir=args.out)
-        print(f"wrote {path}")
-
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if baseline_path is None:
+        candidate = str(bench.write_payload(payload, out_dir=args.out))
+        print(f"wrote {candidate}")
+    if args.baseline is None:
         return 0
-    if not baseline_path.exists():
-        print(f"baseline {baseline_path} not found; skipping comparison "
+    if not Path(args.baseline).exists():
+        print(f"baseline {args.baseline} not found; skipping comparison "
               "(commit this run's output to establish one)")
         return 0
-    comparisons = bench.compare_payloads(
-        bench.load_payload(baseline_path), payload,
-        threshold_pct=args.threshold,
-    )
-
-    # determinism tripwire first: an event-count drift means simulated
-    # behaviour changed, which a wall-time threshold must never mask
-    if not args.wall_only:
-        mismatched = [c for c in comparisons if c.events_mismatch]
-        if mismatched:
-            for c in mismatched:
-                print(f"repro bench: events mismatch in {c.name}: baseline "
-                      f"{c.baseline_events}, now {c.events} (determinism "
-                      "regression)", file=sys.stderr)
-            return 2
-        print(f"events: {len(comparisons)} bench(es) match "
-              f"{baseline_path} exactly")
-    if args.events_only:
-        return 0
-
-    rows = [
-        [c.name, c.baseline_wall_s, c.wall_s, c.delta_pct,
-         "REGRESSED" if c.regressed else "ok"]
-        for c in comparisons
-    ]
-    print(report.table(
-        ["bench", "baseline s", "now s", "delta %", "status"], rows,
-        title=f"vs {baseline_path} (threshold {args.threshold:g}%)",
-    ))
-    regressed = [c for c in comparisons if c.regressed]
-    if regressed:
-        names = ", ".join(c.name for c in regressed)
-        print(f"repro bench: {len(regressed)} regression(s): {names}",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _bench_compare(args, bench, args.baseline, candidate)
 
 
-def _bench_compare_pair(args: argparse.Namespace, bench) -> int:
-    """``repro bench --compare A.json B.json``: the head-to-head form.
+def _bench_compare(args: argparse.Namespace, bench, ref_path: str,
+                   cand_path: str) -> int:
+    """Compare a candidate payload against a reference payload.
 
-    Treats the first payload as the reference and the second as the
-    candidate, prints a per-bench speedup table (reference wall over
-    candidate wall, so >1.0 means the candidate is faster) and exits
-    non-zero when the candidate is more than ``--threshold`` percent
-    slower on any bench.  The deterministic event-count check still runs
-    first (exit 2 on drift) unless ``--wall-only``; cross-engine pairs
-    are the intended use -- matching counts are the engine parity
-    tripwire.
+    Exit codes: 0 ok, 1 a bench more than ``--threshold`` percent
+    slower, 2 no bench case in common or an events mismatch (a
+    determinism regression -- simulated behaviour drifted, which no
+    threshold excuses).  The events check runs, and fails, before the
+    wall-time one; ``--events-only`` and ``--wall-only`` run just one.
+    Cross-engine pairs compare fine: matching counts are the engine
+    parity tripwire, and the speedup column (reference wall over
+    candidate wall, >1.0 = candidate faster) the backend speedup.
     """
-    if args.baseline is not None:
-        print("repro bench: --baseline does not combine with the "
-              "two-payload --compare form", file=sys.stderr)
-        return 2
-    ref_path, cand_path = args.compare
-    ref = bench.load_payload(ref_path)
-    cand = bench.load_payload(cand_path)
+    ref, cand = bench.load_payload(ref_path), bench.load_payload(cand_path)
     comparisons = bench.compare_payloads(ref, cand,
                                          threshold_pct=args.threshold)
     if not comparisons:
-        print("repro bench: the two payloads share no bench cases",
-              file=sys.stderr)
+        print(f"repro bench: {ref_path} and {cand_path} share no bench "
+              "cases", file=sys.stderr)
         return 2
 
     if not args.wall_only:
         mismatched = [c for c in comparisons if c.events_mismatch]
+        for c in mismatched:
+            print(f"repro bench: events mismatch in {c.name}: {ref_path} "
+                  f"has {c.baseline_events}, {cand_path} has {c.events} "
+                  "(determinism regression)", file=sys.stderr)
         if mismatched:
-            for c in mismatched:
-                print(f"repro bench: events mismatch in {c.name}: "
-                      f"{ref_path} has {c.baseline_events}, {cand_path} "
-                      f"has {c.events} (determinism regression)",
-                      file=sys.stderr)
             return 2
         print(f"events: {len(comparisons)} bench(es) match between "
               f"{ref_path} and {cand_path}")
@@ -457,17 +417,16 @@ def _bench_compare_pair(args: argparse.Namespace, bench) -> int:
         return 0
 
     rows = [
-        [c.name, c.baseline_wall_s, c.wall_s,
+        [c.name, c.baseline_wall_s, c.wall_s, c.delta_pct,
          c.baseline_wall_s / c.wall_s if c.wall_s > 0 else 0.0,
          "REGRESSED" if c.regressed else "ok"]
         for c in comparisons
     ]
     print(report.table(
-        ["bench", f"{ref.get('engine', '?')} s", f"{cand.get('engine', '?')} s",
-         "speedup", "status"],
+        ["bench", "reference s", "candidate s", "delta %", "speedup", "status"],
         rows,
-        title=(f"{ref_path} ({ref['label']}) vs {cand_path} "
-               f"({cand['label']}); speedup >1.0 = second payload faster, "
+        title=(f"{ref_path} ({ref['label']}, {ref.get('engine', '?')}) vs "
+               f"{cand_path} ({cand['label']}, {cand.get('engine', '?')}); "
                f"threshold {args.threshold:g}%"),
         float_fmt="{:.4g}",
     ))
@@ -801,7 +760,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        backend=args.backend,
         tenants=tuple(_parse_tenant(t) for t in args.tenant),
         window_s=args.window,
         job_timeout_s=args.job_timeout,
@@ -960,11 +918,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--compare", default=None, nargs="+", metavar="BENCH_JSON",
-        help="skip running: with one payload, compare it against "
-             "--baseline (lets CI split the events and wall-time checks "
-             "without re-running the suite); with two payloads, print a "
-             "head-to-head per-bench speedup table (second over first) "
-             "and exit 1 on regressions beyond --threshold",
+        help="skip running: compare one payload against --baseline, or "
+             "the second of two payloads against the first; the same "
+             "events and wall-time checks as a run with --baseline",
     )
     only = bench.add_mutually_exclusive_group()
     only.add_argument(
@@ -1039,11 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=2,
         help="worker processes; also the store shard count (default: 2)",
-    )
-    serve.add_argument(
-        "--backend", default="process", choices=("process", "thread"),
-        help="worker pool backend (default: process; thread is for tests "
-             "and has no job-timeout kill support)",
     )
     serve.add_argument(
         "--tenant", action="append", default=[], metavar="SPEC",

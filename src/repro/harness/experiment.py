@@ -178,7 +178,7 @@ def run_app(
 
 
 def repeat_run(
-    machine: Union[Machine, Callable[[], Machine]],
+    machine: Union[str, Machine, Callable[[], Machine]],
     app_factory: Callable[[System], SpmdApp],
     balancer: str = "speed",
     cores: Optional[Union[int, Sequence[int]]] = None,
@@ -189,10 +189,12 @@ def repeat_run(
 ) -> RepeatedResult:
     """The paper's methodology: "repeated ten times or more".
 
-    Runs the same configuration across ``seeds`` and aggregates.  A
-    machine *factory* should be passed rather than an instance when the
-    machine object is mutated by runs (presets are safe either way; a
-    fresh System is built per run regardless).
+    Runs the same configuration across ``seeds`` and aggregates, one
+    :class:`~repro.harness.parallel.RunSpec` per seed.  ``machine`` is
+    a preset name (see :func:`~repro.harness.parallel.resolve_machine`),
+    a factory or an instance; a *factory* should be passed rather than
+    an instance when the machine object is mutated by runs (presets are
+    safe either way; a fresh System is built per run regardless).
 
     ``workers`` fans the seeds out over that many worker processes via
     :mod:`repro.harness.parallel` (``None`` = one per CPU).  Each seed
@@ -212,43 +214,17 @@ def repeat_run(
     *storable* (see :mod:`repro.store.keys`) -- closures raise
     :class:`~repro.store.UnstorableSpecError` before anything runs.
     """
-    if store is not None:
-        # imported here: the service builds on this module, not vice versa
-        from repro.harness.parallel import RunSpec
-        from repro.service import run_specs_cached
+    # imported here: parallel and the service build on this module
+    from repro.harness.parallel import RunSpec, map_specs
+    from repro.service import run_specs_cached
 
-        specs = [
-            RunSpec.make(
-                machine, app_factory, balancer=balancer, cores=cores,
-                seed=s, **kwargs,
-            )
-            for s in seeds
-        ]
-        return RepeatedResult(
-            runs=run_specs_cached(specs, store, workers=workers)
+    specs = [
+        RunSpec.make(
+            machine, app_factory, balancer=balancer, cores=cores, seed=s,
+            **kwargs,
         )
-    if workers == 1:
-        runs = [
-            run_app(
-                machine,
-                app_factory,
-                balancer=balancer,
-                cores=cores,
-                seed=s,
-                **kwargs,
-            )
-            for s in seeds
-        ]
-    else:
-        # imported here: parallel builds on this module, not vice versa
-        from repro.harness.parallel import RunSpec, map_specs
-
-        specs = [
-            RunSpec.make(
-                machine, app_factory, balancer=balancer, cores=cores,
-                seed=s, **kwargs,
-            )
-            for s in seeds
-        ]
-        runs = map_specs(specs, workers=workers)
-    return RepeatedResult(runs=runs)
+        for s in seeds
+    ]
+    if store is None:
+        return RepeatedResult(runs=map_specs(specs, workers=workers))
+    return RepeatedResult(runs=run_specs_cached(specs, store, workers=workers))

@@ -58,6 +58,7 @@ __all__ = [
     "map_specs",
     "register_machine",
     "resolve_machine",
+    "run_app_kwargs",
     "run_spec",
     "starmap_kwargs",
 ]
@@ -161,20 +162,24 @@ class RunSpec:
         )
 
 
-def run_spec(spec: RunSpec) -> AppRunResult:
-    """Execute one :class:`RunSpec` (in this process) via ``run_app``."""
+def run_app_kwargs(spec: RunSpec) -> dict[str, Any]:
+    """The :func:`~repro.harness.experiment.run_app` keyword arguments
+    a spec stands for."""
     cores = spec.cores
-    if isinstance(cores, tuple):
-        cores = list(cores)
-    return run_app(
-        resolve_machine(spec.machine),
-        spec.app,
+    return dict(
+        machine=resolve_machine(spec.machine),
+        app_factory=spec.app,
         balancer=spec.balancer,
-        cores=cores,
+        cores=list(cores) if isinstance(cores, tuple) else cores,
         seed=spec.seed,
         engine=spec.engine,
         **dict(spec.params),
     )
+
+
+def run_spec(spec: RunSpec) -> AppRunResult:
+    """Execute one :class:`RunSpec` (in this process) via ``run_app``."""
+    return run_app(**run_app_kwargs(spec))
 
 
 def _require_picklable(obj: Any, what: str) -> None:

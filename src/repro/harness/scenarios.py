@@ -19,7 +19,6 @@ from repro.core.speed_balancer import SpeedBalancerConfig
 from repro.harness.experiment import repeat_run, run_app
 from repro.metrics.results import RepeatedResult
 from repro.sched.task import WaitMode
-from repro.topology import presets
 
 __all__ = [
     "WAIT_POLICIES",
@@ -41,14 +40,6 @@ WAIT_POLICIES: dict[str, WaitPolicy] = {
     "omp-default": WaitPolicy.omp_default(),
     "omp-infinite": WaitPolicy.omp_infinite(),
 }
-
-
-def _machine(name: str):
-    return {
-        "tigerton": presets.tigerton,
-        "barcelona": presets.barcelona,
-        "nehalem": presets.nehalem,
-    }[name]
 
 
 @dataclass(frozen=True)
@@ -152,7 +143,7 @@ def ep_speedup_series(
         threads = n_cores if one_per_core else n_threads
         per_thread = total_compute_us * n_threads // threads
         out[n_cores] = repeat_run(
-            machine if store is not None else _machine(machine),
+            machine,
             _app_factory(wait, threads, per_thread),
             balancer="pinned" if one_per_core else balancer,
             cores=n_cores,
@@ -186,7 +177,7 @@ def balance_interval_sweep(
         for interval in balance_intervals_us:
             cfg = SpeedBalancerConfig(interval_us=interval)
             out[(period, interval)] = repeat_run(
-                machine if store is not None else _machine(machine),
+                machine,
                 _app_factory(
                     "yield", n_threads, total_compute_us,
                     barrier_period_us=period,
@@ -220,7 +211,7 @@ def npb_improvement(
         for n_cores in core_counts:
             for balancer in balancers:
                 out[(bench, n_cores, balancer)] = repeat_run(
-                    machine if store is not None else _machine(machine),
+                    machine,
                     _app_factory(wait, n_threads, total_compute_us, bench=bench),
                     balancer=balancer,
                     cores=n_cores,
@@ -250,7 +241,7 @@ def cpu_hog_series(
         threads = n_cores if one_per_core else n_threads
         per_thread = total_compute_us * n_threads // threads
         out[n_cores] = repeat_run(
-            machine if store is not None else _machine(machine),
+            machine,
             _app_factory(wait, threads, per_thread),
             balancer="pinned" if one_per_core else balancer,
             cores=n_cores,
@@ -280,7 +271,7 @@ def make_share_series(
     for bench in benches:
         for balancer in balancers:
             out[(bench, balancer)] = repeat_run(
-                machine if store is not None else _machine(machine),
+                machine,
                 _app_factory(wait, n_threads, total_compute_us, bench=bench),
                 balancer=balancer,
                 cores=16,
@@ -331,27 +322,23 @@ class ScenarioSmoke:
 
     def run(self, seed: int = 0, instrument=None, engine: str = "heap"):
         """Execute the smoke under full tracing; (result, system)."""
+        # imported here: parallel builds on the harness, not vice versa
+        from repro.harness.parallel import run_app_kwargs
+
         return run_app(
-            _machine(self.machine),
-            self.app,
-            balancer=self.balancer,
-            cores=self.cores,
-            seed=seed,
-            corunner_factories=[_CORUNNERS[c] for c in self.corunners],
-            speed_config=self.speed_config,
+            **run_app_kwargs(self.spec(seed, engine)),
             trace=True,
             return_system=True,
             instrument=instrument,
-            engine=engine,
         )
 
     def spec(self, seed: int = 0, engine: str = "heap"):
         """The same configuration as a storable, digestable ``RunSpec``.
 
-        ``run_app(**spec)`` and :meth:`run` build byte-identical
-        simulations, so ``repro.store.spec_digest(smoke.spec())`` keys
-        the exact run :meth:`run` performs -- the parity tests lean on
-        this to assert cached results equal fresh ones per family.
+        :meth:`run` executes exactly this spec, so
+        ``repro.store.spec_digest(smoke.spec())`` keys the run :meth:`run`
+        performs -- the parity tests lean on this to assert cached
+        results equal fresh ones per family.
         """
         # imported here: parallel builds on the harness, not vice versa
         from repro.harness.parallel import RunSpec

@@ -12,7 +12,7 @@ Modules:
 * :mod:`~repro.serve.protocol` -- wire spec codec, HTTP/1.1, SSE
 * :mod:`~repro.serve.tenants`  -- queues, token buckets, service windows
 * :mod:`~repro.serve.dispatch` -- speed-aware weighted-fair dispatcher
-* :mod:`~repro.serve.workers`  -- sharded store + process/thread pools
+* :mod:`~repro.serve.workers`  -- sharded store + worker processes
 * :mod:`~repro.serve.metrics`  -- counters, latency percentiles
 * :mod:`~repro.serve.server`   -- the asyncio daemon
 * :mod:`~repro.serve.client`   -- blocking stdlib client
@@ -21,12 +21,7 @@ Modules:
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.dispatch import SpeedAwareDispatcher
 from repro.serve.metrics import ServeMetrics, percentile
-from repro.serve.protocol import (
-    ProtocolError,
-    spec_from_wire,
-    spec_to_wire,
-    wire_digest,
-)
+from repro.serve.protocol import ProtocolError, spec_from_wire, spec_to_wire
 from repro.serve.server import (
     BackgroundServer,
     ReproServer,
@@ -34,12 +29,7 @@ from repro.serve.server import (
     run_server,
 )
 from repro.serve.tenants import AdmissionError, Tenant, TenantConfig
-from repro.serve.workers import (
-    ProcessWorkerPool,
-    ShardedStore,
-    ThreadWorkerPool,
-    shard_index,
-)
+from repro.serve.workers import ProcessWorkerPool, ShardedStore, shard_index
 
 __all__ = [
     "AdmissionError",
@@ -55,11 +45,9 @@ __all__ = [
     "SpeedAwareDispatcher",
     "Tenant",
     "TenantConfig",
-    "ThreadWorkerPool",
     "percentile",
     "run_server",
     "shard_index",
     "spec_from_wire",
     "spec_to_wire",
-    "wire_digest",
 ]

@@ -7,12 +7,12 @@ Three small vocabularies live here, shared by the daemon
 
 * **spec codec** -- a submitted configuration travels as the *store
   key* of its :class:`~repro.harness.parallel.RunSpec`
-  (:func:`repro.store.keys.spec_key`), so the wire form, the dedup
-  key and the on-disk entry key are one and the same JSON tree.
-  :func:`spec_from_wire` is the inverse: it resolves
-  ``__dataclass__``/``__enum__``/``__function__`` references back to
-  live objects, restricted to ``repro.*`` modules so a request body
-  can never name arbitrary importable code.
+  (:func:`repro.store.keys.spec_key`).  :func:`spec_from_wire` is the
+  inverse: it resolves ``__dataclass__``/``__enum__``/``__function__``
+  references back to live objects, restricted to ``repro.*`` modules
+  so a request body can never name arbitrary importable code.  A job's
+  identity is the spec digest of the decoded wire, so optional fields
+  may be left out and unknown ones are ignored.
 * **HTTP/1.1 primitives** -- a deliberately minimal asyncio request
   reader and response encoder (one request per connection,
   ``Connection: close``).  The daemon serves JSON and SSE only; a
@@ -31,7 +31,7 @@ from typing import Any, Optional
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.harness.parallel import RunSpec
-from repro.store.keys import digest_of, spec_key
+from repro.store.keys import spec_key
 
 __all__ = [
     "MAX_BODY_BYTES",
@@ -45,7 +45,6 @@ __all__ = [
     "spec_to_wire",
     "sse_event",
     "value_from_wire",
-    "wire_digest",
 ]
 
 #: request bodies beyond this are rejected with 413 before parsing
@@ -73,18 +72,8 @@ class ProtocolError(ValueError):
 # spec codec
 # ----------------------------------------------------------------------
 def spec_to_wire(spec: RunSpec) -> dict:
-    """The JSON wire form of a spec: exactly its canonical store key.
-
-    Using :func:`~repro.store.keys.spec_key` verbatim means
-    ``digest_of(wire)`` *is* the store digest -- the daemon never has
-    to reconstruct a spec just to learn its identity.
-    """
+    """The JSON wire form of a spec: exactly its canonical store key."""
     return spec_key(spec)
-
-
-def wire_digest(wire: dict) -> str:
-    """The content digest of a wire spec (= its store entry key)."""
-    return digest_of(wire)
 
 
 def _resolve_ref(ref: str, what: str) -> Any:
@@ -153,10 +142,10 @@ def value_from_wire(tree: Any) -> Any:
 def spec_from_wire(wire: dict) -> RunSpec:
     """Reconstruct the :class:`RunSpec` behind one wire tree.
 
-    Round-trip stable: ``spec_digest(spec_from_wire(w)) == wire_digest(w)``
-    for every tree :func:`spec_to_wire` produces (asserted by the
-    protocol tests), so the daemon, its workers and a direct
-    ``run_specs_cached`` call all key one configuration identically.
+    Round-trip stable: ``spec_digest(spec_from_wire(spec_to_wire(s)))
+    == spec_digest(s)`` (asserted by the protocol tests), so the daemon,
+    its workers and a direct ``run_specs_cached`` call all key one
+    configuration identically.
     """
     if not isinstance(wire, dict):
         raise ProtocolError(f"wire spec must be an object, got {type(wire).__qualname__}")

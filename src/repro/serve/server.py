@@ -24,10 +24,11 @@ serve-smoke job:
 * **parity** -- a result fetched from the daemon is byte-identical
   (same :func:`~repro.analysis.sanitizer.run_digest`) to the same spec
   run directly through :func:`repro.service.run_specs_cached`;
-* **dedup** -- one digest is one job: resubmissions attach to the
-  existing record, store hits complete instantly as ``cached``, and a
-  worker re-checks its shard before running (drain-resume never runs a
-  job twice);
+* **dedup** -- one spec digest is one job: resubmissions attach to
+  the existing record, store hits complete instantly as ``cached``, and
+  a worker resolves each job through :class:`~repro.service.JobService`
+  on its shard, which re-checks the store before running (drain-resume
+  never runs a job twice);
 * **backpressure** -- an over-rate or over-queue batch gets 429 with a
   concrete ``Retry-After``, atomically (nothing admitted, nothing
   consumed);
@@ -63,11 +64,10 @@ from repro.serve.protocol import (
     read_request,
     spec_from_wire,
     sse_event,
-    wire_digest,
 )
 from repro.serve.tenants import AdmissionError, Tenant, TenantConfig
-from repro.serve.workers import POOL_BACKENDS, ShardedStore, shard_index
-from repro.store import StoreIntegrityError, UnstorableSpecError
+from repro.serve.workers import ProcessWorkerPool, ShardedStore, shard_index
+from repro.store import StoreIntegrityError, UnstorableSpecError, spec_digest
 
 __all__ = [
     "BackgroundServer",
@@ -94,30 +94,20 @@ class ServeConfig:
     port: int = 8421
     #: worker processes == store shards
     workers: int = 2
-    #: "process" (production) or "thread" (in-suite tests)
-    backend: str = "process"
     #: tenants declared up front; unknown tenants are created on first
     #: submit with :class:`TenantConfig`'s defaults
     tenants: tuple[TenantConfig, ...] = ()
     #: service-speed measurement window (the dispatcher's memory)
     window_s: float = 30.0
     #: per-job wall-clock budget; a worker past it is killed + respawned
+    #: (checked every tenth of the budget, at least every 0.25 s)
     job_timeout_s: Optional[float] = None
     #: dispatch attempts per job (1 = no retry)
     max_attempts: int = 2
-    monitor_interval_s: float = 0.25
-    #: override the per-job runner (tests inject sleepy/failing fakes;
-    #: must be a module-level function for the process backend)
-    runner: Optional[Callable[..., Any]] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1 (got {self.workers})")
-        if self.backend not in POOL_BACKENDS:
-            raise ValueError(
-                f"unknown worker backend {self.backend!r}; expected one of "
-                f"{sorted(POOL_BACKENDS)}"
-            )
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1 (got {self.max_attempts})")
 
@@ -198,13 +188,8 @@ class ReproServer:
         """Spawn workers, resume any queue snapshot, bind the socket."""
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
-        pool_cls = POOL_BACKENDS[self.config.backend]
-        pool_kwargs = (
-            {} if self.config.runner is None
-            else {"runner": self.config.runner}
-        )
-        self._pool = pool_cls(
-            self.store, on_result=self._on_result_threadsafe, **pool_kwargs
+        self._pool = ProcessWorkerPool(
+            self.store, on_result=self._on_result_threadsafe
         )
         self._pool.start()
         self._resume_snapshot()
@@ -213,7 +198,9 @@ class ReproServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.config.job_timeout_s is not None:
-            self._monitor_task = self._loop.create_task(self._monitor())
+            self._monitor_task = self._loop.create_task(
+                self._monitor(self.config.job_timeout_s)
+            )
         self._try_dispatch()
 
     async def wait_stopped(self) -> None:
@@ -380,6 +367,9 @@ class ReproServer:
         self._loop.call_soon_threadsafe(self._on_result, msg)
 
     def _on_result(self, msg: tuple) -> None:
+        """Settle one job: requeue a failure with attempts left, else
+        finish it.  Completions and timeouts (``_monitor``) both land
+        here."""
         worker_id, digest, state, error, busy_s = msg
         inflight = self.busy.get(worker_id)
         if inflight is None or inflight[0] != digest:
@@ -430,35 +420,20 @@ class ReproServer:
             q.put_nowait(view)
 
     # -- timeout monitor ------------------------------------------------
-    async def _monitor(self) -> None:
+    async def _monitor(self, budget: float) -> None:
         """Kill + respawn any worker past its job deadline."""
+        error = (
+            f"timeout: exceeded the {budget:g}s wall-clock budget; "
+            "worker killed and respawned"
+        )
         while True:
-            await asyncio.sleep(self.config.monitor_interval_s)
+            await asyncio.sleep(min(0.25, budget / 10))
             now = self._clock()
             for w, (digest, deadline) in sorted(self.busy.items()):
-                if now <= deadline:
-                    continue
-                self.metrics.timeouts += 1
-                self._pool.kill_worker(w)
-                del self.busy[w]
-                self.idle.add(w)
-                rec = self.jobs[digest]
-                tenant = self.tenants[rec.tenant]
-                tenant.record_service(self.config.job_timeout_s or 0.0)
-                error = (
-                    f"timeout: exceeded the {self.config.job_timeout_s:g}s "
-                    "wall-clock budget; worker killed and respawned"
-                )
-                if rec.attempts < self.config.max_attempts and not self.draining:
-                    self.metrics.retries += 1
-                    rec.state = "pending"
-                    rec.error = error
-                    rec.worker = None
-                    tenant.requeue_front(digest)
-                    self._publish(rec)
-                else:
-                    self._finish(rec, "failed", error)
-            self._try_dispatch()
+                if now > deadline:
+                    self.metrics.timeouts += 1
+                    self._pool.kill_worker(w)
+                    self._on_result((w, digest, "failed", error, budget))
 
     # -- HTTP -----------------------------------------------------------
     async def _handle(
@@ -571,15 +546,15 @@ class ReproServer:
             )
 
         # validate + digest every spec before touching any state: a 400
-        # or 429 must leave the daemon exactly as it found it
+        # or 429 must leave the daemon exactly as it found it.  A job is
+        # keyed by its spec's digest, the key its worker files it under
         digests: list[str] = []
         by_digest: dict[str, dict] = {}
         for i, wire in enumerate(wires):
             try:
-                spec_from_wire(wire)
+                digest = spec_digest(spec_from_wire(wire))
             except (ProtocolError, UnstorableSpecError, TypeError, ValueError) as exc:
                 raise ProtocolError(f"specs[{i}]: {exc}") from None
-            digest = wire_digest(wire)
             digests.append(digest)
             by_digest.setdefault(digest, wire)
 

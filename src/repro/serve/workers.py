@@ -12,14 +12,11 @@ by construction rather than by luck.  Reads route the same way, so the
 parent daemon resolves any digest without touching a lock another
 process holds.
 
-Two pool backends share one message protocol:
-
-* :class:`ProcessWorkerPool` -- one OS process per shard (the
-  production backend; survives a hung or crashed simulation, which the
-  parent detects by deadline and answers by killing + respawning just
-  that worker);
-* :class:`ThreadWorkerPool` -- same loop on threads, for fast in-suite
-  tests (no fork, no kill support).
+Each worker is a forked OS process that resolves a job exactly as a
+direct ``repro submit --store`` would: through a fresh
+:class:`~repro.service.JobService` on its shard.  A hung or crashed
+simulation costs only that process: the parent detects it by deadline,
+kills it and respawns just that worker.
 
 Messages: parent sends ``("job", digest, wire_spec)`` or ``("stop",)``
 on the worker's private queue; the worker replies
@@ -32,22 +29,18 @@ asyncio loop via ``call_soon_threadsafe``.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 import threading
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
-from repro.harness.parallel import RunSpec, run_spec
-from repro.metrics.results import AppRunResult
 from repro.serve import clock as _clock
 from repro.serve.protocol import spec_from_wire
+from repro.service import JobFailedError, JobService
 from repro.store import ResultStore, StoreEntry
 
 __all__ = [
-    "POOL_BACKENDS",
     "ProcessWorkerPool",
     "ShardedStore",
-    "ThreadWorkerPool",
     "WorkerResult",
     "shard_index",
 ]
@@ -109,83 +102,50 @@ class ShardedStore:
         return findings
 
 
-def _worker_loop(
-    worker_id: int,
-    shard_root: str,
-    inq: Any,
-    outq: Any,
-    runner: Callable[[RunSpec], AppRunResult],
-) -> None:
-    """One worker: drain the private queue into the owned shard.
+def _worker_loop(worker_id: int, shard_root: str, inq: Any, outq: Any) -> None:
+    """One worker: resolve each job on the private queue in its shard.
 
-    Runs in a child process (or test thread).  Every outcome --
-    including a spec that fails to decode -- produces exactly one
-    completion message; the parent never infers state from silence
-    except through its own timeout deadline.
+    A fresh single-attempt :class:`JobService` per job keeps a
+    long-lived worker free of cached results and leaves retries to the
+    daemon.  Every outcome -- including a spec that fails to decode --
+    produces exactly one completion message; the parent never infers
+    state from silence except through its own timeout deadline.
     """
-    store = ResultStore(shard_root)
     while True:
         msg = inq.get()
         if msg[0] == "stop":
             return
         _, digest, wire = msg
         start = _clock.monotonic()
+        service = JobService(ResultStore(shard_root), max_attempts=1)
         try:
-            spec = spec_from_wire(wire)
-            entry = store.lookup(digest)
-            if entry is not None and entry.result is not None:
-                # drain-resume / cross-tenant dedup hit: never run twice
-                outq.put(
-                    (worker_id, digest, "cached", "",
-                     _clock.monotonic() - start)
-                )
-                continue
-            result = runner(spec)
-            store.put(spec, result)
-            outq.put(
-                (worker_id, digest, "done", "", _clock.monotonic() - start)
-            )
+            service.submit([spec_from_wire(wire)])
+            state, error = ("done" if service.executed else "cached"), ""
+        except JobFailedError:
+            (status,) = service.statuses().values()
+            state, error = "failed", status.error
         except Exception as exc:  # noqa: BLE001 - reported per job
-            outq.put(
-                (
-                    worker_id,
-                    digest,
-                    "failed",
-                    f"{type(exc).__name__}: {exc}",
-                    _clock.monotonic() - start,
-                )
-            )
+            state, error = "failed", f"{type(exc).__name__}: {exc}"
+        outq.put((worker_id, digest, state, error, _clock.monotonic() - start))
 
 
-class _PoolBase:
-    """Routing + pump-thread bookkeeping shared by both backends."""
-
-    #: per-worker private job queues / shared completion queue; the
-    #: subclasses bind the concrete (mp vs thread-safe) queue types
-    _inqs: list[Any]
-    _outq: Any
+class ProcessWorkerPool:
+    """One forked OS process per shard, plus the completion pump."""
 
     def __init__(
         self,
         store: ShardedStore,
         on_result: Callable[[WorkerResult], None],
-        runner: Callable[[RunSpec], AppRunResult] = run_spec,
     ):
         self.store = store
         self.n_workers = store.n_shards
         self.on_result = on_result
-        self.runner = runner
+        self._ctx = multiprocessing.get_context("fork")
+        self._outq = self._ctx.Queue()
+        self._inqs = [self._ctx.Queue() for _ in range(self.n_workers)]
+        self._procs: list[Any] = [None] * self.n_workers
         self._pump: Optional[threading.Thread] = None
         self._started = False
-
-    def _spawn_all(self) -> None:
-        raise NotImplementedError
-
-    def _stop_workers(self, timeout_s: float) -> None:
-        raise NotImplementedError
-
-    def kill_worker(self, i: int) -> None:
-        raise NotImplementedError
 
     def worker_for(self, digest: str) -> int:
         return shard_index(digest, self.n_workers)
@@ -194,11 +154,22 @@ class _PoolBase:
         if self._started:
             raise RuntimeError("worker pool already started")
         self._started = True
-        self._spawn_all()
+        for i in range(self.n_workers):
+            self._spawn(i)
         self._pump = threading.Thread(
             target=self._pump_loop, name="serve-pump", daemon=True
         )
         self._pump.start()
+
+    def _spawn(self, i: int) -> None:
+        proc = self._ctx.Process(
+            target=_worker_loop,
+            args=(i, str(self.store.shard_root(i)), self._inqs[i], self._outq),
+            name=f"serve-worker-{i}",
+            daemon=True,
+        )
+        proc.start()
+        self._procs[i] = proc
 
     def _pump_loop(self) -> None:
         while True:
@@ -215,52 +186,6 @@ class _PoolBase:
         self._inqs[w].put(("job", digest, wire))
         return w
 
-    def stop(self, timeout_s: float = 30.0) -> None:
-        if not self._started:
-            return
-        self._stop_workers(timeout_s)
-        self._outq.put(("__pump_stop__",))
-        if self._pump is not None:
-            self._pump.join(timeout=timeout_s)
-        self._started = False
-
-
-class ProcessWorkerPool(_PoolBase):
-    """One OS process per shard (fork start method on Linux)."""
-
-    def __init__(
-        self,
-        store: ShardedStore,
-        on_result: Callable[[WorkerResult], None],
-        runner: Callable[[RunSpec], AppRunResult] = run_spec,
-        mp_context: str = "fork",
-    ):
-        super().__init__(store, on_result, runner)
-        self._ctx = multiprocessing.get_context(mp_context)
-        self._outq = self._ctx.Queue()
-        self._inqs = [self._ctx.Queue() for _ in range(self.n_workers)]
-        self._procs: list[Any] = [None] * self.n_workers
-
-    def _spawn_one(self, i: int) -> None:
-        proc = self._ctx.Process(
-            target=_worker_loop,
-            args=(
-                i,
-                str(self.store.shard_root(i)),
-                self._inqs[i],
-                self._outq,
-                self.runner,
-            ),
-            name=f"serve-worker-{i}",
-            daemon=True,
-        )
-        proc.start()
-        self._procs[i] = proc
-
-    def _spawn_all(self) -> None:
-        for i in range(self.n_workers):
-            self._spawn_one(i)
-
     def kill_worker(self, i: int) -> None:
         """Kill + respawn worker ``i`` (the hung-job escape hatch).
 
@@ -273,9 +198,11 @@ class ProcessWorkerPool(_PoolBase):
         if proc is not None and proc.is_alive():
             proc.kill()
             proc.join(timeout=5.0)
-        self._spawn_one(i)
+        self._spawn(i)
 
-    def _stop_workers(self, timeout_s: float) -> None:
+    def stop(self, timeout_s: float = 30.0) -> None:
+        if not self._started:
+            return
         for q in self._inqs:
             q.put(_STOP)
         for proc in self._procs:
@@ -285,54 +212,7 @@ class ProcessWorkerPool(_PoolBase):
             if proc is not None and proc.is_alive():  # pragma: no cover
                 proc.kill()
                 proc.join(timeout=5.0)
-
-
-class ThreadWorkerPool(_PoolBase):
-    """Same protocol on daemon threads (test backend; no kill)."""
-
-    def __init__(
-        self,
-        store: ShardedStore,
-        on_result: Callable[[WorkerResult], None],
-        runner: Callable[[RunSpec], AppRunResult] = run_spec,
-    ):
-        super().__init__(store, on_result, runner)
-        self._outq: queue_mod.Queue = queue_mod.Queue()
-        self._inqs = [queue_mod.Queue() for _ in range(self.n_workers)]
-        self._threads: list[Optional[threading.Thread]] = [None] * self.n_workers
-
-    def _spawn_all(self) -> None:
-        for i in range(self.n_workers):
-            t = threading.Thread(
-                target=_worker_loop,
-                args=(
-                    i,
-                    str(self.store.shard_root(i)),
-                    self._inqs[i],
-                    self._outq,
-                    self.runner,
-                ),
-                name=f"serve-worker-{i}",
-                daemon=True,
-            )
-            t.start()
-            self._threads[i] = t
-
-    def kill_worker(self, i: int) -> None:
-        raise NotImplementedError(
-            "thread workers cannot be killed; use the process backend "
-            "when job timeouts matter"
-        )
-
-    def _stop_workers(self, timeout_s: float) -> None:
-        for q in self._inqs:
-            q.put(_STOP)
-        for t in self._threads:
-            if t is not None:
-                t.join(timeout=timeout_s)
-
-
-POOL_BACKENDS: dict[str, type[_PoolBase]] = {
-    "process": ProcessWorkerPool,
-    "thread": ThreadWorkerPool,
-}
+        self._outq.put(("__pump_stop__",))
+        if self._pump is not None:
+            self._pump.join(timeout=timeout_s)
+        self._started = False

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.harness.experiment import run_app
-from repro.harness.parallel import RunSpec, map_specs, resolve_machine
+from repro.harness.parallel import RunSpec, map_specs, run_app_kwargs
 from repro.metrics.results import AppRunResult
 from repro.store import ResultStore, spec_digest
 
@@ -69,19 +69,8 @@ class JobStatus:
 
 def _run_spec_traced(spec: RunSpec) -> tuple[AppRunResult, object]:
     """Execute one spec in-process under full tracing; (result, trace)."""
-    cores = spec.cores
-    if isinstance(cores, tuple):
-        cores = list(cores)
     result, system = run_app(
-        resolve_machine(spec.machine),
-        spec.app,
-        balancer=spec.balancer,
-        cores=cores,
-        seed=spec.seed,
-        engine=spec.engine,
-        trace=True,
-        return_system=True,
-        **dict(spec.params),
+        **run_app_kwargs(spec), trace=True, return_system=True
     )
     return result, system.trace
 

@@ -159,9 +159,10 @@ class TestBenchCli:
 class TestBenchComparePair:
     """``repro bench --compare A B``: the head-to-head two-payload form."""
 
-    def write(self, tmp_path, label, wall_s, events=100, engine="heap"):
+    def write(self, tmp_path, label, wall_s, events=100, engine="heap",
+              name="ep_dedicated"):
         results = [
-            bench.BenchResult(name="ep_dedicated", wall_s=wall_s,
+            bench.BenchResult(name=name, wall_s=wall_s,
                               events=events, rounds=3),
         ]
         payload = bench.to_payload(results, label=label, quick=True,
@@ -209,6 +210,14 @@ class TestBenchComparePair:
         b = self.write(tmp_path, "cand", 1.0)
         assert self.run_cli("--compare", a, b, "--baseline", a) == 2
         assert "--baseline" in capsys.readouterr().err
+
+    def test_no_shared_bench_is_exit_2_in_both_forms(self, tmp_path, capsys):
+        a = self.write(tmp_path, "ref", 1.0)
+        b = self.write(tmp_path, "cand", 1.0, name="cg_barriers")
+        assert self.run_cli("--compare", a, b, "--events-only") == 2
+        assert self.run_cli("--compare", b, "--baseline", a,
+                            "--events-only") == 2
+        assert "share no bench cases" in capsys.readouterr().err
 
     def test_three_payloads_rejected(self, tmp_path, capsys):
         a = self.write(tmp_path, "ref", 1.0)

@@ -188,22 +188,11 @@ class TestWatchAndTimeout:
         assert "does not combine with trace" in capsys.readouterr().err
 
 
-def _sleepy_runner(spec):
-    """A daemon runner that takes 0.4 s per job."""
-    import time
-
-    from tests.test_serve_server import _fake_result
-
-    time.sleep(0.4)
-    return _fake_result(spec)
-
-
-def _daemon(tmp_path, **overrides):
+def _daemon(tmp_path):
     from repro.serve import BackgroundServer, ServeConfig
 
     return BackgroundServer(ServeConfig(
         store_root=str(tmp_path / "serve-store"), port=0, workers=1,
-        backend="thread", **overrides,
     )).start()
 
 
@@ -351,17 +340,19 @@ class TestOneJobCli:
         assert main(["status", "--store", str(tmp_path / "s"), "--watch"]) == 2
         assert "needs at least one digest" in capsys.readouterr().err
 
-    def test_watch_timeout_covers_the_whole_set(self, tmp_path, capsys):
+    def test_watch_timeout_covers_the_whole_set(self, tmp_path, capsys, monkeypatch):
         """One deadline for all digests: 4 jobs x 0.4 s on one worker
         cannot all finish inside 0.6 s, though each finishes within
         0.6 s of its predecessor (a per-job deadline would pass)."""
         from repro.apps.workloads import AppSpec
         from repro.harness.parallel import RunSpec
         from repro.serve import ServeClient
+        from tests.test_serve_server import fake_job
 
         app = AppSpec(bench="ep.C", n_threads=4, total_compute_us=50_000)
         specs = [RunSpec.make("tigerton", app, cores=2, seed=s) for s in range(4)]
-        bg = _daemon(tmp_path, runner=_sleepy_runner)
+        fake_job(monkeypatch, 0.4)
+        bg = _daemon(tmp_path)
         try:
             jobs = ServeClient(bg.base_url).submit(specs)["jobs"]
             rc = main(["status", "--url", bg.base_url, "--watch",

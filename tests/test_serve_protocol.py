@@ -17,9 +17,8 @@ from repro.serve.protocol import (
     spec_to_wire,
     sse_event,
     value_from_wire,
-    wire_digest,
 )
-from repro.store.keys import spec_digest
+from repro.store.keys import digest_of, spec_digest
 
 
 def _spec(seed=0, balancer="speed", **params):
@@ -30,15 +29,15 @@ def _spec(seed=0, balancer="speed", **params):
 
 
 class TestSpecCodec:
-    def test_wire_digest_is_store_digest(self):
+    def test_wire_is_the_store_key(self):
         spec = _spec()
-        assert wire_digest(spec_to_wire(spec)) == spec_digest(spec)
+        assert digest_of(spec_to_wire(spec)) == spec_digest(spec)
 
     @pytest.mark.parametrize("balancer", ["speed", "load", "pinned", "ule"])
     def test_round_trip_preserves_digest(self, balancer):
         spec = _spec(seed=3, balancer=balancer)
         wire = json.loads(json.dumps(spec_to_wire(spec)))  # through JSON
-        assert spec_digest(spec_from_wire(wire)) == wire_digest(wire)
+        assert spec_digest(spec_from_wire(wire)) == spec_digest(spec)
 
     def test_round_trip_with_params_and_core_list(self):
         from repro.core.speed_balancer import SpeedBalancerConfig
@@ -56,7 +55,7 @@ class TestSpecCodec:
         wire = json.loads(json.dumps(spec_to_wire(spec)))
         rebuilt = spec_from_wire(wire)
         assert rebuilt == spec
-        assert spec_digest(rebuilt) == wire_digest(wire)
+        assert spec_digest(rebuilt) == spec_digest(spec)
 
     @pytest.mark.parametrize("engine", ["batched", "bogus"])
     def test_rejects_unregistered_engine(self, engine):

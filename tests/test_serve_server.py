@@ -1,9 +1,10 @@
 """End-to-end tests for the serving daemon (repro.serve.server).
 
-Each test boots a real daemon on an ephemeral port (thread-backend
-workers unless the test is specifically about process kills) and talks
-to it through :class:`repro.serve.ServeClient` -- the same HTTP path
-production traffic takes.
+Each test boots a real daemon on an ephemeral port, with the forked
+worker processes ``repro serve`` deploys, and talks to it through
+:class:`repro.serve.ServeClient` -- the same HTTP path production
+traffic takes.  A test that needs a fake job installs one with
+:func:`fake_job` before booting; the workers inherit it.
 """
 
 import json
@@ -13,7 +14,8 @@ import time
 import pytest
 
 from repro.apps.workloads import AppSpec
-from repro.harness.parallel import RunSpec
+from repro.harness import parallel
+from repro.harness.parallel import RunSpec, run_spec
 from repro.metrics.export import result_to_dict
 from repro.metrics.results import AppRunResult
 from repro.serve import (
@@ -52,35 +54,50 @@ def _fake_result(spec):
     )
 
 
-#: module-level counters shared with thread-backend workers
-_RUN_LOG: list[str] = []
-_RUN_LOCK = threading.Lock()
+def _json(tree):
+    return json.dumps(tree, sort_keys=True)
 
 
-def _counting_runner(spec):
-    with _RUN_LOCK:
-        _RUN_LOG.append(f"{spec.balancer}/{spec.seed}")
-    time.sleep(0.01)
-    return _fake_result(spec)
+def fake_job(monkeypatch, sleep_s, log=None, simulate=False):
+    """Make each job of a daemon booted after this call a fake one.
+
+    Patches :func:`repro.harness.parallel.run_spec`, which the workers'
+    job service executes through; the forked workers inherit the patch.
+    Each execution sleeps ``sleep_s`` and appends ``balancer/seed`` to
+    ``log``, the one record the workers and the test share.  The job
+    returns :func:`_fake_result`, or with ``simulate`` the real run.
+    """
+    real = parallel.run_spec
+
+    def run(spec):
+        if log is not None:
+            with open(log, "a") as f:
+                f.write(f"{spec.balancer}/{spec.seed}\n")
+        time.sleep(sleep_s)
+        return real(spec) if simulate else _fake_result(spec)
+
+    monkeypatch.setattr(parallel, "run_spec", run)
 
 
-def _slow_runner(spec):
-    with _RUN_LOCK:
-        _RUN_LOG.append(f"{spec.balancer}/{spec.seed}")
-    time.sleep(0.05)
-    return _fake_result(spec)
+def ran(log):
+    """Every execution :func:`fake_job` logged to ``log``, in order."""
+    return log.read_text().splitlines() if log.exists() else []
 
 
-def _quiet_runner(spec):
-    time.sleep(1.0)
-    return _fake_result(spec)
+@pytest.fixture
+def counting(monkeypatch, tmp_path):
+    """A 10 ms fake job; the fixture's value is its execution log."""
+    log = tmp_path / "runs.log"
+    fake_job(monkeypatch, 0.01, log)
+    return log
 
 
-@pytest.fixture(autouse=True)
-def _reset_run_log():
-    with _RUN_LOCK:
-        _RUN_LOG.clear()
-    yield
+@pytest.fixture
+def slow(monkeypatch, tmp_path):
+    """A 50 ms fake job; the fixture's value is its execution log."""
+    log = tmp_path / "runs.log"
+    fake_job(monkeypatch, 0.05, log)
+    return log
 
 
 def self_store_has(bg, digest):
@@ -91,7 +108,6 @@ def _boot(tmp_path, **overrides):
     config = ServeConfig(
         store_root=str(tmp_path / "serve-store"),
         port=0,
-        backend="thread",
         **overrides,
     )
     return BackgroundServer(config).start()
@@ -127,18 +143,18 @@ class TestParity:
             b = json.dumps(result_to_dict(result), sort_keys=True)
             assert a == b
 
-    def test_restart_serves_from_store_without_rerun(self, tmp_path):
+    def test_restart_serves_from_store_without_rerun(self, tmp_path, counting):
         spec = _spec(seed=1)
-        bg = _boot(tmp_path, workers=1, runner=_counting_runner)
+        bg = _boot(tmp_path, workers=1)
         try:
             client = ServeClient(bg.base_url)
             (job,) = client.submit([spec])["jobs"]
             assert client.wait(job["digest"], poll_s=0.02)["state"] == "done"
         finally:
             bg.drain()
-        assert len(_RUN_LOG) == 1
+        assert len(ran(counting)) == 1
 
-        bg2 = _boot(tmp_path, workers=1, runner=_counting_runner)
+        bg2 = _boot(tmp_path, workers=1)
         try:
             client = ServeClient(bg2.base_url)
             (job,) = client.submit([spec])["jobs"]
@@ -147,13 +163,15 @@ class TestParity:
             assert snap["cached"] == 1
         finally:
             bg2.drain()
-        assert len(_RUN_LOG) == 1  # never re-executed
+        assert len(ran(counting)) == 1  # never re-executed
 
-    def test_unreadable_entry_is_not_deleted_or_rerun(self, tmp_path, monkeypatch):
+    def test_unreadable_entry_is_not_deleted_or_rerun(
+        self, tmp_path, monkeypatch, counting
+    ):
         """Only a corrupt entry is a miss; any other read error leaves the
         entry alone (and the owning worker, not the parent, deletes)."""
         spec = _spec(seed=1)
-        bg = _boot(tmp_path, workers=1, runner=_counting_runner)
+        bg = _boot(tmp_path, workers=1)
         try:
             client = ServeClient(bg.base_url)
             (job,) = client.submit([spec])["jobs"]
@@ -165,7 +183,7 @@ class TestParity:
             raise PermissionError("read denied")
 
         monkeypatch.setattr(ShardedStore, "get", denied)
-        bg2 = _boot(tmp_path, workers=1, runner=_counting_runner)
+        bg2 = _boot(tmp_path, workers=1)
         try:
             with pytest.raises(ServeError) as err:
                 ServeClient(bg2.base_url).submit([spec])
@@ -176,13 +194,44 @@ class TestParity:
         assert ResultStore(
             tmp_path / "serve-store" / "shard-00"
         ).contains(job["digest"])
-        assert len(_RUN_LOG) == 1
+        assert len(ran(counting)) == 1
+
+
+class TestKeying:
+    def test_job_is_keyed_by_its_spec_digest(self, tmp_path, counting):
+        """A wire without the optional ``params`` or with an extra field
+        is the spec it decodes to: the job is keyed, filed and fetched
+        under that spec's digest, and a resubmit runs nothing."""
+        from repro.serve.protocol import spec_to_wire
+        from repro.store.keys import spec_digest
+
+        specs = [_spec(seed=11), _spec(seed=12)]
+        bare, extra = (spec_to_wire(s) for s in specs)
+        del bare["params"]
+        extra["submitted_by"] = "ci"
+        bg = _boot(tmp_path, workers=1)
+        try:
+            client = ServeClient(bg.base_url)
+            jobs = client.submit_wires([bare, extra])["jobs"]
+            for spec, job in zip(specs, jobs):
+                view = client.wait(job["digest"], poll_s=0.02, timeout_s=30)
+                assert view["state"] == "done"
+                body = client.result(job["digest"])
+                assert _json(body["result"]) == _json(
+                    result_to_dict(_fake_result(spec))
+                )
+                assert job["digest"] == spec_digest(spec)
+            again = client.submit_wires([bare, extra])["jobs"]
+            assert [j["digest"] for j in again] == [j["digest"] for j in jobs]
+        finally:
+            bg.drain()
+        assert len(ran(counting)) == 2
 
 
 class TestDedup:
-    def test_same_digest_executes_once(self, tmp_path):
+    def test_same_digest_executes_once(self, tmp_path, counting):
         spec = _spec(seed=2)
-        bg = _boot(tmp_path, workers=1, runner=_counting_runner)
+        bg = _boot(tmp_path, workers=1)
         try:
             client = ServeClient(bg.base_url)
             digest = client.submit([spec, spec])["jobs"][0]["digest"]
@@ -193,11 +242,11 @@ class TestDedup:
             assert snap["deduped"] >= 1
         finally:
             bg.drain()
-        assert len(_RUN_LOG) == 1
+        assert len(ran(counting)) == 1
 
-    def test_concurrent_submitters_one_execution(self, tmp_path):
+    def test_concurrent_submitters_one_execution(self, tmp_path, counting):
         spec = _spec(seed=3)
-        bg = _boot(tmp_path, workers=1, runner=_counting_runner)
+        bg = _boot(tmp_path, workers=1)
         try:
             url = bg.base_url
             views, errors = [], []
@@ -219,13 +268,13 @@ class TestDedup:
             assert {v["state"] for v in views} <= {"done", "cached"}
         finally:
             bg.drain()
-        assert len(_RUN_LOG) == 1
+        assert len(ran(counting)) == 1
 
 
 class TestSse:
-    def test_stream_replays_full_lifecycle_in_order(self, tmp_path):
+    def test_stream_replays_full_lifecycle_in_order(self, tmp_path, slow):
         spec = _spec(seed=4)
-        bg = _boot(tmp_path, workers=1, runner=_slow_runner)
+        bg = _boot(tmp_path, workers=1)
         try:
             client = ServeClient(bg.base_url)
             (job,) = client.submit([spec])["jobs"]
@@ -239,9 +288,9 @@ class TestSse:
         assert states == ["pending", "running", "done"]
         assert events[-1][1]["state"] == "done"
 
-    def test_stream_after_terminal_replays_and_ends(self, tmp_path):
+    def test_stream_after_terminal_replays_and_ends(self, tmp_path, counting):
         spec = _spec(seed=5)
-        bg = _boot(tmp_path, workers=1, runner=_counting_runner)
+        bg = _boot(tmp_path, workers=1)
         try:
             client = ServeClient(bg.base_url)
             (job,) = client.submit([spec])["jobs"]
@@ -252,10 +301,11 @@ class TestSse:
         states = [d["state"] for e, d in events if e == "status"]
         assert states == ["pending", "running", "done"]
 
-    def test_quiet_job_outlasts_the_request_timeout(self, tmp_path):
+    def test_quiet_job_outlasts_the_request_timeout(self, tmp_path, monkeypatch):
         """The stream's read timeout is the caller's, not the client's
         per-request one: a 0.3 s client follows a 1 s job to its end."""
-        bg = _boot(tmp_path, workers=1, runner=_quiet_runner)
+        fake_job(monkeypatch, 1.0)
+        bg = _boot(tmp_path, workers=1)
         try:
             client = ServeClient(bg.base_url, timeout_s=0.3)
             (job,) = client.submit([_spec(seed=10)])["jobs"]
@@ -276,11 +326,9 @@ class TestSse:
 
 
 class TestBackpressure:
-    def test_over_rate_batch_gets_429_with_retry_after(self, tmp_path):
+    def test_over_rate_batch_gets_429_with_retry_after(self, tmp_path, counting):
         tiny = TenantConfig(name="tiny", rate=1.0, burst=3.0, queue_limit=64)
-        bg = _boot(
-            tmp_path, workers=1, tenants=(tiny,), runner=_counting_runner
-        )
+        bg = _boot(tmp_path, workers=1, tenants=(tiny,))
         try:
             client = ServeClient(bg.base_url)
             specs = [_spec(seed=s) for s in range(6)]
@@ -298,9 +346,9 @@ class TestBackpressure:
         finally:
             bg.drain()
 
-    def test_queue_overflow_gets_429(self, tmp_path):
+    def test_queue_overflow_gets_429(self, tmp_path, slow):
         tiny = TenantConfig(name="tiny", rate=1000.0, burst=1000.0, queue_limit=2)
-        bg = _boot(tmp_path, workers=1, tenants=(tiny,), runner=_slow_runner)
+        bg = _boot(tmp_path, workers=1, tenants=(tiny,))
         try:
             client = ServeClient(bg.base_url)
             with pytest.raises(ServeError) as err:
@@ -320,10 +368,10 @@ class TestBackpressure:
             bg.drain()
 
     @pytest.mark.parametrize("engine", ["batched", "bogus"])
-    def test_unregistered_engine_rejected_with_400(self, tmp_path, engine):
+    def test_unregistered_engine_rejected_with_400(self, tmp_path, engine, counting):
         from repro.serve.protocol import spec_to_wire
 
-        bg = _boot(tmp_path, workers=1, runner=_counting_runner)
+        bg = _boot(tmp_path, workers=1)
         try:
             client = ServeClient(bg.base_url)
             wire = spec_to_wire(_spec(seed=7))
@@ -336,13 +384,13 @@ class TestBackpressure:
             assert client.jobs() == []
         finally:
             bg.drain()
-        assert _RUN_LOG == []
+        assert ran(counting) == []
 
 
 class TestFairness:
-    def test_three_tenant_overload_no_starvation(self, tmp_path):
+    def test_three_tenant_overload_no_starvation(self, tmp_path, counting):
         """The acceptance scenario: a flood cannot starve small tenants."""
-        bg = _boot(tmp_path, workers=1, runner=_counting_runner, window_s=60.0)
+        bg = _boot(tmp_path, workers=1, window_s=60.0)
         try:
             client = ServeClient(bg.base_url)
             flood = [_spec(seed=100 + s) for s in range(20)]
@@ -367,22 +415,22 @@ class TestFairness:
 
 
 class TestDrain:
-    def test_drain_snapshots_and_resume_runs_each_job_once(self, tmp_path):
+    def test_drain_snapshots_and_resume_runs_each_job_once(self, tmp_path, slow):
         specs = [_spec(seed=s) for s in range(8)]
-        bg = _boot(tmp_path, workers=1, runner=_slow_runner)
+        bg = _boot(tmp_path, workers=1)
         client = ServeClient(bg.base_url)
         digests = [j["digest"] for j in client.submit(specs)["jobs"]]
         bg.drain()  # SIGTERM path: finish in-flight, snapshot the rest
 
         snapshot_path = tmp_path / "serve-store" / SNAPSHOT_NAME
-        ran_before = len(_RUN_LOG)
+        ran_before = len(ran(slow))
         assert 0 < ran_before < len(specs)  # drain beat the queue
         snapshot = json.loads(snapshot_path.read_text())
         snapshot_digests = {j["digest"] for j in snapshot["jobs"]}
         assert len(snapshot["jobs"]) == len(specs) - ran_before
         assert snapshot_digests <= set(digests)
 
-        bg2 = _boot(tmp_path, workers=1, runner=_slow_runner)
+        bg2 = _boot(tmp_path, workers=1)
         try:
             assert not snapshot_path.exists()  # consumed on resume
             client = ServeClient(bg2.base_url)
@@ -398,23 +446,57 @@ class TestDrain:
             bg2.drain()
         # every job ran exactly once across both daemon lifetimes: the
         # pre-drain completions were never re-executed on resume
-        assert len(_RUN_LOG) == len(specs)
-        assert len(set(_RUN_LOG)) == len(specs)
+        assert len(ran(slow)) == len(specs)
+        assert len(set(ran(slow))) == len(specs)
+
+    def test_corrupt_entry_reruns_once_across_resume(self, tmp_path, monkeypatch):
+        """A completed job whose entry is corrupted while the daemon is
+        down runs exactly once more on resume; nothing else re-runs."""
+        log = tmp_path / "runs.log"
+        fake_job(monkeypatch, 0.05, log, simulate=True)
+        specs = [_spec(seed=s) for s in range(8)]
+        bg = _boot(tmp_path, workers=1)
+        digests = [
+            j["digest"] for j in ServeClient(bg.base_url).submit(specs)["jobs"]
+        ]
+        bg.drain()
+
+        snapshot = json.loads((tmp_path / "serve-store" / SNAPSHOT_NAME).read_text())
+        queued = {j["digest"] for j in snapshot["jobs"]}
+        completed = [d for d in digests if d not in queued]
+        assert completed and queued
+        victim = completed[0]
+        store = ShardedStore(tmp_path / "serve-store", 1)
+        entry = store.shard_for(victim)._object_dir(victim) / "entry.json"
+        data = bytearray(entry.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        entry.write_bytes(bytes(data))
+
+        bg2 = _boot(tmp_path, workers=1)
+        try:
+            client = ServeClient(bg2.base_url)
+            client.submit(specs)
+            views = {
+                d: client.wait(d, poll_s=0.02, timeout_s=60) for d in digests
+            }
+            assert views[victim]["state"] == "done"
+            served = client.result(victim)["result"]
+        finally:
+            bg2.drain()
+        spec = specs[digests.index(victim)]
+        assert _json(served) == _json(result_to_dict(run_spec(spec)))
+        assert sorted(ran(log)) == sorted(
+            f"{s.balancer}/{s.seed}" for s in [*specs, spec]
+        )
+        assert store.verify() == []
 
 
 class TestTimeouts:
-    def test_hung_worker_killed_and_job_fails_with_timeout(self, tmp_path):
-        config = ServeConfig(
-            store_root=str(tmp_path / "serve-store"),
-            port=0,
-            workers=1,
-            backend="process",
-            runner=_hanging_runner,
-            job_timeout_s=0.5,
-            max_attempts=1,
-            monitor_interval_s=0.05,
-        )
-        bg = BackgroundServer(config).start()
+    def test_hung_worker_killed_and_job_fails_with_timeout(
+        self, tmp_path, monkeypatch
+    ):
+        fake_job(monkeypatch, 600.0)
+        bg = _boot(tmp_path, workers=1, job_timeout_s=0.5, max_attempts=1)
         try:
             client = ServeClient(bg.base_url)
             (job,) = client.submit([_spec(seed=6)])["jobs"]
@@ -424,8 +506,3 @@ class TestTimeouts:
             assert client.metrics()["timeouts"] == 1
         finally:
             bg.drain()
-
-
-def _hanging_runner(spec):
-    time.sleep(600)
-    return _fake_result(spec)  # pragma: no cover - killed before returning
