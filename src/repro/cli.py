@@ -985,16 +985,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the simulation-as-a-service daemon (HTTP/JSON + SSE "
-             "over a sharded content-addressed store)",
+             "over a content-addressed store)",
     )
     serve.add_argument("--store", default=".repro-serve",
-                       help="sharded store root (default: .repro-serve)")
+                       help="store root (default: .repro-serve)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8421,
                        help="listen port; 0 picks a free one (default: 8421)")
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="worker processes; also the store shard count (default: 2)",
+        help="worker processes; each digest runs on one (default: 2)",
     )
     serve.add_argument(
         "--tenant", action="append", default=[], metavar="SPEC",

@@ -12,7 +12,7 @@ Modules:
 * :mod:`~repro.serve.protocol` -- wire spec codec, HTTP/1.1, SSE
 * :mod:`~repro.serve.tenants`  -- queues, token buckets, service windows
 * :mod:`~repro.serve.dispatch` -- speed-aware weighted-fair dispatcher
-* :mod:`~repro.serve.workers`  -- sharded store + worker processes
+* :mod:`~repro.serve.workers`  -- digest routing + worker processes
 * :mod:`~repro.serve.metrics`  -- counters, latency percentiles
 * :mod:`~repro.serve.server`   -- the asyncio daemon
 * :mod:`~repro.serve.client`   -- blocking stdlib client

@@ -55,7 +55,7 @@ class SpeedAwareDispatcher:
         """The tenant to serve next, or ``None`` if nothing is eligible.
 
         ``eligible`` narrows candidacy beyond queue-nonempty -- the
-        server passes "has a job routable to this idle worker's shard"
+        server passes "has a job routed to this idle worker"
         (:meth:`~repro.serve.tenants.Tenant.has_routable`).
         """
         best: Optional[Tenant] = None

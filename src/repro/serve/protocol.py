@@ -145,8 +145,23 @@ def spec_from_wire(wire: dict) -> RunSpec:
     Round-trip stable: ``spec_digest(spec_from_wire(spec_to_wire(s)))
     == spec_digest(s)`` (asserted by the protocol tests), so the daemon,
     its workers and a direct ``run_specs_cached`` call all key one
-    configuration identically.
+    configuration identically.  Any tree that does not decode -- a
+    value the named dataclass or :meth:`RunSpec.make` rejects, or one
+    nested too deeply to walk -- raises :class:`ProtocolError`.
     """
+    try:
+        return _spec_from_wire(wire)
+    except ProtocolError:
+        raise
+    except RecursionError:
+        raise ProtocolError("wire spec is nested too deeply") from None
+    except (TypeError, ValueError, LookupError) as exc:
+        raise ProtocolError(
+            f"wire spec does not decode ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def _spec_from_wire(wire: dict) -> RunSpec:
     if not isinstance(wire, dict):
         raise ProtocolError(f"wire spec must be an object, got {type(wire).__qualname__}")
     if wire.get("kind") != "run":
@@ -195,6 +210,8 @@ class Request:
             return json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"request body is not valid JSON ({exc})") from None
+        except RecursionError:
+            raise ProtocolError("request body is nested too deeply") from None
 
 
 @dataclass
@@ -261,8 +278,11 @@ async def read_request(reader: Any) -> Optional[Request]:
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise ProtocolError(f"malformed request line {lines[0]!r}")
     method, target, _version = parts
-    split = urlsplit(target)
-    query = dict(parse_qsl(split.query, keep_blank_values=True))
+    try:
+        split = urlsplit(target)
+        query = dict(parse_qsl(split.query, keep_blank_values=True))
+    except ValueError:
+        raise ProtocolError(f"malformed request target {target!r}") from None
     headers: dict[str, str] = {}
     for line in lines[1:]:
         if not line:
@@ -278,7 +298,10 @@ async def read_request(reader: Any) -> Optional[Request]:
         raise ProtocolError(f"bad Content-Length {length!r}") from None
     if n < 0 or n > MAX_BODY_BYTES:
         raise ProtocolError(f"request body of {n} bytes exceeds {MAX_BODY_BYTES}")
-    body = await reader.readexactly(n) if n else b""
+    try:
+        body = await reader.readexactly(n) if n else b""
+    except asyncio.IncompleteReadError:
+        raise ProtocolError("connection closed mid-request") from None
     return Request(
         method=method.upper(),
         path=split.path,

@@ -1,12 +1,12 @@
-"""The `repro serve` daemon: asyncio HTTP front over the sharded store.
+"""The `repro serve` daemon: asyncio HTTP front over the content-addressed store.
 
 One asyncio loop owns everything except simulation itself: it parses
 requests, admits batches against per-tenant token buckets and bounded
 queues, runs the speed-aware dispatcher whenever a worker goes idle,
 and streams job lifecycles over SSE.  Simulations run in the
-:mod:`repro.serve.workers` pool (one process per store shard);
-completions re-enter the loop via ``call_soon_threadsafe``, so no
-handler ever blocks on a simulation.
+:mod:`repro.serve.workers` pool (one process per worker; each digest
+routes to one of them); completions re-enter the loop via
+``call_soon_threadsafe``, so no handler ever blocks on a simulation.
 
 Endpoints (all JSON unless noted)::
 
@@ -27,8 +27,8 @@ serve-smoke job:
 * **dedup** -- one spec digest is one job: resubmissions attach to
   the existing record, store hits complete instantly as ``cached``, and
   a worker resolves each job through :class:`~repro.service.JobService`
-  on its shard, which re-checks the store before running (drain-resume
-  never runs a job twice);
+  on the store root, which re-checks the store before running
+  (drain-resume never runs a job twice);
 * **backpressure** -- an over-rate or over-queue batch gets 429 with a
   concrete ``Retry-After``, atomically (nothing admitted, nothing
   consumed);
@@ -92,7 +92,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     #: 0 picks an ephemeral port (tests); read it from ``server.port``
     port: int = 8421
-    #: worker processes == store shards
+    #: worker processes; each digest routes to exactly one
     workers: int = 2
     #: tenants declared up front; unknown tenants are created on first
     #: submit with :class:`TenantConfig`'s defaults
@@ -323,7 +323,7 @@ class ReproServer:
     def _try_dispatch(self) -> None:
         """Hand queued jobs to idle workers, slowest-served first.
 
-        Each idle worker can only take digests its shard owns, so the
+        Each idle worker can only take digests routed to it, so the
         dispatcher is asked per worker with a routability predicate;
         the loop repeats until no idle worker can be fed.
         """
@@ -553,7 +553,8 @@ class ReproServer:
         for i, wire in enumerate(wires):
             try:
                 digest = spec_digest(spec_from_wire(wire))
-            except (ProtocolError, UnstorableSpecError, TypeError, ValueError) as exc:
+            except (ProtocolError, UnstorableSpecError, TypeError, ValueError,
+                    RecursionError) as exc:
                 raise ProtocolError(f"specs[{i}]: {exc}") from None
             digests.append(digest)
             by_digest.setdefault(digest, wire)
@@ -573,7 +574,7 @@ class ReproServer:
             try:
                 entry = self.store.get(digest)
             except StoreIntegrityError:
-                # a miss; the worker owning the shard deletes and recomputes
+                # a miss; the worker the digest routes to deletes and recomputes
                 entry = None
             if entry is not None and entry.result is not None:
                 # store hit: terminal immediately, no queue slot used

@@ -215,8 +215,8 @@ class Tenant:
     def has_routable(self, routable: Callable[[str], bool]) -> bool:
         """Whether any queued digest satisfies ``routable``.
 
-        The store is sharded by digest prefix and each worker owns one
-        shard, so an idle worker can only take jobs that route to it;
+        Digests are routed to workers by prefix, so an idle worker can
+        only take jobs that route to it;
         dispatch eligibility is therefore per-(tenant, worker), not
         just queue-nonempty.
         """
@@ -226,8 +226,8 @@ class Tenant:
         """Remove and return the first routable digest, if any.
 
         Skipped entries keep their relative order: per-tenant FIFO is
-        preserved *within* each shard, which is the strongest order a
-        prefix-sharded store admits.
+        preserved *within* each worker's digests, which is the strongest
+        order prefix routing admits.
         """
         for i, digest in enumerate(self.queue):
             if routable(digest):

@@ -1,22 +1,22 @@
-"""Sharded store + the daemon's worker pool.
+"""Digest routing + the daemon's worker pool.
 
-Scaling the content-addressed store past one process means scaling its
-*lock*: every :meth:`~repro.store.store.ResultStore.put` serializes on
-``index.lock``, so N workers sharing one store root would convoy on a
-single file.  The serving layer therefore splits the namespace by
-digest prefix: shard ``k`` of ``n`` owns every digest with
-``int(digest[:2], 16) % n == k``, each shard is a full, independent
-:class:`ResultStore` under ``<root>/shard-XX/``, and **worker ``k`` is
-the only writer of shard ``k``** -- workers never contend on one lock,
-by construction rather than by luck.  Reads route the same way, so the
-parent daemon resolves any digest without touching a lock another
-process holds.
+Every worker writes the one store root.  A
+:meth:`~repro.store.store.ResultStore.put` appends one line to the
+store's index log under a blocking ``flock``, so it costs the same at
+any store size, and the workers take turns on that lock
+(docs/performance.md, "Several writers", has it measured with 2 and 4
+workers).  What the serving layer partitions is the *work*: worker
+``k`` of ``n`` runs every digest with ``int(digest[:2], 16) % n == k``,
+so a digest has one writer and never runs on two workers at once.  A
+served result lands in the root, where ``repro submit --store <root>``
+and every other direct reader look for it.
 
 Each worker is a forked OS process that resolves a job exactly as a
 direct ``repro submit --store`` would: through a fresh
-:class:`~repro.service.JobService` on its shard.  A hung or crashed
+:class:`~repro.service.JobService` on the root.  A hung or crashed
 simulation costs only that process: the parent detects it by deadline,
-kills it and respawns just that worker.
+kills it and respawns just that worker; the kernel drops a store lock
+the killed worker held.
 
 Messages: parent sends ``("job", digest, wire_spec)`` or ``("stop",)``
 on the worker's private queue; the worker replies
@@ -36,7 +36,7 @@ from typing import Any, Callable, Optional, Union
 from repro.serve import clock as _clock
 from repro.serve.protocol import spec_from_wire
 from repro.service import JobFailedError, JobService
-from repro.store import ResultStore, StoreEntry
+from repro.store import ResultStore
 
 __all__ = [
     "ProcessWorkerPool",
@@ -52,58 +52,32 @@ _STOP = ("stop",)
 
 
 def shard_index(digest: str, n_shards: int) -> int:
-    """The shard owning ``digest``: uniform by leading hex byte."""
+    """The worker owning ``digest``: uniform by leading hex byte."""
     return int(digest[:2], 16) % n_shards
 
 
-class ShardedStore:
-    """N independent :class:`ResultStore` shards under one root.
+class ShardedStore(ResultStore):
+    """The daemon's store: one :class:`ResultStore` root, routed by
+    digest over ``n_shards`` workers (:func:`shard_index`).
 
-    The read-side façade the daemon uses: ``get``/``contains``/
-    ``load_trace`` route by digest prefix, ``digests`` merges all
-    shards (each shard's own deterministic order, shards in index
-    order).  Writes happen only inside the owning worker.
+    ``shards[k]``, the store worker ``k`` writes, is this store itself:
+    an entry lands under the root whichever worker files it, and
+    listing or verifying the root counts it once.
     """
 
     def __init__(self, root: Union[str, Path], n_shards: int):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1 (got {n_shards})")
-        self.root = Path(root)
+        super().__init__(root)
         self.n_shards = n_shards
-        self.shards = [
-            ResultStore(self.shard_root(i)) for i in range(n_shards)
-        ]
 
-    def shard_root(self, index: int) -> Path:
-        return self.root / f"shard-{index:02d}"
-
-    def shard_for(self, digest: str) -> ResultStore:
-        return self.shards[shard_index(digest, self.n_shards)]
-
-    def get(self, digest: str) -> Optional[StoreEntry]:
-        return self.shard_for(digest).get(digest)
-
-    def contains(self, digest: str) -> bool:
-        return self.shard_for(digest).contains(digest)
-
-    def delete(self, digest: str) -> bool:
-        return self.shard_for(digest).delete(digest)
-
-    def digests(self) -> list[str]:
-        out: list[str] = []
-        for shard in self.shards:
-            out.extend(shard.digests())
-        return out
-
-    def verify(self) -> list[str]:
-        findings: list[str] = []
-        for i, shard in enumerate(self.shards):
-            findings.extend(f"shard-{i:02d}: {f}" for f in shard.verify())
-        return findings
+    @property
+    def shards(self) -> list[ResultStore]:
+        return [self] * self.n_shards
 
 
-def _worker_loop(worker_id: int, shard_root: str, inq: Any, outq: Any) -> None:
-    """One worker: resolve each job on the private queue in its shard.
+def _worker_loop(worker_id: int, root: str, inq: Any, outq: Any) -> None:
+    """One worker: resolve each job on the private queue in the store.
 
     A fresh single-attempt :class:`JobService` per job keeps a
     long-lived worker free of cached results and leaves retries to the
@@ -117,7 +91,7 @@ def _worker_loop(worker_id: int, shard_root: str, inq: Any, outq: Any) -> None:
             return
         _, digest, wire = msg
         start = _clock.monotonic()
-        service = JobService(ResultStore(shard_root), max_attempts=1)
+        service = JobService(ResultStore(root), max_attempts=1)
         try:
             service.submit([spec_from_wire(wire)])
             state, error = ("done" if service.executed else "cached"), ""
@@ -130,7 +104,7 @@ def _worker_loop(worker_id: int, shard_root: str, inq: Any, outq: Any) -> None:
 
 
 class ProcessWorkerPool:
-    """One forked OS process per shard, plus the completion pump."""
+    """One forked OS process per worker, plus the completion pump."""
 
     def __init__(
         self,
@@ -164,7 +138,7 @@ class ProcessWorkerPool:
     def _spawn(self, i: int) -> None:
         proc = self._ctx.Process(
             target=_worker_loop,
-            args=(i, str(self.store.shard_root(i)), self._inqs[i], self._outq),
+            args=(i, str(self.store.root), self._inqs[i], self._outq),
             name=f"serve-worker-{i}",
             daemon=True,
         )
@@ -190,7 +164,7 @@ class ProcessWorkerPool:
         """Kill + respawn worker ``i`` (the hung-job escape hatch).
 
         The worker's private queue survives, so jobs already routed to
-        the shard are picked up by the replacement; only the job that
+        it are picked up by the replacement; only the job that
         was *running* is lost, and the server reports it failed with a
         timeout reason.
         """

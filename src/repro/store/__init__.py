@@ -36,7 +36,6 @@ from repro.store.store import (
     StoreEntry,
     StoreError,
     StoreIntegrityError,
-    StoreLockError,
     StoreStats,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "StoreEntry",
     "StoreError",
     "StoreIntegrityError",
-    "StoreLockError",
     "StoreStats",
     "UnstorableSpecError",
     "canonical_json",

@@ -2,8 +2,9 @@
 
 Layout (under the store root, ``.repro-store/`` by default)::
 
-    index.json                  -- manifest: digest -> summary (O(1) listing)
-    index.lock                  -- transient inter-process mutation lock
+    index.log                   -- append-only manifest: one line per put/delete
+    index.lock                  -- inter-process mutation lock (``flock``)
+    tmp/                        -- staging area of writes in progress
     objects/<2-char shard>/<digest>/
         entry.json              -- spec key, result/value, integrity digest
         trace.json.gz           -- optional gzipped full trace
@@ -26,15 +27,34 @@ recompute a miss (:class:`repro.service.JobService`, the serve workers,
 ``sweep(store=...)``) read through :meth:`ResultStore.lookup`, which
 deletes the corrupt entry and reports a miss.
 
+Index log
+---------
+``index.log`` lists the entries without opening them.  Its first line
+is a header, ``{"schema": STORE_SCHEMA, "next_seq": N}``; every later
+line is a JSON array, either a put ``[seq, digest, kind, has_trace,
+balancer, seed, app]`` or a delete's tombstone ``[seq, digest]``,
+whose ``seq`` is the newest one assigned when it was written.  The
+next ``seq`` is one past the last line's (at least the header's
+``next_seq``), so a put reads the header and the last line and appends
+one line: its cost does not grow with the store.  Only ``gc`` rewrites
+a log that replays, compacted to one line per live entry.
+
 Concurrency
 -----------
-Object writes are atomic (staged under ``tmp/``, then ``os.rename`` of
-the whole entry directory); a losing racer of two identical writes
-discards its staging copy -- content-addressing makes the winner's
-bytes equivalent.  Index mutations serialize on ``index.lock``
-(created ``O_CREAT | O_EXCL``); the index is only an accelerator and
-can always be rebuilt from the objects tree (``gc`` does exactly
-that), so a stale lock or torn index is recoverable, not fatal.
+Every mutation holds ``index.lock`` through a blocking ``fcntl.flock``,
+which the kernel releases when the holder dies, so a writer killed
+mid-put never leaves the store locked.  Under the lock an entry is
+staged under ``tmp/`` and renamed into place whole, then its line is
+appended.  Readers replay the log without the lock.  They ignore a
+torn last line (a write in progress, or a writer killed mid-line),
+and the next writer cuts it off before it appends.  Any other damage,
+or a missing log (as in a store an older build indexed in
+``index.json``), reads as the objects tree rebuilt: the log is only an
+accelerator.  The next writer rewrites a missing log, or one whose
+header or last line is damaged, from that rebuild.  A writer reads no
+further back, so damage deeper in the log stays, and every listing pays
+the rebuild, until ``gc`` rewrites the log; ``verify`` reports that
+case.
 
 All directory walks are sorted -- the determinism linter's SIM006 rule
 covers this package.
@@ -42,15 +62,13 @@ covers this package.
 
 from __future__ import annotations
 
-import errno
 import gzip
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from repro.harness.parallel import RunSpec
 from repro.metrics.export import (
@@ -71,16 +89,20 @@ __all__ = [
     "StoreEntry",
     "StoreError",
     "StoreIntegrityError",
-    "StoreLockError",
     "StoreStats",
 ]
 
 STORE_SCHEMA = 1
 DEFAULT_ROOT = ".repro-store"
 
-#: bounded lock acquisition: ~50 attempts x 20 ms ~= 1 s worst case
-_LOCK_ATTEMPTS = 50
-_LOCK_SLEEP_S = 0.02
+#: the fields of a put line of ``index.log``, in order; a tombstone
+#: has the first two
+_ROW_FIELDS = ("seq", "digest", "kind", "has_trace", "balancer", "seed", "app")
+#: first read size when looking for the log's header or last line
+_BLOCK = 4096
+
+#: (next seq, log row by digest), rows in seq order
+_Index = tuple[int, dict[str, list]]
 
 
 class StoreError(Exception):
@@ -93,12 +115,17 @@ class StoreIntegrityError(StoreError):
     (and may delete it), never use its contents."""
 
 
-class StoreLockError(StoreError):
-    """The inter-process index lock could not be acquired in time."""
+class _LogDamage(Exception):
+    """``index.log`` is unreadable beyond a torn last line."""
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _line(obj: Any) -> bytes:
+    """One compact line of ``index.log``."""
+    return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
 
 
 def _result_digest(result: Union[AppRunResult, RepeatedResult]) -> str:
@@ -161,8 +188,11 @@ class GcReport:
     findings: list[str] = field(default_factory=list)
 
 
-def _empty_index() -> dict:
-    return {"schema": STORE_SCHEMA, "next_seq": 0, "entries": {}}
+def _remove_dir(path: Path) -> None:
+    """Remove a directory of plain files (an object or a staging copy)."""
+    for p in sorted(path.iterdir()):
+        p.unlink()
+    path.rmdir()
 
 
 class ResultStore:
@@ -173,8 +203,8 @@ class ResultStore:
 
     # -- paths ----------------------------------------------------------
     @property
-    def _index_path(self) -> Path:
-        return self.root / "index.json"
+    def _log_path(self) -> Path:
+        return self.root / "index.log"
 
     @property
     def _lock_path(self) -> Path:
@@ -185,54 +215,79 @@ class ResultStore:
 
     # -- locking --------------------------------------------------------
     def _with_lock(self, fn: Callable[[], Any]) -> Any:
-        """Run ``fn`` holding the inter-process mutation lock."""
+        """Run ``fn`` holding the inter-process mutation lock.
+
+        A blocking ``flock`` on ``index.lock``: a waiter proceeds as
+        soon as the holder releases it or dies.  The unlock is explicit
+        because a process forked meanwhile shares the descriptor.
+        """
+        import fcntl
+
         self.root.mkdir(parents=True, exist_ok=True)
-        for attempt in range(_LOCK_ATTEMPTS):
-            try:
-                fd = os.open(
-                    self._lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-                os.close(fd)
-                break
-            except OSError as exc:
-                if exc.errno != errno.EEXIST:
-                    raise
-                time.sleep(_LOCK_SLEEP_S)
-        else:
-            raise StoreLockError(
-                f"could not acquire {self._lock_path} after "
-                f"{_LOCK_ATTEMPTS} attempts; if no other process is using "
-                "the store, remove the stale lock file"
-            )
+        fd = os.open(self._lock_path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
-            return fn()
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            try:
+                return fn()
+            finally:
+                fcntl.flock(fd, fcntl.LOCK_UN)
         finally:
-            try:
-                os.unlink(self._lock_path)
-            except FileNotFoundError:  # pragma: no cover - external removal
-                pass
+            os.close(fd)
 
-    # -- index ----------------------------------------------------------
-    def _read_index(self) -> dict:
+    # -- index log: readers ---------------------------------------------
+    def _read_index(self) -> _Index:
+        """Replay ``index.log`` (no lock needed); a missing or damaged
+        log reads as the objects tree rebuilt."""
         try:
-            index = json.loads(self._index_path.read_text())
-        except FileNotFoundError:
-            return _empty_index()
-        except (OSError, json.JSONDecodeError):
-            # the index is an accelerator; a torn one is rebuilt
+            return self._replay(self._log_path.read_bytes())
+        except (FileNotFoundError, _LogDamage):
             return self._rebuild_index_unlocked()
-        if index.get("schema") != STORE_SCHEMA:
-            raise StoreError(
-                f"{self._index_path}: unsupported store schema "
-                f"{index.get('schema')!r} (this build reads {STORE_SCHEMA})"
-            )
-        return index
 
-    def _write_index(self, index: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self._index_path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, self._index_path)
+    def _replay(self, data: bytes) -> _Index:
+        head_end = data.find(b"\n")
+        if head_end < 0:
+            raise _LogDamage
+        next_seq = self._parse_header(data[:head_end])
+        rows: dict[str, list] = {}
+        end = data.rfind(b"\n")  # anything after it is a torn last line
+        if end == head_end:
+            return next_seq, rows
+        try:
+            lines = json.loads(
+                b"[" + data[head_end + 1:end].replace(b"\n", b",") + b"]"
+            )
+            for line in lines:
+                if (type(line) is not list or type(line[0]) is not int
+                        or type(line[1]) is not str):
+                    raise _LogDamage
+                if len(line) == len(_ROW_FIELDS):
+                    rows[line[1]] = line
+                elif len(line) == 2:
+                    rows.pop(line[1], None)
+                else:
+                    raise _LogDamage
+            return max(next_seq, lines[-1][0] + 1), rows
+        except (ValueError, TypeError, IndexError):
+            raise _LogDamage from None
+
+    def _parse_header(self, line: bytes) -> int:
+        """``next_seq`` from the log's header line; a schema this build
+        does not read is refused, not rebuilt over."""
+        try:
+            head = json.loads(line)
+        except ValueError:
+            raise _LogDamage from None
+        if not isinstance(head, dict):
+            raise _LogDamage
+        if head.get("schema") != STORE_SCHEMA:
+            raise StoreError(
+                f"{self._log_path}: unsupported store schema "
+                f"{head.get('schema')!r} (this build reads {STORE_SCHEMA})"
+            )
+        next_seq = head.get("next_seq")
+        if type(next_seq) is not int:
+            raise _LogDamage
+        return next_seq
 
     def _walk_object_digests(self) -> Iterator[str]:
         """Every object digest on disk, in sorted (deterministic) order."""
@@ -246,35 +301,106 @@ class ResultStore:
                 if entry.is_dir():
                     yield entry.name
 
-    def _rebuild_index_unlocked(self) -> dict:
+    def _rebuild_index_unlocked(self) -> _Index:
         """Reconstruct the manifest from the objects tree (skip corrupt)."""
-        index = _empty_index()
-        rows = []
+        found = []
         for digest in self._walk_object_digests():
             try:
-                entry_doc = self._load_entry_doc(digest)
-            except StoreIntegrityError:
+                found.append(self._index_row(digest, self._load_entry_doc(digest)))
+            except StoreError:
                 continue
-            rows.append((entry_doc["seq"], digest, entry_doc))
-        rows.sort()
-        for seq, digest, doc in rows:
-            index["entries"][digest] = self._index_row(doc)
-            index["next_seq"] = max(index["next_seq"], seq + 1)
-        return index
+        found.sort()
+        return (found[-1][0] + 1 if found else 0), {r[1]: r for r in found}
 
     @staticmethod
-    def _index_row(doc: dict) -> dict:
+    def _index_row(digest: str, doc: dict) -> list:
+        """An entry's put line: :data:`_ROW_FIELDS`, positionally."""
         spec = doc["spec"]
         app = spec.get("app")
-        return {
-            "seq": doc["seq"],
-            "kind": doc["kind"],
-            "has_trace": doc.get("trace_sha256") is not None,
-            "balancer": spec.get("balancer"),
-            "seed": spec.get("seed"),
-            "app": app.get("fields", {}).get("bench")
-            if isinstance(app, dict) else None,
-        }
+        return [
+            doc["seq"],
+            digest,
+            doc["kind"],
+            doc.get("trace_sha256") is not None,
+            spec.get("balancer"),
+            spec.get("seed"),
+            app.get("fields", {}).get("bench") if isinstance(app, dict) else None,
+        ]
+
+    # -- index log: writers (under the lock) ----------------------------
+    def _write_log(self, next_seq: int, rows: Iterable[list]) -> None:
+        """Replace ``index.log`` whole: a header, then ``rows`` in seq
+        order.  Only ``gc`` and a writer that finds the log missing, or
+        its header or last line damaged, rewrite it."""
+        tmp = self.root / "tmp" / f"index.log.{os.getpid()}"
+        tmp.parent.mkdir(parents=True, exist_ok=True)
+        header = {"schema": STORE_SCHEMA, "next_seq": next_seq}
+        tmp.write_bytes(b"".join(map(_line, [header, *rows])))
+        os.replace(tmp, self._log_path)
+        # an older build's whole-file index is superseded by the log
+        (self.root / "index.json").unlink(missing_ok=True)
+
+    def _open_log(self) -> tuple[int, int]:
+        """A descriptor appending to ``index.log``, and the next seq.
+
+        A missing log, or one whose header or last line is damaged, is
+        first rewritten from the objects tree.
+        """
+        try:
+            fd = os.open(self._log_path, os.O_RDWR | os.O_APPEND)
+        except FileNotFoundError:
+            pass
+        else:
+            try:
+                return fd, self._next_seq(fd)
+            except _LogDamage:
+                os.close(fd)
+            except BaseException:
+                os.close(fd)
+                raise
+        next_seq, rows = self._rebuild_index_unlocked()
+        self._write_log(next_seq, rows.values())
+        return os.open(self._log_path, os.O_RDWR | os.O_APPEND), next_seq
+
+    def _next_seq(self, fd: int) -> int:
+        """The next seq, as :meth:`_tail` reads it.  A torn last line is
+        cut off so the coming append starts a line of its own."""
+        next_seq, keep = self._tail(fd)
+        if keep < os.fstat(fd).st_size:
+            os.ftruncate(fd, keep)
+        return next_seq
+
+    def _tail(self, fd: int) -> tuple[int, int]:
+        """The next seq from the header and the last complete line, read
+        in bounded blocks from either end, and the offset where that
+        line ends."""
+        size = os.fstat(fd).st_size
+        head = os.pread(fd, _BLOCK, 0)
+        head_end = head.find(b"\n")
+        if head_end < 0:
+            raise _LogDamage
+        next_seq = self._parse_header(head[:head_end])
+        n = _BLOCK
+        while True:
+            start = max(0, size - n)
+            block = os.pread(fd, size - start, start)
+            end = block.rfind(b"\n")
+            begin = block.rfind(b"\n", 0, max(end, 0)) + 1
+            if end >= 0 and (begin > 0 or start == 0):
+                break
+            if start == 0:
+                raise _LogDamage
+            n *= 2
+        keep = start + end + 1
+        if start + begin == 0:  # the header is the last line
+            return next_seq, keep
+        try:
+            seq = json.loads(block[begin:end])[0]
+        except (ValueError, TypeError, IndexError, KeyError):
+            raise _LogDamage from None
+        if type(seq) is not int:
+            raise _LogDamage
+        return max(next_seq, seq + 1), keep
 
     # -- entry serialization -------------------------------------------
     @staticmethod
@@ -364,35 +490,34 @@ class ResultStore:
             doc["trace_sha256"] = None
 
         def commit() -> str:
-            index = self._read_index()
-            if digest in index["entries"] and self._object_dir(digest).exists():
-                return digest
-            seq = index["next_seq"]
-            doc["seq"] = seq
-            doc["integrity"] = self._integrity_of(doc)
-
-            stage = self.root / "tmp" / f"{digest}.{os.getpid()}"
-            stage.mkdir(parents=True, exist_ok=True)
-            (stage / "entry.json").write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n"
-            )
-            if trace_blob is not None:
-                (stage / "trace.json.gz").write_bytes(trace_blob)
-
             final = self._object_dir(digest)
-            final.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.rename(stage, final)
-            except OSError:
-                # lost a cross-process race; the winner's bytes are
-                # equivalent (same digest, same canonical serialization)
-                for p in sorted(stage.iterdir()):
-                    p.unlink()
-                stage.rmdir()
+            if final.exists():
                 return digest
-            index["entries"][digest] = self._index_row(doc)
-            index["next_seq"] = seq + 1
-            self._write_index(index)
+            fd, seq = self._open_log()
+            try:
+                doc["seq"] = seq
+                doc["integrity"] = self._integrity_of(doc)
+
+                stage = self.root / "tmp" / f"{digest}.{os.getpid()}"
+                stage.mkdir(parents=True, exist_ok=True)
+                (stage / "entry.json").write_text(
+                    json.dumps(doc, indent=2, sort_keys=True) + "\n"
+                )
+                if trace_blob is not None:
+                    (stage / "trace.json.gz").write_bytes(trace_blob)
+
+                final.parent.mkdir(parents=True, exist_ok=True)
+                try:
+                    os.rename(stage, final)
+                except OSError:
+                    # lost a race with a writer outside the lock; its
+                    # bytes are equivalent (same digest, same canonical
+                    # serialization)
+                    _remove_dir(stage)
+                    return digest
+                os.write(fd, _line(self._index_row(digest, doc)))
+            finally:
+                os.close(fd)
             return digest
 
         return self._with_lock(commit)
@@ -486,9 +611,12 @@ class ResultStore:
 
         def commit() -> bool:
             existed = self._remove_object(digest)
-            index = self._read_index()
-            if index["entries"].pop(digest, None) is not None:
-                self._write_index(index)
+            if digest in self._read_index()[1]:
+                fd, next_seq = self._open_log()
+                try:
+                    os.write(fd, _line([next_seq - 1, digest]))
+                finally:
+                    os.close(fd)
                 existed = True
             return existed
 
@@ -498,9 +626,7 @@ class ResultStore:
         obj = self._object_dir(digest)
         if not obj.exists():
             return False
-        for p in sorted(obj.iterdir()):
-            p.unlink()
-        obj.rmdir()
+        _remove_dir(obj)
         try:
             obj.parent.rmdir()  # drop the shard dir when it empties
         except OSError:
@@ -509,47 +635,62 @@ class ResultStore:
 
     # -- listing --------------------------------------------------------
     def digests(self) -> list[str]:
-        """All entry digests, oldest first (O(1): read from the index)."""
-        index = self._read_index()
-        return sorted(index["entries"], key=lambda d: index["entries"][d]["seq"])
+        """All entry digests, oldest first (replayed from the index log)."""
+        return [row[1] for row in sorted(self._read_index()[1].values())]
 
     def entries(self) -> list[dict]:
         """Index rows (digest + summary), oldest first."""
-        index = self._read_index()
         return [
-            {"digest": d, **index["entries"][d]} for d in self.digests()
+            dict(zip(_ROW_FIELDS, row))
+            for row in sorted(self._read_index()[1].values())
         ]
 
     # -- maintenance ----------------------------------------------------
     def stats(self) -> StoreStats:
-        index = self._read_index()
+        next_seq, rows = self._read_index()
         total = 0
-        traced = 0
         objects = self.root / "objects"
         if objects.is_dir():
             for shard in sorted(objects.iterdir()):
                 for obj in sorted(shard.iterdir()) if shard.is_dir() else []:
                     for f in sorted(obj.iterdir()) if obj.is_dir() else []:
                         total += f.stat().st_size
-        for row in index["entries"].values():
-            if row.get("has_trace"):
-                traced += 1
         return StoreStats(
             root=str(self.root),
-            entries=len(index["entries"]),
-            traced=traced,
+            entries=len(rows),
+            traced=sum(1 for row in rows.values() if row[3]),
             total_bytes=total,
-            next_seq=index["next_seq"],
+            next_seq=next_seq,
         )
 
     def verify(self) -> list[str]:
         """Full integrity pass; returns human-readable findings.
 
         Checks every object's entry digest, result digest and trace
-        bytes, plus index <-> objects consistency, without modifying
-        anything.  An empty list means the store is clean.
+        bytes, the index log for damage no writer repairs, and index
+        <-> objects consistency, without modifying anything.  An empty
+        list means the store is clean.
         """
         findings: list[str] = []
+        try:
+            self._replay(self._log_path.read_bytes())
+        except FileNotFoundError:
+            pass
+        except _LogDamage:
+            # the next writer rewrites a log whose header or last line
+            # is damaged; damage further back stays until gc
+            fd = os.open(self._log_path, os.O_RDONLY)
+            try:
+                self._tail(fd)
+                findings.append(
+                    "index.log is damaged before its last line: every listing "
+                    "rebuilds from the objects tree until `repro store gc` "
+                    "rewrites it"
+                )
+            except _LogDamage:
+                pass
+            finally:
+                os.close(fd)
         on_disk: set[str] = set()
         for digest in self._walk_object_digests():
             on_disk.add(digest)
@@ -559,10 +700,10 @@ class ResultStore:
                     self.load_trace(digest)
             except StoreError as exc:
                 findings.append(f"corrupt {digest[:12]}...: {exc}")
-        index = self._read_index()
-        for digest in sorted(set(index["entries"]) - on_disk):
+        indexed = set(self._read_index()[1])
+        for digest in sorted(indexed - on_disk):
             findings.append(f"indexed but missing on disk: {digest[:12]}...")
-        for digest in sorted(on_disk - set(index["entries"])):
+        for digest in sorted(on_disk - indexed):
             findings.append(f"on disk but not indexed: {digest[:12]}...")
         return findings
 
@@ -571,8 +712,9 @@ class ResultStore:
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ) -> GcReport:
-        """Collect garbage: drop corrupt objects, rebuild the index,
-        then evict oldest-first down to the caps.
+        """Collect garbage: drop corrupt objects and staging leftovers,
+        evict oldest-first down to the caps, then compact the index log
+        to one line per live entry.
 
         Eviction order is insertion order (``seq``), which is
         deterministic and wall-clock free; see docs/store.md for the
@@ -581,9 +723,8 @@ class ResultStore:
 
         def commit() -> GcReport:
             report = GcReport()
-            index_before = self._read_index()
-            known = set(index_before["entries"])
-            rows: list[tuple[int, str, int]] = []  # (seq, digest, bytes)
+            next_seq, known = self._read_index()
+            rows: list[tuple[list, int]] = []  # (log row, bytes)
             for digest in list(self._walk_object_digests()):
                 obj = self._object_dir(digest)
                 size = sum(
@@ -603,10 +744,10 @@ class ResultStore:
                 if digest not in known:
                     report.adopted += 1
                     report.findings.append(f"adopted unindexed {digest[:12]}...")
-                rows.append((doc["seq"], digest, size))
+                rows.append((self._index_row(digest, doc), size))
             rows.sort()
 
-            total = sum(size for _, _, size in rows)
+            total = sum(size for _, size in rows)
             evict = 0
             if max_entries is not None:
                 evict = max(evict, len(rows) - max_entries)
@@ -614,27 +755,32 @@ class ResultStore:
                 over = total - max_bytes
                 acc = 0
                 n = 0
-                for _, _, size in rows:
+                for _, size in rows:
                     if acc >= over:
                         break
                     acc += size
                     n += 1
                 evict = max(evict, n if over > 0 else 0)
-            for seq, digest, size in rows[:evict]:
-                self._remove_object(digest)
+            for row, size in rows[:evict]:
+                self._remove_object(row[1])
                 report.removed_evicted += 1
                 report.bytes_freed += size
-                report.findings.append(f"evicted seq={seq} {digest[:12]}...")
+                report.findings.append(f"evicted seq={row[0]} {row[1][:12]}...")
             rows = rows[evict:]
 
-            index = _empty_index()
-            index["next_seq"] = index_before["next_seq"]
-            for seq, digest, _ in rows:
-                doc = self._load_entry_doc(digest)
-                index["entries"][digest] = self._index_row(doc)
-                index["next_seq"] = max(index["next_seq"], seq + 1)
-            self._write_index(index)
-            report.kept = len(rows)
+            # staging happens under the lock: whatever is left in tmp/
+            # belongs to a writer that died mid-put
+            staging = self.root / "tmp"
+            for leftover in sorted(staging.iterdir()) if staging.is_dir() else []:
+                if leftover.is_dir():
+                    _remove_dir(leftover)
+                else:
+                    leftover.unlink()
+                report.findings.append(f"removed staging leftover {leftover.name}")
+
+            live = [row for row, _ in rows]
+            self._write_log(max([next_seq] + [row[0] + 1 for row in live]), live)
+            report.kept = len(live)
             return report
 
         return self._with_lock(commit)

@@ -188,11 +188,11 @@ class TestWatchAndTimeout:
         assert "does not combine with trace" in capsys.readouterr().err
 
 
-def _daemon(tmp_path):
+def _daemon(tmp_path, workers=1):
     from repro.serve import BackgroundServer, ServeConfig
 
     return BackgroundServer(ServeConfig(
-        store_root=str(tmp_path / "serve-store"), port=0, workers=1,
+        store_root=str(tmp_path / "serve-store"), port=0, workers=workers,
     )).start()
 
 
@@ -320,6 +320,22 @@ class TestOneJobCli:
             bg.drain()
         _, direct = run_cli([*self.SUBMIT, "--store", str(tmp_path / "s"), "--json"])
         assert served == direct and json.loads(direct)
+
+    def test_served_batch_is_cached_for_the_store_target(self, tmp_path):
+        """The daemon's workers file results in its root, so a direct
+        submit of the same sweep on that root runs nothing."""
+        sweep = ["submit", "--threads", "4", "--cores", "2", "--seconds", "0.05",
+                 "--repeats", "2", "--balancer", "speed", "load"]
+        bg = _daemon(tmp_path, workers=2)
+        try:
+            rc, _ = run_cli([*sweep, "--url", bg.base_url])
+            assert rc == 0
+        finally:
+            bg.drain()
+        root = str(tmp_path / "serve-store")
+        rc, out = run_cli([*sweep, "--store", root, "--expect-cached"])
+        assert rc == 0
+        assert "4 cached, 0 executed" in out
 
     def test_unreachable_url_exits_1(self, capsys):
         rc = main(["status", "--url", "http://127.0.0.1:9"])

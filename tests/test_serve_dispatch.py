@@ -12,6 +12,7 @@ from repro.serve.tenants import (
     TokenBucket,
 )
 from repro.serve.workers import ShardedStore, shard_index
+from repro.store import ResultStore
 
 
 class FakeClock:
@@ -211,9 +212,11 @@ class TestSharding:
 
     def test_sharded_store_routes_reads(self, tmp_path):
         store = ShardedStore(tmp_path, 4)
-        digest = "ab" + "0" * 62
-        owner = store.shard_for(digest)
-        assert owner is store.shards[shard_index(digest, 4)]
-        assert not store.contains(digest)
-        assert store.digests() == []
-        assert store.verify() == []
+        # every worker's view is the one root
+        assert len(store.shards) == 4
+        assert all(shard is store for shard in store.shards)
+        assert store.digests() == [] and store.verify() == []
+        digest = store.shards[3].put({"kind": "t", "i": 0}, 0)
+        assert ResultStore(tmp_path).contains(digest)
+        assert store.contains(digest) and store.get(digest).payload == 0
+        assert store.digests() == [digest] and store.verify() == []

@@ -2,13 +2,17 @@
 
 import asyncio
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.workloads import AppSpec
 from repro.harness.parallel import RunSpec
 from repro.serve.protocol import (
     ProtocolError,
+    Request,
     Response,
     error_body,
     json_response,
@@ -26,6 +30,39 @@ def _spec(seed=0, balancer="speed", **params):
     return RunSpec.make(
         "tigerton", app, balancer=balancer, cores=2, seed=seed, **params
     )
+
+
+#: wire keys and reference strings, so generated trees reach the
+#: decoder's branches rather than failing its first type check
+_KEYS = st.sampled_from([
+    "kind", "machine", "app", "balancer", "seed", "engine", "cores",
+    "params", "fields", "__enum__", "__dataclass__", "__function__",
+    "__dict__",
+]) | st.text(max_size=6)
+_ATOMS = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6)
+    | st.sampled_from([
+        "run", "tigerton", "speed", "heap", "repro:nothing", "os:system",
+        "repro.apps.workloads:AppSpec", "repro.sched.task:WaitMode",
+        "repro.sched.task:WaitMode.YIELD", "repro.store.keys:spec_key",
+    ])
+)
+#: arbitrary JSON trees over those keys and atoms
+JSON_TREES = st.recursive(
+    _ATOMS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@st.composite
+def mutated_wires(draw):
+    """A valid wire with one field (or one AppSpec field) replaced."""
+    wire = json.loads(json.dumps(spec_to_wire(_spec())))
+    target = wire["app"]["fields"] if draw(st.booleans()) else wire
+    target[draw(_KEYS)] = draw(JSON_TREES)
+    return wire
 
 
 class TestSpecCodec:
@@ -92,6 +129,45 @@ class TestSpecCodec:
                 {"__enum__": "repro.sched.task:WaitMode.NOPE"}
             )
 
+    def test_deeply_nested_wire_is_a_protocol_error(self):
+        deep = 0
+        for _ in range(sys.getrecursionlimit() + 100):
+            deep = [deep]
+        wire = dict(spec_to_wire(_spec()), cores=deep)
+        with pytest.raises(ProtocolError, match="nested too deeply"):
+            spec_from_wire(wire)
+
+    @settings(max_examples=300, deadline=None)
+    @given(wire=JSON_TREES | mutated_wires())
+    def test_generated_trees_decode_or_raise_protocol_error(self, wire):
+        try:
+            spec = spec_from_wire(wire)
+        except ProtocolError:
+            return
+        assert isinstance(spec, RunSpec)
+
+
+_TARGETS = st.sampled_from(
+    [b"/v1/jobs", b"/v1/jobs?tenant=a&x", b"http://[::1", b"//[bad", b"/%zz"]
+) | st.binary(max_size=24)
+_HEADERS = st.sampled_from([
+    b"Content-Length: 0", b"Content-Length: 5", b"Content-Length: 100",
+    b"Content-Length: -1", b"Content-Length: x", b"Content-Length: 99999999999",
+    b"Host: x", b"no colon",
+]) | st.binary(max_size=24)
+#: requests shaped like HTTP (request line, headers, body), and noise
+HTTP_BYTES = st.builds(
+    lambda method, target, version, headers, body: (
+        method + b" " + target + b" " + version + b"\r\n"
+        + b"".join(h + b"\r\n" for h in headers) + b"\r\n" + body
+    ),
+    st.sampled_from([b"GET", b"POST", b""]) | st.binary(max_size=6),
+    _TARGETS,
+    st.sampled_from([b"HTTP/1.1", b"HTTP/2", b""]),
+    st.lists(_HEADERS, max_size=3),
+    st.binary(max_size=40),
+) | st.binary(max_size=120)
+
 
 class TestHttpPrimitives:
     def _parse(self, raw: bytes):
@@ -131,6 +207,28 @@ class TestHttpPrimitives:
         )
         with pytest.raises(ProtocolError, match="exceeds"):
             self._parse(raw)
+
+    def test_short_body_is_a_protocol_error(self):
+        raw = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}"
+        with pytest.raises(ProtocolError, match="closed mid-request"):
+            self._parse(raw)
+
+    def test_deeply_nested_body_raises_on_decode(self):
+        body = b"[" * 100_000
+        raw = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+        with pytest.raises(ProtocolError, match="nested too deeply"):
+            self._parse(raw + body).json()
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=HTTP_BYTES)
+    def test_generated_bytes_parse_or_raise_protocol_error(self, raw):
+        try:
+            req = self._parse(raw)
+            if req is not None:
+                req.json()
+        except ProtocolError:
+            return
+        assert req is None or isinstance(req, Request)
 
     def test_bad_json_body_raises_on_decode(self):
         raw = (

@@ -8,10 +8,14 @@ traffic takes.  A test that needs a fake job installs one with
 """
 
 import json
+import socket
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.workloads import AppSpec
 from repro.harness import parallel
@@ -26,9 +30,12 @@ from repro.serve import (
     ShardedStore,
     TenantConfig,
 )
+from repro.serve.protocol import spec_to_wire
 from repro.serve.server import SNAPSHOT_NAME
+from repro.serve.workers import shard_index
 from repro.service import run_specs_cached
-from repro.store import ResultStore
+from repro.store import ResultStore, spec_digest
+from tests.test_serve_protocol import JSON_TREES
 
 
 def _spec(seed=0, balancer="speed"):
@@ -191,9 +198,7 @@ class TestParity:
             assert "PermissionError" in str(err.value)
         finally:
             bg2.drain()
-        assert ResultStore(
-            tmp_path / "serve-store" / "shard-00"
-        ).contains(job["digest"])
+        assert ResultStore(tmp_path / "serve-store").contains(job["digest"])
         assert len(ran(counting)) == 1
 
 
@@ -269,6 +274,26 @@ class TestDedup:
         finally:
             bg.drain()
         assert len(ran(counting)) == 1
+
+    def test_two_workers_file_into_one_clean_root(self, tmp_path, counting):
+        """Every worker writes the one root: each digest runs once, on the
+        worker it routes to, and the root lists and verifies it once."""
+        specs = [_spec(seed=s) for s in range(8)]
+        digests = [spec_digest(s) for s in specs]
+        assert {shard_index(d, 2) for d in digests} == {0, 1}
+        bg = _boot(tmp_path, workers=2)
+        try:
+            client = ServeClient(bg.base_url)
+            client.submit(specs)
+            views = [client.wait(d, poll_s=0.02, timeout_s=60) for d in digests]
+            assert {v["state"] for v in views} == {"done"}
+            assert sorted(bg.server.store.digests()) == sorted(digests)
+        finally:
+            bg.drain()
+        assert sorted(ran(counting)) == sorted(f"speed/{s}" for s in range(8))
+        store = ResultStore(tmp_path / "serve-store")
+        assert store.verify() == []
+        assert sorted(store.digests()) == sorted(digests)
 
 
 class TestSse:
@@ -387,6 +412,81 @@ class TestBackpressure:
         assert ran(counting) == []
 
 
+def _exchange(base_url, raw):
+    """Send ``raw`` on one connection, close the write side, and
+    return the daemon's whole response."""
+    url = urlsplit(base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=30) as sock:
+        sock.sendall(raw)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _post_status(base_url, body, length=None):
+    head = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (
+        len(body) if length is None else length
+    )
+    response = _exchange(base_url, head + body)
+    assert response.startswith(b"HTTP/1.1 "), response
+    return int(response.split(b" ", 2)[1])
+
+
+_REQUIRED = {"kind", "machine", "app", "balancer", "seed", "engine"}
+#: JSON trees that cannot be a wire spec: not an object, or missing a field
+_NOT_WIRES = JSON_TREES.filter(
+    lambda t: not (isinstance(t, dict) and _REQUIRED <= set(t))
+)
+MALFORMED_BODIES = (
+    st.binary(max_size=64)
+    | _NOT_WIRES.map(lambda t: json.dumps(t).encode())
+    | st.lists(_NOT_WIRES, min_size=1, max_size=3).map(
+        lambda wires: json.dumps({"specs": wires}).encode()
+    )
+)
+
+
+class TestMalformedRequests:
+    """A request the protocol rejects gets a 400 and admits nothing."""
+
+    def test_short_body_gets_400(self, tmp_path):
+        bg = _boot(tmp_path, workers=1)
+        try:
+            assert _post_status(bg.base_url, b"{}", length=100) == 400
+            assert ServeClient(bg.base_url).metrics()["bad_requests"] == 1
+        finally:
+            bg.drain()
+
+    def test_deeply_nested_bodies_get_400(self, tmp_path):
+        wire = dict(spec_to_wire(_spec()), cores="DEEP")
+        deep_wire = json.dumps({"specs": [wire]}).encode().replace(
+            b'"DEEP"', b"[" * 900 + b"]" * 900
+        )
+        bg = _boot(tmp_path, workers=1)
+        try:
+            for body in (b"[" * 100_000, deep_wire):
+                assert _post_status(bg.base_url, body) == 400
+            assert ServeClient(bg.base_url).metrics()["admitted"] == 0
+        finally:
+            bg.drain()
+
+    def test_generated_malformed_bodies_get_4xx(self, tmp_path):
+        bg = _boot(tmp_path, workers=1)
+        try:
+            @settings(max_examples=80, deadline=None)
+            @given(body=MALFORMED_BODIES)
+            def check(body):
+                assert 400 <= _post_status(bg.base_url, body) < 500
+
+            check()
+            snap = ServeClient(bg.base_url).metrics()
+            assert snap["admitted"] == 0 and snap["submitted"] == 0
+        finally:
+            bg.drain()
+
+
 class TestFairness:
     def test_three_tenant_overload_no_starvation(self, tmp_path, counting):
         """The acceptance scenario: a flood cannot starve small tenants."""
@@ -467,7 +567,7 @@ class TestDrain:
         assert completed and queued
         victim = completed[0]
         store = ShardedStore(tmp_path / "serve-store", 1)
-        entry = store.shard_for(victim)._object_dir(victim) / "entry.json"
+        entry = store._object_dir(victim) / "entry.json"
         data = bytearray(entry.read_bytes())
         data[len(data) // 2] ^= 0xFF
         entry.write_bytes(bytes(data))

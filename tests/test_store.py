@@ -2,6 +2,12 @@
 
 import gzip
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -10,6 +16,7 @@ from repro.apps.workloads import AppSpec
 from repro.core.speed_balancer import SpeedBalancerConfig
 from repro.harness.parallel import RunSpec, run_spec
 from repro.store import (
+    STORE_SCHEMA,
     ResultStore,
     StoreError,
     StoreIntegrityError,
@@ -309,8 +316,12 @@ class TestMaintenance:
         store = ResultStore(tmp_path / "s")
         spec = _spec()
         digest = store.put(spec, run_spec(spec))
-        (store.root / "index.json").unlink()
-        # reads fall back to disk; gc adopts the orphan back into the index
+        # drop the entry's log line, as if its writer died between the
+        # rename and the append
+        log = store.root / "index.log"
+        log.write_bytes(log.read_bytes().splitlines(keepends=True)[0])
+        assert store.entries() == []
+        # reads go to the objects; gc adopts the orphan back into the index
         assert store.get(digest) is not None
         report = store.gc()
         assert report.adopted == 1
@@ -320,8 +331,8 @@ class TestMaintenance:
         store = ResultStore(tmp_path / "s")
         spec = _spec()
         digest = store.put(spec, run_spec(spec))
-        (store.root / "index.json").write_text("{ not json")
-        # a torn index is only an accelerator: reads rebuild it in memory
+        (store.root / "index.log").write_text("{ not json")
+        # the log is only an accelerator: reads rebuild it in memory
         assert [e["digest"] for e in store.entries()] == [digest]
         assert store.verify() == []
 
@@ -329,6 +340,183 @@ class TestMaintenance:
         store = ResultStore(tmp_path / "s")
         spec = _spec()
         store.put(spec, run_spec(spec))
-        (store.root / "index.json").write_text(json.dumps({"schema": 999}))
+        (store.root / "index.log").write_text(json.dumps({"schema": 999}) + "\n")
         with pytest.raises(StoreError, match="schema"):
             store.entries()
+        with pytest.raises(StoreError, match="schema"):
+            store.put({"kind": "t", "i": 0}, 0)
+
+
+def _put_values(store, n, start=0):
+    """File ``n`` small value entries; their digests, oldest first."""
+    return [store.put({"kind": "t", "i": i}, i) for i in range(start, start + n)]
+
+
+def _log_lines(store):
+    return (store.root / "index.log").read_bytes().splitlines()
+
+
+def _writer(root, start, n):
+    """One concurrent writer process: ``n`` puts into one store root."""
+    _put_values(ResultStore(root), n, start=start)
+
+
+class TestIndexLog:
+    def test_each_put_appends_one_line_in_place(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        _put_values(store, 1)
+        inode = (store.root / "index.log").stat().st_ino
+        digests = _put_values(store, 9, start=1)
+        lines = _log_lines(store)
+        assert len(lines) == 1 + 10
+        assert json.loads(lines[0]) == {"schema": STORE_SCHEMA, "next_seq": 0}
+        assert [json.loads(x)[:2] for x in lines[2:]] == [
+            [seq, d] for seq, d in enumerate(digests, start=1)
+        ]
+        # never rewritten: the same file grew
+        assert (store.root / "index.log").stat().st_ino == inode
+
+    def test_torn_tail_line_is_ignored_and_cut_before_the_next_put(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        first = _put_values(store, 2)
+        with open(store.root / "index.log", "ab") as f:
+            f.write(b'[2,"' + b"ab" * 20)  # a writer killed mid-line
+        assert store.digests() == first
+        (third,) = _put_values(store, 1, start=2)
+        assert store.digests() == [*first, third]
+        assert store.get(third).seq == 2
+        lines = _log_lines(store)
+        assert len(lines) == 1 + 3
+        assert [json.loads(x)[1] for x in lines[1:]] == [*first, third]
+        assert store.verify() == []
+
+    def test_garbage_line_mid_log_rebuilds_from_objects(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        digests = _put_values(store, 3)
+        lines = _log_lines(store)
+        lines.insert(2, b"garbage")
+        (store.root / "index.log").write_bytes(b"\n".join(lines) + b"\n")
+        assert store.digests() == digests
+        assert [e["seq"] for e in store.entries()] == [0, 1, 2]
+        (finding,) = store.verify()
+        assert "index.log is damaged before its last line" in finding
+        # a writer reads only the header and the last line: puts go on,
+        # the damage stays until gc rewrites the log
+        digests += _put_values(store, 1, start=3)
+        assert store.digests() == digests
+        assert b"garbage" in (store.root / "index.log").read_bytes()
+        assert len(store.verify()) == 1
+        store.gc()
+        assert b"garbage" not in (store.root / "index.log").read_bytes()
+        assert store.digests() == digests
+        assert store.verify() == []
+
+    def test_delete_appends_a_tombstone(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        digests = _put_values(store, 3)
+        assert store.delete(digests[2])
+        assert json.loads(_log_lines(store)[-1]) == [2, digests[2]]
+        assert store.digests() == digests[:2]
+        # the sequence does not rewind past a deleted newest entry
+        (d,) = _put_values(store, 1, start=3)
+        assert store.get(d).seq == 3
+        assert store.stats().next_seq == 4
+
+    def test_gc_compacts_the_log_in_seq_order(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        digests = _put_values(store, 5)
+        store.delete(digests[3])
+        assert len(_log_lines(store)) == 1 + 5 + 1  # header, puts, tombstone
+        report = store.gc(max_entries=3)
+        assert report.removed_evicted == 1  # seq 0, the oldest
+        lines = _log_lines(store)
+        assert json.loads(lines[0]) == {"schema": STORE_SCHEMA, "next_seq": 5}
+        assert [json.loads(x)[:2] for x in lines[1:]] == [
+            [1, digests[1]], [2, digests[2]], [4, digests[4]]
+        ]
+        assert store.digests() == [digests[1], digests[2], digests[4]]
+        (d,) = _put_values(store, 1, start=5)
+        assert store.get(d).seq == 5
+
+    def test_gc_removes_staging_leftovers(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        digests = _put_values(store, 2)
+        dead = store.root / "tmp" / f"{'e' * 64}.99999"
+        dead.mkdir(parents=True)
+        (dead / "entry.json").write_text("{}")
+        report = store.gc()
+        assert list((store.root / "tmp").iterdir()) == []
+        assert any("staging" in f for f in report.findings)
+        assert report.kept == 2 and store.digests() == digests
+
+    def test_store_indexed_by_an_older_build_lists_and_accepts_puts(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        spec = _spec()
+        old = [store.put(spec, run_spec(spec)), *_put_values(store, 2)]
+        rows = {e["digest"]: {k: v for k, v in e.items() if k != "digest"}
+                for e in store.entries()}
+        # the whole-file index an older build kept, and no log
+        (store.root / "index.log").unlink()
+        (store.root / "index.json").write_text(json.dumps(
+            {"schema": STORE_SCHEMA, "next_seq": 3, "entries": rows},
+            indent=2, sort_keys=True,
+        ))
+        assert store.digests() == old
+        assert store.entries()[0]["app"] == "ep.C"
+        (new,) = _put_values(store, 1, start=2)
+        assert store.get(new).seq == 3
+        assert store.digests() == [*old, new]
+        assert not (store.root / "index.json").exists()
+        assert len(_log_lines(store)) == 1 + 4
+        assert store.verify() == []
+
+    def test_concurrent_writers_lose_no_line(self, tmp_path):
+        """More writer processes than cores append to one log: every put
+        gets its own line and its own seq."""
+        root = tmp_path / "s"
+        ctx = multiprocessing.get_context("spawn")
+        procs = [ctx.Process(target=_writer, args=(root, 100 * k, 40))
+                 for k in range(4)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=120)
+        assert not any(p.is_alive() for p in procs)
+        assert all(p.exitcode == 0 for p in procs)
+        store = ResultStore(root)
+        lines = _log_lines(store)
+        assert len(lines) == 1 + 160
+        assert sorted(json.loads(x)[0] for x in lines[1:]) == list(range(160))
+        assert len(set(store.digests())) == 160
+        assert store.verify() == []
+
+    def test_reads_work_where_fcntl_is_missing(self, tmp_path):
+        """Only taking the lock needs fcntl; importing and reading don't."""
+        digests = _put_values(ResultStore(tmp_path / "s"), 2)
+        code = (
+            "import sys; sys.modules['fcntl'] = None\n"
+            "from repro.store import ResultStore\n"
+            f"print(len(ResultStore({str(tmp_path / 's')!r}).digests()))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == str(len(digests))
+
+    def test_writer_killed_holding_the_lock_leaves_the_store_writable(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path / "s")
+        pid = os.fork()
+        if pid == 0:  # the child dies inside the lock
+            try:
+                store._with_lock(lambda: os.kill(os.getpid(), signal.SIGKILL))
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        start = time.monotonic()
+        digests = _put_values(store, 1)
+        assert time.monotonic() - start < 0.5
+        assert store.digests() == digests
