@@ -64,7 +64,10 @@ that.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import count
+from operator import sub
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.metrics.trace import MigrationEvent, Segment, TraceRecorder
@@ -187,37 +190,53 @@ class _Collector:
 # ----------------------------------------------------------------------
 # SAN001 / SAN002: overlap detection
 # ----------------------------------------------------------------------
-def _overlapping_pairs(
-    segments: list[Segment],
-) -> Iterable[tuple[Segment, Segment]]:
-    """Adjacent-in-time overlapping pairs of an interval set.
+#: one segment in a sweep: (start, end, index into the trace's columns)
+_Span = tuple[int, int, int]
 
-    Sorts by (start, end) and sweeps with the maximum end seen so far;
-    each segment starting before that maximum overlaps the segment that
-    attained it.  O(n log n), and reports each breach once rather than
+
+def _spans_by(keys: Iterable[int], trace: TraceRecorder) -> dict[int, list[_Span]]:
+    """The segments' ``(start, end, index)`` tuples grouped by ``keys``
+    (a tid or core column), each group in recorded order."""
+    groups: dict[int, list[_Span]] = defaultdict(list)
+    for key, span in zip(keys, zip(trace._s_start, trace._s_end, count())):
+        groups[key].append(span)
+    return groups
+
+
+def _overlapping_pairs(spans: list[_Span]) -> Iterable[tuple[int, int]]:
+    """Adjacent-in-time overlapping pairs of an interval set, as pairs
+    of segment indices.
+
+    Sorts by (start, end, index) -- recorded order breaks ties -- and
+    sweeps with the maximum end seen so far; each segment starting
+    before that maximum overlaps the segment that attained it.
+    O(n log n), and reports each breach once rather than
     quadratically.
     """
-    ordered = sorted(segments, key=lambda s: (s.start, s.end))
-    reach: Optional[Segment] = None
-    for s in ordered:
-        if reach is not None and s.start < reach.end:
-            yield reach, s
-        if reach is None or s.end > reach.end:
-            reach = s
+    spans.sort()
+    reach_end, reach = spans[0][1], spans[0][2]
+    for start, end, i in spans[1:]:
+        if start < reach_end:
+            yield reach, i
+        if end > reach_end:
+            reach_end, reach = end, i
 
 
 def check_overlaps(trace: TraceRecorder, context: str = "") -> list[SanFinding]:
-    """SAN001 (same tid, two cores) and SAN002 (one core) overlaps."""
+    """SAN001 (same tid, two cores) and SAN002 (one core) overlaps.
+
+    Sweeps the recorder's columns; a :class:`Segment` is built only to
+    cite a finding.
+    """
     out = _Collector(context)
-    by_tid: dict[int, list[Segment]] = {}
-    by_core: dict[int, list[Segment]] = {}
-    for s in trace.segments:
-        by_tid.setdefault(s.tid, []).append(s)
-        by_core.setdefault(s.core, []).append(s)
+    cores = trace._s_core
+    seg = trace.segments
+    by_tid = _spans_by(trace._s_tid, trace)
     for tid in sorted(by_tid):
-        for a, b in _overlapping_pairs(by_tid[tid]):
-            if a.core == b.core:
+        for ia, ib in _overlapping_pairs(by_tid[tid]):
+            if cores[ia] == cores[ib]:
                 continue  # same-core double charge; reported by SAN002
+            a, b = seg[ia], seg[ib]
             out.emit(
                 "SAN001",
                 f"task {tid} ({b.task_name}) charged on cores {a.core} and "
@@ -225,8 +244,10 @@ def check_overlaps(trace: TraceRecorder, context: str = "") -> list[SanFinding]:
                 f"[{a.start},{a.end}) and [{b.start},{b.end})",
                 [_cite_segment(a), _cite_segment(b)],
             )
+    by_core = _spans_by(cores, trace)
     for core in sorted(by_core):
-        for a, b in _overlapping_pairs(by_core[core]):
+        for ia, ib in _overlapping_pairs(by_core[core]):
+            a, b = seg[ia], seg[ib]
             out.emit(
                 "SAN002",
                 f"core {core} charged twice over [{b.start},{min(a.end, b.end)}): "
@@ -239,6 +260,14 @@ def check_overlaps(trace: TraceRecorder, context: str = "") -> list[SanFinding]:
 # ----------------------------------------------------------------------
 # SAN003 / SAN004: conservation
 # ----------------------------------------------------------------------
+def _summed_by(keys: Iterable[int], durations: list[int]) -> dict[int, int]:
+    """Total duration per key of the key column."""
+    sums: dict[int, int] = defaultdict(int)
+    for key, d in zip(keys, durations):
+        sums[key] += d
+    return sums
+
+
 def check_conservation(
     trace: TraceRecorder,
     task_exec_us: Optional[dict[int, int]] = None,
@@ -250,20 +279,18 @@ def check_conservation(
 
     ``task_exec_us`` maps tid -> accounted ``exec_us`` (tasks absent
     from the trace are expected at 0); ``core_busy_us`` maps core id ->
-    accounted ``busy_us``.  A truncated trace cannot be re-summed --
+    accounted ``busy_us``.  With neither there is nothing to compare
+    and nothing is summed.  A truncated trace cannot be re-summed --
     callers should gate on :func:`check_truncation` first (this
     function skips silently, the truncation finding carries the story).
     """
     out = _Collector(context)
-    if trace.truncated:
+    if trace.truncated or (task_exec_us is None and core_busy_us is None):
         return out.findings
     names = task_names or {}
-    traced_exec: dict[int, int] = {}
-    traced_busy: dict[int, int] = {}
-    for s in trace.segments:
-        traced_exec[s.tid] = traced_exec.get(s.tid, 0) + s.duration
-        traced_busy[s.core] = traced_busy.get(s.core, 0) + s.duration
+    durations = list(map(sub, trace._s_end, trace._s_start))
     if task_exec_us is not None:
+        traced_exec = _summed_by(trace._s_tid, durations)
         for tid in sorted(set(traced_exec) | set(task_exec_us)):
             got = traced_exec.get(tid, 0)
             want = task_exec_us.get(tid)
@@ -281,6 +308,7 @@ def check_conservation(
                     f"(drift {got - want:+d}us)",
                 )
     if core_busy_us is not None:
+        traced_busy = _summed_by(trace._s_core, durations)
         for cid in sorted(set(traced_busy) | set(core_busy_us)):
             got = traced_busy.get(cid, 0)
             want = core_busy_us.get(cid, 0)
@@ -368,6 +396,8 @@ def check_pull_policy(
     the domain-fence check (SAN006) is skipped.
     """
     out = _Collector(context)
+    if not policies:
+        return out.findings  # no balancer can be held to a window
     never = -(10**12)
     # per-policy involvement times, keyed by policy index
     involved: list[dict[int, int]] = [dict() for _ in policies]

@@ -291,10 +291,12 @@ def _sanitize_stored(args: argparse.Namespace) -> int:
 
     Analyzes traces archived by ``repro submit --trace`` instead of
     re-running scenarios; an empty digest list means every traced
-    entry in the store.
+    entry in the store.  An entry that fails the store's integrity
+    checks gets one line on stderr and the rest are still analyzed;
+    either a damaged entry or a finding exits 1.
     """
     from repro.analysis.sanitizer import sanitize_stored
-    from repro.store import ResultStore
+    from repro.store import ResultStore, StoreError
 
     store = ResultStore(args.store)
     if args.stored:
@@ -307,8 +309,14 @@ def _sanitize_stored(args: argparse.Namespace) -> int:
             return 2
 
     findings = []
+    damaged = 0
     for digest in digests:
-        found = sanitize_stored(store, digest)
+        try:
+            found = sanitize_stored(store, digest)
+        except StoreError as exc:
+            damaged += 1
+            print(f"{digest[:12]}: {exc}", file=sys.stderr)
+            continue
         findings.extend(found)
         if not args.json:
             print(f"{digest[:12]}: {len(found)} finding(s)")
@@ -318,9 +326,10 @@ def _sanitize_stored(args: argparse.Namespace) -> int:
         for f in findings:
             print(f.format())
         n = len(findings)
-        print(f"sanitize: {'ok' if not n else f'{n} finding(s)'} "
-              f"({len(digests)} stored trace(s) in {args.store})")
-    return 1 if findings else 0
+        print(f"sanitize: {'ok' if not (n or damaged) else f'{n} finding(s)'} "
+              f"({len(digests)} stored trace(s) in {args.store}"
+              f"{f', {damaged} damaged' if damaged else ''})")
+    return 1 if findings or damaged else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

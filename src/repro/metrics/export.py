@@ -20,7 +20,7 @@ import json
 from typing import Iterable, Union
 
 from repro.metrics.results import AppRunResult, RepeatedResult
-from repro.metrics.trace import MigrationEvent, Segment, TraceRecorder
+from repro.metrics.trace import TraceRecorder
 
 __all__ = [
     "result_to_dict",
@@ -120,40 +120,32 @@ def results_from_json(text: str) -> list[Union[AppRunResult, RepeatedResult]]:
 
 
 def trace_to_dict(trace: TraceRecorder) -> dict:
-    """Serialize a complete recorded history, truncation counters included."""
+    """Serialize a complete recorded history, truncation counters included.
+
+    The rows are zipped from the recorder's columns; no
+    :class:`~repro.metrics.trace.Segment` is built.
+    """
     return {
         "limit": trace.limit,
         "dropped": trace.dropped,
         "migrations_dropped": trace.migrations_dropped,
-        "segments": [
-            [s.tid, s.task_name, s.core, s.start, s.end, s.kind]
-            for s in trace.segments
-        ],
-        "migrations": [
-            [m.time, m.tid, m.task_name, m.src, m.dst, int(m.forced), m.reason]
-            for m in trace.migrations
-        ],
+        "segments": list(map(list, trace.iter_segment_tuples())),
+        "migrations": list(map(list, trace.iter_migration_tuples())),
     }
 
 
 def trace_from_dict(d: dict) -> TraceRecorder:
     """Rebuild a :class:`TraceRecorder` from its :func:`trace_to_dict` form.
 
-    Records are restored verbatim (bypassing the recorder's own cap
-    logic) so the loaded trace -- including ``dropped`` counters and
-    therefore :attr:`~repro.metrics.trace.TraceRecorder.truncated` --
-    is indistinguishable from the live one:
+    Records are restored verbatim, column by column (bypassing the
+    recorder's own cap logic), so the loaded trace -- including
+    ``dropped`` counters and therefore
+    :attr:`~repro.metrics.trace.TraceRecorder.truncated` -- is
+    indistinguishable from the live one:
     :func:`repro.analysis.sanitizer.trace_digest` of the two is equal.
     """
     trace = TraceRecorder(limit=d["limit"])
-    trace.segments = [
-        Segment(tid, name, core, start, end, kind)
-        for tid, name, core, start, end, kind in d["segments"]
-    ]
-    trace.migrations = [
-        MigrationEvent(time, tid, name, src, dst, bool(forced), reason)
-        for time, tid, name, src, dst, forced, reason in d["migrations"]
-    ]
+    trace.load_rows(d["segments"], d["migrations"])
     trace.dropped = d["dropped"]
     trace.migrations_dropped = d["migrations_dropped"]
     return trace
@@ -164,6 +156,5 @@ def trace_to_csv(trace: TraceRecorder) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["tid", "task", "core", "start_us", "end_us", "kind"])
-    for s in trace.segments:
-        writer.writerow([s.tid, s.task_name, s.core, s.start, s.end, s.kind])
+    writer.writerows(trace.iter_segment_tuples())
     return buf.getvalue()

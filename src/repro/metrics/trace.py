@@ -24,8 +24,10 @@ hot path -- one :meth:`TraceRecorder.record` per charged interval --
 appends six scalars and allocates nothing; :class:`Segment` /
 :class:`MigrationEvent` dataclasses are materialized lazily when the
 ``segments`` / ``migrations`` sequence views are indexed.  The
-analysis helpers in this module and the sanitizer's digest read the
-columns directly.
+analysis helpers in this module, the archive round trip
+(:func:`~repro.metrics.export.trace_to_dict` /
+:func:`~repro.metrics.export.trace_from_dict`) and the sanitizer's
+checks and digest read the columns directly.
 
 Bounds
 ------
@@ -46,7 +48,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 __all__ = [
     "Segment",
@@ -199,9 +201,10 @@ class TraceRecorder:
     module refuse to treat it as a complete history.
 
     Storage is columnar (see the module docstring): ``segments`` and
-    ``migrations`` are lazy sequence views over parallel arrays.
-    Assigning a list to either (as the export round-trip loaders do)
-    reloads the columns from it.
+    ``migrations`` are lazy sequence views over parallel arrays.  The
+    archive form (:func:`repro.metrics.export.trace_to_dict`) is read
+    with :meth:`iter_segment_tuples` / :meth:`iter_migration_tuples`
+    and written back with :meth:`load_rows`, column by column.
     """
 
     def __init__(self, limit: int = 2_000_000, migration_limit: Optional[int] = None):
@@ -288,71 +291,64 @@ class TraceRecorder:
         """Sequence view materializing :class:`Segment` lazily."""
         return _SegmentsView(self)
 
-    @segments.setter
-    def segments(self, value: Iterable[Segment]) -> None:
-        """Reload the segment columns (export round-trip loaders)."""
-        for col in (
-            self._s_tid, self._s_name, self._s_core,
-            self._s_start, self._s_end, self._s_kind,
-        ):
-            del col[:]
-        self._span_lo = self._span_hi = 0
-        for s in value:
-            n = len(self._s_tid)
-            self._s_tid.append(s.tid)
-            self._s_name.append(self._intern(s.task_name))
-            self._s_core.append(s.core)
-            self._s_start.append(s.start)
-            self._s_end.append(s.end)
-            self._s_kind.append(self._intern(s.kind))
-            if n == 0 or s.start < self._span_lo:
-                self._span_lo = s.start
-            if s.end > self._span_hi:
-                self._span_hi = s.end
-
     @property
     def migrations(self) -> _MigrationsView:
         """Sequence view materializing :class:`MigrationEvent` lazily."""
         return _MigrationsView(self)
 
-    @migrations.setter
-    def migrations(self, value: Iterable[MigrationEvent]) -> None:
-        """Reload the migration columns (export round-trip loaders)."""
-        for col in (
-            self._m_time, self._m_tid, self._m_name,
-            self._m_src, self._m_dst, self._m_forced, self._m_reason,
-        ):
-            del col[:]
-        for m in value:
-            self._m_time.append(m.time)
-            self._m_tid.append(m.tid)
-            self._m_name.append(self._intern(m.task_name))
-            self._m_src.append(-1 if m.src is None else m.src)
-            self._m_dst.append(m.dst)
-            self._m_forced.append(1 if m.forced else 0)
-            self._m_reason.append(self._intern(m.reason))
-
     def iter_segment_tuples(self) -> Iterator[tuple[int, str, int, int, int, str]]:
-        """Yield ``(tid, name, core, start, end, kind)`` without
-        materializing :class:`Segment` objects (column readers)."""
-        strings = self._strings
-        for tid, nid, core, start, end, kid in zip(
-            self._s_tid, self._s_name, self._s_core,
-            self._s_start, self._s_end, self._s_kind,
-        ):
-            yield tid, strings[nid], core, start, end, strings[kid]
+        """``(tid, name, core, start, end, kind)`` per segment, zipped
+        from the columns without materializing :class:`Segment`
+        objects (the archive's rows, the digest's records)."""
+        name = self._strings.__getitem__
+        return zip(
+            self._s_tid, map(name, self._s_name), self._s_core,
+            self._s_start, self._s_end, map(name, self._s_kind),
+        )
 
     def iter_migration_tuples(
         self,
-    ) -> Iterator[tuple[int, int, str, Optional[int], int, bool, str]]:
-        """Yield ``(time, tid, name, src, dst, forced, reason)`` without
-        materializing :class:`MigrationEvent` objects."""
-        strings = self._strings
-        for time, tid, nid, src, dst, forced, rid in zip(
-            self._m_time, self._m_tid, self._m_name,
-            self._m_src, self._m_dst, self._m_forced, self._m_reason,
-        ):
-            yield time, tid, strings[nid], (None if src < 0 else src), dst, bool(forced), strings[rid]
+    ) -> Iterator[tuple[int, int, str, Optional[int], int, int, str]]:
+        """``(time, tid, name, src, dst, forced, reason)`` per migration
+        (``src`` None for a first placement, ``forced`` 0 or 1), zipped
+        from the columns without materializing :class:`MigrationEvent`
+        objects."""
+        name = self._strings.__getitem__
+        return zip(
+            self._m_time, self._m_tid, map(name, self._m_name),
+            [None if src < 0 else src for src in self._m_src],
+            self._m_dst, self._m_forced, map(name, self._m_reason),
+        )
+
+    def load_rows(
+        self, segments: Sequence[Sequence], migrations: Sequence[Sequence]
+    ) -> None:
+        """Replace every record with rows in :meth:`iter_segment_tuples`
+        / :meth:`iter_migration_tuples` form (the archive's), verbatim:
+        the caps are not applied and the drop counters are left alone.
+        Each column is filled in one pass; a row of the wrong width
+        raises ``ValueError``."""
+        intern = self._intern
+        tid, name, core, start, end, kind = _columns(segments, 6, "segment")
+        self._s_tid = array("q", tid)
+        self._s_name = array("i", map(intern, name))
+        self._s_core = array("i", core)
+        self._s_start = array("q", start)
+        self._s_end = array("q", end)
+        self._s_kind = array("i", map(intern, kind))
+        if self._s_tid:
+            self._span_lo = min(self._s_start)
+            self._span_hi = max(0, max(self._s_end))
+        else:
+            self._span_lo = self._span_hi = 0
+        time, tid, name, src, dst, forced, reason = _columns(migrations, 7, "migration")
+        self._m_time = array("q", time)
+        self._m_tid = array("q", tid)
+        self._m_name = array("i", map(intern, name))
+        self._m_src = array("i", [-1 if s is None else s for s in src])
+        self._m_dst = array("i", dst)
+        self._m_forced = array("b", [1 if f else 0 for f in forced])
+        self._m_reason = array("i", map(intern, reason))
 
     # ------------------------------------------------------------------
     @property
@@ -366,6 +362,16 @@ class TraceRecorder:
         if not self._s_tid:
             return (0, 0)
         return (self._span_lo, self._span_hi)
+
+
+def _columns(rows: Sequence[Sequence], width: int, what: str) -> list[tuple]:
+    """Transpose equal-width rows into ``width`` column tuples."""
+    if not rows:
+        return [()] * width
+    cols = list(zip(*rows, strict=True))
+    if len(cols) != width:
+        raise ValueError(f"a {what} row has {len(cols)} fields, not {width}")
+    return cols
 
 
 def _require_complete(trace: TraceRecorder, allow_truncated: bool, what: str) -> None:

@@ -24,14 +24,14 @@ Three small vocabularies live here, shared by the daemon
 from __future__ import annotations
 
 import dataclasses
-import importlib
+import enum
 import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.harness.parallel import RunSpec
-from repro.store.keys import spec_key
+from repro.store.keys import resolve_ref, spec_key
 
 __all__ = [
     "MAX_BODY_BYTES",
@@ -77,22 +77,24 @@ def spec_to_wire(spec: RunSpec) -> dict:
 
 
 def _resolve_ref(ref: str, what: str) -> Any:
-    """Resolve ``"module:qualname"`` from a wire tree, repro-only."""
+    """Resolve ``"module:qualname"`` from a wire tree, repro-only.
+
+    :func:`~repro.store.keys.resolve_ref` accepts only an object whose
+    own name is ``ref``, so the walk cannot leave ``repro`` through a
+    module attribute such as ``repro.store.store:os.getpid``.
+    """
     if not isinstance(ref, str) or ":" not in ref:
         raise ProtocolError(f"malformed {what} reference {ref!r}")
-    mod, _, qual = ref.partition(":")
+    mod = ref.partition(":")[0]
     if mod != "repro" and not mod.startswith("repro."):
         raise ProtocolError(
             f"{what} reference {ref!r} is outside the repro package; "
             "wire specs may only name repro.* code"
         )
     try:
-        obj: Any = importlib.import_module(mod)
-        for part in qual.split("."):
-            obj = getattr(obj, part)
-    except (ImportError, AttributeError) as exc:
-        raise ProtocolError(f"cannot resolve {what} {ref!r} ({exc})") from None
-    return obj
+        return resolve_ref(ref)
+    except LookupError as exc:
+        raise ProtocolError(f"cannot resolve {what}: {exc}") from None
 
 
 def value_from_wire(tree: Any) -> Any:
@@ -108,6 +110,8 @@ def value_from_wire(tree: Any) -> Any:
                 raise ProtocolError(f"malformed enum reference {ref!r}")
             type_ref, _, member = ref.rpartition(".")
             enum_type = _resolve_ref(type_ref, "enum")
+            if not (isinstance(enum_type, type) and issubclass(enum_type, enum.Enum)):
+                raise ProtocolError(f"{type_ref!r} is not an enum")
             try:
                 return enum_type[member]
             except KeyError:

@@ -55,6 +55,7 @@ __all__ = [
     "canonical_value",
     "digest_of",
     "function_ref",
+    "resolve_ref",
     "spec_digest",
     "spec_key",
     "sweep_cell_key",
@@ -73,6 +74,34 @@ class UnstorableSpecError(ValueError):
     """
 
 
+def resolve_ref(ref: str) -> Any:
+    """The module-level class or function ``"module:qualname"`` names.
+
+    The object found must carry that name itself (its own
+    ``__module__`` and ``__qualname__``), which is the form
+    :func:`function_ref` and type references write.  So a path through
+    another module's attribute (``repro.store.store:os.getpid``) or to
+    a plain value names nothing.  Raises ``LookupError`` when ``ref``
+    does not name such an object.
+    """
+    mod, sep, qual = ref.partition(":")
+    if not (mod and sep and qual):
+        raise LookupError(f"malformed reference {ref!r}")
+    try:
+        obj: Any = importlib.import_module(mod)
+        for part in qual.split("."):
+            obj = getattr(obj, part)
+    except (ImportError, AttributeError, ValueError, TypeError) as exc:
+        # TypeError: a relative module name such as ".x"
+        raise LookupError(f"cannot resolve {ref!r} ({exc})") from None
+    own = f"{getattr(obj, '__module__', None)}:{getattr(obj, '__qualname__', None)}"
+    if own != ref:
+        raise LookupError(
+            f"{ref!r} reaches {own!r}, not an object defined under that name"
+        )
+    return obj
+
+
 def function_ref(fn: Any) -> str:
     """``"module:qualname"`` for a module-level callable.
 
@@ -87,21 +116,19 @@ def function_ref(fn: Any) -> str:
             "have no stable identity to key a store entry by -- use a "
             "module-level function, an AppSpec or a plain dataclass"
         )
+    ref = f"{mod}:{qual}"
     try:
-        obj: Any = importlib.import_module(mod)
-        for part in qual.split("."):
-            obj = getattr(obj, part)
-    except (ImportError, AttributeError) as exc:
+        obj = resolve_ref(ref)
+    except LookupError as exc:
         raise UnstorableSpecError(
-            f"cannot resolve {mod}:{qual} back to an object ({exc}); "
-            "store keys must reference importable code"
+            f"{exc}; store keys must reference importable code"
         ) from None
     if obj is not fn:
         raise UnstorableSpecError(
-            f"{mod}:{qual} resolves to a different object than {fn!r}; "
+            f"{ref} resolves to a different object than {fn!r}; "
             "store keys must reference importable module-level code"
         )
-    return f"{mod}:{qual}"
+    return ref
 
 
 def _type_ref(tp: type) -> str:

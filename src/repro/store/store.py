@@ -7,6 +7,7 @@ Layout (under the store root, ``.repro-store/`` by default)::
     tmp/                        -- staging area of writes in progress
     objects/<2-char shard>/<digest>/
         entry.json              -- spec key, result/value, integrity digest
+                                   (one line of canonical JSON)
         trace.json.gz           -- optional gzipped full trace
 
 Every entry is keyed by the SHA-256 digest of the canonical form of
@@ -16,9 +17,11 @@ cell resolves to the same object without executing anything.
 
 Integrity
 ---------
-``entry.json`` carries an ``integrity`` field: the SHA-256 of the
-entry's canonical JSON *without* that field.  Every read recomputes it
--- plus, for runs, the result digest (the PR 3
+``entry.json`` is the entry's canonical JSON and carries an
+``integrity`` field: the SHA-256 of the canonical JSON of the parsed
+entry *without* that field, so an entry an older build wrote indented
+verifies the same.  Every read recomputes it -- plus, for runs, the
+result digest (the PR 3
 :func:`~repro.analysis.sanitizer.run_digest` over the parsed result)
 and, for traces, the SHA-256 of the decompressed bytes -- and raises
 :class:`StoreIntegrityError` on any mismatch.  A flipped bit on disk
@@ -100,6 +103,9 @@ DEFAULT_ROOT = ".repro-store"
 _ROW_FIELDS = ("seq", "digest", "kind", "has_trace", "balancer", "seed", "app")
 #: first read size when looking for the log's header or last line
 _BLOCK = 4096
+#: gzip level of ``trace.json.gz``: on the figure-audit grid's traces
+#: level 9 took about four times as long for no smaller archive
+_TRACE_GZIP_LEVEL = 6
 
 #: (next seq, log row by digest), rows in seq order
 _Index = tuple[int, dict[str, list]]
@@ -485,7 +491,7 @@ class ResultStore:
         if trace is not None:
             raw = canonical_json(trace_to_dict(trace)).encode()
             doc["trace_sha256"] = _sha256(raw)
-            trace_blob = gzip.compress(raw, mtime=0)
+            trace_blob = gzip.compress(raw, compresslevel=_TRACE_GZIP_LEVEL, mtime=0)
         else:
             doc["trace_sha256"] = None
 
@@ -500,9 +506,7 @@ class ResultStore:
 
                 stage = self.root / "tmp" / f"{digest}.{os.getpid()}"
                 stage.mkdir(parents=True, exist_ok=True)
-                (stage / "entry.json").write_text(
-                    json.dumps(doc, indent=2, sort_keys=True) + "\n"
-                )
+                (stage / "entry.json").write_text(canonical_json(doc))
                 if trace_blob is not None:
                     (stage / "trace.json.gz").write_bytes(trace_blob)
 

@@ -147,6 +147,32 @@ class TestStoreCommands:
         assert rc == 0
         assert "sanitize: ok" in out and "1 stored trace" in out
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_sanitize_stored_goes_past_a_damaged_trace(self, tmp_path, capsys, as_json):
+        from repro.store import ResultStore
+
+        store = str(tmp_path / "s")
+        rc, out = run_cli([*self.SUBMIT[:-1], "speed", "load", "--store", store,
+                           "--trace", "--json"])
+        assert rc == 0
+        damaged, clean = (job["digest"] for job in json.loads(out))
+        path = ResultStore(store)._object_dir(damaged) / "trace.json.gz"
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+
+        rc, out = run_cli(["sanitize", "--store", store, "--stored",
+                           *(["--json"] if as_json else [])])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{damaged[:12]}: ")
+        if as_json:
+            assert json.loads(out) == []
+        else:
+            assert f"{clean[:12]}: 0 finding(s)" in out
+            assert "1 damaged" in out
+
     def test_sanitize_stored_without_traces_errors(self, tmp_path, capsys):
         store = str(tmp_path / "s")
         self._submit(store)  # no --trace

@@ -11,6 +11,8 @@ SAN008 on injected divergent digests).
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.differential import (
     compare_digests,
@@ -22,17 +24,21 @@ from repro.analysis.sanitizer import (
     MAX_FINDINGS_PER_RULE,
     SAN_RULES,
     PullPolicy,
+    _cite_segment,
+    _Collector,
     analyze_trace,
     check_conservation,
     check_overlaps,
     check_pull_policy,
     check_truncation,
     run_digest,
+    sanitize_stored,
     sanitize_system,
     trace_digest,
 )
 from repro.harness.scenarios import scenario_smokes
-from repro.metrics.trace import TraceRecorder
+from repro.metrics.trace import TraceRecorder, _MigrationsView, _SegmentsView
+from tests.test_export_roundtrip import recorders
 from repro.sim.backends import backend_available, backend_names
 from repro.topology import presets
 from repro.topology.machine import DomainLevel
@@ -197,6 +203,144 @@ class TestFaultInjection:
 
     def test_every_rule_has_catalogue_entry(self):
         assert sorted(SAN_RULES) == [f"SAN00{i}" for i in range(1, 9)]
+
+
+# ----------------------------------------------------------------------
+# columnar checks == the per-Segment reference
+# ----------------------------------------------------------------------
+def _reference_pairs(segments):
+    """The per-Segment overlap sweep the columnar SAN001/002 replaced."""
+    ordered = sorted(segments, key=lambda s: (s.start, s.end))
+    reach = None
+    for s in ordered:
+        if reach is not None and s.start < reach.end:
+            yield reach, s
+        if reach is None or s.end > reach.end:
+            reach = s
+
+
+def reference_overlaps(trace, context=""):
+    out = _Collector(context)
+    by_tid, by_core = {}, {}
+    for s in trace.segments:
+        by_tid.setdefault(s.tid, []).append(s)
+        by_core.setdefault(s.core, []).append(s)
+    for tid in sorted(by_tid):
+        for a, b in _reference_pairs(by_tid[tid]):
+            if a.core == b.core:
+                continue
+            out.emit(
+                "SAN001",
+                f"task {tid} ({b.task_name}) charged on cores {a.core} and "
+                f"{b.core} in overlapping intervals "
+                f"[{a.start},{a.end}) and [{b.start},{b.end})",
+                [_cite_segment(a), _cite_segment(b)],
+            )
+    for core in sorted(by_core):
+        for a, b in _reference_pairs(by_core[core]):
+            out.emit(
+                "SAN002",
+                f"core {core} charged twice over [{b.start},{min(a.end, b.end)}): "
+                f"tasks {a.tid} ({a.task_name}) and {b.tid} ({b.task_name})",
+                [_cite_segment(a), _cite_segment(b)],
+            )
+    return out.findings
+
+
+def reference_conservation(trace, task_exec_us=None, core_busy_us=None,
+                           task_names=None, context=""):
+    """The per-Segment SAN003/004 sums the columnar ones replaced."""
+    out = _Collector(context)
+    if trace.truncated:
+        return out.findings
+    names = task_names or {}
+    traced_exec, traced_busy = {}, {}
+    for s in trace.segments:
+        traced_exec[s.tid] = traced_exec.get(s.tid, 0) + s.duration
+        traced_busy[s.core] = traced_busy.get(s.core, 0) + s.duration
+    if task_exec_us is not None:
+        for tid in sorted(set(traced_exec) | set(task_exec_us)):
+            got = traced_exec.get(tid, 0)
+            want = task_exec_us.get(tid)
+            if want is None:
+                out.emit("SAN003", f"trace charges {got}us to task {tid} "
+                         f"({names.get(tid, '?')}) which the accounting does not know")
+            elif got != want:
+                out.emit("SAN003", f"task {tid} ({names.get(tid, '?')}): trace "
+                         f"segments sum to t_exec={got}us but the accounting says "
+                         f"{want}us (drift {got - want:+d}us)")
+    if core_busy_us is not None:
+        for cid in sorted(set(traced_busy) | set(core_busy_us)):
+            got = traced_busy.get(cid, 0)
+            want = core_busy_us.get(cid, 0)
+            if got != want:
+                out.emit("SAN004", f"core {cid}: trace segments sum to busy={got}us "
+                         f"but the accounting says {want}us (drift {got - want:+d}us)")
+    return out.findings
+
+
+@st.composite
+def accounting(draw, trace):
+    """Per-task and per-core accounting near the trace's own sums: some
+    entries exact, some drifted, some missing, some unknown to the trace."""
+    def near(sums, extra_key):
+        if draw(st.booleans()):
+            return None
+        out = {}
+        for key, total in sorted(sums.items()):
+            if draw(st.integers(0, 4)):
+                out[key] = total + draw(st.sampled_from([0, 0, 0, 1, -7]))
+        if draw(st.booleans()):
+            out[extra_key] = draw(st.integers(0, 50))
+        return out
+
+    exec_sums, busy_sums = {}, {}
+    for s in trace.segments:
+        exec_sums[s.tid] = exec_sums.get(s.tid, 0) + s.duration
+        busy_sums[s.core] = busy_sums.get(s.core, 0) + s.duration
+    names = {tid: f"task{tid}" for tid in exec_sums if draw(st.booleans())}
+    return near(exec_sums, 99), near(busy_sums, 9), names
+
+
+class TestColumnarChecksMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(trace=recorders())
+    def test_overlaps(self, trace):
+        assert check_overlaps(trace, "ctx") == reference_overlaps(trace, "ctx")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), trace=recorders())
+    def test_conservation(self, data, trace):
+        task_exec, core_busy, names = data.draw(accounting(trace))
+        assert check_conservation(
+            trace, task_exec, core_busy, names, "ctx"
+        ) == reference_conservation(trace, task_exec, core_busy, names, "ctx")
+
+    def test_overlap_cap_and_citations_match(self):
+        # dense overlaps past the per-rule cap, on one core and across
+        # cores, with ties in (start, end) resolved in recorded order
+        trace = TraceRecorder()
+        for i in range(3 * MAX_FINDINGS_PER_RULE):
+            trace.record(i % 5, f"t{i % 5}", i % 3, i % 4, 10 + i % 7, "run")
+        found = check_overlaps(trace)
+        assert found == reference_overlaps(trace)
+        assert {f.code for f in found} == {"SAN001", "SAN002"}
+
+    def test_sanitize_stored_builds_no_record_object(self, tmp_path, monkeypatch):
+        from repro.store import ResultStore
+        from tests.test_store import _spec, _traced
+
+        store = ResultStore(tmp_path / "s")
+        spec = _spec()
+        result, trace = _traced(spec)
+        digest = store.put(spec, result, trace=trace)
+
+        def refuse(self, i):
+            raise AssertionError("a clean stored trace built a record object")
+
+        monkeypatch.setattr(_SegmentsView, "_materialize", refuse)
+        monkeypatch.setattr(_MigrationsView, "_materialize", refuse)
+        assert sanitize_stored(store, digest) == []
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.serve.protocol import (
     sse_event,
     value_from_wire,
 )
-from repro.store.keys import digest_of, spec_digest
+from repro.store.keys import canonical_value, digest_of, spec_digest
 
 
 def _spec(seed=0, balancer="speed", **params):
@@ -106,6 +106,47 @@ class TestSpecCodec:
         wire["app"] = {"__function__": "os:system"}
         with pytest.raises(ProtocolError, match="outside the repro package"):
             spec_from_wire(wire)
+
+    #: repro.* references whose qualname walk leaves repro, or reaches
+    #: something that is not a class or function defined under that name
+    ESCAPES = [
+        "repro.store.store:os.getpid",
+        "repro.serve.protocol:json.loads",
+        "repro.analysis.sanitizer:SAN_RULES",
+    ]
+
+    @pytest.mark.parametrize("ref", ESCAPES)
+    @pytest.mark.parametrize("field", ["machine", "app"])
+    def test_rejects_references_that_leave_their_module(self, ref, field):
+        wire = spec_to_wire(_spec())
+        wire[field] = {"__function__": ref}
+        with pytest.raises(ProtocolError, match="not an object defined under"):
+            spec_from_wire(wire)
+
+    def test_value_from_wire_rejects_a_module_attribute_walk(self):
+        with pytest.raises(ProtocolError):
+            value_from_wire({"__function__": "repro.store.store:os.getpid"})
+        with pytest.raises(ProtocolError):
+            value_from_wire({"__dataclass__": "repro.store.store:os.stat_result"})
+        # a plain dict behind an enum reference is neither an enum nor code
+        with pytest.raises(ProtocolError):
+            value_from_wire({"__enum__": "repro.analysis.sanitizer:SAN_RULES.SAN001"})
+        # nor is a class that is not an enum
+        with pytest.raises(ProtocolError, match="not an enum"):
+            value_from_wire({"__enum__": "repro.apps.workloads:AppSpec.bench"})
+
+    def test_every_reference_the_store_writes_still_decodes(self):
+        from repro.core.speed_balancer import SpeedBalancerConfig
+        from repro.harness.scenarios import CorunnerSpec
+        from repro.sched.task import WaitMode
+        from repro.topology import presets
+        from repro.topology.machine import DomainLevel
+
+        values = [presets.tigerton, WaitMode.YIELD, DomainLevel.NUMA,
+                  SpeedBalancerConfig(), CorunnerSpec("cpu-hog", core=0)]
+        for value in values:
+            wire = json.loads(json.dumps(canonical_value(value)))
+            assert value_from_wire(wire) == value
 
     def test_rejects_wrong_kind_and_missing_fields(self):
         with pytest.raises(ProtocolError, match="kind"):

@@ -472,6 +472,19 @@ class TestMalformedRequests:
         finally:
             bg.drain()
 
+    def test_reference_leaving_repro_gets_400(self, tmp_path, counting):
+        bg = _boot(tmp_path, workers=1)
+        try:
+            for field in ("machine", "app"):
+                wire = dict(spec_to_wire(_spec()),
+                            **{field: {"__function__": "repro.store.store:os.getpid"}})
+                body = json.dumps({"specs": [wire]}).encode()
+                assert _post_status(bg.base_url, body) == 400
+            assert ServeClient(bg.base_url).metrics()["admitted"] == 0
+        finally:
+            bg.drain()
+        assert ran(counting) == []
+
     def test_generated_malformed_bodies_get_4xx(self, tmp_path):
         bg = _boot(tmp_path, workers=1)
         try:

@@ -1,6 +1,7 @@
 """Tests for the content-addressed experiment store (repro.store)."""
 
 import gzip
+import hashlib
 import json
 import multiprocessing
 import os
@@ -15,6 +16,7 @@ from repro.analysis.sanitizer import run_digest
 from repro.apps.workloads import AppSpec
 from repro.core.speed_balancer import SpeedBalancerConfig
 from repro.harness.parallel import RunSpec, run_spec
+from repro.metrics.export import trace_to_dict
 from repro.store import (
     STORE_SCHEMA,
     ResultStore,
@@ -181,6 +183,43 @@ class TestStoreRoundTrip:
         assert loaded.segments == trace.segments
         assert loaded.migrations == trace.migrations
         assert loaded.limit == trace.limit
+
+    def test_entry_file_is_canonical_json(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        spec = _spec()
+        result, trace = _traced(spec)
+        digest = store.put(spec, result, trace=trace)
+        raw = (store._object_dir(digest) / "entry.json").read_text()
+        assert raw == canonical_json(json.loads(raw))
+
+    def test_indented_entry_from_an_older_build_still_verifies(self, tmp_path):
+        # the integrity digest covers the parsed document, so the
+        # indented layout older builds wrote reads and verifies the same
+        store = ResultStore(tmp_path / "s")
+        spec = _spec()
+        result, trace = _traced(spec)
+        digest = store.put(spec, result, trace=trace)
+        path = store._object_dir(digest) / "entry.json"
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2,
+                                   sort_keys=True) + "\n")
+        entry = store.get(digest)
+        assert run_digest(entry.result) == run_digest(result)
+        assert store.load_trace(digest).segments == trace.segments
+        assert store.verify() == []
+
+    def test_trace_archive_bytes_are_the_canonical_rows(self, tmp_path):
+        # trace_sha256 is over the uncompressed canonical JSON, so the
+        # gzip level does not change what an entry records
+        store = ResultStore(tmp_path / "s")
+        spec = _spec()
+        result, trace = _traced(spec)
+        digest = store.put(spec, result, trace=trace)
+        raw = gzip.decompress(
+            (store._object_dir(digest) / "trace.json.gz").read_bytes()
+        )
+        assert raw == canonical_json(trace_to_dict(trace)).encode()
+        doc = json.loads((store._object_dir(digest) / "entry.json").read_text())
+        assert doc["trace_sha256"] == hashlib.sha256(raw).hexdigest()
 
     def test_value_kind_roundtrip(self, tmp_path):
         store = ResultStore(tmp_path / "s")
