@@ -2,12 +2,12 @@
 
 ``--engine native`` runs the drain loop and the CFS dispatch chain in C
 (``repro/sim/backends/_native/engine_core.c``).  The C twin reads and
-writes the hot objects' instance dicts directly and recognises the
-core-event callback by function identity, so it stays bit-identical to
-the reference chain only while the kernel zone (``repro.sim.*``,
-``repro.sched.*``, ``repro.balance.*``, ``repro.mem.*``) keeps the three
-properties below.  Each rule's check method names the C code it
-protects.
+writes the hot objects' ``__slots__`` fields at fixed offsets and
+recognises the core-event callback by function identity, so it stays
+bit-identical to the reference chain only while the kernel zone
+(``repro.sim.*``, ``repro.sched.*``, ``repro.balance.*``,
+``repro.mem.*``) keeps the three properties below.  Each rule's check
+method names the C code it protects.
 
 ======== =============================================================
 KERN002  An attribute of a kernel class assigned incompatible types
@@ -65,7 +65,7 @@ _FORBIDDEN_CALLS = frozenset(
     {"eval", "exec", "locals", "globals", "vars", "compile", "__import__"}
 )
 
-#: attribute hooks the native engine's direct dict access bypasses (KERN006)
+#: attribute hooks the native engine's direct slot access bypasses (KERN006)
 _DYNAMIC_HOOKS = frozenset(
     {"__getattr__", "__getattribute__", "__setattr__", "__delattr__"}
 )
@@ -442,9 +442,9 @@ class KernelAnalysis:
     def _report_kern002(self) -> None:
         """KERN002: one type per kernel attribute (``None`` allowed).
 
-        ``dget_ll``/``dget_dbl`` in ``engine_core.c`` read an attribute
+        ``sget_ll``/``sget_dbl`` in ``engine_core.c`` read a slot
         through ``PyLong_AsLongLong``/``PyFloat_AsDouble``, and
-        ``dset_ll``/``dset_dbl`` write it back as a fixed C type.  An
+        ``sset_ll``/``sset_dbl`` write it back as a fixed C type.  An
         attribute that holds an int on one path and a float on another
         is rejected (``TypeError``) or silently re-typed by the C twin,
         so heap and native runs would diverge.  Type sites merge across
@@ -481,16 +481,16 @@ class KernelAnalysis:
     # KERN006: no dynamic attribute machinery in kernel modules
     # ------------------------------------------------------------------
     def _report_kern006(self) -> None:
-        """KERN006: kernel objects are plain ``type`` instances with a plain dict.
+        """KERN006: kernel objects are plain ``type`` instances with plain slots.
 
-        ``dset`` in ``engine_core.c`` writes straight into the instance
-        ``__dict__``, bypassing ``__setattr__``/``__delattr__``, and
-        ``dget`` reads the dict before falling back to ``getattr``,
-        bypassing ``__getattribute__``.  A kernel class defining one of
-        those hooks (or a metaclass supplying them) would behave
-        differently under the native engine; ``eval``/``exec``/frame
-        introspection can rebind the state the C twin reads where no
-        other rule can see it.
+        ``sset`` in ``engine_core.c`` stores straight into a slot at
+        its resolved offset, bypassing ``__setattr__``/``__delattr__``,
+        and ``sget`` loads it the same way, bypassing
+        ``__getattribute__``.  A kernel class defining one of those
+        hooks (or a metaclass supplying them) would behave differently
+        under the native engine; ``eval``/``exec``/frame introspection
+        can rebind the state the C twin reads where no other rule can
+        see it.
         """
         for module in sorted(self.program.modules, key=lambda m: m.name):
             if not kernel_module(module.name):
@@ -517,7 +517,7 @@ class KernelAnalysis:
                                 "KERN006",
                                 f"kernel class {node.name} uses a metaclass; "
                                 "the native engine assumes plain `type` "
-                                "instances with a plain __dict__",
+                                "instances with fields at fixed slot offsets",
                             )
                     for item in node.body:
                         if (
@@ -531,7 +531,7 @@ class KernelAnalysis:
                                 "KERN006",
                                 f"kernel class {node.name} defines "
                                 f"{item.name}; the native engine reads and "
-                                "writes instance dicts directly, bypassing "
+                                "writes slots at fixed offsets, bypassing "
                                 "attribute hooks",
                             )
 

@@ -551,17 +551,18 @@ def sanitize_stored(
 
     Raises ``ValueError`` when the digest is absent or was stored
     without a trace; store-level corruption surfaces as the store's own
-    ``StoreIntegrityError``.
+    ``StoreIntegrityError``.  The entry is read and verified once
+    (:meth:`~repro.store.store.ResultStore.get_with_trace`).
     """
-    entry = store.get(digest)
-    if entry is None:
+    got = store.get_with_trace(digest)
+    if got is None:
         raise ValueError(f"no store entry for digest {digest!r}")
-    if not entry.has_trace:
+    trace = got[1]
+    if trace is None:
         raise ValueError(
             f"entry {digest!r} was stored without a trace; re-run it with "
             "trace=True (repro submit --trace) to archive one"
         )
-    trace = store.load_trace(digest)
     return analyze_trace(trace, context=context or f"stored:{digest[:12]}")
 
 

@@ -9,7 +9,7 @@ more").
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.metrics import stats
 
@@ -86,8 +86,27 @@ class AppRunResult:
         :mod:`repro.harness.parallel`) and serialize canonically --
         ``json.dumps(r.as_dict(), sort_keys=True)`` is the byte-exact
         form the serial-vs-parallel determinism tests compare.
+
+        Built field by field with the lists copied: the same dict as
+        ``dataclasses.asdict`` without its recursive deep copy, which
+        dominated :meth:`canonical_json` and with it every store
+        ``put``/``get``.  A new field must be added here too (a test
+        holds this against ``asdict``).
         """
-        return asdict(self)
+        return {
+            "app_name": self.app_name,
+            "balancer": self.balancer,
+            "n_cores": self.n_cores,
+            "n_threads": self.n_threads,
+            "seed": self.seed,
+            "elapsed_us": self.elapsed_us,
+            "total_work_us": self.total_work_us,
+            "migrations": self.migrations,
+            "thread_exec_us": list(self.thread_exec_us),
+            "thread_compute_us": list(self.thread_compute_us),
+            "thread_finish_us": list(self.thread_finish_us),
+            "system_migrations": self.system_migrations,
+        }
 
     def canonical_json(self) -> str:
         """The byte-exact serialized form of this result.

@@ -16,9 +16,12 @@ from dataclasses import dataclass
 __all__ = ["CfsParams", "O1Params"]
 
 
-@dataclass
+@dataclass(slots=True)
 class CfsParams:
     """Tunables of the per-core fair scheduler (all microseconds).
+
+    Slotted: the native engine core reads the slice tunables at fixed
+    offsets.
 
     Attributes
     ----------
@@ -61,7 +64,7 @@ class CfsParams:
         return max(self.min_granularity, share)
 
 
-@dataclass
+@dataclass(slots=True)
 class O1Params(CfsParams):
     """Pre-CFS O(1) scheduler: fixed time slices, no sleeper credit.
 

@@ -50,7 +50,7 @@ __all__ = ["CoreSim", "CoreStats"]
 _WORK_EPS = 1e-6
 
 
-@dataclass
+@dataclass(slots=True)
 class CoreStats:
     """Per-core counters used by the metrics layer."""
 
@@ -64,7 +64,22 @@ class CoreStats:
 
 
 class CoreSim:
-    """A single simulated core with a CFS run queue."""
+    """A single simulated core with a CFS run queue.
+
+    Every field is a slot: the native engine core reads and writes the
+    dispatch fields at fixed offsets (``engine_core.c``), so a new
+    field must be added to ``__slots__``.
+    """
+
+    __slots__ = (
+        "system", "engine", "hw", "cid", "params", "rq", "current",
+        "dispatch_started_at", "stats", "throttled", "idle_callbacks",
+        "idle_since", "_event", "_gen", "_in_resched", "_rate_at_dispatch",
+        "yield_check_us", "_mem_track", "_mem_busy", "_load_epoch",
+        "_clock_factor", "_numa_node", "_numa", "_numa_remote_slowdown",
+        "_smt_derate", "_mem_alpha", "_smt_active", "_sib_core",
+        "_event_label",
+    )
 
     def __init__(self, system: "System", hw: "Core") -> None:
         self.system = system

@@ -46,8 +46,13 @@ class CfsRunQueue:
     """Priority queue of runnable (not running) tasks, keyed by vruntime.
 
     Also maintains ``min_vruntime``, the monotonically increasing
-    baseline CFS uses to normalize sleepers and migrating tasks.
+    baseline CFS uses to normalize sleepers and migrating tasks.  The
+    native engine core reads every field at a fixed slot offset.
     """
+
+    __slots__ = (
+        "_heap", "_live", "_max_heap", "_total_weight", "count", "min_vruntime",
+    )
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Task]] = []

@@ -170,7 +170,22 @@ class Task:
         0.0 (pure CPU, EP-like) .. 1.0 (bandwidth bound).  Feeds the
         memory-bandwidth contention model that reproduces Table 2's
         sub-linear speedups for the memory-intensive NAS codes.
+
+    Every field is a slot: the native engine core reads and writes the
+    scheduling fields at fixed offsets (``engine_core.c``), so a new
+    field must be added to ``__slots__``.
     """
+
+    __slots__ = (
+        "tid", "name", "program", "nice", "weight", "footprint_bytes",
+        "app_id", "mem_intensity", "state", "vruntime", "cur_core",
+        "allowed_cores", "work_remaining", "wait_mode", "waiting_on",
+        "spin_deadline", "needs_advance", "exec_us", "compute_us",
+        "started_at", "finished_at", "migrations", "last_migrated_at",
+        "last_descheduled_at", "last_core", "migration_debt_us",
+        "resident_core", "home_node", "round_slice_remaining",
+        "round_number", "throttled",
+    )
 
     def __init__(
         self,

@@ -10,6 +10,7 @@ Three small vocabularies live here, shared by the daemon
   (:func:`repro.store.keys.spec_key`).  :func:`spec_from_wire` is the
   inverse: it resolves ``__dataclass__``/``__enum__``/``__function__``
   references back to live objects, restricted to ``repro.*`` modules
+  (and functions to the spec-factory modules, :data:`FACTORY_MODULES`)
   so a request body can never name arbitrary importable code.  A job's
   identity is the spec digest of the decoded wire, so optional fields
   may be left out and unknown ones are ignored.
@@ -34,6 +35,7 @@ from repro.harness.parallel import RunSpec
 from repro.store.keys import resolve_ref, spec_key
 
 __all__ = [
+    "FACTORY_MODULES",
     "MAX_BODY_BYTES",
     "ProtocolError",
     "Request",
@@ -49,6 +51,12 @@ __all__ = [
 
 #: request bodies beyond this are rejected with 413 before parsing
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: the modules whose functions a wire spec may name: the machine
+#: preset factories.  ``run_app`` calls a callable machine or app, so
+#: any other function (``repro.cli:main``, a store method) would run in
+#: a worker; such a reference is refused before its module is imported.
+FACTORY_MODULES = frozenset({"repro.topology.presets"})
 
 _REASONS = {
     200: "OK",
@@ -76,12 +84,15 @@ def spec_to_wire(spec: RunSpec) -> dict:
     return spec_key(spec)
 
 
-def _resolve_ref(ref: str, what: str) -> Any:
+def _resolve_ref(
+    ref: str, what: str, modules: Optional[frozenset[str]] = None
+) -> Any:
     """Resolve ``"module:qualname"`` from a wire tree, repro-only.
 
     :func:`~repro.store.keys.resolve_ref` accepts only an object whose
     own name is ``ref``, so the walk cannot leave ``repro`` through a
-    module attribute such as ``repro.store.store:os.getpid``.
+    module attribute such as ``repro.store.store:os.getpid``.  With
+    ``modules``, the reference must also lie in one of them.
     """
     if not isinstance(ref, str) or ":" not in ref:
         raise ProtocolError(f"malformed {what} reference {ref!r}")
@@ -90,6 +101,11 @@ def _resolve_ref(ref: str, what: str) -> Any:
         raise ProtocolError(
             f"{what} reference {ref!r} is outside the repro package; "
             "wire specs may only name repro.* code"
+        )
+    if modules is not None and mod not in modules:
+        raise ProtocolError(
+            f"{what} reference {ref!r} is not a spec factory; wire specs "
+            f"may only name functions of {', '.join(sorted(modules))}"
         )
     try:
         return resolve_ref(ref)
@@ -129,7 +145,7 @@ def value_from_wire(tree: Any) -> Any:
                 raise ProtocolError("dataclass wire form needs a fields object")
             return cls(**{k: value_from_wire(v) for k, v in fields.items()})
         if "__function__" in tree:
-            return _resolve_ref(tree["__function__"], "function")
+            return _resolve_ref(tree["__function__"], "function", FACTORY_MODULES)
         if "__dict__" in tree:
             pairs = tree["__dict__"]
             if not isinstance(pairs, list):

@@ -11,9 +11,10 @@
  *                         Engine.schedule
  *
  * It operates directly on the live Python objects (the engine's
- * (time, seq, event) heap list, the run queue's entry heaps, Task
- * attribute dicts) through the CPython C-API.  Each function below is
- * the twin of the Python method it is named after and performs the
+ * (time, seq, event) heap list, the run queue's entry heaps, and the
+ * __slots__ fields of the engine, cores, tasks, run queues, stats,
+ * system and CFS params) through the CPython C-API.  Each function below
+ * is the twin of the Python method it is named after and performs the
  * *identical sequence of mutations* -- every float add/mul/div, every
  * heap sift, every counter bump appears in the same order with the same
  * operands as the Python source.  IEEE-754 doubles are what Python
@@ -39,8 +40,8 @@
  * Loaded with ctypes.PyDLL (GIL held; error flag checked per call) by
  * repro.sim.backends.nativebuild.  No Python.h-level module object is
  * involved: repro_native_init receives a dict of support objects
- * (exception class, Event class, enum members, interned constants)
- * and the entry points take plain PyObject pointers.
+ * (exception class, the slotted classes, enum members, interned
+ * constants) and the entry points take plain PyObject pointers.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -49,38 +50,80 @@
 #include <math.h>
 
 /* ------------------------------------------------------------------ */
-/* interned attribute names                                            */
+/* the slot table                                                      */
 /* ------------------------------------------------------------------ */
 
+/* Every field the C twin reads or writes, as (class, name).  Each class
+ * declares __slots__; repro_native_init resolves every name to its
+ * member offset once (resolve_slots), so a field access below is a
+ * struct load or store.  A field added to a class's Python twin and
+ * touched here must be added to both the class's __slots__ and this
+ * table. */
+#define SLOT_TABLE(X)                                                       \
+    X(EN, now) X(EN, _heap) X(EN, _seq) X(EN, _dispatched)                  \
+    X(EN, _cancelled) X(EN, max_events) X(EN, _stop_requested)              \
+    X(EN, observers)                                                        \
+    X(EV, time) X(EV, seq) X(EV, callback) X(EV, cancelled) X(EV, label)    \
+    X(EV, engine) X(EV, in_heap) X(EV, payload)                             \
+    X(CO, system) X(CO, hw) X(CO, cid) X(CO, params) X(CO, rq)              \
+    X(CO, current) X(CO, dispatch_started_at) X(CO, stats)                  \
+    X(CO, throttled) X(CO, _event) X(CO, _gen) X(CO, _in_resched)           \
+    X(CO, _rate_at_dispatch) X(CO, yield_check_us) X(CO, _mem_track)        \
+    X(CO, _mem_busy) X(CO, _load_epoch) X(CO, _clock_factor)                \
+    X(CO, _numa_node) X(CO, _numa) X(CO, _numa_remote_slowdown)             \
+    X(CO, _smt_derate) X(CO, _mem_alpha) X(CO, _smt_active)                 \
+    X(CO, _sib_core) X(CO, _event_label)                                    \
+    X(TK, tid) X(TK, name) X(TK, weight) X(TK, vruntime) X(TK, exec_us)     \
+    X(TK, compute_us) X(TK, work_remaining) X(TK, migration_debt_us)        \
+    X(TK, waiting_on) X(TK, wait_mode) X(TK, spin_deadline) X(TK, state)    \
+    X(TK, needs_advance) X(TK, mem_intensity) X(TK, home_node)              \
+    X(TK, last_descheduled_at) X(TK, last_core) X(TK, cur_core)             \
+    X(TK, throttled)                                                        \
+    X(RQ, _heap) X(RQ, _live) X(RQ, _max_heap) X(RQ, _total_weight)         \
+    X(RQ, count) X(RQ, min_vruntime)                                        \
+    X(ST, busy_us) X(ST, spin_us) X(ST, context_switches)                   \
+    X(ST, dispatches)                                                       \
+    X(SY, trace) X(SY, _kb_on_charge) X(SY, charge_observers) X(SY, cores)  \
+    X(PA, min_granularity) X(PA, target_latency) X(PA, yield_penalty)
+
+/* the slotted classes, in the order of CLASS_KEYS */
+enum { CLS_EN, CLS_EV, CLS_CO, CLS_TK, CLS_RQ, CLS_ST, CLS_SY, CLS_PA,
+       N_CLASSES };
+
+/* their keys in the support dict */
+static const char *const CLASS_KEYS[N_CLASSES] = {
+    "Engine", "Event", "CoreSim", "Task", "CfsRunQueue", "CoreStats",
+    "System", "CfsParams",
+};
+
+/* one index per table row: EN_now, EV_time, CO_system, TK_tid, ... */
+#define SLOT_ENUM(c, n) c##_##n,
+enum { SLOT_TABLE(SLOT_ENUM) N_SLOTS };
+#undef SLOT_ENUM
+
+#define SLOT_CLASS(c, n) CLS_##c,
+static const int slot_class[N_SLOTS] = {SLOT_TABLE(SLOT_CLASS)};
+#undef SLOT_CLASS
+
+#define SLOT_NAME(c, n) #n,
+static const char *const slot_name[N_SLOTS] = {SLOT_TABLE(SLOT_NAME)};
+#undef SLOT_NAME
+
+/* member offsets, resolved by repro_native_init */
+static Py_ssize_t slot_off[N_SLOTS];
+
+#define SLOT(o, i) (*(PyObject **)((char *)(o) + slot_off[i]))
+
+/* ------------------------------------------------------------------ */
+/* support objects                                                     */
+/* ------------------------------------------------------------------ */
+
+/* names still reached through the generic attribute protocol: Event
+ * fields of forged/subclassed events, the topology record's sibling id,
+ * and the methods the twin calls out to */
 #define ATTR_NAMES(X)                                                       \
-    /* engine */                                                            \
-    X(now) X(_heap) X(_cancelled) X(_dispatched) X(max_events)              \
-    X(_stop_requested) X(observers) X(_seq)                                 \
-    /* event */                                                             \
     X(callback) X(payload) X(cancelled) X(in_heap) X(label) X(engine)       \
-    /* core */                                                              \
-    X(_gen) X(current) X(system) X(rq) X(params) X(dispatch_started_at)     \
-    X(stats) X(_rate_at_dispatch) X(_event) X(_event_label)                 \
-    X(_in_resched) X(_load_epoch) X(_mem_busy) X(_mem_track) X(_mem_alpha)  \
-    X(_clock_factor) X(_smt_active) X(_smt_derate) X(_sib_core) X(_numa)   \
-    X(_numa_node) X(_numa_remote_slowdown) X(hw) X(cid) X(yield_check_us)  \
-    X(throttled)                                                            \
-    /* task */                                                              \
-    X(tid) X(name) X(weight) X(vruntime) X(exec_us) X(compute_us)           \
-    X(work_remaining) X(migration_debt_us) X(waiting_on) X(wait_mode)       \
-    X(spin_deadline) X(state) X(needs_advance) X(mem_intensity)             \
-    X(home_node) X(last_descheduled_at) X(last_core) X(cur_core)            \
-    /* run queue */                                                         \
-    X(_live) X(_max_heap) X(_total_weight) X(count) X(min_vruntime)         \
-    /* stats */                                                             \
-    X(busy_us) X(spin_us) X(context_switches) X(dispatches)                 \
-    /* system */                                                            \
-    X(trace) X(_kb_on_charge) X(charge_observers) X(cores)                  \
-    /* params */                                                            \
-    X(min_granularity) X(target_latency) X(yield_penalty)                   \
-    /* topology */                                                          \
     X(smt_sibling)                                                          \
-    /* methods */                                                           \
     X(_prepare) X(_go_idle) X(_notify_sibling_rate_change)                  \
     X(note_residency) X(spin_timeout) X(record) X(cancel) X(_note_cancel)  \
     X(_compact) X(__ceil__)
@@ -88,10 +131,9 @@
 typedef struct {
     /* support objects (owned references, held for process lifetime) */
     PyObject *SimulationError;
-    PyObject *EventClass;
     PyObject *on_core_event; /* CoreSim._on_core_event, the function */
-    PyObject *CfsParams;     /* the classes gating the C twin */
-    PyObject *CfsRunQueue;
+    PyObject *cls[N_CLASSES]; /* the slotted classes, by CLS_* */
+    PyObject *slot_table;    /* ["Class.field", ...] in table order */
     PyObject *st_running;    /* TaskState.RUNNING */
     PyObject *st_runnable;   /* TaskState.RUNNABLE */
     PyObject *wm_yield;      /* WaitMode.YIELD */
@@ -113,7 +155,8 @@ static int S_ready = 0;
 /* process-lifetime dispatch counters, readable via repro_native_stat:
  * how many core events ran through the C twin, how many events took
  * the generic Python call, and how many core events were delegated to
- * the Python method (other run-queue or slice policies).  The test
+ * the Python method (other run-queue or slice policies, or objects
+ * outside the slotted classes).  The test
  * suite uses these to prove the fast path is actually exercised rather
  * than silently falling back. */
 static long long stat_fused = 0;
@@ -121,27 +164,50 @@ static long long stat_generic = 0;
 static long long stat_delegated = 0;
 
 /* ------------------------------------------------------------------ */
-/* attribute access                                                    */
+/* slot access                                                         */
 /*                                                                     */
 /* Generic PyObject_GetAttr costs as much as the 3.11 specializing     */
 /* interpreter's LOAD_ATTR, which is why a naive C transcription runs  */
-/* no faster than the bytecode it replaces.  All hot classes except    */
-/* Event are plain-__dict__ classes with no data descriptors on the    */
-/* touched names, so we materialize each object's instance dict once   */
-/* (PyObject_GenericGetDict) and then read/write through PyDict_* with */
-/* pre-interned keys.  Event has __slots__; its member offsets are     */
-/* resolved from the slot descriptors at init and accessed as direct   */
-/* struct loads.                                                       */
+/* no faster than the bytecode it replaces.  Every class whose fields  */
+/* the dispatch chain touches declares __slots__, so each field lives  */
+/* at a fixed offset inside its object.  The offsets are resolved once */
+/* from the classes' member descriptors (resolve_slots), and a field   */
+/* access is a struct load or store: a write takes a new reference and */
+/* releases the old one, exactly as the member descriptor's __set__    */
+/* does.  An object is only read this way after an instance check      */
+/* against its resolved class (is_a); a core event whose objects fail  */
+/* it is handed to the Python method whole.                            */
 /* ------------------------------------------------------------------ */
 
-static int aget_ll(PyObject *o, PyObject *name, long long *out) {
-    PyObject *v = PyObject_GetAttr(o, name);
-    if (v == NULL) return -1;
-    long long r = PyLong_AsLongLong(v);
-    Py_DECREF(v);
-    if (r == -1 && PyErr_Occurred()) return -1;
-    *out = r;
-    return 0;
+static inline int is_a(PyObject *o, int c) {
+    return PyObject_TypeCheck(o, (PyTypeObject *)S.cls[c]);
+}
+
+/* TypeError for an object the twin met mid-event that is not an
+ * instance of the class it must be read as */
+static int not_a(PyObject *o, int c) {
+    PyErr_Format(PyExc_TypeError,
+                 "native engine core: expected a %s, got %.100s",
+                 CLASS_KEYS[c], Py_TYPE(o)->tp_name);
+    return -1;
+}
+
+/* borrowed value of slot ``i``, or NULL with AttributeError set when
+ * the slot is unset (what reading it from Python raises) */
+static inline PyObject *speek(PyObject *o, int i) {
+    PyObject *v = SLOT(o, i);
+    if (v == NULL)
+        PyErr_Format(PyExc_AttributeError,
+                     "'%.100s' object has no attribute '%s'",
+                     Py_TYPE(o)->tp_name, slot_name[i]);
+    return v;
+}
+
+/* new reference */
+static inline PyObject *sget(PyObject *o, int i) {
+    PyObject *v = speek(o, i);
+    Py_XINCREF(v);
+    return v;
 }
 
 static int as_dbl(PyObject *v, double *out) {
@@ -155,121 +221,82 @@ static int as_dbl(PyObject *v, double *out) {
     return 0;
 }
 
-static int aget_dbl(PyObject *o, PyObject *name, double *out) {
-    PyObject *v = PyObject_GetAttr(o, name);
+static int sget_ll(PyObject *o, int i, long long *out) {
+    PyObject *v = speek(o, i);
     if (v == NULL) return -1;
-    int rc = as_dbl(v, out);
-    Py_DECREF(v);
-    return rc;
-}
-
-/* truthiness of attribute: 1/0, or -1 with error set */
-static int atrue(PyObject *o, PyObject *name) {
-    PyObject *v = PyObject_GetAttr(o, name);
-    if (v == NULL) return -1;
-    int rc = PyObject_IsTrue(v);
-    Py_DECREF(v);
-    return rc;
-}
-
-/* instance __dict__ of a plain-class object, materialized once; new
- * reference (attribute writes from either side stay visible: it IS the
- * object's dict) */
-static inline PyObject *idict(PyObject *o) {
-    return PyObject_GenericGetDict(o, NULL);
-}
-
-/* new-ref read through the instance dict; falls back to real getattr
- * for names satisfied by the class (bound methods, defaults) */
-static PyObject *dget(PyObject *d, PyObject *o, PyObject *name) {
-    PyObject *v = PyDict_GetItemWithError(d, name);
-    if (v != NULL) {
-        Py_INCREF(v);
-        return v;
-    }
-    if (PyErr_Occurred()) return NULL;
-    return PyObject_GetAttr(o, name);
-}
-
-static int dget_ll(PyObject *d, PyObject *o, PyObject *name,
-                   long long *out) {
-    PyObject *v = PyDict_GetItemWithError(d, name); /* borrowed */
-    if (v == NULL) {
-        if (PyErr_Occurred()) return -1;
-        return aget_ll(o, name, out);
-    }
     long long r = PyLong_AsLongLong(v);
     if (r == -1 && PyErr_Occurred()) return -1;
     *out = r;
     return 0;
 }
 
-static int dget_dbl(PyObject *d, PyObject *o, PyObject *name, double *out) {
-    PyObject *v = PyDict_GetItemWithError(d, name); /* borrowed */
-    if (v == NULL) {
-        if (PyErr_Occurred()) return -1;
-        return aget_dbl(o, name, out);
-    }
+static int sget_dbl(PyObject *o, int i, double *out) {
+    PyObject *v = speek(o, i);
+    if (v == NULL) return -1;
     return as_dbl(v, out);
 }
 
-/* 1 iff o.name is None, 0 if not, -1 with error set */
-static int dnone(PyObject *d, PyObject *o, PyObject *name) {
-    PyObject *v = dget(d, o, name);
+/* truthiness of a slot: 1/0, or -1 with error set */
+static int strue(PyObject *o, int i) {
+    PyObject *v = speek(o, i);
     if (v == NULL) return -1;
-    int rc = (v == Py_None);
-    Py_DECREF(v);
-    return rc;
-}
-
-/* 1 iff o.name is the object ``want`` (enum members), -1 on error */
-static int dis(PyObject *d, PyObject *o, PyObject *name, PyObject *want) {
-    PyObject *v = dget(d, o, name);
-    if (v == NULL) return -1;
-    int rc = (v == want);
-    Py_DECREF(v);
-    return rc;
-}
-
-/* writes go straight into the instance dict: equivalent to setattr for
- * plain classes (no slots, no data descriptors on these names) */
-static inline int dset(PyObject *d, PyObject *name, PyObject *v) {
-    return PyDict_SetItem(d, name, v);
-}
-
-static int dset_ll(PyObject *d, PyObject *name, long long v) {
-    PyObject *obj = PyLong_FromLongLong(v);
-    if (obj == NULL) return -1;
-    int rc = PyDict_SetItem(d, name, obj);
-    Py_DECREF(obj);
-    return rc;
-}
-
-static int dset_dbl(PyObject *d, PyObject *name, double v) {
-    PyObject *obj = PyFloat_FromDouble(v);
-    if (obj == NULL) return -1;
-    int rc = PyDict_SetItem(d, name, obj);
-    Py_DECREF(obj);
-    return rc;
-}
-
-/* o.name += delta on an int attribute */
-static int dadd_ll(PyObject *d, PyObject *o, PyObject *name,
-                   long long delta) {
-    long long v;
-    if (dget_ll(d, o, name, &v) < 0) return -1;
-    return dset_ll(d, name, v + delta);
-}
-
-static int dtrue(PyObject *d, PyObject *o, PyObject *name) {
-    PyObject *v = PyDict_GetItemWithError(d, name); /* borrowed */
-    if (v == NULL) {
-        if (PyErr_Occurred()) return -1;
-        return atrue(o, name);
-    }
     if (v == Py_True) return 1;
     if (v == Py_False || v == Py_None) return 0;
-    return PyObject_IsTrue(v);
+    Py_INCREF(v); /* __bool__ may rebind the slot */
+    int rc = PyObject_IsTrue(v);
+    Py_DECREF(v);
+    return rc;
+}
+
+/* 1 iff the slot holds the object ``want`` (None, enum members), 0 if
+ * not, -1 with error set */
+static int sis(PyObject *o, int i, PyObject *want) {
+    PyObject *v = speek(o, i);
+    if (v == NULL) return -1;
+    return v == want;
+}
+
+/* store ``v`` (borrowed) in slot ``i``; cannot fail, returns 0 so it
+ * chains with the fallible accessors */
+static inline int sset(PyObject *o, int i, PyObject *v) {
+    PyObject *old = SLOT(o, i);
+    Py_INCREF(v);
+    SLOT(o, i) = v;
+    Py_XDECREF(old);
+    return 0;
+}
+
+/* store a new reference, releasing the old one */
+static int ssteal(PyObject *o, int i, PyObject *v) {
+    if (v == NULL) return -1;
+    PyObject *old = SLOT(o, i);
+    SLOT(o, i) = v;
+    Py_XDECREF(old);
+    return 0;
+}
+
+static int sset_ll(PyObject *o, int i, long long v) {
+    return ssteal(o, i, PyLong_FromLongLong(v));
+}
+
+static int sset_dbl(PyObject *o, int i, double v) {
+    return ssteal(o, i, PyFloat_FromDouble(v));
+}
+
+/* o.<slot> += delta on an int field */
+static int sadd_ll(PyObject *o, int i, long long delta) {
+    long long v;
+    if (sget_ll(o, i, &v) < 0) return -1;
+    return sset_ll(o, i, v + delta);
+}
+
+/* truthiness of a generic attribute: 1/0, or -1 with error set */
+static int atrue(PyObject *o, PyObject *name) {
+    PyObject *v = PyObject_GetAttr(o, name);
+    if (v == NULL) return -1;
+    int rc = PyObject_IsTrue(v);
+    Py_DECREF(v);
+    return rc;
 }
 
 /* o.name(*args) for a method looked up the ordinary way */
@@ -298,28 +325,18 @@ static int cell_add(PyObject *list, long long delta) {
     return PyList_SetItem(list, 0, obj); /* steals obj, decrefs old */
 }
 
-/* ---- Event slot access ------------------------------------------- */
+/* ---- Event access ------------------------------------------------- */
 
-enum {
-    EV_TIME,
-    EV_SEQ,
-    EV_CALLBACK,
-    EV_CANCELLED,
-    EV_LABEL,
-    EV_ENGINE,
-    EV_IN_HEAP,
-    EV_PAYLOAD,
-    EV_NSLOTS
-};
+/* Engine-created events are exact Events and read through their slots;
+ * subclassed or forged ones go through the attribute protocol. */
+static inline int exact_event(PyObject *ev) {
+    return (PyObject *)Py_TYPE(ev) == S.cls[CLS_EV];
+}
 
-static Py_ssize_t ev_off[EV_NSLOTS];
-
-#define EV_SLOT(ev, i) (*(PyObject **)((char *)(ev) + ev_off[i]))
-
-/* new ref; subclassed/forged events fall back to real getattr */
+/* new ref */
 static PyObject *ev_read(PyObject *ev, int i, PyObject *name) {
-    if ((PyObject *)Py_TYPE(ev) == S.EventClass) {
-        PyObject *v = EV_SLOT(ev, i);
+    if (exact_event(ev)) {
+        PyObject *v = SLOT(ev, i);
         if (v != NULL) {
             Py_INCREF(v);
             return v;
@@ -330,8 +347,8 @@ static PyObject *ev_read(PyObject *ev, int i, PyObject *name) {
 
 /* truthiness of an Event flag slot (cancelled / in_heap) */
 static int ev_true(PyObject *ev, int i, PyObject *name) {
-    if ((PyObject *)Py_TYPE(ev) == S.EventClass) {
-        PyObject *v = EV_SLOT(ev, i);
+    if (exact_event(ev)) {
+        PyObject *v = SLOT(ev, i);
         if (v == Py_True) return 1;
         if (v == Py_False || v == Py_None) return 0;
         if (v != NULL) return PyObject_IsTrue(v);
@@ -340,13 +357,7 @@ static int ev_true(PyObject *ev, int i, PyObject *name) {
 }
 
 static int ev_write(PyObject *ev, int i, PyObject *name, PyObject *v) {
-    if ((PyObject *)Py_TYPE(ev) == S.EventClass) {
-        PyObject *old = EV_SLOT(ev, i);
-        Py_INCREF(v);
-        EV_SLOT(ev, i) = v;
-        Py_XDECREF(old);
-        return 0;
-    }
+    if (exact_event(ev)) return sset(ev, i, v);
     return PyObject_SetAttr(ev, name, v);
 }
 
@@ -357,22 +368,17 @@ static int ev_write(PyObject *ev, int i, PyObject *name, PyObject *v) {
 static PyObject *event_new(PyObject *time_obj, PyObject *seq_obj,
                            PyObject *cb, PyObject *label, PyObject *engine,
                            PyObject *payload) {
-    PyTypeObject *tp = (PyTypeObject *)S.EventClass;
+    PyTypeObject *tp = (PyTypeObject *)S.cls[CLS_EV];
     PyObject *ev = tp->tp_alloc(tp, 0);
     if (ev == NULL) return NULL;
-    PyObject *vals[EV_NSLOTS];
-    vals[EV_TIME] = time_obj;
-    vals[EV_SEQ] = seq_obj;
-    vals[EV_CALLBACK] = cb;
-    vals[EV_CANCELLED] = Py_False;
-    vals[EV_LABEL] = label;
-    vals[EV_ENGINE] = engine;
-    vals[EV_IN_HEAP] = Py_True;
-    vals[EV_PAYLOAD] = payload;
-    for (int i = 0; i < EV_NSLOTS; i++) {
-        Py_INCREF(vals[i]);
-        EV_SLOT(ev, i) = vals[i];
-    }
+    sset(ev, EV_time, time_obj);
+    sset(ev, EV_seq, seq_obj);
+    sset(ev, EV_callback, cb);
+    sset(ev, EV_cancelled, Py_False);
+    sset(ev, EV_label, label);
+    sset(ev, EV_engine, engine);
+    sset(ev, EV_in_heap, Py_True);
+    sset(ev, EV_payload, payload);
     return ev;
 }
 
@@ -508,87 +514,88 @@ static PyObject *heappop_c(PyObject *heap, lt_fn lt) {
     return returnitem;
 }
 
+
 /* ------------------------------------------------------------------ */
 /* one core event's working set                                        */
 /* ------------------------------------------------------------------ */
 
-/* The core and the objects its dispatch chain touches, each instance
- * dict materialized once per event.  None of these attributes is ever
- * rebound on a live System, so caching them across call-outs is safe;
- * the run queue's heap lists ARE rebound (CfsRunQueue._compact), so
- * the rq helpers below re-read them on every call. */
+/* The core and the objects its dispatch chain touches, read once per
+ * event.  None of these fields is ever rebound on a live System, so
+ * holding them across call-outs is safe; the run queue's heap lists ARE
+ * rebound (CfsRunQueue._compact), so the rq helpers below re-read them
+ * on every call. */
 typedef struct {
-    PyObject *engine, *engine_d; /* borrowed from the drain loop */
+    PyObject *engine;            /* borrowed from the drain loop */
     PyObject *t_obj;             /* borrowed: the event time == engine.now */
     long long now;
     PyObject *core;              /* borrowed */
-    PyObject *core_d;            /* the rest are owned */
-    PyObject *cid_obj;
+    PyObject *cid_obj;           /* the rest are owned */
     long long cid;
-    PyObject *system, *system_d;
-    PyObject *rq, *rq_d;
-    PyObject *stats, *stats_d;
+    PyObject *system;
+    PyObject *rq;
+    PyObject *stats;
     PyObject *params;
     PyObject *load_epoch;
     PyObject *mem_busy;
 } core_ctx;
 
 static void ctx_clear(core_ctx *c) {
-    Py_CLEAR(c->core_d);
     Py_CLEAR(c->cid_obj);
     Py_CLEAR(c->system);
-    Py_CLEAR(c->system_d);
     Py_CLEAR(c->rq);
-    Py_CLEAR(c->rq_d);
     Py_CLEAR(c->stats);
-    Py_CLEAR(c->stats_d);
     Py_CLEAR(c->params);
     Py_CLEAR(c->load_epoch);
     Py_CLEAR(c->mem_busy);
 }
 
+/* Read the core's working set.  Returns 1 when the C twin applies, 0
+ * when the event must go to the Python method, -1 on error.  The twin
+ * transcribes exactly CfsRunQueue and CfsParams (a subclass may
+ * override what it transcribes); the core, its system and stats, and
+ * its current task must be instances of the classes whose slots were
+ * resolved. */
 static int ctx_init(core_ctx *c, PyObject *core) {
     c->core = core;
-    if ((c->core_d = idict(core)) == NULL) return -1;
-    PyObject *d = c->core_d;
-    if ((c->cid_obj = dget(d, core, S.n_cid)) == NULL) return -1;
+    if (!is_a(core, CLS_CO)) return 0;
+    if ((c->cid_obj = sget(core, CO_cid)) == NULL) return -1;
     c->cid = PyLong_AsLongLong(c->cid_obj);
     if (c->cid == -1 && PyErr_Occurred()) return -1;
-    if ((c->system = dget(d, core, S.n_system)) == NULL ||
-        (c->system_d = idict(c->system)) == NULL ||
-        (c->rq = dget(d, core, S.n_rq)) == NULL ||
-        (c->stats = dget(d, core, S.n_stats)) == NULL ||
-        (c->params = dget(d, core, S.n_params)) == NULL ||
-        (c->load_epoch = dget(d, core, S.n__load_epoch)) == NULL ||
-        (c->mem_busy = dget(d, core, S.n__mem_busy)) == NULL)
+    if ((c->system = sget(core, CO_system)) == NULL ||
+        (c->rq = sget(core, CO_rq)) == NULL ||
+        (c->stats = sget(core, CO_stats)) == NULL ||
+        (c->params = sget(core, CO_params)) == NULL ||
+        (c->load_epoch = sget(core, CO__load_epoch)) == NULL ||
+        (c->mem_busy = sget(core, CO__mem_busy)) == NULL)
         return -1;
-    return 0;
-}
-
-/* the C twin applies only to the exact classes it transcribes */
-static int ctx_is_cfs(core_ctx *c) {
-    return (PyObject *)Py_TYPE(c->rq) == S.CfsRunQueue &&
-           (PyObject *)Py_TYPE(c->params) == S.CfsParams;
-}
-
-/* second-stage init for the C twin: the rq/stats instance dicts */
-static int ctx_init_dicts(core_ctx *c) {
-    if ((c->rq_d = idict(c->rq)) == NULL ||
-        (c->stats_d = idict(c->stats)) == NULL)
-        return -1;
-    return 0;
+    PyObject *current = speek(core, CO_current);
+    if (current == NULL) return -1;
+    return (PyObject *)Py_TYPE(c->rq) == S.cls[CLS_RQ] &&
+           (PyObject *)Py_TYPE(c->params) == S.cls[CLS_PA] &&
+           is_a(c->system, CLS_SY) && is_a(c->stats, CLS_ST) &&
+           (current == Py_None || is_a(current, CLS_TK)) &&
+           PyList_Check(c->load_epoch) && PyList_Check(c->mem_busy);
 }
 
 /* ------------------------------------------------------------------ */
 /* CfsRunQueue twins                                                   */
 /* ------------------------------------------------------------------ */
 
+/* the task of a run-queue entry (borrowed), or NULL with TypeError set
+ * when it is not a Task */
+static PyObject *entry_task(PyObject *entry) {
+    PyObject *task = PyTuple_GET_ITEM(entry, 2);
+    if (is_a(task, CLS_TK)) return task;
+    not_a(task, CLS_TK);
+    return NULL;
+}
+
 /* live.get(entry[2].tid) is entry: 1/0, -1 on error */
 static int rq_entry_live(PyObject *live, PyObject *entry) {
-    PyObject *tid = PyObject_GetAttr(PyTuple_GET_ITEM(entry, 2), S.n_tid);
+    PyObject *task = entry_task(entry);
+    PyObject *tid = task ? speek(task, TK_tid) : NULL;
     if (tid == NULL) return -1;
     PyObject *got = PyDict_GetItemWithError(live, tid);
-    Py_DECREF(tid);
     if (got == NULL && PyErr_Occurred()) return -1;
     return got == entry;
 }
@@ -596,8 +603,8 @@ static int rq_entry_live(PyObject *live, PyObject *entry) {
 /* CfsRunQueue.note_current_vruntime(vruntime) */
 static int rq_note_current_vruntime(core_ctx *c, PyObject *vr_obj) {
     int rc = -1;
-    PyObject *heap = dget(c->rq_d, c->rq, S.n__heap);
-    PyObject *live = heap ? dget(c->rq_d, c->rq, S.n__live) : NULL;
+    PyObject *heap = sget(c->rq, RQ__heap);
+    PyObject *live = heap ? sget(c->rq, RQ__live) : NULL;
     if (live == NULL) goto done;
     PyObject *floor = vr_obj; /* borrowed from the caller or the heap */
     Py_INCREF(floor);
@@ -624,8 +631,8 @@ static int rq_note_current_vruntime(core_ctx *c, PyObject *vr_obj) {
     }
     double dfloor, minvr;
     if (as_dbl(floor, &dfloor) < 0 ||
-        dget_dbl(c->rq_d, c->rq, S.n_min_vruntime, &minvr) < 0 ||
-        (dfloor > minvr && dset(c->rq_d, S.n_min_vruntime, floor) < 0)) {
+        sget_dbl(c->rq, RQ_min_vruntime, &minvr) < 0 ||
+        (dfloor > minvr && sset(c->rq, RQ_min_vruntime, floor) < 0)) {
         Py_DECREF(floor);
         goto done;
     }
@@ -638,13 +645,13 @@ done:
 }
 
 /* CfsRunQueue.push(task) */
-static int rq_push(core_ctx *c, PyObject *task, PyObject *task_d) {
+static int rq_push(core_ctx *c, PyObject *task) {
     int rc = -1;
     PyObject *tid = NULL, *live = NULL, *heap = NULL, *mheap = NULL;
     PyObject *vr = NULL, *cnt = NULL, *entry = NULL, *mentry = NULL;
     PyObject *neg_vr = NULL, *neg_cnt = NULL;
-    if ((tid = dget(task_d, task, S.n_tid)) == NULL ||
-        (live = dget(c->rq_d, c->rq, S.n__live)) == NULL)
+    if ((tid = sget(task, TK_tid)) == NULL ||
+        (live = sget(c->rq, RQ__live)) == NULL)
         goto done;
     int queued = PyDict_Contains(live, tid);
     if (queued < 0) goto done;
@@ -652,25 +659,25 @@ static int rq_push(core_ctx *c, PyObject *task, PyObject *task_d) {
         PyErr_Format(PyExc_ValueError, "%S already queued", task);
         goto done;
     }
-    if ((vr = dget(task_d, task, S.n_vruntime)) == NULL ||
+    if ((vr = sget(task, TK_vruntime)) == NULL ||
         (cnt = PyIter_Next(S.entry_counter)) == NULL ||
         (entry = PyTuple_Pack(3, vr, cnt, task)) == NULL)
         goto done;
     if (PyDict_SetItem(live, tid, entry) < 0 ||
-        (heap = dget(c->rq_d, c->rq, S.n__heap)) == NULL ||
+        (heap = sget(c->rq, RQ__heap)) == NULL ||
         heappush_c(heap, entry, lt_entry) < 0)
         goto done;
     if ((neg_vr = PyNumber_Negative(vr)) == NULL ||
         (neg_cnt = PyNumber_Negative(cnt)) == NULL ||
         (mentry = PyTuple_Pack(3, neg_vr, neg_cnt, entry)) == NULL ||
-        (mheap = dget(c->rq_d, c->rq, S.n__max_heap)) == NULL ||
+        (mheap = sget(c->rq, RQ__max_heap)) == NULL ||
         heappush_c(mheap, mentry, lt_entry) < 0)
         goto done;
     long long weight, count;
-    if (dget_ll(task_d, task, S.n_weight, &weight) < 0 ||
-        dadd_ll(c->rq_d, c->rq, S.n__total_weight, weight) < 0 ||
-        dget_ll(c->rq_d, c->rq, S.n_count, &count) < 0 ||
-        dset_ll(c->rq_d, S.n_count, count + 1) < 0)
+    if (sget_ll(task, TK_weight, &weight) < 0 ||
+        sadd_ll(c->rq, RQ__total_weight, weight) < 0 ||
+        sget_ll(c->rq, RQ_count, &count) < 0 ||
+        sset_ll(c->rq, RQ_count, count + 1) < 0)
         goto done;
     if (PyList_GET_SIZE(mheap) >
             S.compact_factor * (count + 1) + S.compact_min &&
@@ -696,15 +703,19 @@ done:
 static int rq_pop_min(core_ctx *c, PyObject **out) {
     *out = NULL;
     int rc = -1;
-    PyObject *heap = dget(c->rq_d, c->rq, S.n__heap);
-    PyObject *live = heap ? dget(c->rq_d, c->rq, S.n__live) : NULL;
+    PyObject *heap = sget(c->rq, RQ__heap);
+    PyObject *live = heap ? sget(c->rq, RQ__live) : NULL;
     if (live == NULL) goto done;
     while (PyList_GET_SIZE(heap) > 0) {
         PyObject *entry = heappop_c(heap, lt_entry);
         if (entry == NULL) goto done;
-        PyObject *task = PyTuple_GET_ITEM(entry, 2);
+        PyObject *task = entry_task(entry);
+        if (task == NULL) {
+            Py_DECREF(entry);
+            goto done;
+        }
         Py_INCREF(task);
-        PyObject *tid = PyObject_GetAttr(task, S.n_tid);
+        PyObject *tid = sget(task, TK_tid);
         PyObject *got = tid ? PyDict_GetItemWithError(live, tid) : NULL;
         int found = (got == entry);
         if (!found) {
@@ -718,14 +729,13 @@ static int rq_pop_min(core_ctx *c, PyObject **out) {
         double vr, minvr;
         PyObject *vr_obj = NULL;
         int fail = (PyDict_DelItem(live, tid) < 0 ||
-                    aget_ll(task, S.n_weight, &weight) < 0 ||
-                    dadd_ll(c->rq_d, c->rq, S.n__total_weight, -weight) < 0 ||
-                    dadd_ll(c->rq_d, c->rq, S.n_count, -1) < 0 ||
-                    (vr_obj = PyObject_GetAttr(task, S.n_vruntime)) == NULL ||
+                    sget_ll(task, TK_weight, &weight) < 0 ||
+                    sadd_ll(c->rq, RQ__total_weight, -weight) < 0 ||
+                    sadd_ll(c->rq, RQ_count, -1) < 0 ||
+                    (vr_obj = sget(task, TK_vruntime)) == NULL ||
                     as_dbl(vr_obj, &vr) < 0 ||
-                    dget_dbl(c->rq_d, c->rq, S.n_min_vruntime, &minvr) < 0 ||
-                    (vr > minvr &&
-                     dset(c->rq_d, S.n_min_vruntime, vr_obj) < 0));
+                    sget_dbl(c->rq, RQ_min_vruntime, &minvr) < 0 ||
+                    (vr > minvr && sset(c->rq, RQ_min_vruntime, vr_obj) < 0));
         Py_XDECREF(vr_obj);
         Py_DECREF(tid);
         Py_DECREF(entry);
@@ -746,8 +756,8 @@ done:
 /* CfsRunQueue.max_vruntime(): new ref */
 static PyObject *rq_max_vruntime(core_ctx *c) {
     PyObject *out = NULL;
-    PyObject *heap = dget(c->rq_d, c->rq, S.n__max_heap);
-    PyObject *live = heap ? dget(c->rq_d, c->rq, S.n__live) : NULL;
+    PyObject *heap = sget(c->rq, RQ__max_heap);
+    PyObject *live = heap ? sget(c->rq, RQ__live) : NULL;
     if (live == NULL) goto done;
     while (PyList_GET_SIZE(heap) > 0) {
         PyObject *entry = PyTuple_GET_ITEM(PyList_GET_ITEM(heap, 0), 2);
@@ -762,7 +772,7 @@ static PyObject *rq_max_vruntime(core_ctx *c) {
         if (dead == NULL) goto done;
         Py_DECREF(dead);
     }
-    out = dget(c->rq_d, c->rq, S.n_min_vruntime);
+    out = sget(c->rq, RQ_min_vruntime);
 done:
     Py_XDECREF(heap);
     Py_XDECREF(live);
@@ -775,20 +785,19 @@ done:
 
 /* ``self._mem_track and task.mem_intensity > 0.0``: 1/0, -1 on error;
  * the intensity lands in *mi */
-static int mem_tracked(core_ctx *c, PyObject *task, PyObject *task_d,
-                       double *mi) {
-    int track = dtrue(c->core_d, c->core, S.n__mem_track);
+static int mem_tracked(core_ctx *c, PyObject *task, double *mi) {
+    int track = strue(c->core, CO__mem_track);
     if (track <= 0) return track;
-    if (dget_dbl(task_d, task, S.n_mem_intensity, mi) < 0) return -1;
+    if (sget_dbl(task, TK_mem_intensity, mi) < 0) return -1;
     return *mi > 0.0;
 }
 
 /* CoreSim._mem_note_on(task): insort(mem_busy, (cid, intensity)).  The
  * core's cid is absent from the list, so bisect_right orders purely on
  * cid. */
-static int mem_note_on(core_ctx *c, PyObject *task, PyObject *task_d) {
+static int mem_note_on(core_ctx *c, PyObject *task) {
     double mi;
-    int tracked = mem_tracked(c, task, task_d, &mi);
+    int tracked = mem_tracked(c, task, &mi);
     if (tracked <= 0) return tracked;
     PyObject *busy = c->mem_busy;
     Py_ssize_t lo = 0, hi = PyList_GET_SIZE(busy);
@@ -802,7 +811,7 @@ static int mem_note_on(core_ctx *c, PyObject *task, PyObject *task_d) {
             lo = mid + 1;
     }
     if (PyErr_Occurred()) return -1;
-    PyObject *mi_obj = dget(task_d, task, S.n_mem_intensity);
+    PyObject *mi_obj = sget(task, TK_mem_intensity);
     if (mi_obj == NULL) return -1;
     PyObject *pair = PyTuple_Pack(2, c->cid_obj, mi_obj);
     Py_DECREF(mi_obj);
@@ -815,9 +824,9 @@ static int mem_note_on(core_ctx *c, PyObject *task, PyObject *task_d) {
 /* CoreSim._mem_note_off(task): del mem_busy[bisect_left(mem_busy,
  * (cid, 0.0))].  Intensities are strictly positive, so the probe orders
  * purely on cid. */
-static int mem_note_off(core_ctx *c, PyObject *task, PyObject *task_d) {
+static int mem_note_off(core_ctx *c, PyObject *task) {
     double mi;
-    int tracked = mem_tracked(c, task, task_d, &mi);
+    int tracked = mem_tracked(c, task, &mi);
     if (tracked <= 0) return tracked;
     PyObject *busy = c->mem_busy;
     Py_ssize_t lo = 0, hi = PyList_GET_SIZE(busy);
@@ -840,17 +849,17 @@ static int mem_note_off(core_ctx *c, PyObject *task, PyObject *task_d) {
 }
 
 /* the system.trace.record(...) call of CoreSim._charge_current */
-static int trace_record(core_ctx *c, PyObject *task, PyObject *task_d,
-                        long long dt, int waiting) {
-    PyObject *trace = dget(c->system_d, c->system, S.n_trace);
+static int trace_record(core_ctx *c, PyObject *task, long long dt,
+                        int waiting) {
+    PyObject *trace = sget(c->system, SY_trace);
     if (trace == NULL) return -1;
     if (trace == Py_None) {
         Py_DECREF(trace);
         return 0;
     }
     PyObject *r = NULL;
-    PyObject *tid = dget(task_d, task, S.n_tid);
-    PyObject *name = tid ? dget(task_d, task, S.n_name) : NULL;
+    PyObject *tid = sget(task, TK_tid);
+    PyObject *name = tid ? sget(task, TK_name) : NULL;
     PyObject *start = name ? PyLong_FromLongLong(c->now - dt) : NULL;
     if (start != NULL) {
         PyObject *args[7] = {trace, tid, name, c->cid_obj, start, c->t_obj,
@@ -872,8 +881,7 @@ static int charge_hooks(core_ctx *c, PyObject *task, long long dt) {
     int rc = -1;
     PyObject *observers = NULL;
     PyObject *dt_obj = PyLong_FromLongLong(dt);
-    PyObject *kb = dt_obj ? dget(c->system_d, c->system, S.n__kb_on_charge)
-                          : NULL;
+    PyObject *kb = dt_obj ? sget(c->system, SY__kb_on_charge) : NULL;
     if (kb == NULL) goto done;
     PyObject *args[3] = {c->core, task, dt_obj};
     if (kb != Py_None) {
@@ -881,7 +889,7 @@ static int charge_hooks(core_ctx *c, PyObject *task, long long dt) {
         if (r == NULL) goto done;
         Py_DECREF(r);
     }
-    observers = dget(c->system_d, c->system, S.n_charge_observers);
+    observers = sget(c->system, SY_charge_observers);
     if (observers == NULL) goto done;
     int have_observers = PyObject_IsTrue(observers);
     if (have_observers < 0) goto done;
@@ -907,49 +915,46 @@ done:
 }
 
 /* CoreSim._charge_current(), with ``task`` the current task */
-static int charge_current(core_ctx *c, PyObject *task, PyObject *task_d) {
-    PyObject *core_d = c->core_d;
+static int charge_current(core_ctx *c, PyObject *task) {
+    PyObject *core = c->core;
     long long dsa;
-    if (dget_ll(core_d, c->core, S.n_dispatch_started_at, &dsa) < 0)
-        return -1;
+    if (sget_ll(core, CO_dispatch_started_at, &dsa) < 0) return -1;
     long long dt = c->now - dsa;
-    if (dset(core_d, S.n_dispatch_started_at, c->t_obj) < 0) return -1;
+    sset(core, CO_dispatch_started_at, c->t_obj);
     if (dt <= 0) return 0;
-    if (dadd_ll(task_d, task, S.n_exec_us, dt) < 0) return -1;
-    int waiting = dnone(task_d, task, S.n_waiting_on);
+    if (sadd_ll(task, TK_exec_us, dt) < 0) return -1;
+    int waiting = sis(task, TK_waiting_on, Py_None);
     if (waiting < 0) return -1;
     waiting = !waiting;
-    if (trace_record(c, task, task_d, dt, waiting) < 0) return -1;
+    if (trace_record(c, task, dt, waiting) < 0) return -1;
     double vruntime;
     long long weight;
-    if (dget_dbl(task_d, task, S.n_vruntime, &vruntime) < 0 ||
-        dget_ll(task_d, task, S.n_weight, &weight) < 0)
+    if (sget_dbl(task, TK_vruntime, &vruntime) < 0 ||
+        sget_ll(task, TK_weight, &weight) < 0)
         return -1;
     PyObject *vr = PyFloat_FromDouble(
         vruntime + (double)dt * (S.nice0 / (double)weight));
     if (vr == NULL) return -1;
-    if (dset(task_d, S.n_vruntime, vr) < 0 ||
-        rq_note_current_vruntime(c, vr) < 0) {
-        Py_DECREF(vr);
-        return -1;
-    }
+    sset(task, TK_vruntime, vr);
+    int rc = rq_note_current_vruntime(c, vr);
     Py_DECREF(vr);
-    if (dadd_ll(c->stats_d, c->stats, S.n_busy_us, dt) < 0) return -1;
+    if (rc < 0) return -1;
+    if (sadd_ll(c->stats, ST_busy_us, dt) < 0) return -1;
     if (waiting) {
-        if (dadd_ll(c->stats_d, c->stats, S.n_spin_us, dt) < 0) return -1;
+        if (sadd_ll(c->stats, ST_spin_us, dt) < 0) return -1;
     } else {
         double rate, md, wr;
-        if (dget_dbl(core_d, c->core, S.n__rate_at_dispatch, &rate) < 0 ||
-            dget_dbl(task_d, task, S.n_migration_debt_us, &md) < 0)
+        if (sget_dbl(core, CO__rate_at_dispatch, &rate) < 0 ||
+            sget_dbl(task, TK_migration_debt_us, &md) < 0)
             return -1;
         double ddt = (double)dt;
         double debt_paid = (md < ddt) ? md : ddt; /* min(float(dt), md) */
-        if (dset_dbl(task_d, S.n_migration_debt_us, md - debt_paid) < 0)
+        if (sset_dbl(task, TK_migration_debt_us, md - debt_paid) < 0)
             return -1;
         double productive = ddt - debt_paid;
-        if (dget_dbl(task_d, task, S.n_work_remaining, &wr) < 0 ||
-            dset_dbl(task_d, S.n_work_remaining, wr - productive * rate) < 0 ||
-            dadd_ll(task_d, task, S.n_compute_us, (long long)productive) < 0)
+        if (sget_dbl(task, TK_work_remaining, &wr) < 0 ||
+            sset_dbl(task, TK_work_remaining, wr - productive * rate) < 0 ||
+            sadd_ll(task, TK_compute_us, (long long)productive) < 0)
             return -1;
     }
     return charge_hooks(c, task, dt);
@@ -957,9 +962,9 @@ static int charge_current(core_ctx *c, PyObject *task, PyObject *task_d) {
 
 /* CoreSim.sibling(): new ref (None when the core has no sibling) */
 static PyObject *core_sibling(core_ctx *c) {
-    PyObject *sib = dget(c->core_d, c->core, S.n__sib_core);
+    PyObject *sib = sget(c->core, CO__sib_core);
     if (sib == NULL || sib != Py_None) return sib;
-    PyObject *hw = dget(c->core_d, c->core, S.n_hw);
+    PyObject *hw = sget(c->core, CO_hw);
     PyObject *sib_id = hw ? PyObject_GetAttr(hw, S.n_smt_sibling) : NULL;
     Py_XDECREF(hw);
     if (sib_id == NULL) {
@@ -967,16 +972,15 @@ static PyObject *core_sibling(core_ctx *c) {
         return NULL;
     }
     if (sib_id != Py_None) {
-        PyObject *cores = dget(c->system_d, c->system, S.n_cores);
+        PyObject *cores = sget(c->system, SY_cores);
         PyObject *resolved = cores ? PyObject_GetItem(cores, sib_id) : NULL;
         Py_XDECREF(cores);
-        if (resolved == NULL ||
-            dset(c->core_d, S.n__sib_core, resolved) < 0) {
-            Py_XDECREF(resolved);
+        if (resolved == NULL) {
             Py_DECREF(sib_id);
             Py_DECREF(sib);
             return NULL;
         }
+        sset(c->core, CO__sib_core, resolved);
         Py_SETREF(sib, resolved);
     }
     Py_DECREF(sib_id);
@@ -984,24 +988,22 @@ static PyObject *core_sibling(core_ctx *c) {
 }
 
 /* CoreSim.effective_rate(task) */
-static int effective_rate(core_ctx *c, PyObject *task, PyObject *task_d,
-                          double *out) {
-    PyObject *core_d = c->core_d;
+static int effective_rate(core_ctx *c, PyObject *task, double *out) {
+    PyObject *core = c->core;
     double rate;
-    if (dget_dbl(core_d, c->core, S.n__clock_factor, &rate) < 0) return -1;
-    int smt_active = dtrue(core_d, c->core, S.n__smt_active);
+    if (sget_dbl(core, CO__clock_factor, &rate) < 0) return -1;
+    int smt_active = strue(core, CO__smt_active);
     if (smt_active < 0) return -1;
     if (smt_active) {
         PyObject *sib = core_sibling(c);
         if (sib == NULL) return -1;
         if (sib != Py_None) {
-            PyObject *sib_cur = PyObject_GetAttr(sib, S.n_current);
-            if (sib_cur == NULL) { Py_DECREF(sib); return -1; }
-            int busy = (sib_cur != Py_None);
-            Py_DECREF(sib_cur);
-            if (busy) {
+            int sib_idle = is_a(sib, CLS_CO) ? sis(sib, CO_current, Py_None)
+                                             : not_a(sib, CLS_CO);
+            if (sib_idle < 0) { Py_DECREF(sib); return -1; }
+            if (!sib_idle) { /* sib.current is not None */
                 double derate;
-                if (dget_dbl(core_d, c->core, S.n__smt_derate, &derate) < 0) {
+                if (sget_dbl(core, CO__smt_derate, &derate) < 0) {
                     Py_DECREF(sib);
                     return -1;
                 }
@@ -1010,12 +1012,12 @@ static int effective_rate(core_ctx *c, PyObject *task, PyObject *task_d,
         }
         Py_DECREF(sib);
     }
-    PyObject *home = dget(task_d, task, S.n_home_node);
+    PyObject *home = sget(task, TK_home_node);
     if (home == NULL) return -1;
-    int numa = dtrue(core_d, c->core, S.n__numa);
+    int numa = strue(core, CO__numa);
     int remote = 0;
     if (numa > 0 && home != Py_None) {
-        PyObject *node = dget(core_d, c->core, S.n__numa_node);
+        PyObject *node = sget(core, CO__numa_node);
         remote = node ? PyObject_RichCompareBool(home, node, Py_NE) : -1;
         Py_XDECREF(node);
     }
@@ -1023,12 +1025,11 @@ static int effective_rate(core_ctx *c, PyObject *task, PyObject *task_d,
     if (numa < 0 || remote < 0) return -1;
     if (remote) {
         double slow;
-        if (dget_dbl(core_d, c->core, S.n__numa_remote_slowdown, &slow) < 0)
-            return -1;
+        if (sget_dbl(core, CO__numa_remote_slowdown, &slow) < 0) return -1;
         rate /= slow;
     }
     double mi;
-    int tracked = mem_tracked(c, task, task_d, &mi);
+    int tracked = mem_tracked(c, task, &mi);
     if (tracked < 0) return -1;
     if (tracked) {
         /* the maintained scope index, summed in cid order */
@@ -1045,7 +1046,7 @@ static int effective_rate(core_ctx *c, PyObject *task, PyObject *task_d,
             }
         }
         double alpha;
-        if (dget_dbl(core_d, c->core, S.n__mem_alpha, &alpha) < 0) return -1;
+        if (sget_dbl(core, CO__mem_alpha, &alpha) < 0) return -1;
         rate /= 1.0 + mi * alpha * co;
     }
     *out = rate;
@@ -1071,14 +1072,14 @@ static int ceil_ll(double x, long long *out) {
 
 /* CoreSim._run_duration(task) under plain CfsParams; ``rate`` is the
  * _rate_at_dispatch just stored */
-static int run_duration(core_ctx *c, PyObject *task, PyObject *task_d,
-                        double rate, long long *out) {
+static int run_duration(core_ctx *c, PyObject *task, double rate,
+                        long long *out) {
     long long rq_count, weight, rq_weight, min_gran, target_lat;
-    if (dget_ll(c->rq_d, c->rq, S.n_count, &rq_count) < 0 ||
-        dget_ll(task_d, task, S.n_weight, &weight) < 0 ||
-        dget_ll(c->rq_d, c->rq, S.n__total_weight, &rq_weight) < 0 ||
-        aget_ll(c->params, S.n_min_granularity, &min_gran) < 0 ||
-        aget_ll(c->params, S.n_target_latency, &target_lat) < 0)
+    if (sget_ll(c->rq, RQ_count, &rq_count) < 0 ||
+        sget_ll(task, TK_weight, &weight) < 0 ||
+        sget_ll(c->rq, RQ__total_weight, &rq_weight) < 0 ||
+        sget_ll(c->params, PA_min_granularity, &min_gran) < 0 ||
+        sget_ll(c->params, PA_target_latency, &target_lat) < 0)
         return -1;
     long long nr = rq_count + 1;
     long long total_weight = rq_weight + weight;
@@ -1110,36 +1111,32 @@ static int run_duration(core_ctx *c, PyObject *task, PyObject *task_d,
     }
     if (slice_us < min_gran) slice_us = min_gran;
 
-    int idle_wait = dnone(task_d, task, S.n_waiting_on);
+    int idle_wait = sis(task, TK_waiting_on, Py_None);
     if (idle_wait < 0) return -1;
     if (!idle_wait) { /* task.waiting_on is not None */
         long long run_for = slice_us;
-        int is_yield = dis(task_d, task, S.n_wait_mode, S.wm_yield);
+        int is_yield = sis(task, TK_wait_mode, S.wm_yield);
         if (is_yield < 0) return -1;
         if (is_yield && rq_count > 0) {
             long long ycheck;
-            if (dget_ll(c->core_d, c->core, S.n_yield_check_us, &ycheck) < 0)
-                return -1;
+            if (sget_ll(c->core, CO_yield_check_us, &ycheck) < 0) return -1;
             if (ycheck < run_for) run_for = ycheck;
         }
-        PyObject *deadline = dget(task_d, task, S.n_spin_deadline);
+        PyObject *deadline = speek(task, TK_spin_deadline);
         if (deadline == NULL) return -1;
         if (deadline != Py_None) {
             long long dl = PyLong_AsLongLong(deadline);
-            Py_DECREF(deadline);
             if (dl == -1 && PyErr_Occurred()) return -1;
             long long margin = dl - c->now;
             if (margin < 1) margin = 1;
             if (margin < run_for) run_for = margin;
-        } else {
-            Py_DECREF(deadline);
         }
         *out = run_for;
         return 0;
     }
     double md, wr;
-    if (dget_dbl(task_d, task, S.n_migration_debt_us, &md) < 0 ||
-        dget_dbl(task_d, task, S.n_work_remaining, &wr) < 0)
+    if (sget_dbl(task, TK_migration_debt_us, &md) < 0 ||
+        sget_dbl(task, TK_work_remaining, &wr) < 0)
         return -1;
     if (rate == 0.0) {
         PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
@@ -1160,23 +1157,23 @@ static int schedule_core_event(core_ctx *c, long long delay) {
     PyObject *gen = NULL, *time_obj = NULL, *seq = NULL, *cb = NULL;
     PyObject *label = NULL, *ev = NULL, *entry = NULL, *heap = NULL;
     long long g, seq_ll;
-    if (dget_ll(c->core_d, c->core, S.n__gen, &g) < 0 ||
-        (gen = PyLong_FromLongLong(g + 1)) == NULL ||
-        dset(c->core_d, S.n__gen, gen) < 0)
+    if (sget_ll(c->core, CO__gen, &g) < 0 ||
+        (gen = PyLong_FromLongLong(g + 1)) == NULL)
         goto done;
-    if (dget_ll(c->engine_d, c->engine, S.n__seq, &seq_ll) < 0 ||
+    sset(c->core, CO__gen, gen);
+    if (sget_ll(c->engine, EN__seq, &seq_ll) < 0 ||
         (time_obj = PyLong_FromLongLong(c->now + delay)) == NULL ||
         (seq = PyLong_FromLongLong(seq_ll)) == NULL ||
         (cb = PyMethod_New(S.on_core_event, c->core)) == NULL ||
-        (label = dget(c->core_d, c->core, S.n__event_label)) == NULL ||
+        (label = sget(c->core, CO__event_label)) == NULL ||
         (ev = event_new(time_obj, seq, cb, label, c->engine, gen)) == NULL)
         goto done;
-    if (dset_ll(c->engine_d, S.n__seq, seq_ll + 1) < 0 ||
+    if (sset_ll(c->engine, EN__seq, seq_ll + 1) < 0 ||
         (entry = PyTuple_Pack(3, time_obj, seq, ev)) == NULL ||
-        (heap = dget(c->engine_d, c->engine, S.n__heap)) == NULL ||
-        heappush_c(heap, entry, lt_event) < 0 ||
-        dset(c->core_d, S.n__event, ev) < 0)
+        (heap = sget(c->engine, EN__heap)) == NULL ||
+        heappush_c(heap, entry, lt_event) < 0)
         goto done;
+    sset(c->core, CO__event, ev);
     rc = 0;
 done:
     Py_XDECREF(gen);
@@ -1193,79 +1190,85 @@ done:
 /* the shared tail of CoreSim._start and _redispatch's fast path:
  * resample the rate, size the slice, schedule its end, tell the SMT
  * sibling */
-static int begin_slice(core_ctx *c, PyObject *task, PyObject *task_d) {
+static int begin_slice(core_ctx *c, PyObject *task) {
     double rate;
     long long run_for;
-    if (effective_rate(c, task, task_d, &rate) < 0 ||
-        dset_dbl(c->core_d, S.n__rate_at_dispatch, rate) < 0 ||
-        run_duration(c, task, task_d, rate, &run_for) < 0 ||
+    if (effective_rate(c, task, &rate) < 0 ||
+        sset_dbl(c->core, CO__rate_at_dispatch, rate) < 0 ||
+        run_duration(c, task, rate, &run_for) < 0 ||
         schedule_core_event(c, run_for > 1 ? run_for : 1) < 0)
         return -1;
-    int smt_active = dtrue(c->core_d, c->core, S.n__smt_active);
+    int smt_active = strue(c->core, CO__smt_active);
     if (smt_active <= 0) return smt_active;
     return call_method0(c->core, S.n__notify_sibling_rate_change);
 }
 
 /* CoreSim._start(task) */
-static int start(core_ctx *c, PyObject *task, PyObject *task_d) {
-    if (dset(task_d, S.n_state, S.st_running) < 0 ||
-        dset(task_d, S.n_cur_core, c->cid_obj) < 0 ||
-        dset(c->core_d, S.n_current, task) < 0 ||
-        mem_note_on(c, task, task_d) < 0 ||
-        dset(c->core_d, S.n_dispatch_started_at, c->t_obj) < 0 ||
-        dadd_ll(c->stats_d, c->stats, S.n_dispatches, 1) < 0)
-        return -1;
-    return begin_slice(c, task, task_d);
+static int start(core_ctx *c, PyObject *task) {
+    sset(task, TK_state, S.st_running);
+    sset(task, TK_cur_core, c->cid_obj);
+    sset(c->core, CO_current, task);
+    if (mem_note_on(c, task) < 0) return -1;
+    sset(c->core, CO_dispatch_started_at, c->t_obj);
+    if (sadd_ll(c->stats, ST_dispatches, 1) < 0) return -1;
+    return begin_slice(c, task);
 }
 
 /* Event.cancel(), inlined for exact Events */
 static int event_cancel(PyObject *ev) {
-    if ((PyObject *)Py_TYPE(ev) != S.EventClass)
-        return call_method0(ev, S.n_cancel);
-    if (EV_SLOT(ev, EV_CANCELLED) == Py_True) return 0;
-    int cancelled = ev_true(ev, EV_CANCELLED, S.n_cancelled);
+    if (!exact_event(ev)) return call_method0(ev, S.n_cancel);
+    if (SLOT(ev, EV_cancelled) == Py_True) return 0;
+    int cancelled = ev_true(ev, EV_cancelled, S.n_cancelled);
     if (cancelled != 0) return cancelled < 0 ? -1 : 0;
-    if (ev_write(ev, EV_CANCELLED, S.n_cancelled, Py_True) < 0) return -1;
-    PyObject *eng = EV_SLOT(ev, EV_ENGINE);
+    sset(ev, EV_cancelled, Py_True);
+    PyObject *eng = SLOT(ev, EV_engine);
     if (eng == NULL || eng == Py_None) return 0;
-    int in_heap = ev_true(ev, EV_IN_HEAP, S.n_in_heap);
+    int in_heap = ev_true(ev, EV_in_heap, S.n_in_heap);
     if (in_heap <= 0) return in_heap;
     return call_method0(eng, S.n__note_cancel);
 }
 
 /* CoreSim._cancel_event() */
 static int cancel_event(core_ctx *c) {
-    PyObject *ev = dget(c->core_d, c->core, S.n__event);
+    PyObject *ev = sget(c->core, CO__event);
     if (ev == NULL) return -1;
     if (ev != Py_None) {
-        int rc = event_cancel(ev);
-        if (rc < 0 || dset(c->core_d, S.n__event, Py_None) < 0) {
+        if (event_cancel(ev) < 0) {
             Py_DECREF(ev);
             return -1;
         }
+        sset(c->core, CO__event, Py_None);
     }
     Py_DECREF(ev);
-    return dadd_ll(c->core_d, c->core, S.n__gen, 1);
+    return sadd_ll(c->core, CO__gen, 1);
 }
 
 /* ``not task.needs_advance and (task.work_remaining > _WORK_EPS or
  * task.migration_debt_us > _WORK_EPS)``: 1/0, -1 on error */
-static int has_cpu_work(PyObject *task, PyObject *task_d) {
-    int na = dtrue(task_d, task, S.n_needs_advance);
+static int has_cpu_work(PyObject *task) {
+    int na = strue(task, TK_needs_advance);
     if (na != 0) return na < 0 ? -1 : 0;
     double wr, md;
-    if (dget_dbl(task_d, task, S.n_work_remaining, &wr) < 0) return -1;
+    if (sget_dbl(task, TK_work_remaining, &wr) < 0) return -1;
     if (wr > S.work_eps) return 1;
-    if (dget_dbl(task_d, task, S.n_migration_debt_us, &md) < 0) return -1;
+    if (sget_dbl(task, TK_migration_debt_us, &md) < 0) return -1;
     return md > S.work_eps;
 }
 
 /* ``task.waiting_on is not None or has_cpu_work(task)``: _prepare's
  * immediate-True cases */
-static int ready_to_run(PyObject *task, PyObject *task_d) {
-    int not_waiting = dnone(task_d, task, S.n_waiting_on);
+static int ready_to_run(PyObject *task) {
+    int not_waiting = sis(task, TK_waiting_on, Py_None);
     if (not_waiting <= 0) return not_waiting < 0 ? -1 : 1;
-    return has_cpu_work(task, task_d);
+    return has_cpu_work(task);
+}
+
+/* park ``task`` on the core's DWRR throttled list: nr_running really
+ * dropped */
+static int park_throttled(core_ctx *c, PyObject *task) {
+    PyObject *parked = speek(c->core, CO_throttled);
+    if (parked == NULL || cell_add(c->load_epoch, 1) < 0) return -1;
+    return PyList_Append(parked, task);
 }
 
 /* the pick loop of CoreSim._dispatch_next; *out is the task to start
@@ -1278,22 +1281,16 @@ static int pick_next(core_ctx *c, PyObject **out) {
         if (task == NULL) {
             if (call_method0(c->core, S.n__go_idle) < 0) return -1;
             long long count;
-            if (dget_ll(c->rq_d, c->rq, S.n_count, &count) < 0) return -1;
+            if (sget_ll(c->rq, RQ_count, &count) < 0) return -1;
             if (count == 0) return 0; /* genuinely idle */
             continue;                 /* idle balance pulled something */
         }
-        PyObject *task_d = idict(task);
-        int throttled = task_d ? dtrue(task_d, task, S.n_throttled) : -1;
+        int throttled = strue(task, TK_throttled);
         int rc = -1;
         if (throttled > 0) {
-            /* parked off the queue: nr_running really dropped */
-            PyObject *parked = dget(c->core_d, c->core, S.n_throttled);
-            if (parked != NULL && cell_add(c->load_epoch, 1) == 0 &&
-                PyList_Append(parked, task) == 0)
-                rc = 1; /* pick again */
-            Py_XDECREF(parked);
+            if (park_throttled(c, task) == 0) rc = 1; /* pick again */
         } else if (throttled == 0) {
-            int ready = ready_to_run(task, task_d);
+            int ready = ready_to_run(task);
             if (ready > 0) {
                 rc = 0;
             } else if (ready == 0) {
@@ -1307,7 +1304,6 @@ static int pick_next(core_ctx *c, PyObject **out) {
                     rc = 1; /* slept or exited during prepare */
             }
         }
-        Py_XDECREF(task_d);
         if (rc == 0) {
             *out = task;
             return 0;
@@ -1319,98 +1315,83 @@ static int pick_next(core_ctx *c, PyObject **out) {
 
 /* CoreSim._dispatch_next() */
 static int dispatch_next(core_ctx *c) {
-    if (cancel_event(c) < 0 || dset(c->core_d, S.n__in_resched, Py_True) < 0)
-        return -1;
+    if (cancel_event(c) < 0) return -1;
+    sset(c->core, CO__in_resched, Py_True);
     PyObject *task;
     int rc = pick_next(c, &task);
     /* the Python twin's try/finally: restore even while raising */
-    PyObject *et, *ev, *tb;
-    PyErr_Fetch(&et, &ev, &tb);
-    int frc = dset(c->core_d, S.n__in_resched, Py_False);
-    if (et != NULL) {
-        PyErr_Restore(et, ev, tb);
-        return -1;
-    }
-    if (frc < 0 || rc < 0) {
-        Py_XDECREF(task);
-        return -1;
-    }
+    sset(c->core, CO__in_resched, Py_False);
+    if (rc < 0) return -1;
     if (task == NULL) return 0;
-    PyObject *task_d = idict(task);
-    rc = task_d ? start(c, task, task_d) : -1;
-    Py_XDECREF(task_d);
+    rc = start(c, task);
     Py_DECREF(task);
     return rc;
 }
 
 /* CoreSim._put_back_current() */
 static int put_back_current(core_ctx *c) {
-    PyObject *task = dget(c->core_d, c->core, S.n_current);
+    PyObject *task = sget(c->core, CO_current);
     if (task == NULL) return -1;
     if (task == Py_None) {
         Py_DECREF(task);
         return 0;
     }
     int rc = -1;
-    PyObject *task_d = idict(task);
-    if (task_d == NULL || dset(c->core_d, S.n_current, Py_None) < 0 ||
-        mem_note_off(c, task, task_d) < 0 ||
-        dset(task_d, S.n_last_descheduled_at, c->t_obj) < 0 ||
-        dset(task_d, S.n_last_core, c->cid_obj) < 0 ||
-        dadd_ll(c->stats_d, c->stats, S.n_context_switches, 1) < 0)
+    if (!is_a(task, CLS_TK)) {
+        not_a(task, CLS_TK);
         goto done;
-    int running = dis(task_d, task, S.n_state, S.st_running);
+    }
+    sset(c->core, CO_current, Py_None);
+    if (mem_note_off(c, task) < 0) goto done;
+    sset(task, TK_last_descheduled_at, c->t_obj);
+    sset(task, TK_last_core, c->cid_obj);
+    if (sadd_ll(c->stats, ST_context_switches, 1) < 0) goto done;
+    int running = sis(task, TK_state, S.st_running);
     if (running < 0) goto done;
     if (!running) {
         /* already slept/exited/migrated under us: nr_running dropped */
         rc = cell_add(c->load_epoch, 1);
         goto done;
     }
-    if (dset(task_d, S.n_state, S.st_runnable) < 0) goto done;
-    int throttled = dtrue(task_d, task, S.n_throttled);
+    sset(task, TK_state, S.st_runnable);
+    int throttled = strue(task, TK_throttled);
     if (throttled < 0) goto done;
-    if (throttled) {
-        PyObject *parked = dget(c->core_d, c->core, S.n_throttled);
-        if (parked != NULL && cell_add(c->load_epoch, 1) == 0 &&
-            PyList_Append(parked, task) == 0)
-            rc = 0;
-        Py_XDECREF(parked);
-    } else {
+    if (throttled)
+        rc = park_throttled(c, task);
+    else
         /* requeue of the running task: load-neutral, no epoch bump */
-        rc = rq_push(c, task, task_d);
-    }
+        rc = rq_push(c, task);
 done:
-    Py_XDECREF(task_d);
     Py_DECREF(task);
     return rc;
 }
 
 /* CoreSim._redispatch(task) */
-static int redispatch(core_ctx *c, PyObject *task, PyObject *task_d) {
+static int redispatch(core_ctx *c, PyObject *task) {
     long long count;
-    if (dget_ll(c->rq_d, c->rq, S.n_count, &count) < 0) return -1;
+    if (sget_ll(c->rq, RQ_count, &count) < 0) return -1;
     int lone = (count == 0);
     if (lone) {
-        int throttled = dtrue(task_d, task, S.n_throttled);
+        int throttled = strue(task, TK_throttled);
         if (throttled < 0) return -1;
         lone = !throttled;
     }
     if (lone) {
-        lone = dis(task_d, task, S.n_state, S.st_running);
+        lone = sis(task, TK_state, S.st_running);
         if (lone < 0) return -1;
     }
     if (lone) {
-        lone = ready_to_run(task, task_d);
+        lone = ready_to_run(task);
         if (lone < 0) return -1;
     }
     if (lone) {
         /* lone-task fast path: the queue round trip is an identity */
-        if (dset(task_d, S.n_last_descheduled_at, c->t_obj) < 0 ||
-            dset(task_d, S.n_last_core, c->cid_obj) < 0 ||
-            dadd_ll(c->stats_d, c->stats, S.n_context_switches, 1) < 0 ||
-            dadd_ll(c->stats_d, c->stats, S.n_dispatches, 1) < 0)
+        sset(task, TK_last_descheduled_at, c->t_obj);
+        sset(task, TK_last_core, c->cid_obj);
+        if (sadd_ll(c->stats, ST_context_switches, 1) < 0 ||
+            sadd_ll(c->stats, ST_dispatches, 1) < 0)
             return -1;
-        return begin_slice(c, task, task_d);
+        return begin_slice(c, task);
     }
     if (put_back_current(c) < 0) return -1;
     return dispatch_next(c);
@@ -1418,14 +1399,12 @@ static int redispatch(core_ctx *c, PyObject *task, PyObject *task_d) {
 
 /* the KMP_BLOCKTIME branch of CoreSim._on_core_event: the spinning
  * waiter goes to sleep */
-static int spin_expired(core_ctx *c, PyObject *task, PyObject *task_d,
-                        PyObject *barrier) {
-    if (dset(c->core_d, S.n_current, Py_None) < 0 ||
-        cell_add(c->load_epoch, 1) < 0 ||
-        mem_note_off(c, task, task_d) < 0 ||
-        dset(task_d, S.n_last_descheduled_at, c->t_obj) < 0 ||
-        dset(task_d, S.n_last_core, c->cid_obj) < 0)
+static int spin_expired(core_ctx *c, PyObject *task, PyObject *barrier) {
+    sset(c->core, CO_current, Py_None);
+    if (cell_add(c->load_epoch, 1) < 0 || mem_note_off(c, task) < 0)
         return -1;
+    sset(task, TK_last_descheduled_at, c->t_obj);
+    sset(task, TK_last_core, c->cid_obj);
     PyObject *args[3] = {barrier, task, c->t_obj};
     PyObject *r = PyObject_VectorcallMethod(
         S.n_spin_timeout, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
@@ -1436,26 +1415,23 @@ static int spin_expired(core_ctx *c, PyObject *task, PyObject *task_d,
 }
 
 /* CoreSim._on_core_event(gen), after the superseded check */
-static int on_core_event(core_ctx *c, PyObject *task, PyObject *task_d) {
-    if (charge_current(c, task, task_d) < 0) return -1;
-    PyObject *barrier = dget(task_d, task, S.n_waiting_on);
+static int on_core_event(core_ctx *c, PyObject *task) {
+    if (charge_current(c, task) < 0) return -1;
+    PyObject *barrier = sget(task, TK_waiting_on);
     if (barrier == NULL) return -1;
     int rc = -1;
     if (barrier != Py_None) {
-        PyObject *deadline = dget(task_d, task, S.n_spin_deadline);
+        PyObject *deadline = speek(task, TK_spin_deadline);
         if (deadline == NULL) goto done;
         if (deadline != Py_None) {
             long long dl = PyLong_AsLongLong(deadline);
-            Py_DECREF(deadline);
             if (dl == -1 && PyErr_Occurred()) goto done;
             if (c->now >= dl) {
-                rc = spin_expired(c, task, task_d, barrier);
+                rc = spin_expired(c, task, barrier);
                 goto done;
             }
-        } else {
-            Py_DECREF(deadline);
         }
-        int is_yield = dis(task_d, task, S.n_wait_mode, S.wm_yield);
+        int is_yield = sis(task, TK_wait_mode, S.wm_yield);
         if (is_yield < 0) goto done;
         if (is_yield) {
             /* sched_yield: move past the rightmost task and requeue */
@@ -1464,24 +1440,22 @@ static int on_core_event(core_ctx *c, PyObject *task, PyObject *task_d) {
             if (mv_obj == NULL) goto done;
             int frc = as_dbl(mv_obj, &mv);
             Py_DECREF(mv_obj);
-            if (frc < 0 || dget_dbl(task_d, task, S.n_vruntime, &vr) < 0 ||
-                aget_dbl(c->params, S.n_yield_penalty, &penalty) < 0 ||
-                dset_dbl(task_d, S.n_vruntime,
-                         ((mv > vr) ? mv : vr) + penalty) < 0)
+            if (frc < 0 || sget_dbl(task, TK_vruntime, &vr) < 0 ||
+                sget_dbl(c->params, PA_yield_penalty, &penalty) < 0 ||
+                sset_dbl(task, TK_vruntime, ((mv > vr) ? mv : vr) + penalty) < 0)
                 goto done;
         }
     } else {
         double wr, md;
-        if (dget_dbl(task_d, task, S.n_work_remaining, &wr) < 0 ||
-            dget_dbl(task_d, task, S.n_migration_debt_us, &md) < 0)
+        if (sget_dbl(task, TK_work_remaining, &wr) < 0 ||
+            sget_dbl(task, TK_migration_debt_us, &md) < 0)
             goto done;
         if (wr <= S.work_eps && md <= S.work_eps) {
-            if (dset_dbl(task_d, S.n_work_remaining, 0.0) < 0 ||
-                dset(task_d, S.n_needs_advance, Py_True) < 0)
-                goto done;
+            if (sset_dbl(task, TK_work_remaining, 0.0) < 0) goto done;
+            sset(task, TK_needs_advance, Py_True);
         }
     }
-    rc = redispatch(c, task, task_d);
+    rc = redispatch(c, task);
 done:
     Py_DECREF(barrier);
     return rc;
@@ -1490,15 +1464,15 @@ done:
 /* Dispatch one CoreSim._on_core_event(gen) event: the C twin for CFS
  * run queues with plain CfsParams, the Python method otherwise. */
 static int core_event(PyObject *cb, PyObject *gen, PyObject *engine,
-                      PyObject *engine_d, PyObject *t_obj, long long t) {
+                      PyObject *t_obj, long long t) {
     core_ctx c = {0};
     c.engine = engine;
-    c.engine_d = engine_d;
     c.t_obj = t_obj;
     c.now = t;
     int rc = -1;
-    if (ctx_init(&c, PyMethod_GET_SELF(cb)) < 0) goto done;
-    if (!ctx_is_cfs(&c)) {
+    int fusable = ctx_init(&c, PyMethod_GET_SELF(cb));
+    if (fusable < 0) goto done;
+    if (!fusable) {
         stat_delegated++;
         PyObject *r = PyObject_CallOneArg(cb, gen);
         if (r != NULL) {
@@ -1509,7 +1483,7 @@ static int core_event(PyObject *cb, PyObject *gen, PyObject *engine,
     }
     stat_fused++;
     /* if gen != self._gen or self.current is None: return */
-    PyObject *self_gen = dget(c.core_d, c.core, S.n__gen);
+    PyObject *self_gen = sget(c.core, CO__gen);
     if (self_gen == NULL) goto done;
     int same = PyObject_RichCompareBool(gen, self_gen, Py_EQ);
     Py_DECREF(self_gen);
@@ -1517,16 +1491,10 @@ static int core_event(PyObject *cb, PyObject *gen, PyObject *engine,
         rc = same;
         goto done;
     }
-    PyObject *task = dget(c.core_d, c.core, S.n_current);
+    PyObject *task = sget(c.core, CO_current);
     if (task == NULL) goto done;
-    if (task != Py_None) {
-        PyObject *task_d = idict(task);
-        if (task_d != NULL && ctx_init_dicts(&c) == 0)
-            rc = on_core_event(&c, task, task_d);
-        Py_XDECREF(task_d);
-    } else {
-        rc = 0; /* superseded */
-    }
+    /* ctx_init checked it is None or a Task */
+    rc = (task != Py_None) ? on_core_event(&c, task) : 0;
     Py_DECREF(task);
 done:
     ctx_clear(&c);
@@ -1538,11 +1506,11 @@ done:
 /* ------------------------------------------------------------------ */
 
 /* ev.callback(ev.payload) or ev.callback() */
-static int dispatch_event(PyObject *ev, PyObject *engine, PyObject *engine_d,
-                          PyObject *t_obj, long long t) {
-    PyObject *cb = ev_read(ev, EV_CALLBACK, S.n_callback);
+static int dispatch_event(PyObject *ev, PyObject *engine, PyObject *t_obj,
+                          long long t) {
+    PyObject *cb = ev_read(ev, EV_callback, S.n_callback);
     if (cb == NULL) return -1;
-    PyObject *payload = ev_read(ev, EV_PAYLOAD, S.n_payload);
+    PyObject *payload = ev_read(ev, EV_payload, S.n_payload);
     if (payload == NULL) {
         Py_DECREF(cb);
         return -1;
@@ -1550,7 +1518,7 @@ static int dispatch_event(PyObject *ev, PyObject *engine, PyObject *engine_d,
     int rc;
     if (payload != Py_None && PyMethod_Check(cb) &&
         PyMethod_GET_FUNCTION(cb) == S.on_core_event) {
-        rc = core_event(cb, payload, engine, engine_d, t_obj, t);
+        rc = core_event(cb, payload, engine, t_obj, t);
     } else {
         stat_generic++;
         PyObject *r = (payload == Py_None) ? PyObject_CallNoArgs(cb)
@@ -1582,9 +1550,9 @@ static int notify_observers(PyObject *observers, PyObject *ev) {
  * when it is dispatched or purged).  Returns 1 if an event was
  * dispatched, 0 if a cancelled entry was purged, 2 if the head lies
  * past ``until``, -1 on error. */
-static int drain_one(PyObject *engine, PyObject *engine_d, PyObject *heap,
-                     PyObject *observers, PyObject *entry, int have_until,
-                     long long until, long long limit) {
+static int drain_one(PyObject *engine, PyObject *heap, PyObject *observers,
+                     PyObject *entry, int have_until, long long until,
+                     long long limit) {
     if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 3) {
         PyErr_SetString(PyExc_TypeError,
                         "engine heap entries must be (time, seq, event)");
@@ -1592,19 +1560,18 @@ static int drain_one(PyObject *engine, PyObject *engine_d, PyObject *heap,
     }
     PyObject *t_obj = PyTuple_GET_ITEM(entry, 0);
     PyObject *ev = PyTuple_GET_ITEM(entry, 2);
-    int cancelled = ev_true(ev, EV_CANCELLED, S.n_cancelled);
+    int cancelled = ev_true(ev, EV_cancelled, S.n_cancelled);
     if (cancelled < 0) return -1;
     if (cancelled) {
         PyObject *dead = heappop_c(heap, lt_event);
         if (dead == NULL) return -1;
         Py_DECREF(dead);
-        if (ev_write(ev, EV_IN_HEAP, S.n_in_heap, Py_False) < 0) return -1;
-        PyObject *owner = ev_read(ev, EV_ENGINE, S.n_engine);
+        if (ev_write(ev, EV_in_heap, S.n_in_heap, Py_False) < 0) return -1;
+        PyObject *owner = ev_read(ev, EV_engine, S.n_engine);
         if (owner == NULL) return -1;
         int owned = (owner != Py_None);
         Py_DECREF(owner);
-        if (owned && dadd_ll(engine_d, engine, S.n__cancelled, -1) < 0)
-            return -1;
+        if (owned && sadd_ll(engine, EN__cancelled, -1) < 0) return -1;
         return 0;
     }
     long long t = PyLong_AsLongLong(t_obj);
@@ -1613,22 +1580,22 @@ static int drain_one(PyObject *engine, PyObject *engine_d, PyObject *heap,
     PyObject *popped = heappop_c(heap, lt_event);
     if (popped == NULL) return -1;
     Py_DECREF(popped);
-    if (ev_write(ev, EV_IN_HEAP, S.n_in_heap, Py_False) < 0) return -1;
+    if (ev_write(ev, EV_in_heap, S.n_in_heap, Py_False) < 0) return -1;
     int have_observers = PyObject_IsTrue(observers);
     if (have_observers < 0) return -1;
     if (have_observers && notify_observers(observers, ev) < 0) return -1;
     long long engine_now, d;
-    if (dget_ll(engine_d, engine, S.n_now, &engine_now) < 0) return -1;
+    if (sget_ll(engine, EN_now, &engine_now) < 0) return -1;
     if (t < engine_now) { /* defensive, mirrors Python */
         PyErr_SetString(S.SimulationError, "event queue time went backwards");
         return -1;
     }
-    if (dset(engine_d, S.n_now, t_obj) < 0 ||
-        dget_ll(engine_d, engine, S.n__dispatched, &d) < 0 ||
-        dset_ll(engine_d, S.n__dispatched, d + 1) < 0)
+    sset(engine, EN_now, t_obj);
+    if (sget_ll(engine, EN__dispatched, &d) < 0 ||
+        sset_ll(engine, EN__dispatched, d + 1) < 0)
         return -1;
     if (d + 1 > limit) {
-        PyObject *lbl = ev_read(ev, EV_LABEL, S.n_label);
+        PyObject *lbl = ev_read(ev, EV_label, S.n_label);
         if (lbl != NULL) {
             PyErr_Format(S.SimulationError,
                          "event limit exceeded (%lld); likely livelock near "
@@ -1638,7 +1605,7 @@ static int drain_one(PyObject *engine, PyObject *engine_d, PyObject *heap,
         }
         return -1;
     }
-    if (dispatch_event(ev, engine, engine_d, t_obj, t) < 0) return -1;
+    if (dispatch_event(ev, engine, t_obj, t) < 0) return -1;
     return 1;
 }
 
@@ -1649,22 +1616,21 @@ long long repro_drain(PyObject *engine, PyObject *until_obj) {
                         "native engine core not initialised");
         return -1;
     }
+    if (!is_a(engine, CLS_EN)) return not_a(engine, CLS_EN);
     long long rc = -1;
     PyObject *heap = NULL, *observers = NULL;
-    PyObject *engine_d = idict(engine);
-    if (engine_d == NULL) return -1;
     /* aliases, not copies: Engine._compact rewrites the heap in place
      * and callbacks may edit the observer list, so both are re-read
      * through the list object on every pass */
-    if ((heap = dget(engine_d, engine, S.n__heap)) == NULL ||
-        (observers = dget(engine_d, engine, S.n_observers)) == NULL)
+    if ((heap = sget(engine, EN__heap)) == NULL ||
+        (observers = sget(engine, EN_observers)) == NULL)
         goto done;
     if (!PyList_Check(heap)) {
         PyErr_SetString(PyExc_TypeError, "engine heap must be a list");
         goto done;
     }
     long long limit;
-    if (dget_ll(engine_d, engine, S.n_max_events, &limit) < 0) goto done;
+    if (sget_ll(engine, EN_max_events, &limit) < 0) goto done;
     int have_until = (until_obj != Py_None);
     long long until = 0;
     if (have_until) {
@@ -1674,13 +1640,13 @@ long long repro_drain(PyObject *engine, PyObject *until_obj) {
     long long dispatched_any = 0;
     unsigned long long passes = 0;
     while (PyList_GET_SIZE(heap) > 0) {
-        int stop = dtrue(engine_d, engine, S.n__stop_requested);
+        int stop = strue(engine, EN__stop_requested);
         if (stop < 0) goto done;
         if (stop) break;
         PyObject *entry = PyList_GET_ITEM(heap, 0);
         Py_INCREF(entry); /* keeps t_obj and ev alive through dispatch */
-        int step = drain_one(engine, engine_d, heap, observers, entry,
-                             have_until, until, limit);
+        int step = drain_one(engine, heap, observers, entry, have_until,
+                             until, limit);
         Py_DECREF(entry);
         if (step < 0) goto done;
         if (step == 2) break;
@@ -1691,7 +1657,6 @@ long long repro_drain(PyObject *engine, PyObject *until_obj) {
 done:
     Py_XDECREF(heap);
     Py_XDECREF(observers);
-    Py_DECREF(engine_d);
     return rc;
 }
 
@@ -1701,7 +1666,7 @@ done:
 
 /* the binding module checks this against its expected value so a stale
  * cached artifact from an older source revision is never used */
-long long repro_native_abi(void) { return 2; }
+long long repro_native_abi(void) { return 3; }
 
 /* dispatch-path counters: 0 = core event in the C twin, 1 = generic
  * Python call, 2 = core event delegated to the Python method; anything
@@ -1715,28 +1680,56 @@ long long repro_native_stat(long long which) {
     }
 }
 
-/* resolve the Event __slots__ member offsets from the class's slot
- * descriptors; refuses anything that is not a real member descriptor
- * so a future Event redesign fails loudly here instead of corrupting
- * memory */
-static int resolve_ev_slots(void) {
-    static const char *names[EV_NSLOTS] = {
-        "time", "seq", "callback", "cancelled",
-        "label", "engine", "in_heap", "payload",
-    };
-    for (int i = 0; i < EV_NSLOTS; i++) {
-        PyObject *d = PyObject_GetAttrString(S.EventClass, names[i]);
-        if (d == NULL) return -1;
-        if (!PyObject_TypeCheck(d, &PyMemberDescr_Type)) {
-            Py_DECREF(d);
-            PyErr_Format(PyExc_TypeError,
-                         "Event.%s is not a slot descriptor", names[i]);
+/* the slot table as ["Class.field", ...], for the test that holds it
+ * against the classes' __slots__; borrowed (ctypes' py_object return
+ * increfs), NULL with an error before initialisation */
+PyObject *repro_native_slots(void) {
+    if (S.slot_table == NULL)
+        PyErr_SetString(PyExc_RuntimeError,
+                        "native engine core not initialised");
+    return S.slot_table;
+}
+
+/* resolve every slot offset from the member descriptors of the support
+ * classes; refuses a name that is not a writable object slot declared
+ * by its class (or a base) so a class redesign fails loudly here
+ * instead of corrupting memory */
+static int resolve_slots(void) {
+    for (int i = 0; i < N_SLOTS; i++) {
+        PyTypeObject *cls = (PyTypeObject *)S.cls[slot_class[i]];
+        PyObject *d = PyObject_GetAttrString((PyObject *)cls, slot_name[i]);
+        if (d == NULL && !PyErr_ExceptionMatches(PyExc_AttributeError))
+            return -1;
+        PyErr_Clear();
+        int ok = d != NULL && PyObject_TypeCheck(d, &PyMemberDescr_Type) &&
+                 PyType_IsSubtype(cls, PyDescr_TYPE(d));
+        if (ok) {
+            PyMemberDef *m = ((PyMemberDescrObject *)d)->d_member;
+            ok = m->type == T_OBJECT_EX && !(m->flags & READONLY);
+            slot_off[i] = m->offset;
+        }
+        Py_XDECREF(d);
+        if (!ok) {
+            PyErr_Format(PyExc_TypeError, "%s.%s is not a slot descriptor",
+                         cls->tp_name, slot_name[i]);
             return -1;
         }
-        ev_off[i] = ((PyMemberDescrObject *)d)->d_member->offset;
-        Py_DECREF(d);
     }
     return 0;
+}
+
+/* ["Class.field", ...] from the table */
+static PyObject *build_slot_table(void) {
+    PyObject *table = PyList_New(N_SLOTS);
+    for (int i = 0; table != NULL && i < N_SLOTS; i++) {
+        PyObject *entry = PyUnicode_FromFormat(
+            "%s.%s", CLASS_KEYS[slot_class[i]], slot_name[i]);
+        if (entry == NULL)
+            Py_CLEAR(table);
+        else
+            PyList_SET_ITEM(table, i, entry); /* steals entry */
+    }
+    return table;
 }
 
 static PyObject *take(PyObject *support, const char *key) {
@@ -1760,17 +1753,23 @@ long long repro_native_init(PyObject *support) {
     if (S.n_##n == NULL) return -1;
     ATTR_NAMES(X)
 #undef X
+    for (int k = 0; k < N_CLASSES; k++) {
+        if ((S.cls[k] = take(support, CLASS_KEYS[k])) == NULL) return -1;
+        if (!PyType_Check(S.cls[k])) {
+            PyErr_Format(PyExc_TypeError, "native support %s is not a class",
+                         CLASS_KEYS[k]);
+            return -1;
+        }
+    }
     if ((S.SimulationError = take(support, "SimulationError")) == NULL ||
-        (S.EventClass = take(support, "Event")) == NULL ||
         (S.on_core_event = take(support, "on_core_event")) == NULL ||
-        (S.CfsParams = take(support, "CfsParams")) == NULL ||
-        (S.CfsRunQueue = take(support, "CfsRunQueue")) == NULL ||
         (S.st_running = take(support, "RUNNING")) == NULL ||
         (S.st_runnable = take(support, "RUNNABLE")) == NULL ||
         (S.wm_yield = take(support, "YIELD")) == NULL ||
         (S.entry_counter = take(support, "entry_counter")) == NULL)
         return -1;
-    if (resolve_ev_slots() < 0) return -1;
+    if (resolve_slots() < 0) return -1;
+    if ((S.slot_table = build_slot_table()) == NULL) return -1;
     PyObject *eps = PyDict_GetItemString(support, "WORK_EPS");
     PyObject *nice0 = PyDict_GetItemString(support, "NICE_0_WEIGHT");
     if (eps == NULL || nice0 == NULL) {

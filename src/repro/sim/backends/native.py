@@ -37,6 +37,8 @@ __all__ = ["NativeEngine"]
 class NativeEngine(Engine):
     """Heap engine whose ``run()`` drain loop runs in compiled C."""
 
+    __slots__ = ("_lib",)
+
     def __init__(self, max_events: int = 200_000_000) -> None:
         # compile/load before touching anything else so an unusable
         # toolchain surfaces as NativeUnavailableError at construction,

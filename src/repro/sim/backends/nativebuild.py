@@ -48,7 +48,7 @@ __all__ = [
 #: bumped together with the C side's ``repro_native_abi`` whenever the
 #: exported interface changes; a cached artifact with the wrong ABI is
 #: discarded and rebuilt rather than trusted
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 
 _SOURCE = Path(__file__).resolve().parent / "_native" / "engine_core.c"
 
@@ -57,6 +57,10 @@ _COMPILERS = ("cc", "gcc", "clang")
 
 #: process-level cache: source digest -> configured PyDLL
 _loaded: dict[str, ctypes.PyDLL] = {}
+
+#: process-level memo of :func:`_source_digest`: the source's
+#: ``(st_mtime_ns, st_size)`` -> digest, so an edited source rebuilds
+_digests: dict[tuple[int, int], str] = {}
 
 
 class NativeUnavailableError(RuntimeError):
@@ -97,12 +101,23 @@ def _source_digest() -> str:
 
     The interpreter version is folded in because the library is built
     against this interpreter's headers; a pyenv switch must recompile.
+    The digest is memoized per process under the source's modification
+    time and size, so every engine construction after the first costs a
+    ``stat`` instead of reading and hashing the source.
     """
+    st = _SOURCE.stat()
+    stamp = (st.st_mtime_ns, st.st_size)
+    digest = _digests.get(stamp)
+    if digest is not None:
+        return digest
     h = hashlib.sha256()
     h.update(_SOURCE.read_bytes())
     h.update(f"|py{sys.version_info[0]}.{sys.version_info[1]}".encode())
     h.update(f"|abi{_ABI_VERSION}".encode())
-    return h.hexdigest()[:16]
+    digest = h.hexdigest()[:16]
+    # a pure function of the file the stamp names -- determinism-neutral
+    _digests[stamp] = digest  # sim-lint: ignore[FLOW004]
+    return digest
 
 
 def _compile(cc: str, out_path: Path) -> None:
@@ -156,29 +171,39 @@ def _bind(path: Path) -> ctypes.PyDLL:
     lib.repro_drain.argtypes = [ctypes.py_object, ctypes.py_object]
     lib.repro_native_stat.restype = ctypes.c_longlong
     lib.repro_native_stat.argtypes = [ctypes.c_longlong]
+    lib.repro_native_slots.restype = ctypes.py_object
+    lib.repro_native_slots.argtypes = []
     return lib
 
 
 def _support_dict() -> dict:
-    # imported here, not at module top: repro.sched.core must not be a
-    # hard import dependency of the backends package
-    from repro.sched.core import _WORK_EPS, CoreSim
+    # imported here, not at module top: repro.sched and repro.system
+    # must not be hard import dependencies of the backends package
+    # (repro.system imports it)
     from repro.sched.cfs import CfsParams
+    from repro.sched.core import _WORK_EPS, CoreSim, CoreStats
     from repro.sched.runqueue import (
         _COMPACT_FACTOR,
         _COMPACT_MIN,
         CfsRunQueue,
         _entry_counter,
     )
-    from repro.sched.task import NICE_0_WEIGHT, TaskState, WaitMode
-    from repro.sim.engine import Event, SimulationError
+    from repro.sched.task import NICE_0_WEIGHT, Task, TaskState, WaitMode
+    from repro.sim.engine import Engine, Event, SimulationError
+    from repro.system import System
 
     return {
         "SimulationError": SimulationError,
-        "Event": Event,
         "on_core_event": CoreSim._on_core_event,
-        "CfsParams": CfsParams,
+        # the slotted classes whose member offsets the core resolves
+        "Engine": Engine,
+        "Event": Event,
+        "CoreSim": CoreSim,
+        "Task": Task,
         "CfsRunQueue": CfsRunQueue,
+        "CoreStats": CoreStats,
+        "System": System,
+        "CfsParams": CfsParams,
         "RUNNING": TaskState.RUNNING,
         "RUNNABLE": TaskState.RUNNABLE,
         "YIELD": WaitMode.YIELD,
@@ -249,9 +274,11 @@ def native_stats() -> dict[str, int]:
     ``fused`` counts core events that ran through the compiled twin of
     :meth:`CoreSim._on_core_event`, ``generic`` events dispatched via an
     ordinary Python call, and ``delegated`` core events handed back to
-    the Python method (a run queue other than ``CfsRunQueue`` or slice
-    params other than plain ``CfsParams``).  Used by tests to prove the
-    fast path is actually exercised rather than silently falling back.
+    the Python method (a run queue other than ``CfsRunQueue``, slice
+    params other than plain ``CfsParams``, or a core, system, stats or
+    current task that is not an instance of its slotted class).  Used
+    by tests to prove the fast path is actually exercised rather than
+    silently falling back.
     """
     lib = load_native_lib()
     return {

@@ -143,7 +143,16 @@ class Engine:
     >>> eng.run()
     >>> fired
     [10]
+
+    Every field is a slot: the native backend's drain loop reads and
+    writes them at fixed offsets, so a new field must be added to
+    ``__slots__``.
     """
+
+    __slots__ = (
+        "now", "_heap", "_seq", "_dispatched", "_cancelled", "max_events",
+        "_running", "_stop_requested", "observers",
+    )
 
     def __init__(self, max_events: int = 200_000_000) -> None:
         self.now: int = 0

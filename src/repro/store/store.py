@@ -545,7 +545,27 @@ class ResultStore:
         digest = self._resolve(digest_or_spec)
         if not (self._object_dir(digest) / "entry.json").is_file():
             return None
+        return self._entry_of(digest, self._load_entry_doc(digest))
+
+    def get_with_trace(
+        self, digest_or_spec: Union[str, RunSpec]
+    ) -> Optional[tuple[StoreEntry, Optional[TraceRecorder]]]:
+        """:meth:`get` and :meth:`load_trace` from one read of the entry.
+
+        ``None`` when the entry is absent; otherwise the entry and its
+        trace (``None`` when it was stored without one).  Every check
+        of the two calls applies: the entry's integrity digest and
+        filing, the result-digest recompute and the trace digest.
+        """
+        digest = self._resolve(digest_or_spec)
+        if not (self._object_dir(digest) / "entry.json").is_file():
+            return None
         doc = self._load_entry_doc(digest)
+        return self._entry_of(digest, doc), self._trace_of(digest, doc)
+
+    @staticmethod
+    def _entry_of(digest: str, doc: dict) -> StoreEntry:
+        """The verified entry behind an integrity-checked ``doc``."""
         result: Optional[Union[AppRunResult, RepeatedResult]] = None
         if doc["kind"] == "run":
             result = result_from_dict(doc["result"])
@@ -584,7 +604,10 @@ class ResultStore:
     ) -> Optional[TraceRecorder]:
         """Load an entry's stored trace; ``None`` when it has none."""
         digest = self._resolve(digest_or_spec)
-        doc = self._load_entry_doc(digest)
+        return self._trace_of(digest, self._load_entry_doc(digest))
+
+    def _trace_of(self, digest: str, doc: dict) -> Optional[TraceRecorder]:
+        """The verified trace an integrity-checked ``doc`` records."""
         want = doc.get("trace_sha256")
         if want is None:
             return None

@@ -94,7 +94,21 @@ class System:
         dispatch cycle compiled to C).  Backends are bit-identical in
         behaviour -- the golden-digest suite enforces it -- and differ
         only in speed; see :mod:`repro.sim.backends`.
+
+    Every field is a slot: the native engine core reads the charge
+    hooks, the trace and the core list at fixed offsets, so a new field
+    must be added to ``__slots__``.
     """
+
+    __slots__ = (
+        "machine", "engine", "engine_backend", "rng", "scheduler",
+        "cfs_params", "cache_model", "yield_check_us", "trace",
+        "_mem_scope_busy", "_load_epoch", "_residents", "cores", "tasks",
+        "kernel_balancer", "_kb_on_charge", "user_balancers",
+        "migration_log", "_migration_log_limit", "migration_counts",
+        "_exit_callbacks", "_watch", "_watching", "charge_observers",
+        "migration_observers", "invariant_checker",
+    )
 
     def __init__(
         self,

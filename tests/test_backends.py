@@ -314,6 +314,83 @@ class TestNativeBackend:
         assert nativebuild.native_available() is False
         assert backend_available("native") is False
 
+    def test_source_digest_is_memoized_until_the_source_changes(
+        self, monkeypatch, tmp_path
+    ):
+        import pathlib
+
+        from repro.sim.backends import nativebuild
+
+        source = tmp_path / "engine_core.c"
+        source.write_text("int a;\n")
+        monkeypatch.setattr(nativebuild, "_SOURCE", source)
+        monkeypatch.setattr(nativebuild, "_digests", {})
+        reads = []
+        real = pathlib.Path.read_bytes
+
+        def counting(self):
+            reads.append(self)
+            return real(self)
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", counting)
+        first = nativebuild._source_digest()
+        assert nativebuild._source_digest() == first
+        assert len(reads) == 1
+        # a different size is a different stamp even within one mtime tick
+        source.write_text("int ab;\n")
+        assert nativebuild._source_digest() != first
+        assert len(reads) == 2
+
+    #: the classes the C core reads at fixed slot offsets
+    SLOTTED = {
+        "Engine", "Event", "CoreSim", "Task", "CfsRunQueue", "CoreStats",
+        "System", "CfsParams",
+    }
+
+    @needs_native
+    def test_every_fixed_offset_field_is_a_slot_of_its_class(self):
+        import types
+
+        from repro.sim.backends import nativebuild
+
+        table = nativebuild.load_native_lib().repro_native_slots()
+        support = nativebuild._support_dict()
+        keys = set()
+        for entry in table:
+            key, name = entry.split(".")
+            cls = support[key]
+            keys.add(key)
+            assert name in cls.__slots__, entry
+            assert isinstance(cls.__dict__[name], types.MemberDescriptorType)
+            # no instance dict beside the slots
+            assert cls.__dictoffset__ == 0, key
+        assert keys == self.SLOTTED
+        assert NativeEngine.__dictoffset__ == 0
+
+    @needs_native
+    @pytest.mark.parametrize("shape", ["missing", "property", "foreign"])
+    def test_init_refuses_a_class_without_one_of_its_slots(self, tmp_path, shape):
+        import shutil
+
+        from repro.sim.backends import nativebuild
+        from repro.sim.engine import Event
+
+        # a copy of the loaded library under another path loads as a
+        # separate library whose static state is still uninitialised
+        copy = tmp_path / f"engine_core-{shape}.so"
+        shutil.copy(nativebuild.load_native_lib()._name, copy)
+        lib = nativebuild._bind(copy)
+        support = nativebuild._support_dict()
+        body = {"__slots__": tuple(n for n in support["Task"].__slots__
+                                   if n != "vruntime")}
+        if shape == "property":
+            body["vruntime"] = property(lambda self: 0.0)
+        elif shape == "foreign":
+            body["vruntime"] = Event.__dict__["time"]  # another class's slot
+        support["Task"] = type("Task", (), body)
+        with pytest.raises(TypeError, match=r"^Task\.vruntime is not a slot descriptor$"):
+            lib.repro_native_init(support)
+
     @needs_native
     def test_fused_path_is_exercised(self):
         from repro.harness.scenarios import scenario_smokes

@@ -1,9 +1,33 @@
 """Unit tests for statistics helpers and result containers."""
 
+import dataclasses
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics import stats
 from repro.metrics.results import AppRunResult, RepeatedResult
+
+_INTS = st.integers(min_value=-(2**63), max_value=2**63)
+
+#: arbitrary results, every field drawn independently
+RESULTS = st.builds(
+    AppRunResult,
+    app_name=st.text(max_size=8),
+    balancer=st.text(max_size=8),
+    n_cores=_INTS,
+    n_threads=_INTS,
+    seed=_INTS,
+    elapsed_us=_INTS,
+    total_work_us=_INTS,
+    migrations=_INTS,
+    thread_exec_us=st.lists(_INTS, max_size=6),
+    thread_compute_us=st.lists(_INTS, max_size=6),
+    thread_finish_us=st.lists(_INTS, max_size=6),
+    system_migrations=_INTS,
+)
 
 
 def run(elapsed, seed=0, total_work=1_000_000, migrations=0, **kwargs):
@@ -136,8 +160,6 @@ class TestResultPortability:
         assert pickle.loads(pickle.dumps(rr)) == rr
 
     def test_as_dict_is_json_canonical(self):
-        import json
-
         r = self.sample()
         d = r.as_dict()
         assert d["elapsed_us"] == 250_000
@@ -147,3 +169,17 @@ class TestResultPortability:
             json.dumps(self.sample().as_dict(), sort_keys=True)
         assert json.dumps(d, sort_keys=True) != \
             json.dumps(run(250_001, seed=3).as_dict(), sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(result=RESULTS)
+    def test_canonical_json_matches_the_asdict_form(self, result):
+        expected = dataclasses.asdict(result)
+        d = result.as_dict()
+        assert d == expected
+        assert result.canonical_json() == json.dumps(
+            expected, sort_keys=True, separators=(",", ":")
+        )
+        # the lists are copies: editing the dict leaves the result alone
+        for name in ("thread_exec_us", "thread_compute_us", "thread_finish_us"):
+            d[name].append(0)
+        assert dataclasses.asdict(result) == expected

@@ -343,6 +343,63 @@ class TestColumnarChecksMatchReference:
         assert sanitize_stored(store, digest) == []
 
 
+class TestSanitizeStored:
+    """The stored-trace entry point reads and verifies its entry once."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        from repro.store import ResultStore
+        from tests.test_store import _spec, _traced
+
+        store = ResultStore(tmp_path / "s")
+        spec = _spec()
+        result, trace = _traced(spec)
+        return store, store.put(spec, result, trace=trace)
+
+    def test_one_entry_read_per_call(self, stored, monkeypatch):
+        import pathlib
+
+        store, digest = stored
+        reads = []
+        real = pathlib.Path.read_text
+
+        def counting(self, *args, **kwargs):
+            if self.name == "entry.json":
+                reads.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "read_text", counting)
+        assert sanitize_stored(store, digest) == []
+        assert len(reads) == 1
+
+    def test_absent_and_traceless_digests_raise_value_error(self, stored):
+        from tests.test_store import _spec, _traced
+
+        store, _ = stored
+        with pytest.raises(ValueError, match="no store entry"):
+            sanitize_stored(store, "0" * 64)
+        spec = _spec(seed=1)
+        bare = store.put(spec, _traced(spec)[0])
+        with pytest.raises(ValueError, match="without a trace"):
+            sanitize_stored(store, bare)
+
+    def test_a_result_that_does_not_match_its_digest_is_refused(self, stored):
+        import json
+
+        from repro.store import ResultStore, StoreIntegrityError
+        from repro.store.keys import canonical_json
+
+        store, digest = stored
+        path = store._object_dir(digest) / "entry.json"
+        doc = json.loads(path.read_text())
+        doc["result"]["elapsed_us"] += 1
+        # a self-consistent entry whose result no longer has its digest
+        doc["integrity"] = ResultStore._integrity_of(doc)
+        path.write_text(canonical_json(doc))
+        with pytest.raises(StoreIntegrityError, match="result digest"):
+            sanitize_stored(store, digest)
+
+
 # ----------------------------------------------------------------------
 # clean runs: every shipped scenario sanitizes silently
 # ----------------------------------------------------------------------

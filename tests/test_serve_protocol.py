@@ -107,12 +107,15 @@ class TestSpecCodec:
         with pytest.raises(ProtocolError, match="outside the repro package"):
             spec_from_wire(wire)
 
-    #: repro.* references whose qualname walk leaves repro, or reaches
-    #: something that is not a class or function defined under that name
+    #: repro.* function references outside the spec-factory modules:
+    #: qualname walks that leave repro or reach a plain value, and code
+    #: a worker would run as a machine or app factory
     ESCAPES = [
         "repro.store.store:os.getpid",
         "repro.serve.protocol:json.loads",
         "repro.analysis.sanitizer:SAN_RULES",
+        "repro.cli:main",
+        "repro.store.store:ResultStore.put",
     ]
 
     @pytest.mark.parametrize("ref", ESCAPES)
@@ -120,8 +123,29 @@ class TestSpecCodec:
     def test_rejects_references_that_leave_their_module(self, ref, field):
         wire = spec_to_wire(_spec())
         wire[field] = {"__function__": ref}
+        with pytest.raises(ProtocolError, match="is not a spec factory"):
+            spec_from_wire(wire)
+
+    def test_factory_module_references_must_name_their_own_object(self):
+        # presets imports Machine: the walk reaches a class defined in
+        # repro.topology.machine, not a preset factory
+        wire = spec_to_wire(_spec())
+        wire["machine"] = {"__function__": "repro.topology.presets:Machine"}
         with pytest.raises(ProtocolError, match="not an object defined under"):
             spec_from_wire(wire)
+
+    def test_refused_factory_module_is_never_imported(self, monkeypatch):
+        import importlib
+
+        imported = []
+        real = importlib.import_module
+        monkeypatch.setattr(
+            importlib, "import_module",
+            lambda name, *a: imported.append(name) or real(name, *a),
+        )
+        with pytest.raises(ProtocolError, match="is not a spec factory"):
+            value_from_wire({"__function__": "repro.cli:main"})
+        assert imported == []
 
     def test_value_from_wire_rejects_a_module_attribute_walk(self):
         with pytest.raises(ProtocolError):

@@ -475,11 +475,14 @@ class TestMalformedRequests:
     def test_reference_leaving_repro_gets_400(self, tmp_path, counting):
         bg = _boot(tmp_path, workers=1)
         try:
+            refs = ("repro.store.store:os.getpid", "repro.cli:main",
+                    "repro.store.store:ResultStore.put")
             for field in ("machine", "app"):
-                wire = dict(spec_to_wire(_spec()),
-                            **{field: {"__function__": "repro.store.store:os.getpid"}})
-                body = json.dumps({"specs": [wire]}).encode()
-                assert _post_status(bg.base_url, body) == 400
+                for ref in refs:
+                    wire = dict(spec_to_wire(_spec()),
+                                **{field: {"__function__": ref}})
+                    body = json.dumps({"specs": [wire]}).encode()
+                    assert _post_status(bg.base_url, body) == 400
             assert ServeClient(bg.base_url).metrics()["admitted"] == 0
         finally:
             bg.drain()
