@@ -94,6 +94,8 @@ class TenantLoop(threading.Thread):
                 self.batches += 1
         except Exception as exc:  # pragma: no cover - reported in main
             self.errors.append(exc)
+        finally:
+            self.client.close()
 
 
 def main() -> int:
@@ -133,7 +135,9 @@ def main() -> int:
     for loop in loops:
         loop.join()
 
-    snapshot = ServeClient(url).metrics()
+    client = ServeClient(url)
+    snapshot = client.metrics()
+    client.close()
     rows = []
     for loop in loops:
         stats = snapshot["tenants"].get(loop.tenant, {})

@@ -520,25 +520,35 @@ def _submit_to_store(args: argparse.Namespace, specs: list):
     return [export.result_to_dict(r) for r in results], states, service.executed
 
 
+def _daemon(args: argparse.Namespace):
+    """The daemon at ``--url``, as a client whose pooled connections
+    close when the verb is done."""
+    from contextlib import closing
+
+    from repro.serve import ServeClient
+
+    return closing(ServeClient(args.url))
+
+
 def _submit_to_daemon(args: argparse.Namespace, specs: list):
     """``submit --url``: the same triple; a job that was not terminal in
     the 202 response counts as executed and is followed to its end."""
-    from repro.serve import ServeClient
     from repro.service import JobFailedError
 
-    client = ServeClient(args.url)
-    jobs = client.submit(specs, tenant=args.tenant or "default")["jobs"]
-    views = {j["digest"]: j for j in jobs}
-    ran = [d for d, v in views.items() if v["state"] not in ("done", "cached", "failed")]
-    for d in ran:
-        _follow(client, d, deadline=None)
-        views[d] = client.status(d)
-    failed = [v for v in views.values() if v["state"] not in ("done", "cached")]
-    if failed:
-        raise JobFailedError("; ".join(
-            f"job {v['digest'][:12]}... {v['state']}: {v['error']}" for v in failed
-        ))
-    results = [client.result(j["digest"])["result"] for j in jobs]
+    with _daemon(args) as client:
+        jobs = client.submit(specs, tenant=args.tenant or "default")["jobs"]
+        views = {j["digest"]: j for j in jobs}
+        ran = [d for d, v in views.items()
+               if v["state"] not in ("done", "cached", "failed")]
+        for d in ran:
+            _follow(client, d, deadline=None)
+            views[d] = client.status(d)
+        failed = [v for v in views.values() if v["state"] not in ("done", "cached")]
+        if failed:
+            raise JobFailedError("; ".join(
+                f"job {v['digest'][:12]}... {v['state']}: {v['error']}" for v in failed
+            ))
+        results = [client.result(j["digest"])["result"] for j in jobs]
     return results, {d: v["state"] for d, v in views.items()}, len(ran)
 
 
@@ -611,7 +621,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
         raise ValueError("status --watch needs at least one digest")
     deadline = None if args.timeout is None else _clock.monotonic() + args.timeout
     if args.url is not None:
-        return _status_daemon(args, deadline)
+        with _daemon(args) as client:
+            return _status_daemon(client, args, deadline)
 
     from repro.store import ResultStore
 
@@ -646,11 +657,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _status_daemon(args: argparse.Namespace, deadline: Optional[float]) -> int:
-    from repro.serve import ServeClient
+def _status_daemon(client, args: argparse.Namespace, deadline: Optional[float]) -> int:
     from repro.service import JobFailedError
 
-    client = ServeClient(args.url)
     if not args.digest:
         print(json.dumps(client.metrics(), indent=2, sort_keys=True))
         return 0
@@ -674,12 +683,10 @@ def _status_daemon(args: argparse.Namespace, deadline: Optional[float]) -> int:
 def _cmd_fetch(args: argparse.Namespace) -> int:
     """Print the result behind one digest, from a store or a daemon."""
     if args.url is not None:
-        from repro.serve import ServeClient
-
-        client = ServeClient(args.url)
-        known = [j["digest"] for j in client.jobs()]
-        (digest,) = _resolve_digests(known, [args.digest], noun="job")
-        result = client.result(digest)["result"]
+        with _daemon(args) as client:
+            known = [j["digest"] for j in client.jobs()]
+            (digest,) = _resolve_digests(known, [args.digest], noun="job")
+            result = client.result(digest)["result"]
     else:
         from repro.metrics import export
         from repro.store import ResultStore

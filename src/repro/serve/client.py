@@ -3,17 +3,25 @@
 :class:`ServeClient` is what the job verbs (``repro submit | status |
 fetch --url``), ``examples/load_test.py`` and perfbench use: submit
 spec batches, poll status, stream SSE events, fetch results and
-metrics.  It deliberately depends on nothing beyond ``http.client``
--- the daemon speaks one-request-per-connection HTTP/1.1, so a
-connection per call is the protocol, not an inefficiency.
+metrics.  It depends on nothing beyond ``http.client``.
+
+The daemon keeps HTTP/1.1 connections open, so the client keeps the
+idle ones in a pool: a call takes one (or opens one), and puts it back
+only once its response has been read to the end.  A served job's
+submit, event stream and result fetch then share one connection.  The
+pool belongs to the client, not to a thread, so a client shared by
+short-lived threads strands no socket in a finished one; each
+connection serves one call at a time.  :meth:`ServeClient.close`
+closes the idle connections.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Sequence
 from urllib.parse import urlsplit
 
@@ -61,6 +69,13 @@ class ServeClient:
 
     base_url: str
     timeout_s: float = 60.0
+    #: idle kept-alive connections, most recently used last
+    _idle: list[http.client.HTTPConnection] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def _split(self) -> tuple[str, int]:
         parts = urlsplit(self.base_url)
@@ -70,25 +85,83 @@ class ServeClient:
             )
         return parts.hostname, parts.port or 80
 
+    def close(self) -> None:
+        """Close the idle connections.  The client stays usable: a
+        later call opens a new connection."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    # -- connections ----------------------------------------------------
+    def _send(
+        self, method: str, path: str, body: Optional[bytes], timeout_s: Optional[float]
+    ) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request and read the response head, on an idle
+        connection if there is one; reads then wait ``timeout_s``.
+
+        The daemon closes a connection only between requests, so a
+        reused connection that fails before any response byte arrives
+        was closed while it sat idle and never delivered the request:
+        it is sent once more, on a new connection.
+        """
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        try:
+            if conn is not None:
+                try:
+                    return conn, self._exchange(conn, method, path, body, timeout_s)
+                except ConnectionError:
+                    conn.close()
+            host, port = self._split()
+            conn = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
+            conn.connect()
+            return conn, self._exchange(conn, method, path, body, timeout_s)
+        except BaseException:
+            if conn is not None:
+                conn.close()
+            raise
+
+    @staticmethod
+    def _exchange(
+        conn: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        timeout_s: Optional[float],
+    ) -> http.client.HTTPResponse:
+        assert conn.sock is not None
+        if conn.sock.gettimeout() != timeout_s:
+            conn.sock.settimeout(timeout_s)
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        conn.request(method, path, body=body, headers=headers)
+        return conn.getresponse()
+
+    def _release(
+        self, conn: http.client.HTTPConnection, resp: http.client.HTTPResponse
+    ) -> None:
+        """Pool ``conn`` if its response was read to the end and the
+        daemon keeps it open; close both otherwise."""
+        if resp.isclosed() and conn.sock is not None:
+            with self._lock:
+                self._idle.append(conn)
+        else:
+            resp.close()
+            conn.close()
+
     def _request(
         self, method: str, path: str, payload: Optional[Any] = None
     ) -> Any:
-        host, port = self._split()
-        conn = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
+        body = None if payload is None else json.dumps(payload).encode()
+        conn, resp = self._send(method, path, body, self.timeout_s)
         try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode()
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=body, headers=headers)
-            resp = conn.getresponse()
-            decoded = _decode(resp.read())
-            if resp.status >= 400:
-                raise ServeError(resp.status, decoded)
-            return decoded
+            raw = resp.read()
         finally:
-            conn.close()
+            self._release(conn, resp)
+        decoded = _decode(raw)
+        if resp.status >= 400:
+            raise ServeError(resp.status, decoded)
+        return decoded
 
     # -- API calls ------------------------------------------------------
     def healthz(self) -> dict:
@@ -137,18 +210,18 @@ class ServeClient:
         client's ``timeout_s``): ``None``, the default, follows a job
         however long it stays pending or running.
         """
-        host, port = self._split()
-        conn = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
+        conn, resp = self._send(
+            "GET", f"/v1/jobs/{digest}/events", None, timeout_s
+        )
         try:
-            conn.connect()
-            conn.sock.settimeout(timeout_s)
-            conn.request("GET", f"/v1/jobs/{digest}/events")
-            resp = conn.getresponse()
             if resp.status >= 400:
                 raise ServeError(resp.status, _decode(resp.read()))
             event, data = "", ""
             while True:
-                line = resp.fp.readline()
+                try:
+                    line = resp.readline()
+                except http.client.IncompleteRead:
+                    line = b""  # the stream broke off before its last chunk
                 if not line:
                     return
                 text = line.decode("utf-8").rstrip("\n")
@@ -157,12 +230,15 @@ class ServeClient:
                 elif text.startswith("data: "):
                     data = text[len("data: "):]
                 elif text == "" and event:
-                    yield event, json.loads(data) if data else {}
+                    payload = json.loads(data) if data else {}
                     if event == "end":
+                        resp.read()  # the last chunk: the response is whole
+                        yield event, payload
                         return
+                    yield event, payload
                     event, data = "", ""
         finally:
-            conn.close()
+            self._release(conn, resp)
 
     # -- polling --------------------------------------------------------
     def wait(

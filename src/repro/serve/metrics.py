@@ -48,6 +48,7 @@ class ServeMetrics:
     ):
         self._clock = clock
         self.started_at = clock()
+        self.connections = 0  #: accepted; each carries one or more requests
         self.requests = 0
         self.bad_requests = 0
         self.submitted = 0
@@ -131,6 +132,7 @@ class ServeMetrics:
             }
         return {
             "uptime_s": now - self.started_at,
+            "connections": self.connections,
             "requests": self.requests,
             "bad_requests": self.bad_requests,
             "submitted": self.submitted,

@@ -15,11 +15,15 @@ Three small vocabularies live here, shared by the daemon
   identity is the spec digest of the decoded wire, so optional fields
   may be left out and unknown ones are ignored.
 * **HTTP/1.1 primitives** -- a deliberately minimal asyncio request
-  reader and response encoder (one request per connection,
-  ``Connection: close``).  The daemon serves JSON and SSE only; a
-  full framework would add dependencies the container does not have.
+  reader and response encoder.  A connection carries many requests
+  (persistent HTTP/1.1), so the reader refuses any framing it cannot
+  delimit exactly -- ``Transfer-Encoding``, a repeated or non-numeric
+  ``Content-Length`` -- rather than guess where the next request
+  starts.  The daemon serves JSON and SSE only; a full framework would
+  add dependencies the project does not otherwise need.
 * **SSE framing** -- ``event:``/``data:`` blocks for the
-  ``GET /v1/jobs/{digest}/events`` stream.
+  ``GET /v1/jobs/{digest}/events`` stream, each sent as one HTTP chunk
+  (:func:`chunk`), the stream closed by :data:`LAST_CHUNK`.
 """
 
 from __future__ import annotations
@@ -32,14 +36,16 @@ from typing import Any, Optional
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.harness.parallel import RunSpec
-from repro.store.keys import resolve_ref, spec_key
+from repro.store.keys import canonical_json, resolve_ref, spec_key
 
 __all__ = [
     "FACTORY_MODULES",
+    "LAST_CHUNK",
     "MAX_BODY_BYTES",
     "ProtocolError",
     "Request",
     "Response",
+    "chunk",
     "error_body",
     "json_response",
     "read_request",
@@ -224,6 +230,17 @@ class Request:
     query: dict[str, str]
     headers: dict[str, str]  #: keys lower-cased
     body: bytes
+    version: str = "HTTP/1.1"
+
+    @property
+    def keep_alive(self) -> bool:
+        """Whether the client lets the connection carry another request:
+        HTTP/1.1 without ``Connection: close``, or HTTP/1.0 that asks
+        for ``keep-alive``."""
+        tokens = {t.strip().lower() for t in self.headers.get("connection", "").split(",")}
+        return "close" not in tokens and (
+            self.version == "HTTP/1.1" or "keep-alive" in tokens
+        )
 
     def json(self) -> Any:
         try:
@@ -243,16 +260,19 @@ class Response:
     content_type: str = "application/json"
     headers: dict[str, str] = field(default_factory=dict)
 
-    def encode(self, streaming: bool = False) -> bytes:
-        """Full response bytes; ``streaming`` emits the head only,
-        without ``Content-Length`` (the SSE mode: the client reads the
-        event stream until EOF)."""
+    def encode(self, streaming: bool = False, close: bool = False) -> bytes:
+        """Full response bytes; ``streaming`` emits the head only, with
+        ``Transfer-Encoding: chunked`` in place of ``Content-Length``
+        (the SSE mode: the body follows as :func:`chunk` blocks and ends
+        with :data:`LAST_CHUNK`).  ``close`` announces that the daemon
+        closes the connection after this response."""
         reason = _REASONS.get(self.status, "Unknown")
         lines = [f"HTTP/1.1 {self.status} {reason}"]
         headers = {
             "Content-Type": self.content_type,
-            "Connection": "close",
-            **({} if streaming else {"Content-Length": str(len(self.body))}),
+            **({"Connection": "close"} if close else {}),
+            **({"Transfer-Encoding": "chunked"} if streaming
+               else {"Content-Length": str(len(self.body))}),
             **self.headers,
         }
         for name in headers:
@@ -264,7 +284,9 @@ class Response:
 def json_response(
     payload: Any, status: int = 200, headers: Optional[dict[str, str]] = None
 ) -> Response:
-    body = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    """A JSON response in the store's canonical dialect (sorted keys, no
+    whitespace), which the C encoder writes."""
+    body = canonical_json(payload).encode()
     return Response(status=status, body=body, headers=dict(headers or {}))
 
 
@@ -277,7 +299,12 @@ async def read_request(reader: Any) -> Optional[Request]:
     """Parse one HTTP/1.1 request from an asyncio stream reader.
 
     Returns ``None`` on a cleanly closed connection before any bytes;
-    raises :class:`ProtocolError` on malformed or oversized input.
+    raises :class:`ProtocolError` on malformed or oversized input, and
+    on framing that does not say exactly where the request ends: a
+    ``Transfer-Encoding`` header (request bodies are never chunked
+    here), or a ``Content-Length`` that is repeated or not plain
+    digits.  After such an error the stream's position is unknown, so
+    the connection must not carry another request.
     """
     import asyncio
 
@@ -297,7 +324,7 @@ async def read_request(reader: Any) -> Optional[Request]:
     parts = lines[0].split(" ")
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise ProtocolError(f"malformed request line {lines[0]!r}")
-    method, target, _version = parts
+    method, target, version = parts
     try:
         split = urlsplit(target)
         query = dict(parse_qsl(split.query, keep_blank_values=True))
@@ -310,14 +337,23 @@ async def read_request(reader: Any) -> Optional[Request]:
         name, sep, value = line.partition(":")
         if not sep:
             raise ProtocolError(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        key = name.strip().lower()
+        if key == "content-length" and key in headers:
+            raise ProtocolError("repeated Content-Length header")
+        headers[key] = value.strip()
+    if "transfer-encoding" in headers:
+        raise ProtocolError(
+            "Transfer-Encoding is not accepted on requests; send a "
+            "Content-Length body"
+        )
     length = headers.get("content-length", "0")
-    try:
-        n = int(length)
-    except ValueError:
-        raise ProtocolError(f"bad Content-Length {length!r}") from None
-    if n < 0 or n > MAX_BODY_BYTES:
-        raise ProtocolError(f"request body of {n} bytes exceeds {MAX_BODY_BYTES}")
+    # int() would also take "+5", "-1" and "1_0"
+    if not (length.isascii() and length.isdigit()):
+        raise ProtocolError(f"bad Content-Length {length!r}")
+    # and refuse more than 4300 digits with a ValueError
+    if len(length) > 10 or int(length) > MAX_BODY_BYTES:
+        raise ProtocolError(f"request body exceeds {MAX_BODY_BYTES} bytes")
+    n = int(length)
     try:
         body = await reader.readexactly(n) if n else b""
     except asyncio.IncompleteReadError:
@@ -328,6 +364,7 @@ async def read_request(reader: Any) -> Optional[Request]:
         query=query,
         headers=headers,
         body=body,
+        version=version,
     )
 
 
@@ -338,3 +375,12 @@ def sse_event(event: str, data: Any) -> bytes:
     """One Server-Sent-Events block: ``event:`` + single-line ``data:``."""
     payload = json.dumps(data, sort_keys=True)
     return f"event: {event}\ndata: {payload}\n\n".encode()
+
+
+#: the zero-length chunk that ends a chunked body (no trailers)
+LAST_CHUNK = b"0\r\n\r\n"
+
+
+def chunk(data: bytes) -> bytes:
+    """``data`` as one chunk of a ``Transfer-Encoding: chunked`` body."""
+    return b"%x\r\n%s\r\n" % (len(data), data)

@@ -36,6 +36,15 @@ serve-smoke job:
   finish, snapshots the still-queued remainder to
   ``serve-queue.json`` under the store root, and a restarted daemon
   resumes exactly that queue.
+
+Connections are persistent HTTP/1.1: one carries request after request
+(an SSE stream included, since its body is chunked) until the client
+closes it or sends ``Connection: close``.  A 400 or 500 answer says
+``Connection: close`` and ends the connection: after framing the reader
+refuses, the daemon cannot tell where the next request would start,
+and every other 400 or 500 ends it the same way.  While draining,
+every response closes its connection, and the drain's last step closes
+the connections still waiting for a request, then waits for the rest.
 """
 
 from __future__ import annotations
@@ -56,9 +65,11 @@ from repro.serve import clock as _clock
 from repro.serve.dispatch import SpeedAwareDispatcher
 from repro.serve.metrics import ServeMetrics
 from repro.serve.protocol import (
+    LAST_CHUNK,
     ProtocolError,
     Request,
     Response,
+    chunk,
     error_body,
     json_response,
     read_request,
@@ -182,6 +193,12 @@ class ReproServer:
         self._monitor_task: Optional[asyncio.Task] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._stopped: Optional[asyncio.Event] = None
+        #: open connections, and those of them waiting for a request
+        self._open: set[asyncio.StreamWriter] = set()
+        self._waiting: set[asyncio.StreamWriter] = set()
+        #: set by the drain's last step: no connection waits for a
+        #: request after it
+        self._closing = False
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
@@ -230,6 +247,14 @@ class ReproServer:
         self._pool.stop()
         if self._server is not None:
             self._server.close()
+            # the open connections end before the drain does (Python
+            # 3.12.1's wait_closed() waits for them too), so an idle
+            # kept-alive one would hold it open forever: close those
+            self._closing = True
+            for writer in list(self._waiting):
+                writer.close()
+            while self._open:
+                await asyncio.sleep(0.01)
             await self._server.wait_closed()
         assert self._stopped is not None
         self._stopped.set()
@@ -439,40 +464,58 @@ class ReproServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one connection, request after request, until
+        :meth:`_serve_one` says it ends."""
+        self.metrics.connections += 1
+        self._open.add(writer)
         try:
-            try:
-                req = await read_request(reader)
-            except ProtocolError as exc:
-                self.metrics.bad_requests += 1
-                writer.write(
-                    json_response(error_body(400, str(exc)), 400).encode()
-                )
-                await writer.drain()
-                return
-            if req is None:
-                return
-            self.metrics.requests += 1
-            try:
-                resp = await self._route(req, writer)
-            except ProtocolError as exc:
-                self.metrics.bad_requests += 1
-                resp = json_response(error_body(400, str(exc)), 400)
-            except Exception as exc:  # noqa: BLE001 - last-resort handler
-                resp = json_response(
-                    error_body(500, f"{type(exc).__name__}: {exc}"), 500
-                )
-            if resp is not None:
-                writer.write(resp.encode())
-                await writer.drain()
+            while not self._closing and await self._serve_one(reader, writer):
+                pass
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            self._open.discard(writer)
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
 
+    async def _serve_one(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Read and answer one request; whether the connection carries
+        another (see the module docs for when it does not)."""
+        self._waiting.add(writer)
+        try:
+            req = await read_request(reader)
+        except ProtocolError as exc:
+            self.metrics.bad_requests += 1
+            writer.write(
+                json_response(error_body(400, str(exc)), 400).encode(close=True)
+            )
+            await writer.drain()
+            return False
+        finally:
+            self._waiting.discard(writer)
+        if req is None:
+            return False
+        self.metrics.requests += 1
+        keep = req.keep_alive and not self.draining
+        try:
+            resp = await self._route(req, writer, keep)
+        except ProtocolError as exc:
+            self.metrics.bad_requests += 1
+            resp, keep = json_response(error_body(400, str(exc)), 400), False
+        except Exception as exc:  # noqa: BLE001 - last-resort handler
+            resp, keep = json_response(
+                error_body(500, f"{type(exc).__name__}: {exc}"), 500
+            ), False
+        if resp is not None:
+            writer.write(resp.encode(close=not keep))
+            await writer.drain()
+        return keep and not self.draining
+
     async def _route(
-        self, req: Request, writer: asyncio.StreamWriter
+        self, req: Request, writer: asyncio.StreamWriter, keep: bool
     ) -> Optional[Response]:
         path, method = req.path, req.method
         if path == "/v1/healthz" and method == "GET":
@@ -508,7 +551,9 @@ class ReproServer:
             return json_response(rec.view())
         m = re.fullmatch(r"/v1/jobs/([0-9a-f]{64})/events", path)
         if m and method == "GET":
-            return await self._serve_events(m.group(1), writer)
+            if req.version != "HTTP/1.1":
+                raise ProtocolError("an event stream is chunked, which needs HTTP/1.1")
+            return await self._serve_events(m.group(1), writer, keep)
         m = re.fullmatch(r"/v1/results/([0-9a-f]{64})", path)
         if m and method == "GET":
             return self._get_result(m.group(1))
@@ -639,8 +684,11 @@ class ReproServer:
 
     # -- GET /v1/jobs/{digest}/events (SSE) -----------------------------
     async def _serve_events(
-        self, digest: str, writer: asyncio.StreamWriter
+        self, digest: str, writer: asyncio.StreamWriter, keep: bool
     ) -> Optional[Response]:
+        """Stream one job's transitions as chunked SSE, then ``end`` and
+        the last chunk, which leaves the connection ready for the next
+        request.  Each wakeup's events go out in one write."""
         rec = self.jobs.get(digest)
         if rec is None:
             return json_response(
@@ -650,39 +698,30 @@ class ReproServer:
         queue: asyncio.Queue = asyncio.Queue()
         rec.subscribers.append(queue)
         try:
-            writer.write(
-                Response(200, content_type="text/event-stream").encode(
-                    streaming=True
-                )
-            )
             # replay, then live: a late subscriber still sees the full
             # pending -> running -> terminal sequence, in order
-            replay = list(rec.history)
-            for view in replay:
-                writer.write(sse_event("status", view))
-            await writer.drain()
-            last_state = replay[-1]["state"] if replay else None
-            if last_state in ("done", "cached", "failed"):
-                writer.write(sse_event("end", {"digest": digest, "state": last_state}))
-                await writer.drain()
-                return None
+            out = Response(200, content_type="text/event-stream").encode(
+                streaming=True, close=not keep
+            )
+            views = list(rec.history)
             while True:
+                for view in views:
+                    out += chunk(sse_event("status", view))
+                state = views[-1]["state"] if views else None
+                if state in ("done", "cached", "failed"):
+                    end = {"digest": digest, "state": state}
+                    break
+                writer.write(out)
+                await writer.drain()
                 view = await queue.get()
                 if view is None:  # drain: the daemon is shutting down
-                    writer.write(
-                        sse_event("end", {"digest": digest, "state": rec.state,
-                                          "draining": True})
-                    )
-                    await writer.drain()
-                    return None
-                writer.write(sse_event("status", view))
-                await writer.drain()
-                if view["state"] in ("done", "cached", "failed"):
-                    writer.write(
-                        sse_event("end", {"digest": digest, "state": view["state"]})
-                    )
-                    await writer.drain()
-                    return None
+                    end = {"digest": digest, "state": rec.state, "draining": True}
+                    out = b""
+                    break
+                out, views = b"", [view]
+            writer.write(out + chunk(sse_event("end", end)) + LAST_CHUNK)
+            await writer.drain()
+            return None
         finally:
             with contextlib.suppress(ValueError):
                 rec.subscribers.remove(queue)

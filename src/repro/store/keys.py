@@ -198,27 +198,32 @@ def digest_of(key: Any) -> str:
 
 
 def spec_key(spec: RunSpec) -> dict:
-    """The canonical key object of one :class:`RunSpec`."""
+    """The canonical key object of one :class:`RunSpec`.
+
+    Every field goes through :func:`canonical_value`, so the key is
+    already a canonical tree (``canonical_value`` leaves one as it is):
+    a field with no canonical form raises :class:`UnstorableSpecError`
+    here, and :func:`spec_digest` hashes the key without a second walk.
+    """
     return {
         "kind": "run",
         "machine": canonical_value(spec.machine),
         "app": canonical_value(spec.app),
-        "balancer": spec.balancer,
+        "balancer": canonical_value(spec.balancer),
         "cores": canonical_value(spec.cores),
-        "seed": spec.seed,
+        "seed": canonical_value(spec.seed),
         # backends are digest-equivalent but not wall-clock-equivalent;
         # keying the engine keeps cached timings honest and lets the two
         # backends' artifacts coexist in one store
-        "engine": spec.engine,
-        "params": {
-            name: canonical_value(value) for name, value in spec.params
-        },
+        "engine": canonical_value(spec.engine),
+        "params": canonical_value(dict(spec.params)),
     }
 
 
 def spec_digest(spec: RunSpec) -> str:
-    """Content digest of one :class:`RunSpec` (the store's entry key)."""
-    return digest_of(spec_key(spec))
+    """Content digest of one :class:`RunSpec` (the store's entry key);
+    equal to ``digest_of(spec_key(spec))``."""
+    return hashlib.sha256(canonical_json(spec_key(spec)).encode()).hexdigest()
 
 
 def sweep_cell_key(runner: Any, assignment: dict) -> dict:

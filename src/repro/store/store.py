@@ -82,7 +82,7 @@ from repro.metrics.export import (
 )
 from repro.metrics.results import AppRunResult, RepeatedResult
 from repro.metrics.trace import TraceRecorder
-from repro.store.keys import canonical_json, canonical_value, digest_of, spec_key
+from repro.store.keys import canonical_json, canonical_value, spec_digest, spec_key
 
 __all__ = [
     "STORE_SCHEMA",
@@ -218,6 +218,11 @@ class ResultStore:
 
     def _object_dir(self, digest: str) -> Path:
         return self.root / "objects" / digest[:2] / digest
+
+    def _entry_path(self, digest: str) -> str:
+        """``entry.json`` of ``digest`` as one string: the read path
+        opens it without pathlib joins or a stat first."""
+        return f"{self.root}/objects/{digest[:2]}/{digest}/entry.json"
 
     # -- locking --------------------------------------------------------
     def _with_lock(self, fn: Callable[[], Any]) -> Any:
@@ -415,12 +420,26 @@ class ResultStore:
         return _sha256(canonical_json(body).encode())
 
     def _load_entry_doc(self, digest: str) -> dict:
-        """Read and integrity-check ``entry.json``; raise on any damage."""
-        path = self._object_dir(digest) / "entry.json"
+        """:meth:`_read_entry_doc` for an entry that must exist."""
+        doc = self._read_entry_doc(digest)
+        if doc is None:
+            raise StoreError(f"no store entry {digest}")
+        return doc
+
+    def _read_entry_doc(self, digest: str) -> Optional[dict]:
+        """Read and integrity-check ``entry.json``: ``None`` when the
+        entry is absent, raise on any damage.
+
+        Absent is what opening the file says, with no stat first: it is
+        not there, or a directory is (or a file stands where a directory
+        of its path should be).  Any other read error propagates.
+        """
+        path = self._entry_path(digest)
         try:
-            raw = path.read_text()
-        except FileNotFoundError:
-            raise StoreError(f"no store entry {digest}") from None
+            with open(path, encoding="utf-8") as f:
+                raw = f.read()
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            return None
         except UnicodeDecodeError as exc:
             raise StoreIntegrityError(
                 f"{path}: entry is not valid UTF-8 ({exc}); the entry is "
@@ -468,8 +487,9 @@ class ResultStore:
         plain value.  Writing the same digest twice is a no-op (the
         bytes are equivalent by construction).
         """
+        # both key forms are canonical trees already: hash them as they are
         key = spec_key(spec) if isinstance(spec, RunSpec) else canonical_value(spec)
-        digest = digest_of(key)
+        digest = _sha256(canonical_json(key).encode())
 
         doc: dict[str, Any] = {
             "schema": STORE_SCHEMA,
@@ -528,12 +548,11 @@ class ResultStore:
 
     # -- read -----------------------------------------------------------
     def contains(self, digest_or_spec: Union[str, RunSpec]) -> bool:
-        digest = self._resolve(digest_or_spec)
-        return (self._object_dir(digest) / "entry.json").is_file()
+        return os.path.isfile(self._entry_path(self._resolve(digest_or_spec)))
 
     def _resolve(self, digest_or_spec: Union[str, RunSpec]) -> str:
         if isinstance(digest_or_spec, RunSpec):
-            return digest_of(spec_key(digest_or_spec))
+            return spec_digest(digest_or_spec)
         return digest_or_spec
 
     def get(self, digest_or_spec: Union[str, RunSpec]) -> Optional[StoreEntry]:
@@ -543,9 +562,8 @@ class ResultStore:
         its bytes fail verification -- corrupt data is never returned.
         """
         digest = self._resolve(digest_or_spec)
-        if not (self._object_dir(digest) / "entry.json").is_file():
-            return None
-        return self._entry_of(digest, self._load_entry_doc(digest))
+        doc = self._read_entry_doc(digest)
+        return None if doc is None else self._entry_of(digest, doc)
 
     def get_with_trace(
         self, digest_or_spec: Union[str, RunSpec]
@@ -558,9 +576,9 @@ class ResultStore:
         filing, the result-digest recompute and the trace digest.
         """
         digest = self._resolve(digest_or_spec)
-        if not (self._object_dir(digest) / "entry.json").is_file():
+        doc = self._read_entry_doc(digest)
+        if doc is None:
             return None
-        doc = self._load_entry_doc(digest)
         return self._entry_of(digest, doc), self._trace_of(digest, doc)
 
     @staticmethod

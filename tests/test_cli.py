@@ -396,7 +396,9 @@ class TestOneJobCli:
         fake_job(monkeypatch, 0.4)
         bg = _daemon(tmp_path)
         try:
-            jobs = ServeClient(bg.base_url).submit(specs)["jobs"]
+            client = ServeClient(bg.base_url)
+            jobs = client.submit(specs)["jobs"]
+            client.close()
             rc = main(["status", "--url", bg.base_url, "--watch",
                        *[j["digest"] for j in jobs], "--timeout", "0.6"])
         finally:

@@ -357,18 +357,18 @@ class TestSanitizeStored:
         return store, store.put(spec, result, trace=trace)
 
     def test_one_entry_read_per_call(self, stored, monkeypatch):
-        import pathlib
+        from repro.store import store as store_module
 
         store, digest = stored
         reads = []
-        real = pathlib.Path.read_text
 
-        def counting(self, *args, **kwargs):
-            if self.name == "entry.json":
-                reads.append(self)
-            return real(self, *args, **kwargs)
+        def counting(path, *args, **kwargs):
+            if str(path).endswith("entry.json"):
+                reads.append(path)
+            return open(path, *args, **kwargs)
 
-        monkeypatch.setattr(pathlib.Path, "read_text", counting)
+        # the store opens entries through its module's ``open``
+        monkeypatch.setattr(store_module, "open", counting, raising=False)
         assert sanitize_stored(store, digest) == []
         assert len(reads) == 1
 

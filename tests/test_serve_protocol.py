@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from repro.apps.workloads import AppSpec
 from repro.harness.parallel import RunSpec
 from repro.serve.protocol import (
+    LAST_CHUNK,
     ProtocolError,
     Request,
     Response,
+    chunk,
     error_body,
     json_response,
     read_request,
@@ -22,7 +24,7 @@ from repro.serve.protocol import (
     sse_event,
     value_from_wire,
 )
-from repro.store.keys import canonical_value, digest_of, spec_digest
+from repro.store.keys import canonical_json, canonical_value, digest_of, spec_digest
 
 
 def _spec(seed=0, balancer="speed", **params):
@@ -266,12 +268,13 @@ class TestHttpPrimitives:
             self._parse(b"NONSENSE\r\n\r\n")
 
     def test_oversized_body_rejected_before_read(self):
-        raw = (
-            b"POST /v1/jobs HTTP/1.1\r\n"
-            b"Content-Length: 999999999\r\n\r\n"
-        )
-        with pytest.raises(ProtocolError, match="exceeds"):
-            self._parse(raw)
+        for length in (b"999999999", b"9" * 5000):
+            raw = (
+                b"POST /v1/jobs HTTP/1.1\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n"
+            )
+            with pytest.raises(ProtocolError, match="exceeds"):
+                self._parse(raw)
 
     def test_short_body_is_a_protocol_error(self):
         raw = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}"
@@ -304,20 +307,62 @@ class TestHttpPrimitives:
             self._parse(raw).json()
 
     def test_response_encode_has_length_and_close(self):
+        # a response keeps its connection open unless it says
+        # Connection: close, which the daemon sends only when it closes
         resp = json_response(error_body(404, "nope"), 404)
-        raw = resp.encode().decode()
-        head, _, body = raw.partition("\r\n\r\n")
-        assert head.startswith("HTTP/1.1 404 Not Found")
-        assert f"Content-Length: {len(body.encode())}" in head
-        assert "Connection: close" in head
-        assert json.loads(body) == {"error": "nope", "status": 404}
+        for close in (False, True):
+            raw = resp.encode(close=close).decode()
+            head, _, body = raw.partition("\r\n\r\n")
+            assert head.startswith("HTTP/1.1 404 Not Found")
+            assert f"Content-Length: {len(body.encode())}" in head
+            assert ("Connection: close" in head) is close
+            assert json.loads(body) == {"error": "nope", "status": 404}
+
+    def test_json_response_is_canonical_json(self):
+        payload = {"b": [1, 2.5, None], "a": {"z": "x", "y": True}}
+        assert json_response(payload).body == canonical_json(payload).encode()
+        assert b" " not in json_response(payload).body
 
     def test_streaming_encode_omits_length(self):
         raw = Response(200, content_type="text/event-stream").encode(
             streaming=True
         ).decode()
         assert "Content-Length" not in raw
+        assert "Transfer-Encoding: chunked" in raw
         assert raw.endswith("\r\n\r\n")
+
+    def test_chunk_framing(self):
+        assert chunk(b"event: x\n\n") == b"a\r\nevent: x\n\n\r\n"
+        assert chunk(b"y" * 255).startswith(b"ff\r\n")
+        assert LAST_CHUNK == b"0\r\n\r\n"
+
+    @pytest.mark.parametrize("version, connection, keep", [
+        ("HTTP/1.1", None, True),
+        ("HTTP/1.1", "close", False),
+        ("HTTP/1.1", "Keep-Alive, Close", False),
+        ("HTTP/1.0", None, False),
+        ("HTTP/1.0", "keep-alive", True),
+    ])
+    def test_keep_alive_follows_version_and_connection(self, version, connection, keep):
+        head = f"GET /v1/healthz {version}\r\n"
+        if connection is not None:
+            head += f"Connection: {connection}\r\n"
+        assert self._parse((head + "\r\n").encode()).keep_alive is keep
+
+    @pytest.mark.parametrize("headers, match", [
+        (b"Transfer-Encoding: chunked\r\n", "Transfer-Encoding"),
+        (b"Content-Length: 2\r\nTransfer-Encoding: chunked\r\n", "Transfer-Encoding"),
+        (b"Content-Length: 2\r\nContent-Length: 2\r\n", "repeated Content-Length"),
+        (b"Content-Length: 2\r\ncontent-length: 7\r\n", "repeated Content-Length"),
+        (b"Content-Length: 2, 7\r\n", "bad Content-Length"),
+        (b"Content-Length: +2\r\n", "bad Content-Length"),
+        (b"Content-Length: 0_2\r\n", "bad Content-Length"),
+        (b"Content-Length: -1\r\n", "bad Content-Length"),
+    ])
+    def test_framing_the_reader_cannot_delimit_is_refused(self, headers, match):
+        raw = b"POST /v1/jobs HTTP/1.1\r\n" + headers + b"\r\n{}"
+        with pytest.raises(ProtocolError, match=match):
+            self._parse(raw)
 
 
 class TestSse:

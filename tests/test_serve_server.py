@@ -9,6 +9,7 @@ traffic takes.  A test that needs a fake job installs one with
 
 import json
 import socket
+import sys
 import threading
 import time
 from urllib.parse import urlsplit
@@ -111,6 +112,22 @@ def self_store_has(bg, digest):
     return bg.server.store.contains(digest)
 
 
+@pytest.fixture
+def serve_client():
+    """Make :class:`ServeClient`s whose pooled connections close when
+    the test ends, so no socket outlives the test that opened it."""
+    opened = []
+
+    def make(base_url, **kw):
+        client = ServeClient(base_url, **kw)
+        opened.append(client)
+        return client
+
+    yield make
+    for client in opened:
+        client.close()
+
+
 def _boot(tmp_path, **overrides):
     config = ServeConfig(
         store_root=str(tmp_path / "serve-store"),
@@ -121,12 +138,12 @@ def _boot(tmp_path, **overrides):
 
 
 class TestParity:
-    def test_served_results_byte_identical_to_direct(self, tmp_path):
+    def test_served_results_byte_identical_to_direct(self, tmp_path, serve_client):
         """The correctness bar: serve == run_specs_cached, byte for byte."""
         specs = [_spec(seed=7, balancer=b) for b in ("speed", "load")]
         bg = _boot(tmp_path, workers=2)
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             resp = client.submit(specs, tenant="parity")
             views = [
                 client.wait(j["digest"], poll_s=0.02, timeout_s=60)
@@ -150,11 +167,11 @@ class TestParity:
             b = json.dumps(result_to_dict(result), sort_keys=True)
             assert a == b
 
-    def test_restart_serves_from_store_without_rerun(self, tmp_path, counting):
+    def test_restart_serves_from_store_without_rerun(self, tmp_path, counting, serve_client):
         spec = _spec(seed=1)
         bg = _boot(tmp_path, workers=1)
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             (job,) = client.submit([spec])["jobs"]
             assert client.wait(job["digest"], poll_s=0.02)["state"] == "done"
         finally:
@@ -163,7 +180,7 @@ class TestParity:
 
         bg2 = _boot(tmp_path, workers=1)
         try:
-            client = ServeClient(bg2.base_url)
+            client = serve_client(bg2.base_url)
             (job,) = client.submit([spec])["jobs"]
             assert job["state"] == "cached"  # store hit, no queue slot
             snap = client.metrics()
@@ -173,14 +190,14 @@ class TestParity:
         assert len(ran(counting)) == 1  # never re-executed
 
     def test_unreadable_entry_is_not_deleted_or_rerun(
-        self, tmp_path, monkeypatch, counting
+        self, tmp_path, monkeypatch, counting, serve_client
     ):
         """Only a corrupt entry is a miss; any other read error leaves the
         entry alone (and the owning worker, not the parent, deletes)."""
         spec = _spec(seed=1)
         bg = _boot(tmp_path, workers=1)
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             (job,) = client.submit([spec])["jobs"]
             assert client.wait(job["digest"], poll_s=0.02)["state"] == "done"
         finally:
@@ -193,7 +210,7 @@ class TestParity:
         bg2 = _boot(tmp_path, workers=1)
         try:
             with pytest.raises(ServeError) as err:
-                ServeClient(bg2.base_url).submit([spec])
+                serve_client(bg2.base_url).submit([spec])
             assert err.value.status == 500
             assert "PermissionError" in str(err.value)
         finally:
@@ -203,7 +220,7 @@ class TestParity:
 
 
 class TestKeying:
-    def test_job_is_keyed_by_its_spec_digest(self, tmp_path, counting):
+    def test_job_is_keyed_by_its_spec_digest(self, tmp_path, counting, serve_client):
         """A wire without the optional ``params`` or with an extra field
         is the spec it decodes to: the job is keyed, filed and fetched
         under that spec's digest, and a resubmit runs nothing."""
@@ -216,7 +233,7 @@ class TestKeying:
         extra["submitted_by"] = "ci"
         bg = _boot(tmp_path, workers=1)
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             jobs = client.submit_wires([bare, extra])["jobs"]
             for spec, job in zip(specs, jobs):
                 view = client.wait(job["digest"], poll_s=0.02, timeout_s=30)
@@ -234,11 +251,11 @@ class TestKeying:
 
 
 class TestDedup:
-    def test_same_digest_executes_once(self, tmp_path, counting):
+    def test_same_digest_executes_once(self, tmp_path, counting, serve_client):
         spec = _spec(seed=2)
         bg = _boot(tmp_path, workers=1)
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             digest = client.submit([spec, spec])["jobs"][0]["digest"]
             client.submit([spec])  # resubmission attaches, never re-runs
             client.wait(digest, poll_s=0.02, timeout_s=30)
@@ -249,7 +266,7 @@ class TestDedup:
             bg.drain()
         assert len(ran(counting)) == 1
 
-    def test_concurrent_submitters_one_execution(self, tmp_path, counting):
+    def test_concurrent_submitters_one_execution(self, tmp_path, counting, serve_client):
         spec = _spec(seed=3)
         bg = _boot(tmp_path, workers=1)
         try:
@@ -258,7 +275,7 @@ class TestDedup:
 
             def submit():
                 try:
-                    client = ServeClient(url)
+                    client = serve_client(url)
                     (job,) = client.submit([spec])["jobs"]
                     views.append(client.wait(job["digest"], poll_s=0.02))
                 except Exception as exc:  # pragma: no cover - surfaced below
@@ -275,7 +292,7 @@ class TestDedup:
             bg.drain()
         assert len(ran(counting)) == 1
 
-    def test_two_workers_file_into_one_clean_root(self, tmp_path, counting):
+    def test_two_workers_file_into_one_clean_root(self, tmp_path, counting, serve_client):
         """Every worker writes the one root: each digest runs once, on the
         worker it routes to, and the root lists and verifies it once."""
         specs = [_spec(seed=s) for s in range(8)]
@@ -283,7 +300,7 @@ class TestDedup:
         assert {shard_index(d, 2) for d in digests} == {0, 1}
         bg = _boot(tmp_path, workers=2)
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             client.submit(specs)
             views = [client.wait(d, poll_s=0.02, timeout_s=60) for d in digests]
             assert {v["state"] for v in views} == {"done"}
@@ -297,11 +314,11 @@ class TestDedup:
 
 
 class TestSse:
-    def test_stream_replays_full_lifecycle_in_order(self, tmp_path, slow):
+    def test_stream_replays_full_lifecycle_in_order(self, tmp_path, slow, serve_client):
         spec = _spec(seed=4)
         bg = _boot(tmp_path, workers=1)
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             (job,) = client.submit([spec])["jobs"]
             events = list(client.events(job["digest"]))
         finally:
@@ -313,11 +330,11 @@ class TestSse:
         assert states == ["pending", "running", "done"]
         assert events[-1][1]["state"] == "done"
 
-    def test_stream_after_terminal_replays_and_ends(self, tmp_path, counting):
+    def test_stream_after_terminal_replays_and_ends(self, tmp_path, counting, serve_client):
         spec = _spec(seed=5)
         bg = _boot(tmp_path, workers=1)
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             (job,) = client.submit([spec])["jobs"]
             client.wait(job["digest"], poll_s=0.02)
             events = list(client.events(job["digest"]))
@@ -326,23 +343,23 @@ class TestSse:
         states = [d["state"] for e, d in events if e == "status"]
         assert states == ["pending", "running", "done"]
 
-    def test_quiet_job_outlasts_the_request_timeout(self, tmp_path, monkeypatch):
+    def test_quiet_job_outlasts_the_request_timeout(self, tmp_path, monkeypatch, serve_client):
         """The stream's read timeout is the caller's, not the client's
         per-request one: a 0.3 s client follows a 1 s job to its end."""
         fake_job(monkeypatch, 1.0)
         bg = _boot(tmp_path, workers=1)
         try:
-            client = ServeClient(bg.base_url, timeout_s=0.3)
+            client = serve_client(bg.base_url, timeout_s=0.3)
             (job,) = client.submit([_spec(seed=10)])["jobs"]
             events = list(client.events(job["digest"]))
         finally:
             bg.drain()
         assert events[-1] == ("end", {"digest": job["digest"], "state": "done"})
 
-    def test_unknown_job_events_404(self, tmp_path):
+    def test_unknown_job_events_404(self, tmp_path, serve_client):
         bg = _boot(tmp_path, workers=1)
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             with pytest.raises(ServeError) as err:
                 list(client.events("ab" * 32))
             assert err.value.status == 404
@@ -351,11 +368,11 @@ class TestSse:
 
 
 class TestBackpressure:
-    def test_over_rate_batch_gets_429_with_retry_after(self, tmp_path, counting):
+    def test_over_rate_batch_gets_429_with_retry_after(self, tmp_path, counting, serve_client):
         tiny = TenantConfig(name="tiny", rate=1.0, burst=3.0, queue_limit=64)
         bg = _boot(tmp_path, workers=1, tenants=(tiny,))
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             specs = [_spec(seed=s) for s in range(6)]
             with pytest.raises(ServeError) as err:
                 client.submit(specs, tenant="tiny")
@@ -371,21 +388,21 @@ class TestBackpressure:
         finally:
             bg.drain()
 
-    def test_queue_overflow_gets_429(self, tmp_path, slow):
+    def test_queue_overflow_gets_429(self, tmp_path, slow, serve_client):
         tiny = TenantConfig(name="tiny", rate=1000.0, burst=1000.0, queue_limit=2)
         bg = _boot(tmp_path, workers=1, tenants=(tiny,))
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             with pytest.raises(ServeError) as err:
                 client.submit([_spec(seed=s) for s in range(8)], tenant="tiny")
             assert err.value.status == 429
         finally:
             bg.drain()
 
-    def test_invalid_spec_rejected_with_400(self, tmp_path):
+    def test_invalid_spec_rejected_with_400(self, tmp_path, serve_client):
         bg = _boot(tmp_path, workers=1)
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             with pytest.raises(ServeError) as err:
                 client.submit_wires([{"kind": "nope"}])
             assert err.value.status == 400
@@ -393,12 +410,14 @@ class TestBackpressure:
             bg.drain()
 
     @pytest.mark.parametrize("engine", ["batched", "bogus"])
-    def test_unregistered_engine_rejected_with_400(self, tmp_path, engine, counting):
+    def test_unregistered_engine_rejected_with_400(
+        self, tmp_path, engine, counting, serve_client
+    ):
         from repro.serve.protocol import spec_to_wire
 
         bg = _boot(tmp_path, workers=1)
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             wire = spec_to_wire(_spec(seed=7))
             wire["engine"] = engine
             with pytest.raises(ServeError) as err:
@@ -434,6 +453,43 @@ def _post_status(base_url, body, length=None):
     return int(response.split(b" ", 2)[1])
 
 
+def _connect(base_url):
+    url = urlsplit(base_url)
+    return socket.create_connection((url.hostname, url.port), timeout=30)
+
+
+def _read_response(f):
+    """One response from the buffered reader ``f`` of a raw socket:
+    ``(status, headers, body)``, the body de-chunked; ``None`` at EOF."""
+    line = f.readline()
+    if not line:
+        return None
+    status = int(line.split(b" ", 2)[1])
+    headers = {}
+    while (line := f.readline()) != b"\r\n":
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    if headers.get("transfer-encoding") == "chunked":
+        body = b""
+        while size := int(f.readline(), 16):
+            body += f.read(size)
+            assert f.read(2) == b"\r\n"
+        assert f.read(2) == b"\r\n"  # after the last chunk, no trailers
+    else:
+        body = f.read(int(headers["content-length"]))
+    return status, headers, body
+
+
+def _get(path):
+    return b"GET %s HTTP/1.1\r\nHost: x\r\n\r\n" % path.encode()
+
+
+def _post(body):
+    return b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (
+        len(body), body
+    )
+
+
 _REQUIRED = {"kind", "machine", "app", "balancer", "seed", "engine"}
 #: JSON trees that cannot be a wire spec: not an object, or missing a field
 _NOT_WIRES = JSON_TREES.filter(
@@ -451,15 +507,15 @@ MALFORMED_BODIES = (
 class TestMalformedRequests:
     """A request the protocol rejects gets a 400 and admits nothing."""
 
-    def test_short_body_gets_400(self, tmp_path):
+    def test_short_body_gets_400(self, tmp_path, serve_client):
         bg = _boot(tmp_path, workers=1)
         try:
             assert _post_status(bg.base_url, b"{}", length=100) == 400
-            assert ServeClient(bg.base_url).metrics()["bad_requests"] == 1
+            assert serve_client(bg.base_url).metrics()["bad_requests"] == 1
         finally:
             bg.drain()
 
-    def test_deeply_nested_bodies_get_400(self, tmp_path):
+    def test_deeply_nested_bodies_get_400(self, tmp_path, serve_client):
         wire = dict(spec_to_wire(_spec()), cores="DEEP")
         deep_wire = json.dumps({"specs": [wire]}).encode().replace(
             b'"DEEP"', b"[" * 900 + b"]" * 900
@@ -468,11 +524,11 @@ class TestMalformedRequests:
         try:
             for body in (b"[" * 100_000, deep_wire):
                 assert _post_status(bg.base_url, body) == 400
-            assert ServeClient(bg.base_url).metrics()["admitted"] == 0
+            assert serve_client(bg.base_url).metrics()["admitted"] == 0
         finally:
             bg.drain()
 
-    def test_reference_leaving_repro_gets_400(self, tmp_path, counting):
+    def test_reference_leaving_repro_gets_400(self, tmp_path, counting, serve_client):
         bg = _boot(tmp_path, workers=1)
         try:
             refs = ("repro.store.store:os.getpid", "repro.cli:main",
@@ -483,12 +539,12 @@ class TestMalformedRequests:
                                 **{field: {"__function__": ref}})
                     body = json.dumps({"specs": [wire]}).encode()
                     assert _post_status(bg.base_url, body) == 400
-            assert ServeClient(bg.base_url).metrics()["admitted"] == 0
+            assert serve_client(bg.base_url).metrics()["admitted"] == 0
         finally:
             bg.drain()
         assert ran(counting) == []
 
-    def test_generated_malformed_bodies_get_4xx(self, tmp_path):
+    def test_generated_malformed_bodies_get_4xx(self, tmp_path, serve_client):
         bg = _boot(tmp_path, workers=1)
         try:
             @settings(max_examples=80, deadline=None)
@@ -497,18 +553,273 @@ class TestMalformedRequests:
                 assert 400 <= _post_status(bg.base_url, body) < 500
 
             check()
-            snap = ServeClient(bg.base_url).metrics()
+            snap = serve_client(bg.base_url).metrics()
             assert snap["admitted"] == 0 and snap["submitted"] == 0
         finally:
             bg.drain()
 
 
+class TestConnections:
+    """One connection carries many requests; the framing the daemon
+    cannot trust is refused and closes it."""
+
+    def test_one_connection_carries_many_requests(self, tmp_path, counting):
+        spec = _spec(seed=40)
+        digest = spec_digest(spec)
+        bg = _boot(tmp_path, workers=1)
+        try:
+            with _connect(bg.base_url) as sock, sock.makefile("rb") as f:
+                for _ in range(5):
+                    sock.sendall(_get("/v1/healthz"))
+                    status, headers, body = _read_response(f)
+                    assert status == 200 and "connection" not in headers
+                    assert json.loads(body)["status"] == "ok"
+                sock.sendall(_post(json.dumps({"specs": [spec_to_wire(spec)]}).encode()))
+                status, _, body = _read_response(f)
+                assert status == 202
+                assert json.loads(body)["jobs"][0]["digest"] == digest
+                sock.sendall(_get("/v1/nope"))
+                assert _read_response(f)[0] == 404  # a 404 keeps it open
+                sock.sendall(_get("/v1/metrics"))
+                status, _, body = _read_response(f)
+            snap = json.loads(body)
+            assert (snap["connections"], snap["requests"]) == (1, 8)
+        finally:
+            bg.drain()
+
+    def test_pipelined_pair_is_answered_in_order(self, tmp_path):
+        bg = _boot(tmp_path, workers=1)
+        try:
+            with _connect(bg.base_url) as sock, sock.makefile("rb") as f:
+                sock.sendall(_get("/v1/healthz") + _get("/v1/jobs"))
+                first, second = _read_response(f), _read_response(f)
+            assert first[0] == 200 and json.loads(first[2])["status"] == "ok"
+            assert second[0] == 200 and json.loads(second[2]) == {"jobs": []}
+        finally:
+            bg.drain()
+
+    def test_sse_stream_then_get_on_one_connection(self, tmp_path, counting):
+        spec = _spec(seed=41)
+        digest = spec_digest(spec)
+        bg = _boot(tmp_path, workers=1)
+        try:
+            with _connect(bg.base_url) as sock, sock.makefile("rb") as f:
+                sock.sendall(_post(json.dumps({"specs": [spec_to_wire(spec)]}).encode()))
+                assert _read_response(f)[0] == 202
+                sock.sendall(_get(f"/v1/jobs/{digest}/events"))
+                status, headers, body = _read_response(f)
+                assert status == 200
+                assert headers["transfer-encoding"] == "chunked"
+                blocks = body.decode().split("\n\n")
+                assert blocks[-2].startswith("event: end\n")
+                assert blocks[-1] == ""
+                sock.sendall(_get(f"/v1/results/{digest}"))
+                status, _, body = _read_response(f)
+            assert status == 200 and json.loads(body)["digest"] == digest
+        finally:
+            bg.drain()
+
+    @pytest.mark.parametrize("head", [
+        b"POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 2, 40\r\n\r\n{}",
+        b"GET /v1/healthz HTTP/1.1 extra\r\n\r\n",
+    ], ids=["transfer-encoding", "repeated-length", "conflicting-length",
+            "malformed-line"])
+    def test_refused_framing_gets_400_and_closes(self, tmp_path, head, serve_client):
+        bg = _boot(tmp_path, workers=1)
+        try:
+            with _connect(bg.base_url) as sock, sock.makefile("rb") as f:
+                sock.sendall(_get("/v1/healthz"))
+                assert _read_response(f)[0] == 200
+                # the refused request, and one the daemon must not read
+                sock.sendall(head + _get("/v1/healthz"))
+                status, headers, body = _read_response(f)
+                assert status == 400 and headers["connection"] == "close"
+                assert _read_response(f) is None  # closed, second unanswered
+            snap = serve_client(bg.base_url).metrics()
+            assert snap["bad_requests"] == 1 and snap["admitted"] == 0
+        finally:
+            bg.drain()
+
+    def test_http10_event_stream_is_refused(self, tmp_path, counting, serve_client):
+        # HTTP/1.0 has no chunked encoding to frame the stream with
+        spec = _spec(seed=47)
+        bg = _boot(tmp_path, workers=1)
+        try:
+            (job,) = serve_client(bg.base_url).submit([spec])["jobs"]
+            with _connect(bg.base_url) as sock, sock.makefile("rb") as f:
+                sock.sendall(b"GET /v1/jobs/%s/events HTTP/1.0\r\n\r\n"
+                             % job["digest"].encode())
+                status, headers, body = _read_response(f)
+                assert status == 400 and headers["connection"] == "close"
+                assert b"needs HTTP/1.1" in body
+                assert _read_response(f) is None
+        finally:
+            bg.drain()
+
+    def test_connection_close_is_honoured(self, tmp_path):
+        bg = _boot(tmp_path, workers=1)
+        try:
+            with _connect(bg.base_url) as sock, sock.makefile("rb") as f:
+                sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                status, headers, _ = _read_response(f)
+                assert status == 200 and headers["connection"] == "close"
+                assert _read_response(f) is None
+        finally:
+            bg.drain()
+
+    def test_drain_closes_idle_connections(self, tmp_path, counting, serve_client):
+        bg = _boot(tmp_path, workers=1)
+        client = serve_client(bg.base_url)
+        client.submit([_spec(seed=42)])
+        socks = [_connect(bg.base_url) for _ in range(3)]
+        try:
+            # one served a request and waits for the next; two never sent one
+            socks[0].sendall(_get("/v1/healthz"))
+            with socks[0].makefile("rb") as f:
+                assert _read_response(f)[0] == 200
+            done = threading.Event()
+            threading.Thread(target=lambda: (bg.drain(), done.set())).start()
+            assert done.wait(30), "drain waited on idle connections"
+            for sock in socks:
+                assert sock.recv(1) == b""  # the daemon closed it
+        finally:
+            for sock in socks:
+                sock.close()
+
+    def test_drain_ends_a_live_stream_with_its_last_chunk(self, tmp_path, slow, serve_client):
+        bg = _boot(tmp_path, workers=1)
+        client = serve_client(bg.base_url)
+        jobs = client.submit([_spec(seed=s) for s in (43, 44, 45)])["jobs"]
+        stream = client.events(jobs[-1]["digest"], timeout_s=30)
+        assert next(stream)[1]["state"] == "pending"  # subscribed
+        done = threading.Event()
+        threading.Thread(target=lambda: (bg.drain(), done.set())).start()
+        rest = list(stream)
+        assert done.wait(30)
+        assert rest[-1] == ("end", {"digest": jobs[-1]["digest"],
+                                    "state": "pending", "draining": True})
+        # the stream was read to its last chunk, so its connection was
+        # pooled (and the daemon has closed it since)
+        assert len(client._idle) == 1
+
+    def test_abandoned_stream_is_closed_not_pooled(self, tmp_path, slow, serve_client):
+        bg = _boot(tmp_path, workers=1)
+        try:
+            client = serve_client(bg.base_url)
+            (job,) = client.submit([_spec(seed=46)])["jobs"]
+            stream = client.events(job["digest"], timeout_s=30)
+            assert next(stream)[0] == "status"
+            stream.close()  # mid-response: the connection cannot be reused
+            assert client._idle == []
+            assert client.healthz()["status"] == "ok"
+            assert client.metrics()["connections"] == 2
+        finally:
+            bg.drain()
+
+    def test_pooled_connection_closed_by_the_daemon_is_retried(self, tmp_path, serve_client):
+        bg = _boot(tmp_path, workers=1)
+        try:
+            client = serve_client(bg.base_url)
+            client.healthz()
+            # the daemon closes every connection waiting for a request,
+            # here the client's pooled one
+            waiting = bg.server._waiting
+            bg._loop.call_soon_threadsafe(lambda: [w.close() for w in list(waiting)])
+            deadline = time.monotonic() + 10
+            while waiting and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert client.healthz()["status"] == "ok"
+            assert client.metrics()["connections"] == 2
+        finally:
+            bg.drain()
+
+    def test_a_failed_retry_is_not_retried_again(self, serve_client):
+        """Only the first request on a server answers; the client's
+        pooled connection then fails, its one retry fails, and the error
+        reaches the caller after exactly two connections."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        accepted = []
+
+        def serve():
+            for n in range(2):
+                conn, _ = listener.accept()
+                accepted.append(conn)
+                with conn.makefile("rb") as f:
+                    while f.readline() not in (b"\r\n", b""):
+                        pass
+                    if n == 0:
+                        conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+                        while f.readline() not in (b"\r\n", b""):
+                            pass
+                conn.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        # a third connection would wait on the listener's backlog and
+        # time out instead of failing with ConnectionError
+        client = serve_client(f"http://127.0.0.1:{listener.getsockname()[1]}", timeout_s=5)
+        try:
+            assert client.healthz() == {}
+            with pytest.raises(ConnectionError):
+                client.healthz()
+            assert len(accepted) == 2
+        finally:
+            listener.close()
+            thread.join(10)
+        assert not thread.is_alive()
+
+    def test_threads_sharing_one_client(self, tmp_path, counting, serve_client):
+        """Eight threads drive full jobs (submit, SSE, fetch) through one
+        client, switching often; every call succeeds (two threads on one
+        connection would break its exchange) and no thread opens more
+        than one connection."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        bg = _boot(tmp_path, workers=1)
+        client = serve_client(bg.base_url)
+        errors, results = [], {}
+        deadline = time.monotonic() + 60
+
+        def drive(k):
+            try:
+                for i in range(4):
+                    spec = _spec(seed=1000 + 10 * k + i % 2)
+                    (job,) = client.submit([spec], tenant=f"t{k}")["jobs"]
+                    events = list(client.events(job["digest"], timeout_s=30))
+                    assert events[-1][0] == "end"
+                    results[(k, i)] = client.result(job["digest"])["digest"]
+                    assert time.monotonic() < deadline
+            except BaseException as exc:  # reported on the main thread
+                errors.append(exc)
+
+        try:
+            threads = [threading.Thread(target=drive, args=(k,)) for k in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(90)
+            assert not any(th.is_alive() for th in threads)
+            assert errors == []
+            assert len(results) == 32
+            snap = client.metrics()
+            assert snap["bad_requests"] == 0
+            # 96 job calls + metrics; each thread holds one connection
+            # at a time, so at most one per thread is ever opened
+            assert snap["requests"] == 97
+            assert snap["connections"] <= 8
+        finally:
+            sys.setswitchinterval(interval)
+            bg.drain()
+
+
 class TestFairness:
-    def test_three_tenant_overload_no_starvation(self, tmp_path, counting):
+    def test_three_tenant_overload_no_starvation(self, tmp_path, counting, serve_client):
         """The acceptance scenario: a flood cannot starve small tenants."""
         bg = _boot(tmp_path, workers=1, window_s=60.0)
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             flood = [_spec(seed=100 + s) for s in range(20)]
             alice = [_spec(seed=200 + s) for s in range(3)]
             bob = [_spec(seed=300 + s) for s in range(3)]
@@ -531,10 +842,10 @@ class TestFairness:
 
 
 class TestDrain:
-    def test_drain_snapshots_and_resume_runs_each_job_once(self, tmp_path, slow):
+    def test_drain_snapshots_and_resume_runs_each_job_once(self, tmp_path, slow, serve_client):
         specs = [_spec(seed=s) for s in range(8)]
         bg = _boot(tmp_path, workers=1)
-        client = ServeClient(bg.base_url)
+        client = serve_client(bg.base_url)
         digests = [j["digest"] for j in client.submit(specs)["jobs"]]
         bg.drain()  # SIGTERM path: finish in-flight, snapshot the rest
 
@@ -549,7 +860,7 @@ class TestDrain:
         bg2 = _boot(tmp_path, workers=1)
         try:
             assert not snapshot_path.exists()  # consumed on resume
-            client = ServeClient(bg2.base_url)
+            client = serve_client(bg2.base_url)
             # resubmit the full batch: pre-drain completions come back
             # as store hits, snapshot-resumed jobs dedup onto the queue
             client.submit(specs)
@@ -565,7 +876,9 @@ class TestDrain:
         assert len(ran(slow)) == len(specs)
         assert len(set(ran(slow))) == len(specs)
 
-    def test_corrupt_entry_reruns_once_across_resume(self, tmp_path, monkeypatch):
+    def test_corrupt_entry_reruns_once_across_resume(
+        self, tmp_path, monkeypatch, serve_client
+    ):
         """A completed job whose entry is corrupted while the daemon is
         down runs exactly once more on resume; nothing else re-runs."""
         log = tmp_path / "runs.log"
@@ -573,7 +886,7 @@ class TestDrain:
         specs = [_spec(seed=s) for s in range(8)]
         bg = _boot(tmp_path, workers=1)
         digests = [
-            j["digest"] for j in ServeClient(bg.base_url).submit(specs)["jobs"]
+            j["digest"] for j in serve_client(bg.base_url).submit(specs)["jobs"]
         ]
         bg.drain()
 
@@ -590,7 +903,7 @@ class TestDrain:
 
         bg2 = _boot(tmp_path, workers=1)
         try:
-            client = ServeClient(bg2.base_url)
+            client = serve_client(bg2.base_url)
             client.submit(specs)
             views = {
                 d: client.wait(d, poll_s=0.02, timeout_s=60) for d in digests
@@ -609,12 +922,12 @@ class TestDrain:
 
 class TestTimeouts:
     def test_hung_worker_killed_and_job_fails_with_timeout(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, serve_client
     ):
         fake_job(monkeypatch, 600.0)
         bg = _boot(tmp_path, workers=1, job_timeout_s=0.5, max_attempts=1)
         try:
-            client = ServeClient(bg.base_url)
+            client = serve_client(bg.base_url)
             (job,) = client.submit([_spec(seed=6)])["jobs"]
             view = client.wait(job["digest"], poll_s=0.05, timeout_s=30)
             assert view["state"] == "failed"

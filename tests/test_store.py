@@ -11,11 +11,14 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.sanitizer import run_digest
 from repro.apps.workloads import AppSpec
 from repro.core.speed_balancer import SpeedBalancerConfig
 from repro.harness.parallel import RunSpec, run_spec
+from repro.sim.backends import backend_names
 from repro.metrics.export import trace_to_dict
 from repro.store import (
     STORE_SCHEMA,
@@ -31,6 +34,8 @@ from repro.store import (
     spec_key,
     sweep_cell_key,
 )
+from repro.topology import presets
+from repro.topology.machine import DomainLevel
 
 
 def _spec(seed=0, balancer="speed", **params):
@@ -144,6 +149,118 @@ class TestCanonicalKeys:
         )
 
 
+def _parent_spec_digest(spec):
+    """``spec_digest`` as the previous build computed it: a key with the
+    raw balancer, seed and engine, canonicalized a second time."""
+    return digest_of({
+        "kind": "run",
+        "machine": canonical_value(spec.machine),
+        "app": canonical_value(spec.app),
+        "balancer": spec.balancer,
+        "cores": canonical_value(spec.cores),
+        "seed": spec.seed,
+        "engine": spec.engine,
+        "params": {name: canonical_value(v) for name, v in spec.params},
+    })
+
+
+_PARAM_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**40), 2**40)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6)
+    | st.sampled_from(list(DomainLevel)) | st.just(presets.tigerton)
+    | st.builds(SpeedBalancerConfig, interval_us=st.integers(1_000, 10**6)),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    | st.dictionaries(st.sampled_from(list(DomainLevel)), inner, max_size=2),
+    max_leaves=8,
+)
+SPECS = st.builds(
+    lambda kw, params: RunSpec.make(**kw, **params),
+    st.fixed_dictionaries({
+        "machine": st.sampled_from(["tigerton", "barcelona", presets.nehalem]),
+        "app": st.builds(
+            AppSpec,
+            bench=st.sampled_from(["ep.C", "cg.B", "ft.B"]),
+            n_threads=st.integers(1, 32),
+            wait=st.sampled_from(["yield", "sleep"]),
+            total_compute_us=st.integers(1, 10**7),
+            barrier_period_us=st.none() | st.integers(1, 10**5),
+        ),
+        "balancer": st.sampled_from(["speed", "load", "pinned", "ule"]),
+        "cores": st.none() | st.integers(1, 16) | st.lists(st.integers(0, 15), max_size=4),
+        "seed": st.integers(0, 2**40),
+        "engine": st.sampled_from(backend_names()),
+    }),
+    st.dictionaries(st.from_regex(r"p_[a-z]{1,4}", fullmatch=True), _PARAM_VALUES,
+                    max_size=3),
+)
+
+#: spec digests the previous build wrote, for specs spanning every key
+#: form: a preset name, a factory function, a core list, a dataclass
+#: param, an enum-keyed dict and a list with a float and a null
+PINNED = [
+    (lambda: RunSpec.make(
+        "tigerton", AppSpec(bench="ep.C", n_threads=4, total_compute_us=40_000),
+        balancer="speed", cores=2, seed=0),
+     "a559f22f33a01e3de9091bb74a49f83c4599725eaf0517e7ac52ff2b17c3f6d3"),
+    (lambda: RunSpec.make(
+        presets.barcelona, AppSpec(bench="cg.B", n_threads=8, wait="sleep",
+                                   total_compute_us=100_000),
+        balancer="load", cores=[0, 1, 4, 5], seed=7, engine="native",
+        speed_config=SpeedBalancerConfig(interval_us=50_000)),
+     "0bc1b5910eeffbf2708352c70ddfeabe1c510661fe91e6b8925fc5139d74c441"),
+    (lambda: RunSpec.make(
+        "nehalem", AppSpec(barrier_period_us=10_000), balancer="pinned", seed=3,
+        trace=True, levels={DomainLevel.NUMA: 2.5, DomainLevel.SMT: 1},
+        weights=[1, 2.5, None]),
+     "fd762b853f5ea371a48273ded89e3f63c25ccb09ec1fab1fa9758210747209cb"),
+]
+
+
+class TestSpecDigest:
+    """``spec_key`` is canonical as built, so ``spec_digest`` hashes it
+    without a second walk -- and names every spec as before."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=SPECS)
+    def test_digest_is_the_digest_of_the_key(self, spec):
+        key = spec_key(spec)
+        assert canonical_value(key) == key
+        assert spec_digest(spec) == digest_of(key) == _parent_spec_digest(spec)
+
+    @pytest.mark.parametrize("make, digest", PINNED)
+    def test_digests_the_previous_build_wrote(self, make, digest):
+        assert spec_digest(make()) == digest
+
+    @pytest.mark.parametrize("field, value", [
+        ("balancer", lambda: None), ("seed", float("inf")),
+        ("engine", object()), ("params", (("p", lambda: None),)),
+    ])
+    def test_unstorable_field_raises(self, field, value):
+        spec = _spec()
+        object.__setattr__(spec, field, value)  # past RunSpec's own checks
+        with pytest.raises(UnstorableSpecError):
+            spec_key(spec)
+        with pytest.raises(UnstorableSpecError):
+            spec_digest(spec)
+
+    def test_store_written_under_the_previous_key_still_hits(self, tmp_path):
+        # an entry filed the way the previous build filed it: its key
+        # object, with the digest computed the previous way
+        from repro.service import run_specs_cached
+
+        store = ResultStore(tmp_path / "s")
+        spec, _ = PINNED[0]
+        spec = spec()
+        old_key = json.loads(canonical_json(canonical_value(spec_key(spec))))
+        result = run_spec(spec)
+        assert store.put(old_key, result) == _parent_spec_digest(spec)
+        assert store.get(spec).digest == spec_digest(spec)
+        (again,) = run_specs_cached([spec], store=str(tmp_path / "s"))
+        assert run_digest(again) == run_digest(result)
+        assert len(store.digests()) == 1
+
+
 class TestStoreRoundTrip:
     def test_put_get_parity(self, tmp_path):
         store = ResultStore(tmp_path / "s")
@@ -236,6 +353,87 @@ class TestStoreRoundTrip:
         assert store.delete(digest)
         assert store.get(digest) is None
         assert not store.delete(digest)
+
+
+class TestReadPath:
+    """``get``, ``get_with_trace`` and ``load_trace`` open ``entry.json``
+    once, with no stat first; absent, corrupt and unreadable entries
+    each keep their outcome."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        spec = _spec()
+        result, trace = _traced(spec)
+        return store, store.put(spec, result, trace=trace)
+
+    @staticmethod
+    def _entry(store, digest):
+        return store._object_dir(digest) / "entry.json"
+
+    def test_each_read_opens_the_entry_once_without_a_stat(self, stored, monkeypatch):
+        import pathlib
+
+        from repro.store import store as store_module
+
+        store, digest = stored
+        opened = []
+
+        def counting(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        def no_stat(self):
+            raise AssertionError(f"stat of {self}")
+
+        monkeypatch.setattr(store_module, "open", counting, raising=False)
+        monkeypatch.setattr(pathlib.Path, "is_file", no_stat)
+        store.get(digest)
+        store.get_with_trace(digest)
+        store.load_trace(digest)
+        assert opened == [str(self._entry(store, digest))] * 3
+
+    def test_absent_entry(self, stored):
+        store, digest = stored
+        other = "0" * 64
+        assert store.get(other) is None
+        assert store.get_with_trace(other) is None
+        with pytest.raises(StoreError, match="no store entry"):
+            store.load_trace(other)
+        # a directory where entry.json should be is absent too
+        path = self._entry(store, digest)
+        path.unlink()
+        path.mkdir()
+        assert store.get(digest) is None
+        assert store.get_with_trace(digest) is None
+        with pytest.raises(StoreError, match="no store entry"):
+            store.load_trace(digest)
+
+    def test_corrupt_entry(self, stored):
+        store, digest = stored
+        self._entry(store, digest).write_bytes(b'{"integrity": "\xff\xfe"}')
+        for read in (store.get, store.get_with_trace, store.load_trace):
+            with pytest.raises(StoreIntegrityError, match="not valid UTF-8"):
+                read(digest)
+        assert store.lookup(digest) is None  # a miss, and deleted
+        assert not store.contains(digest)
+
+    def test_unreadable_entry(self, stored, monkeypatch):
+        from repro.store import store as store_module
+
+        store, digest = stored
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(store_module, "open", denied, raising=False)
+        for read in (store.get, store.get_with_trace, store.load_trace,
+                     store.lookup):
+            with pytest.raises(PermissionError):
+                read(digest)
+        monkeypatch.undo()
+        assert store.contains(digest)  # never deleted for a read error
+        assert store.get(digest).digest == digest
 
 
 class TestCorruptionDetection:
