@@ -23,7 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.sched.task import Task, TaskState, WaitMode
+from repro.sched.task import (
+    TASK_RUNNING,
+    TASK_SLEEPING,
+    WAIT_SLEEP,
+    WAIT_SPIN,
+    WAIT_YIELD,
+    Task,
+    WaitMode,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -53,31 +61,31 @@ class WaitPolicy:
     @staticmethod
     def upc_default() -> "WaitPolicy":
         """Berkeley UPC barrier: ``sched_yield`` loop when oversubscribed."""
-        return WaitPolicy(mode=WaitMode.YIELD)
+        return WaitPolicy(mode=WAIT_YIELD)
 
     @staticmethod
     def mpi_default() -> "WaitPolicy":
         """MPI runtimes evaluated by the paper also call ``sched_yield``."""
-        return WaitPolicy(mode=WaitMode.YIELD)
+        return WaitPolicy(mode=WAIT_YIELD)
 
     @staticmethod
     def upc_sleep() -> "WaitPolicy":
         """The paper's modified UPC runtime calling ``usleep(1)``."""
-        return WaitPolicy(mode=WaitMode.SLEEP)
+        return WaitPolicy(mode=WAIT_SLEEP)
 
     @staticmethod
     def omp_default(blocktime_us: int = 200_000) -> "WaitPolicy":
         """Intel OpenMP: spin for KMP_BLOCKTIME (200 ms), then sleep."""
-        return WaitPolicy(mode=WaitMode.SPIN, blocktime_us=blocktime_us)
+        return WaitPolicy(mode=WAIT_SPIN, blocktime_us=blocktime_us)
 
     @staticmethod
     def omp_infinite() -> "WaitPolicy":
         """``KMP_BLOCKTIME=infinite``: poll continuously."""
-        return WaitPolicy(mode=WaitMode.SPIN)
+        return WaitPolicy(mode=WAIT_SPIN)
 
     @property
     def label(self) -> str:
-        if self.mode == WaitMode.SLEEP:
+        if self.mode is WAIT_SLEEP:
             return "sleep"
         if self.blocktime_us is not None:
             return f"{self.mode.value}+blocktime{self.blocktime_us // 1000}ms"
@@ -129,9 +137,9 @@ class Barrier:
         self._arrival_times.append(now)
         task.waiting_on = self
         pol = self.policy
-        if pol.mode == WaitMode.SLEEP:
-            task.wait_mode = WaitMode.SLEEP
-            task.state = TaskState.SLEEPING
+        if pol.mode is WAIT_SLEEP:
+            task.wait_mode = WAIT_SLEEP
+            task.state = TASK_SLEEPING
         else:
             task.wait_mode = pol.mode
             if pol.blocktime_us is not None:
@@ -145,9 +153,9 @@ class Barrier:
         waiter list and will be woken like any sleeper on release.
         """
         assert task.waiting_on is self and task in self._waiters
-        task.wait_mode = WaitMode.SLEEP
+        task.wait_mode = WAIT_SLEEP
         task.spin_deadline = None
-        task.state = TaskState.SLEEPING
+        task.state = TASK_SLEEPING
         task.cur_core = None
 
     # ------------------------------------------------------------------
@@ -160,8 +168,8 @@ class Barrier:
         self.total_wait_us += sum(now - t for t in self._arrival_times)
         self._arrival_times = []
         for task in waiters:
-            was_sleeping = task.state == TaskState.SLEEPING
-            if task.state == TaskState.RUNNING:
+            was_sleeping = task.state is TASK_SLEEPING
+            if task.state is TASK_RUNNING:
                 # charge the elapsed spin/yield time while the waiting
                 # flags still mark it as synchronization overhead
                 assert task.cur_core is not None
@@ -172,7 +180,7 @@ class Barrier:
             task.needs_advance = True
             if was_sleeping:
                 self.system.wake(task, latency_us=self.policy.wake_latency_us)
-            elif task.state == TaskState.RUNNING:
+            elif task.state is TASK_RUNNING:
                 assert task.cur_core is not None
                 self.system.cores[task.cur_core].notify_waiter_released(task)
             # RUNNABLE spinners/yielders advance at their next dispatch

@@ -23,7 +23,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro.apps.barriers import WaitPolicy
-from repro.sched.task import Action, Program, Task, TaskState, WaitMode
+from repro.sched.task import TASK_RUNNING, TASK_SLEEPING, WAIT_SLEEP, Action, Program, Task
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -72,9 +72,9 @@ class Mutex:
         self._wait_since[task.tid] = now
         task.waiting_on = self
         pol = self.policy
-        if pol.mode == WaitMode.SLEEP:
-            task.wait_mode = WaitMode.SLEEP
-            task.state = TaskState.SLEEPING
+        if pol.mode is WAIT_SLEEP:
+            task.wait_mode = WAIT_SLEEP
+            task.state = TASK_SLEEPING
         else:
             task.wait_mode = pol.mode
             if pol.blocktime_us is not None:
@@ -84,9 +84,9 @@ class Mutex:
     def spin_timeout(self, task: Task, now: int) -> None:
         """BLOCKTIME expired while waiting for the lock: sleep."""
         assert task.waiting_on is self
-        task.wait_mode = WaitMode.SLEEP
+        task.wait_mode = WAIT_SLEEP
         task.spin_deadline = None
-        task.state = TaskState.SLEEPING
+        task.state = TASK_SLEEPING
         task.cur_core = None
 
     def release(self, task: Task, now: int) -> None:
@@ -100,8 +100,8 @@ class Mutex:
         self.total_wait_us += now - self._wait_since.pop(nxt.tid)
         self.holder = nxt
         self.acquisitions += 1
-        was_sleeping = nxt.state == TaskState.SLEEPING
-        if nxt.state == TaskState.RUNNING:
+        was_sleeping = nxt.state is TASK_SLEEPING
+        if nxt.state is TASK_RUNNING:
             assert nxt.cur_core is not None
             self.system.cores[nxt.cur_core].charge_now()
         nxt.waiting_on = None
@@ -110,7 +110,7 @@ class Mutex:
         nxt.needs_advance = True
         if was_sleeping:
             self.system.wake(nxt, latency_us=self.policy.wake_latency_us)
-        elif nxt.state == TaskState.RUNNING:
+        elif nxt.state is TASK_RUNNING:
             assert nxt.cur_core is not None
             self.system.cores[nxt.cur_core].notify_waiter_released(nxt)
         # RUNNABLE busy-waiters proceed at their next dispatch

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.balance.base import KernelBalancer
-from repro.sched.task import Task, TaskState
+from repro.sched.task import TASK_RUNNABLE, Task
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sched.core import CoreSim
@@ -156,7 +156,7 @@ class DwrrBalancer(KernelBalancer):
                 if stolen >= self.steal_batch:
                     break
                 if (
-                    t.state == TaskState.RUNNABLE
+                    t.state is TASK_RUNNABLE
                     and not t.throttled
                     and t.can_run_on(core.cid)
                 ):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.balance.base import KernelBalancer
-from repro.sched.task import Task, TaskState
+from repro.sched.task import TASK_RUNNABLE, Task
 from repro.topology.machine import DomainLevel, SchedDomain
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -264,7 +264,7 @@ class LinuxLoadBalancer(KernelBalancer):
         candidates = [
             t
             for t in src.rq.tasks()
-            if t.state == TaskState.RUNNABLE and t.can_run_on(dst.cid)
+            if t.state is TASK_RUNNABLE and t.can_run_on(dst.cid)
         ]
         self._sort_now = now
         candidates.sort(key=self._pull_sort_key)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.balance.base import KernelBalancer
-from repro.sched.task import Task, TaskState
+from repro.sched.task import TASK_RUNNABLE, Task
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sched.core import CoreSim
@@ -145,7 +145,7 @@ class UleBalancer(KernelBalancer):
         candidates = [
             t
             for t in src.rq.tasks()
-            if t.state == TaskState.RUNNABLE and t.can_run_on(dst_cid)
+            if t.state is TASK_RUNNABLE and t.can_run_on(dst_cid)
         ]
         if not candidates:
             return None
@@ -163,7 +163,7 @@ class UleBalancer(KernelBalancer):
         if busiest is None or busiest.nr_running < 2:
             return
         for t in sorted(busiest.rq.tasks(), key=_by_tid):
-            if t.state == TaskState.RUNNABLE and t.can_run_on(core.cid):
+            if t.state is TASK_RUNNABLE and t.can_run_on(core.cid):
                 if self.system.migrate(t, core.cid, reason="ule.steal"):
                     self.stats_steals += 1
                     return

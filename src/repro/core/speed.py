@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.sched.task import Task, TaskState
+from repro.sched.task import TASK_RUNNING, Task
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -58,7 +58,7 @@ class SpeedEstimator:
     def _raw_exec(self, task: Task) -> int:
         """Cumulative execution time including the in-flight interval."""
         core = None
-        if task.state == TaskState.RUNNING and task.cur_core is not None:
+        if task.state is TASK_RUNNING and task.cur_core is not None:
             core = self.system.cores[task.cur_core]
         return task.exec_time_at(self.system.engine.now, core)
 

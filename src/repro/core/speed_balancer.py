@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.speed import SpeedEstimator
-from repro.sched.task import Task, TaskState
+from repro.sched.task import TASK_FINISHED, TASK_RUNNABLE, TASK_RUNNING, TASK_SLEEPING, Task
 from repro.topology.machine import DomainLevel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -208,7 +208,7 @@ class SpeedBalancer:
         self._task_order = {t.tid: i for i, t in enumerate(self.app.tasks)}
         self._alive_count = 0
         for t in self.app.tasks:
-            if t.state != TaskState.FINISHED:
+            if t.state is not TASK_FINISHED:
                 self._alive_count += 1
                 system.on_exit(t, self._note_task_exit)
         if self.requested_cores is None:
@@ -282,13 +282,13 @@ class SpeedBalancer:
             return
         targets = self._pinning_targets(len(self.app.tasks))
         for i, task in enumerate(self.app.tasks):
-            if task.state == TaskState.FINISHED:
+            if task.state is TASK_FINISHED:
                 continue
             dst = targets[i]
             if task.cur_core == dst:
                 task.pin(frozenset({dst}))
                 continue
-            if task.state == TaskState.SLEEPING:
+            if task.state is TASK_SLEEPING:
                 task.pin(frozenset({dst}))
                 task.last_core = dst  # wakes on its assigned core
                 self.system.note_residency(task)
@@ -431,14 +431,14 @@ class SpeedBalancer:
         dst_residents = [
             t
             for t in self._monitored_on(dst)
-            if t.state in (TaskState.RUNNABLE, TaskState.RUNNING)
+            if t.state in (TASK_RUNNABLE, TASK_RUNNING)
         ]
         if not dst_residents:
             return False  # moving onto a free core is always fine
         src_monitored = [
             t
             for t in self._monitored_on(src)
-            if t.state in (TaskState.RUNNABLE, TaskState.RUNNING)
+            if t.state in (TASK_RUNNABLE, TASK_RUNNING)
         ]
         if len(src_monitored) > 1:
             return False  # the source keeps rotating its remaining threads
@@ -461,7 +461,7 @@ class SpeedBalancer:
         pool = [
             t
             for t in self._monitored_on(src)
-            if t.state in (TaskState.RUNNABLE, TaskState.RUNNING)
+            if t.state in (TASK_RUNNABLE, TASK_RUNNING)
         ]
         if not pool:
             return None

@@ -38,7 +38,19 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.sched.cfs import CfsParams
 from repro.sched.runqueue import CfsRunQueue, O1RunQueue
-from repro.sched.task import NICE_0_WEIGHT, Action, ActionType, Task, TaskState, WaitMode
+from repro.sched.task import (
+    ACT_COMPUTE,
+    ACT_EXIT,
+    ACT_SLEEP,
+    ACT_WAIT_BARRIER,
+    NICE_0_WEIGHT,
+    TASK_RUNNABLE,
+    TASK_RUNNING,
+    TASK_SLEEPING,
+    WAIT_SLEEP,
+    WAIT_YIELD,
+    Task,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -180,7 +192,7 @@ class CoreSim:
         preempts it.
         """
         task.cur_core = self.cid
-        task.state = TaskState.RUNNABLE
+        task.state = TASK_RUNNABLE
         self.system.note_residency(task)
         self.rq.push(task)
         self._load_epoch[0] += 1
@@ -188,7 +200,7 @@ class CoreSim:
             return  # the active dispatch loop will see the new task
         if self.current is None:
             self.resched()
-        elif self.current.is_waiting and self.current.wait_mode == WaitMode.YIELD:
+        elif self.current.is_waiting and self.current.wait_mode is WAIT_YIELD:
             # a lone yield-poller was occupying the core in whole
             # slices; its very next sched_yield hands over to the
             # arrival, which is "now" at simulation granularity
@@ -223,7 +235,7 @@ class CoreSim:
         self.current = None
         self._load_epoch[0] += 1
         self._mem_note_off(task)
-        task.state = TaskState.RUNNABLE
+        task.state = TASK_RUNNABLE
         task.last_descheduled_at = self.engine.now
         task.last_core = self.cid
         # caller decides where the task goes next
@@ -306,11 +318,11 @@ class CoreSim:
         task.last_descheduled_at = self.engine.now
         task.last_core = self.cid
         self.stats.context_switches += 1
-        if task.state != TaskState.RUNNING:
+        if task.state is not TASK_RUNNING:
             # already slept/exited/migrated under us: nr_running dropped
             self._load_epoch[0] += 1
             return
-        task.state = TaskState.RUNNABLE
+        task.state = TASK_RUNNABLE
         if task.throttled:
             self._load_epoch[0] += 1
             self.throttled.append(task)
@@ -369,7 +381,7 @@ class CoreSim:
         now = self.engine.now
         while True:
             if task.waiting_on is not None:
-                if task.wait_mode == WaitMode.SLEEP:  # pragma: no cover - defensive
+                if task.wait_mode is WAIT_SLEEP:  # pragma: no cover - defensive
                     raise AssertionError("sleeping waiter found on a run queue")
                 return True  # spin or yield on CPU
             if not task.needs_advance and (
@@ -378,33 +390,33 @@ class CoreSim:
                 return True
             task.needs_advance = False
             action = task.program.next_action(task, now)
-            if action.type == ActionType.COMPUTE:
+            if action.type is ACT_COMPUTE:
                 task.work_remaining = float(action.work_us)
                 if task.home_node is None and self.system.machine.numa:
                     task.home_node = self.hw.numa_node  # first touch
                 return True
-            if action.type == ActionType.WAIT_BARRIER:
+            if action.type is ACT_WAIT_BARRIER:
                 assert action.barrier is not None
                 released = action.barrier.arrive(task, now)
                 if released:
                     task.needs_advance = True
                     continue  # barrier opened; on to the next action
-                if task.state == TaskState.SLEEPING:
+                if task.state is TASK_SLEEPING:
                     task.cur_core = None
                     self.system.note_residency(task)
                     return False  # sleep-mode wait
                 return True  # spin/yield-mode wait
-            if action.type == ActionType.SLEEP:
+            if action.type is ACT_SLEEP:
                 self.system.put_to_sleep(task, wake_in=action.sleep_us)
                 return False
-            if action.type == ActionType.EXIT:
+            if action.type is ACT_EXIT:
                 self.system.task_exited(task)
                 return False
             raise AssertionError(f"unknown action {action}")  # pragma: no cover
 
     def _start(self, task: Task) -> None:
         now = self.engine.now
-        task.state = TaskState.RUNNING
+        task.state = TASK_RUNNING
         task.cur_core = self.cid
         self.current = task
         self._mem_note_on(task)
@@ -444,7 +456,7 @@ class CoreSim:
         else:
             slice_us = params.slice_for(nr, weight, total_weight)
         if task.waiting_on is not None:
-            if task.wait_mode == WaitMode.YIELD and self.rq.count > 0:
+            if task.wait_mode is WAIT_YIELD and self.rq.count > 0:
                 # yield to the queued co-runner almost immediately
                 run_for = min(slice_us, self.yield_check_us)
             else:  # SPIN, or a yielder alone on the queue (yield is a
@@ -489,7 +501,7 @@ class CoreSim:
                 self.system.note_residency(task)
                 self._dispatch_next()
                 return
-            if task.wait_mode == WaitMode.YIELD:
+            if task.wait_mode is WAIT_YIELD:
                 # sched_yield: move past the rightmost task and requeue.
                 task.vruntime = (
                     max(task.vruntime, self.rq.max_vruntime()) + self.params.yield_penalty
@@ -519,7 +531,7 @@ class CoreSim:
         if (
             self.rq.count == 0
             and not task.throttled
-            and task.state == TaskState.RUNNING
+            and task.state is TASK_RUNNING
             and (
                 task.waiting_on is not None
                 or (

@@ -1,9 +1,12 @@
 """Run queues: CFS (vruntime-ordered) and O(1)-style round robin.
 
 ``CfsRunQueue`` stands in for the kernel's red-black tree of schedulable
-entities.  A binary heap with lazy deletion gives the same O(log n)
-pick-next/insert complexity; arbitrary removal (needed constantly by
-the balancers) marks entries dead and ignores them on pop.
+entities.  It is one list of ``(vruntime, counter, task)`` entries kept
+sorted by ``bisect.insort``, beside a ``tid -> entry`` map for
+membership and arbitrary removal (needed constantly by the balancers).
+The kernel's rbtree caches its leftmost and rightmost entities; here
+they are the two ends of the list, so pick-next, the ``min_vruntime``
+floor and ``sched_yield``'s rightmost vruntime are each one index.
 
 ``RoundRobinQueue`` models the pre-CFS O(1) scheduler's active/expired
 arrays, which is the substrate the DWRR prototype (Linux 2.6.22) was
@@ -12,21 +15,18 @@ kernel because the 2.6.24 CFS port did not boot.
 
 Aggregate maintenance
 ---------------------
-``total_weight`` and ``max_vruntime`` are *maintained* on push/pop/
-remove instead of recomputed by scanning the queue: ``slice_for`` needs
-the total weight on every dispatch and the ``sched_yield`` path needs
-the rightmost vruntime on every yield, so recomputation made both
-O(queue length) per event.  Weights are integers, so the running total
-is exact; the maximum is served by a second lazy-deletion heap keyed by
-negated vruntime (vruntime is immutable while a task is queued --
-``requeue`` re-inserts -- so a heap entry can never go stale in value,
-only in liveness).
+``total_weight`` and ``count`` are *maintained* on push/pop/remove
+instead of recomputed by scanning the queue: ``slice_for`` needs the
+total weight on every dispatch.  Weights are integers, so the running
+total is exact.  An entry's vruntime is frozen at push (``requeue``
+re-inserts after a change), and the counter makes every key unique, so
+the list order is total and no entry is ever stale.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Optional
 
@@ -36,29 +36,22 @@ __all__ = ["CfsRunQueue", "O1RunQueue", "RoundRobinQueue"]
 
 _entry_counter = itertools.count()
 
-#: rebuild a lazy-deletion heap when stale entries outnumber live ones
-#: by this factor (plus a small constant so tiny queues never compact)
-_COMPACT_FACTOR = 4
-_COMPACT_MIN = 64
-
 
 class CfsRunQueue:
-    """Priority queue of runnable (not running) tasks, keyed by vruntime.
+    """Sorted queue of runnable (not running) tasks, keyed by vruntime.
 
-    Also maintains ``min_vruntime``, the monotonically increasing
-    baseline CFS uses to normalize sleepers and migrating tasks.  The
-    native engine core reads every field at a fixed slot offset.
+    Pop order is vruntime, then push order for equal vruntimes.  Also
+    maintains ``min_vruntime``, the monotonically increasing baseline
+    CFS uses to normalize sleepers and migrating tasks.  The native
+    engine core reads every field at a fixed slot offset.
     """
 
-    __slots__ = (
-        "_heap", "_live", "_max_heap", "_total_weight", "count", "min_vruntime",
-    )
+    __slots__ = ("_live", "_queue", "_total_weight", "count", "min_vruntime")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Task]] = []
+        #: (vruntime, counter, task) entries, smallest first
+        self._queue: list[tuple[float, int, Task]] = []
         self._live: dict[int, tuple[float, int, Task]] = {}  # tid -> entry
-        #: max-side lazy heap: (-vruntime, -counter, min-heap entry)
-        self._max_heap: list[tuple[float, int, tuple[float, int, Task]]] = []
         self._total_weight: int = 0
         #: queue length as a plain attribute: hot readers (dispatch,
         #: balancer sweeps) skip the __len__ call frame
@@ -73,7 +66,7 @@ class CfsRunQueue:
         return task.tid in self._live
 
     def tasks(self) -> list[Task]:
-        """Snapshot of queued tasks (unordered)."""
+        """Snapshot of queued tasks, in the order they were pushed."""
         return [e[2] for e in self._live.values()]
 
     def total_weight(self) -> int:
@@ -84,74 +77,43 @@ class CfsRunQueue:
     def push(self, task: Task) -> None:
         if task.tid in self._live:
             raise ValueError(f"{task} already queued")
-        # the counter only tie-breaks equal vruntimes *within* one heap;
+        # the counter only tie-breaks equal vruntimes *within* one queue;
         # absolute values never leave the process, so workers drifting
         # apart cannot change any schedule
         entry = (task.vruntime, next(_entry_counter), task)  # sim-lint: ignore[FLOW004]
         self._live[task.tid] = entry
-        heapq.heappush(self._heap, entry)
-        heapq.heappush(self._max_heap, (-entry[0], -entry[1], entry))
+        insort(self._queue, entry)
         self._total_weight += task.weight
         self.count += 1
-        # the max-side heap sheds stale entries only when max_vruntime()
-        # peeks past them, so a queue that never serves a yield would
-        # keep one dead entry per requeue for the whole run; compact
-        # once they dominate (pop order is by unique keys, so this
-        # changes no schedule)
-        if len(self._max_heap) > _COMPACT_FACTOR * self.count + _COMPACT_MIN:
-            self._compact()
 
     def pop_min(self) -> Optional[Task]:
         """Remove and return the leftmost (smallest vruntime) task."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            task = entry[2]
-            if self._live.get(task.tid) is entry:
-                del self._live[task.tid]
-                self._total_weight -= task.weight
-                self.count -= 1
-                if task.vruntime > self.min_vruntime:  # _advance_min, inlined
-                    self.min_vruntime = task.vruntime
-                return task
-        return None
+        queue = self._queue
+        if not queue:
+            return None
+        task = queue.pop(0)[2]
+        del self._live[task.tid]
+        self._total_weight -= task.weight
+        self.count -= 1
+        if task.vruntime > self.min_vruntime:  # min_vruntime never decreases
+            self.min_vruntime = task.vruntime
+        return task
 
     def peek_min(self) -> Optional[Task]:
-        while self._heap:
-            entry = self._heap[0]
-            task = entry[2]
-            if self._live.get(task.tid) is entry:
-                return task
-            heapq.heappop(self._heap)
-        return None
+        return self._queue[0][2] if self._queue else None
 
     def remove(self, task: Task) -> None:
-        """Remove an arbitrary task (migration/sleep).  O(1) amortized."""
+        """Remove an arbitrary task (migration/sleep), bisecting to its entry."""
         entry = self._live.pop(task.tid, None)
         if entry is None:
             raise ValueError(f"{task} not queued")
+        del self._queue[bisect_left(self._queue, entry)]
         self._total_weight -= task.weight
         self.count -= 1
-        # stale heap entries are skipped lazily by pop_min/peek_min/
-        # max_vruntime; compact when they dominate so removal-heavy
-        # balancer churn cannot grow the heaps without bound
-        if len(self._heap) > _COMPACT_FACTOR * len(self._live) + _COMPACT_MIN:
-            self._compact()
 
     def max_vruntime(self) -> float:
-        """Largest vruntime among queued tasks (for sched_yield).
-
-        Served from the max-side lazy heap: stale top entries are
-        discarded until a live one surfaces, so the amortized cost is
-        O(log n) against the O(n) scan this replaces.
-        """
-        heap = self._max_heap
-        live = self._live
-        while heap:
-            entry = heap[0][2]
-            if live.get(entry[2].tid) is entry:
-                return entry[0]
-            heapq.heappop(heap)
-        return self.min_vruntime
+        """Largest vruntime among queued tasks (for sched_yield)."""
+        return self._queue[-1][0] if self._queue else self.min_vruntime
 
     def requeue(self, task: Task) -> None:
         """Re-insert after a vruntime change (yield, slice expiry)."""
@@ -159,41 +121,18 @@ class CfsRunQueue:
             self.remove(task)
         self.push(task)
 
-    # ------------------------------------------------------------------
-    def _compact(self) -> None:
-        """Drop stale lazy-deletion entries and re-heapify in place."""
-        live = self._live
-        self._heap = [e for e in self._heap if live.get(e[2].tid) is e]
-        heapq.heapify(self._heap)
-        self._max_heap = [m for m in self._max_heap if live.get(m[2][2].tid) is m[2]]
-        heapq.heapify(self._max_heap)
-
-    def _advance_min(self, candidate: float) -> None:
-        """min_vruntime never decreases (CFS invariant)."""
-        if candidate > self.min_vruntime:
-            self.min_vruntime = candidate
-
     def note_current_vruntime(self, vruntime: float) -> None:
         """Fold the running task's vruntime into min_vruntime tracking.
 
         CFS updates ``min_vruntime`` from min(leftmost, current); since
-        the current task usually has the smallest vruntime this is the
-        main driver of the baseline.  Runs on every charge, so the
-        peek-min scan is inlined (entry[0] is the queued task's
-        vruntime: it is immutable while queued).
+        the current task usually has the smallest vruntime, this is what
+        mostly advances the baseline.  Runs on every charge.
         """
-        floor = vruntime
-        heap = self._heap
-        live = self._live
-        while heap:
-            entry = heap[0]
-            if live.get(entry[2].tid) is entry:
-                if entry[0] < floor:
-                    floor = entry[0]
-                break
-            heapq.heappop(heap)
-        if floor > self.min_vruntime:
-            self.min_vruntime = floor
+        queue = self._queue
+        if queue and queue[0][0] < vruntime:
+            vruntime = queue[0][0]
+        if vruntime > self.min_vruntime:
+            self.min_vruntime = vruntime
 
 
 class O1RunQueue:

@@ -36,7 +36,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.barriers import Barrier
     from repro.sched.core import CoreSim
 
-__all__ = ["TaskState", "WaitMode", "ActionType", "Action", "Program", "Task"]
+__all__ = [
+    "TaskState", "WaitMode", "ActionType", "Action", "Program", "Task",
+    "TASK_NEW", "TASK_RUNNABLE", "TASK_RUNNING", "TASK_SLEEPING", "TASK_FINISHED",
+    "WAIT_SPIN", "WAIT_YIELD", "WAIT_SLEEP",
+    "ACT_COMPUTE", "ACT_WAIT_BARRIER", "ACT_SLEEP", "ACT_EXIT",
+]
 
 _task_ids = itertools.count()
 
@@ -61,6 +66,21 @@ class TaskState(enum.Enum):
     FINISHED = "finished"  # exited
 
 
+# Every member of the three enums is bound once as a module constant,
+# and code that runs per event compares against these names.  On
+# CPython 3.10 and 3.11 ``EnumType`` defines ``__getattr__``, so a read
+# such as ``TaskState.RUNNING`` takes a slow attribute path: about four
+# times a member read on 3.12 and ten times a module global read, several
+# times per dispatched event.  The names are the members themselves, so
+# identity, hashing and pickling are unchanged
+# (tests/test_enum_bindings.py keeps member reads out of functions).
+TASK_NEW = TaskState.NEW
+TASK_RUNNABLE = TaskState.RUNNABLE
+TASK_RUNNING = TaskState.RUNNING
+TASK_SLEEPING = TaskState.SLEEPING
+TASK_FINISHED = TaskState.FINISHED
+
+
 class WaitMode(enum.Enum):
     """How a task behaves while waiting at a synchronization point.
 
@@ -81,6 +101,11 @@ class WaitMode(enum.Enum):
     SLEEP = "sleep"
 
 
+WAIT_SPIN = WaitMode.SPIN
+WAIT_YIELD = WaitMode.YIELD
+WAIT_SLEEP = WaitMode.SLEEP
+
+
 class ActionType(enum.Enum):
     """What a program asks the scheduler to do next."""
 
@@ -88,6 +113,12 @@ class ActionType(enum.Enum):
     WAIT_BARRIER = "wait_barrier"
     SLEEP = "sleep"
     EXIT = "exit"
+
+
+ACT_COMPUTE = ActionType.COMPUTE
+ACT_WAIT_BARRIER = ActionType.WAIT_BARRIER
+ACT_SLEEP = ActionType.SLEEP
+ACT_EXIT = ActionType.EXIT
 
 
 @dataclass
@@ -107,19 +138,19 @@ class Action:
 
     @staticmethod
     def compute(work_us: int) -> "Action":
-        return Action(ActionType.COMPUTE, work_us=int(work_us))
+        return Action(ACT_COMPUTE, work_us=int(work_us))
 
     @staticmethod
     def wait(barrier: "Barrier") -> "Action":
-        return Action(ActionType.WAIT_BARRIER, barrier=barrier)
+        return Action(ACT_WAIT_BARRIER, barrier=barrier)
 
     @staticmethod
     def sleep(sleep_us: int) -> "Action":
-        return Action(ActionType.SLEEP, sleep_us=int(sleep_us))
+        return Action(ACT_SLEEP, sleep_us=int(sleep_us))
 
     @staticmethod
     def exit() -> "Action":
-        return Action(ActionType.EXIT)
+        return Action(ACT_EXIT)
 
 
 class Program:
@@ -209,7 +240,7 @@ class Task:
         self.app_id = app_id
         self.mem_intensity = float(mem_intensity)
 
-        self.state = TaskState.NEW
+        self.state = TASK_NEW
         # --- scheduling fields -----------------------------------------
         self.vruntime: float = 0.0
         self.cur_core: Optional[int] = None  # core id when RUNNABLE/RUNNING
@@ -267,7 +298,7 @@ class Task:
         arbitrary moment reports.
         """
         total = self.exec_us
-        if self.state == TaskState.RUNNING and core is not None:
+        if self.state is TASK_RUNNING and core is not None:
             total += max(0, now - core.dispatch_started_at)
         return total
 
@@ -278,7 +309,7 @@ class Task:
         has executed recently (~5ms) on the core".  A *running* task is
         trivially hot (and the Linux balancer never migrates it anyway).
         """
-        if self.state == TaskState.RUNNING:
+        if self.state is TASK_RUNNING:
             return True
         return (now - self.last_descheduled_at) < hot_window_us
 

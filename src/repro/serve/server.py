@@ -42,9 +42,12 @@ Connections are persistent HTTP/1.1: one carries request after request
 closes it or sends ``Connection: close``.  A 400 or 500 answer says
 ``Connection: close`` and ends the connection: after framing the reader
 refuses, the daemon cannot tell where the next request would start,
-and every other 400 or 500 ends it the same way.  While draining,
-every response closes its connection, and the drain's last step closes
-the connections still waiting for a request, then waits for the rest.
+and every other 400 or 500 ends it the same way.  A connection that
+waits longer than :data:`IDLE_TIMEOUT_S` for its next request is
+closed; the limit never applies while a response or an SSE stream is
+being written.  While draining, every response closes its connection,
+and the drain's last step closes the connections still waiting for a
+request, then waits for the rest.
 """
 
 from __future__ import annotations
@@ -90,6 +93,10 @@ __all__ = [
 
 SNAPSHOT_NAME = "serve-queue.json"
 SNAPSHOT_SCHEMA = 1
+
+#: seconds a connection may wait for its next request before the daemon
+#: closes it (a pooled client resends on a fresh connection)
+IDLE_TIMEOUT_S = 60.0
 
 #: tenant names a request may introduce
 _TENANT_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
@@ -485,6 +492,9 @@ class ReproServer:
         """Read and answer one request; whether the connection carries
         another (see the module docs for when it does not)."""
         self._waiting.add(writer)
+        # past the idle limit the connection is closed as the drain
+        # closes a waiting one: the read then sees EOF
+        idle = asyncio.get_running_loop().call_later(IDLE_TIMEOUT_S, writer.close)
         try:
             req = await read_request(reader)
         except ProtocolError as exc:
@@ -495,6 +505,7 @@ class ReproServer:
             await writer.drain()
             return False
         finally:
+            idle.cancel()
             self._waiting.discard(writer)
         if req is None:
             return False

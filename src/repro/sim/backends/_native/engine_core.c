@@ -11,7 +11,7 @@
  *                         Engine.schedule
  *
  * It operates directly on the live Python objects (the engine's
- * (time, seq, event) heap list, the run queue's entry heaps, and the
+ * (time, seq, event) heap list, the run queue's sorted entry list, and the
  * __slots__ fields of the engine, cores, tasks, run queues, stats,
  * system and CFS params) through the CPython C-API.  Each function below
  * is the twin of the Python method it is named after and performs the
@@ -79,8 +79,8 @@
     X(TK, needs_advance) X(TK, mem_intensity) X(TK, home_node)              \
     X(TK, last_descheduled_at) X(TK, last_core) X(TK, cur_core)             \
     X(TK, throttled)                                                        \
-    X(RQ, _heap) X(RQ, _live) X(RQ, _max_heap) X(RQ, _total_weight)         \
-    X(RQ, count) X(RQ, min_vruntime)                                        \
+    X(RQ, _live) X(RQ, _queue) X(RQ, _total_weight) X(RQ, count)            \
+    X(RQ, min_vruntime)                                                     \
     X(ST, busy_us) X(ST, spin_us) X(ST, context_switches)                   \
     X(ST, dispatches)                                                       \
     X(SY, trace) X(SY, _kb_on_charge) X(SY, charge_observers) X(SY, cores)  \
@@ -126,7 +126,7 @@ static Py_ssize_t slot_off[N_SLOTS];
     X(smt_sibling)                                                          \
     X(_prepare) X(_go_idle) X(_notify_sibling_rate_change)                  \
     X(note_residency) X(spin_timeout) X(record) X(cancel) X(_note_cancel)  \
-    X(_compact) X(__ceil__)
+    X(__ceil__)
 
 typedef struct {
     /* support objects (owned references, held for process lifetime) */
@@ -142,8 +142,6 @@ typedef struct {
     PyObject *str_run;       /* "run" */
     double work_eps;
     double nice0;            /* float(NICE_0_WEIGHT) */
-    long long compact_factor; /* runqueue._COMPACT_FACTOR / _COMPACT_MIN */
-    long long compact_min;
 #define X(n) PyObject *n_##n;
     ATTR_NAMES(X)
 #undef X
@@ -416,8 +414,8 @@ static int lt_event(PyObject *a, PyObject *b) {
     return PyObject_RichCompareBool(a, b, Py_LT);
 }
 
-/* for rq._heap / rq._max_heap: (float, int, ...) tuples; unique second
- * elements mean the comparison never reaches the third */
+/* for the run queue's sorted list: (vruntime, counter, task) entries;
+ * the counters are unique, so the comparison never reaches the task */
 static int lt_entry(PyObject *a, PyObject *b) {
     if (PyTuple_CheckExact(a) && PyTuple_CheckExact(b) &&
         PyTuple_GET_SIZE(a) >= 2 && PyTuple_GET_SIZE(b) >= 2) {
@@ -520,10 +518,9 @@ static PyObject *heappop_c(PyObject *heap, lt_fn lt) {
 /* ------------------------------------------------------------------ */
 
 /* The core and the objects its dispatch chain touches, read once per
- * event.  None of these fields is ever rebound on a live System, so
- * holding them across call-outs is safe; the run queue's heap lists ARE
- * rebound (CfsRunQueue._compact), so the rq helpers below re-read them
- * on every call. */
+ * event.  None of these fields is ever rebound on a live System (a
+ * CfsRunQueue binds its entry list and tid map once, in __init__, and
+ * edits both in place), so holding them across call-outs is safe. */
 typedef struct {
     PyObject *engine;            /* borrowed from the drain loop */
     PyObject *t_obj;             /* borrowed: the event time == engine.now */
@@ -533,6 +530,8 @@ typedef struct {
     long long cid;
     PyObject *system;
     PyObject *rq;
+    PyObject *queue;             /* rq._queue, the sorted entry list */
+    PyObject *live;              /* rq._live, tid -> entry */
     PyObject *stats;
     PyObject *params;
     PyObject *load_epoch;
@@ -543,6 +542,8 @@ static void ctx_clear(core_ctx *c) {
     Py_CLEAR(c->cid_obj);
     Py_CLEAR(c->system);
     Py_CLEAR(c->rq);
+    Py_CLEAR(c->queue);
+    Py_CLEAR(c->live);
     Py_CLEAR(c->stats);
     Py_CLEAR(c->params);
     Py_CLEAR(c->load_epoch);
@@ -570,16 +571,25 @@ static int ctx_init(core_ctx *c, PyObject *core) {
         return -1;
     PyObject *current = speek(core, CO_current);
     if (current == NULL) return -1;
-    return (PyObject *)Py_TYPE(c->rq) == S.cls[CLS_RQ] &&
-           (PyObject *)Py_TYPE(c->params) == S.cls[CLS_PA] &&
-           is_a(c->system, CLS_SY) && is_a(c->stats, CLS_ST) &&
-           (current == Py_None || is_a(current, CLS_TK)) &&
-           PyList_Check(c->load_epoch) && PyList_Check(c->mem_busy);
+    if ((PyObject *)Py_TYPE(c->rq) != S.cls[CLS_RQ] ||
+        (PyObject *)Py_TYPE(c->params) != S.cls[CLS_PA] ||
+        !is_a(c->system, CLS_SY) || !is_a(c->stats, CLS_ST) ||
+        (current != Py_None && !is_a(current, CLS_TK)) ||
+        !PyList_Check(c->load_epoch) || !PyList_Check(c->mem_busy))
+        return 0;
+    if ((c->queue = sget(c->rq, RQ__queue)) == NULL ||
+        (c->live = sget(c->rq, RQ__live)) == NULL)
+        return -1;
+    return PyList_Check(c->queue) && PyDict_Check(c->live);
 }
 
 /* ------------------------------------------------------------------ */
 /* CfsRunQueue twins                                                   */
 /* ------------------------------------------------------------------ */
+
+/* The queue is one list of (vruntime, counter, task) entries in
+ * lt_entry order, the order bisect.insort keeps: its front is the
+ * leftmost entity, its back the rightmost. */
 
 /* the task of a run-queue entry (borrowed), or NULL with TypeError set
  * when it is not a Task */
@@ -590,70 +600,33 @@ static PyObject *entry_task(PyObject *entry) {
     return NULL;
 }
 
-/* live.get(entry[2].tid) is entry: 1/0, -1 on error */
-static int rq_entry_live(PyObject *live, PyObject *entry) {
-    PyObject *task = entry_task(entry);
-    PyObject *tid = task ? speek(task, TK_tid) : NULL;
-    if (tid == NULL) return -1;
-    PyObject *got = PyDict_GetItemWithError(live, tid);
-    if (got == NULL && PyErr_Occurred()) return -1;
-    return got == entry;
-}
-
 /* CfsRunQueue.note_current_vruntime(vruntime) */
 static int rq_note_current_vruntime(core_ctx *c, PyObject *vr_obj) {
-    int rc = -1;
-    PyObject *heap = sget(c->rq, RQ__heap);
-    PyObject *live = heap ? sget(c->rq, RQ__live) : NULL;
-    if (live == NULL) goto done;
-    PyObject *floor = vr_obj; /* borrowed from the caller or the heap */
-    Py_INCREF(floor);
-    while (PyList_GET_SIZE(heap) > 0) {
-        PyObject *entry = PyList_GET_ITEM(heap, 0);
-        int is_live = rq_entry_live(live, entry);
-        if (is_live < 0) { Py_DECREF(floor); goto done; }
-        if (is_live) {
-            PyObject *e0 = PyTuple_GET_ITEM(entry, 0);
-            double de0, dfloor;
-            if (as_dbl(e0, &de0) < 0 || as_dbl(floor, &dfloor) < 0) {
-                Py_DECREF(floor);
-                goto done;
-            }
-            if (de0 < dfloor) {
-                Py_INCREF(e0);
-                Py_SETREF(floor, e0);
-            }
-            break;
-        }
-        PyObject *dead = heappop_c(heap, lt_entry);
-        if (dead == NULL) { Py_DECREF(floor); goto done; }
-        Py_DECREF(dead);
-    }
+    PyObject *floor = vr_obj; /* borrowed from the caller or the list */
     double dfloor, minvr;
-    if (as_dbl(floor, &dfloor) < 0 ||
-        sget_dbl(c->rq, RQ_min_vruntime, &minvr) < 0 ||
-        (dfloor > minvr && sset(c->rq, RQ_min_vruntime, floor) < 0)) {
-        Py_DECREF(floor);
-        goto done;
+    if (as_dbl(floor, &dfloor) < 0) return -1;
+    if (PyList_GET_SIZE(c->queue) > 0) {
+        PyObject *e0 = PyTuple_GET_ITEM(PyList_GET_ITEM(c->queue, 0), 0);
+        double de0;
+        if (as_dbl(e0, &de0) < 0) return -1;
+        if (de0 < dfloor) {
+            floor = e0;
+            dfloor = de0;
+        }
     }
+    Py_INCREF(floor); /* held until stored */
+    int rc = sget_dbl(c->rq, RQ_min_vruntime, &minvr);
+    if (rc == 0 && dfloor > minvr) sset(c->rq, RQ_min_vruntime, floor);
     Py_DECREF(floor);
-    rc = 0;
-done:
-    Py_XDECREF(heap);
-    Py_XDECREF(live);
     return rc;
 }
 
-/* CfsRunQueue.push(task) */
+/* CfsRunQueue.push(task): the entry goes where bisect.insort puts it */
 static int rq_push(core_ctx *c, PyObject *task) {
     int rc = -1;
-    PyObject *tid = NULL, *live = NULL, *heap = NULL, *mheap = NULL;
-    PyObject *vr = NULL, *cnt = NULL, *entry = NULL, *mentry = NULL;
-    PyObject *neg_vr = NULL, *neg_cnt = NULL;
-    if ((tid = sget(task, TK_tid)) == NULL ||
-        (live = sget(c->rq, RQ__live)) == NULL)
-        goto done;
-    int queued = PyDict_Contains(live, tid);
+    PyObject *tid = NULL, *vr = NULL, *cnt = NULL, *entry = NULL;
+    if ((tid = sget(task, TK_tid)) == NULL) goto done;
+    int queued = PyDict_Contains(c->live, tid);
     if (queued < 0) goto done;
     if (queued) {
         PyErr_Format(PyExc_ValueError, "%S already queued", task);
@@ -661,40 +634,34 @@ static int rq_push(core_ctx *c, PyObject *task) {
     }
     if ((vr = sget(task, TK_vruntime)) == NULL ||
         (cnt = PyIter_Next(S.entry_counter)) == NULL ||
-        (entry = PyTuple_Pack(3, vr, cnt, task)) == NULL)
+        (entry = PyTuple_Pack(3, vr, cnt, task)) == NULL ||
+        PyDict_SetItem(c->live, tid, entry) < 0)
         goto done;
-    if (PyDict_SetItem(live, tid, entry) < 0 ||
-        (heap = sget(c->rq, RQ__heap)) == NULL ||
-        heappush_c(heap, entry, lt_entry) < 0)
-        goto done;
-    if ((neg_vr = PyNumber_Negative(vr)) == NULL ||
-        (neg_cnt = PyNumber_Negative(cnt)) == NULL ||
-        (mentry = PyTuple_Pack(3, neg_vr, neg_cnt, entry)) == NULL ||
-        (mheap = sget(c->rq, RQ__max_heap)) == NULL ||
-        heappush_c(mheap, mentry, lt_entry) < 0)
-        goto done;
-    long long weight, count;
-    if (sget_ll(task, TK_weight, &weight) < 0 ||
+    Py_ssize_t lo = 0, hi = PyList_GET_SIZE(c->queue);
+    while (lo < hi) { /* bisect_right */
+        Py_ssize_t mid = (lo + hi) / 2;
+        PyObject *item = PyList_GET_ITEM(c->queue, mid);
+        Py_INCREF(item);
+        int lt = lt_entry(entry, item);
+        Py_DECREF(item);
+        if (lt < 0) goto done;
+        if (lt)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    long long weight;
+    if (PyList_Insert(c->queue, lo, entry) < 0 ||
+        sget_ll(task, TK_weight, &weight) < 0 ||
         sadd_ll(c->rq, RQ__total_weight, weight) < 0 ||
-        sget_ll(c->rq, RQ_count, &count) < 0 ||
-        sset_ll(c->rq, RQ_count, count + 1) < 0)
-        goto done;
-    if (PyList_GET_SIZE(mheap) >
-            S.compact_factor * (count + 1) + S.compact_min &&
-        call_method0(c->rq, S.n__compact) < 0)
+        sadd_ll(c->rq, RQ_count, 1) < 0)
         goto done;
     rc = 0;
 done:
     Py_XDECREF(tid);
-    Py_XDECREF(live);
-    Py_XDECREF(heap);
-    Py_XDECREF(mheap);
     Py_XDECREF(vr);
     Py_XDECREF(cnt);
     Py_XDECREF(entry);
-    Py_XDECREF(mentry);
-    Py_XDECREF(neg_vr);
-    Py_XDECREF(neg_cnt);
     return rc;
 }
 
@@ -702,80 +669,39 @@ done:
  * the queue is empty; returns -1 with an error set on failure */
 static int rq_pop_min(core_ctx *c, PyObject **out) {
     *out = NULL;
-    int rc = -1;
-    PyObject *heap = sget(c->rq, RQ__heap);
-    PyObject *live = heap ? sget(c->rq, RQ__live) : NULL;
-    if (live == NULL) goto done;
-    while (PyList_GET_SIZE(heap) > 0) {
-        PyObject *entry = heappop_c(heap, lt_entry);
-        if (entry == NULL) goto done;
-        PyObject *task = entry_task(entry);
-        if (task == NULL) {
-            Py_DECREF(entry);
-            goto done;
-        }
-        Py_INCREF(task);
-        PyObject *tid = sget(task, TK_tid);
-        PyObject *got = tid ? PyDict_GetItemWithError(live, tid) : NULL;
-        int found = (got == entry);
-        if (!found) {
-            Py_XDECREF(tid);
-            Py_DECREF(task);
-            Py_DECREF(entry);
-            if (PyErr_Occurred()) goto done;
-            continue;
-        }
-        long long weight;
-        double vr, minvr;
-        PyObject *vr_obj = NULL;
-        int fail = (PyDict_DelItem(live, tid) < 0 ||
-                    sget_ll(task, TK_weight, &weight) < 0 ||
-                    sadd_ll(c->rq, RQ__total_weight, -weight) < 0 ||
-                    sadd_ll(c->rq, RQ_count, -1) < 0 ||
-                    (vr_obj = sget(task, TK_vruntime)) == NULL ||
-                    as_dbl(vr_obj, &vr) < 0 ||
-                    sget_dbl(c->rq, RQ_min_vruntime, &minvr) < 0 ||
-                    (vr > minvr && sset(c->rq, RQ_min_vruntime, vr_obj) < 0));
-        Py_XDECREF(vr_obj);
-        Py_DECREF(tid);
-        Py_DECREF(entry);
-        if (fail) {
-            Py_DECREF(task);
-            goto done;
-        }
-        *out = task;
-        break;
+    if (PyList_GET_SIZE(c->queue) == 0) return 0;
+    PyObject *task = entry_task(PyList_GET_ITEM(c->queue, 0));
+    if (task == NULL) return -1;
+    Py_INCREF(task); /* outlives its entry */
+    PyObject *tid = NULL, *vr_obj = NULL;
+    long long weight;
+    double vr, minvr;
+    int fail = (PyList_SetSlice(c->queue, 0, 1, NULL) < 0 ||
+                (tid = sget(task, TK_tid)) == NULL ||
+                PyDict_DelItem(c->live, tid) < 0 ||
+                sget_ll(task, TK_weight, &weight) < 0 ||
+                sadd_ll(c->rq, RQ__total_weight, -weight) < 0 ||
+                sadd_ll(c->rq, RQ_count, -1) < 0 ||
+                (vr_obj = sget(task, TK_vruntime)) == NULL ||
+                as_dbl(vr_obj, &vr) < 0 ||
+                sget_dbl(c->rq, RQ_min_vruntime, &minvr) < 0 ||
+                (vr > minvr && sset(c->rq, RQ_min_vruntime, vr_obj) < 0));
+    Py_XDECREF(tid);
+    Py_XDECREF(vr_obj);
+    if (fail) {
+        Py_DECREF(task);
+        return -1;
     }
-    rc = 0;
-done:
-    Py_XDECREF(heap);
-    Py_XDECREF(live);
-    return rc;
+    *out = task;
+    return 0;
 }
 
 /* CfsRunQueue.max_vruntime(): new ref */
 static PyObject *rq_max_vruntime(core_ctx *c) {
-    PyObject *out = NULL;
-    PyObject *heap = sget(c->rq, RQ__max_heap);
-    PyObject *live = heap ? sget(c->rq, RQ__live) : NULL;
-    if (live == NULL) goto done;
-    while (PyList_GET_SIZE(heap) > 0) {
-        PyObject *entry = PyTuple_GET_ITEM(PyList_GET_ITEM(heap, 0), 2);
-        int is_live = rq_entry_live(live, entry);
-        if (is_live < 0) goto done;
-        if (is_live) {
-            out = PyTuple_GET_ITEM(entry, 0);
-            Py_INCREF(out);
-            goto done;
-        }
-        PyObject *dead = heappop_c(heap, lt_entry);
-        if (dead == NULL) goto done;
-        Py_DECREF(dead);
-    }
-    out = sget(c->rq, RQ_min_vruntime);
-done:
-    Py_XDECREF(heap);
-    Py_XDECREF(live);
+    Py_ssize_t n = PyList_GET_SIZE(c->queue);
+    if (n == 0) return sget(c->rq, RQ_min_vruntime);
+    PyObject *out = PyTuple_GET_ITEM(PyList_GET_ITEM(c->queue, n - 1), 0);
+    Py_INCREF(out);
     return out;
 }
 
@@ -1666,7 +1592,7 @@ done:
 
 /* the binding module checks this against its expected value so a stale
  * cached artifact from an older source revision is never used */
-long long repro_native_abi(void) { return 3; }
+long long repro_native_abi(void) { return 4; }
 
 /* dispatch-path counters: 0 = core event in the C twin, 1 = generic
  * Python call, 2 = core event delegated to the Python method; anything
@@ -1777,17 +1703,8 @@ long long repro_native_init(PyObject *support) {
                         "native support dict missing WORK_EPS/NICE_0_WEIGHT");
         return -1;
     }
-    PyObject *cf = PyDict_GetItemString(support, "COMPACT_FACTOR");
-    PyObject *cm = PyDict_GetItemString(support, "COMPACT_MIN");
-    if (cf == NULL || cm == NULL) {
-        PyErr_SetString(PyExc_KeyError,
-                        "native support dict missing COMPACT_FACTOR/MIN");
-        return -1;
-    }
     S.work_eps = PyFloat_AsDouble(eps);
     S.nice0 = PyFloat_AsDouble(nice0);
-    S.compact_factor = PyLong_AsLongLong(cf);
-    S.compact_min = PyLong_AsLongLong(cm);
     if (PyErr_Occurred()) return -1;
     S.str_wait = PyUnicode_InternFromString("wait");
     S.str_run = PyUnicode_InternFromString("run");

@@ -48,7 +48,7 @@ __all__ = [
 #: bumped together with the C side's ``repro_native_abi`` whenever the
 #: exported interface changes; a cached artifact with the wrong ABI is
 #: discarded and rebuilt rather than trusted
-_ABI_VERSION = 3
+_ABI_VERSION = 4
 
 _SOURCE = Path(__file__).resolve().parent / "_native" / "engine_core.c"
 
@@ -182,13 +182,8 @@ def _support_dict() -> dict:
     # (repro.system imports it)
     from repro.sched.cfs import CfsParams
     from repro.sched.core import _WORK_EPS, CoreSim, CoreStats
-    from repro.sched.runqueue import (
-        _COMPACT_FACTOR,
-        _COMPACT_MIN,
-        CfsRunQueue,
-        _entry_counter,
-    )
-    from repro.sched.task import NICE_0_WEIGHT, Task, TaskState, WaitMode
+    from repro.sched.runqueue import CfsRunQueue, _entry_counter
+    from repro.sched.task import NICE_0_WEIGHT, TASK_RUNNABLE, TASK_RUNNING, WAIT_YIELD, Task
     from repro.sim.engine import Engine, Event, SimulationError
     from repro.system import System
 
@@ -204,14 +199,12 @@ def _support_dict() -> dict:
         "CoreStats": CoreStats,
         "System": System,
         "CfsParams": CfsParams,
-        "RUNNING": TaskState.RUNNING,
-        "RUNNABLE": TaskState.RUNNABLE,
-        "YIELD": WaitMode.YIELD,
+        "RUNNING": TASK_RUNNING,
+        "RUNNABLE": TASK_RUNNABLE,
+        "YIELD": WAIT_YIELD,
         "entry_counter": _entry_counter,
         "WORK_EPS": float(_WORK_EPS),
         "NICE_0_WEIGHT": float(NICE_0_WEIGHT),
-        "COMPACT_FACTOR": _COMPACT_FACTOR,
-        "COMPACT_MIN": _COMPACT_MIN,
     }
 
 

@@ -69,6 +69,7 @@ import gzip
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
@@ -192,13 +193,6 @@ class GcReport:
     bytes_freed: int = 0
     adopted: int = 0  #: valid objects the index did not know about
     findings: list[str] = field(default_factory=list)
-
-
-def _remove_dir(path: Path) -> None:
-    """Remove a directory of plain files (an object or a staging copy)."""
-    for p in sorted(path.iterdir()):
-        p.unlink()
-    path.rmdir()
 
 
 class ResultStore:
@@ -537,7 +531,7 @@ class ResultStore:
                     # lost a race with a writer outside the lock; its
                     # bytes are equivalent (same digest, same canonical
                     # serialization)
-                    _remove_dir(stage)
+                    shutil.rmtree(stage)
                     return digest
                 os.write(fd, _line(self._index_row(digest, doc)))
             finally:
@@ -671,7 +665,9 @@ class ResultStore:
         obj = self._object_dir(digest)
         if not obj.exists():
             return False
-        _remove_dir(obj)
+        # whole subtree: a damaged object may hold a directory where
+        # its entry file belongs
+        shutil.rmtree(obj)
         try:
             obj.parent.rmdir()  # drop the shard dir when it empties
         except OSError:
@@ -713,8 +709,10 @@ class ResultStore:
 
         Checks every object's entry digest, result digest and trace
         bytes, the index log for damage no writer repairs, and index
-        <-> objects consistency, without modifying anything.  An empty
-        list means the store is clean.
+        <-> objects consistency, without modifying anything.  An object
+        directory without a readable ``entry.json`` file (deleted, or a
+        directory in its place) is reported corrupt: it is what ``gc``
+        removes.  An empty list means the store is clean.
         """
         findings: list[str] = []
         try:
@@ -741,7 +739,11 @@ class ResultStore:
             on_disk.add(digest)
             try:
                 entry = self.get(digest)
-                if entry is not None and entry.has_trace:
+                if entry is None:
+                    findings.append(
+                        f"corrupt {digest[:12]}...: object has no readable entry.json"
+                    )
+                elif entry.has_trace:
                     self.load_trace(digest)
             except StoreError as exc:
                 findings.append(f"corrupt {digest[:12]}...: {exc}")
@@ -818,7 +820,7 @@ class ResultStore:
             staging = self.root / "tmp"
             for leftover in sorted(staging.iterdir()) if staging.is_dir() else []:
                 if leftover.is_dir():
-                    _remove_dir(leftover)
+                    shutil.rmtree(leftover)
                 else:
                     leftover.unlink()
                 report.findings.append(f"removed staging leftover {leftover.name}")

@@ -32,7 +32,7 @@ from repro.mem.cache_model import CacheModel
 from repro.metrics.trace import TraceRecorder
 from repro.sched.cfs import CfsParams, O1Params
 from repro.sched.core import CoreSim
-from repro.sched.task import Task, TaskState
+from repro.sched.task import TASK_FINISHED, TASK_RUNNABLE, TASK_RUNNING, TASK_SLEEPING, Task
 from repro.sim.backends import make_engine
 from repro.sim.engine import Engine
 from repro.sim.rng import SimRng
@@ -246,7 +246,7 @@ class System:
 
     def put_to_sleep(self, task: Task, wake_in: int) -> None:
         """Block ``task``; it wakes ``wake_in`` microseconds from now."""
-        task.state = TaskState.SLEEPING
+        task.state = TASK_SLEEPING
         task.cur_core = None
         self.note_residency(task)
         self.engine.schedule(max(1, wake_in), lambda: self.wake(task, 0), "sleep_wake")
@@ -256,7 +256,7 @@ class System:
         if latency_us > 0:
             self.engine.schedule(latency_us, lambda: self.wake(task, 0), "wake")
             return
-        if task.state != TaskState.SLEEPING:
+        if task.state is not TASK_SLEEPING:
             return  # already woken by another path
         prev = task.last_core if task.last_core is not None else 0
         if not task.can_run_on(prev):
@@ -264,7 +264,7 @@ class System:
         if self.kernel_balancer is not None:
             prev = self.kernel_balancer.place_woken(task, prev)
         core = self.cores[prev]
-        task.state = TaskState.RUNNABLE
+        task.state = TASK_RUNNABLE
         task.vruntime = max(
             task.vruntime, core.rq.min_vruntime - self.cfs_params.sleeper_credit
         )
@@ -272,7 +272,7 @@ class System:
 
     def task_exited(self, task: Task) -> None:
         """Called by a core when a task's program returns EXIT."""
-        task.state = TaskState.FINISHED
+        task.state = TASK_FINISHED
         task.finished_at = self.engine.now
         task.cur_core = None
         self.note_residency(task)
@@ -317,7 +317,7 @@ class System:
             if pin:
                 task.pin(frozenset({dst_cid}))
             return False
-        was_running = task.state == TaskState.RUNNING
+        was_running = task.state is TASK_RUNNING
         if was_running:
             if not forced:
                 return False
@@ -325,7 +325,7 @@ class System:
             src_core = self.cores[src]
             src_core.interrupt()
             task.cur_core = None
-        elif task.state == TaskState.RUNNABLE:
+        elif task.state is TASK_RUNNABLE:
             assert src is not None
             self.cores[src].dequeue(task)
         else:
@@ -468,7 +468,7 @@ class System:
         :meth:`residents_on` in O(residents) instead of scanning every
         task of the application per wake.
         """
-        if task.state == TaskState.FINISHED:
+        if task.state is TASK_FINISHED:
             where = None
         else:
             where = task.cur_core if task.cur_core is not None else task.last_core

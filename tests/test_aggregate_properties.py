@@ -41,17 +41,34 @@ _ops = st.lists(
 
 
 def _apply_ops(q, ops):
-    """Drive ``q`` with ``ops``; yield the live task set after each op.
+    """Drive ``q`` with ``ops``; yield ``(live, pushed, popped)`` after
+    each op.
 
-    ``slot`` indexes a fixed pool of tasks so removes/requeues target
-    tasks that are actually queued (and pushes of a queued slot are
-    skipped, matching the queues' no-double-push contract).
+    ``live`` maps slot -> queued task.  ``pushed`` is the same set as a
+    plain list of ``(vruntime, push number, task)`` in push order (a
+    requeue moves its task to the end).  ``popped`` is the task the op
+    popped, else None.  ``slot`` indexes a fixed pool of tasks so
+    removes/requeues target tasks that are actually queued (and pushes
+    of a queued slot are skipped, matching the queues' no-double-push
+    contract).
     """
     pool = [Task() for _ in range(16)]
     for i, t in enumerate(pool):
         t.weight = 1024
     live: dict[int, Task] = {}  # slot -> task
+    pushed: list[tuple[float, int, Task]] = []
+    n_pushes = 0
+
+    def note_push(t):
+        nonlocal n_pushes
+        pushed.append((t.vruntime, n_pushes, t))
+        n_pushes += 1
+
+    def drop(t):
+        pushed[:] = [e for e in pushed if e[2] is not t]
+
     for op in ops:
+        popped = None
         if op[0] == "push":
             slot = op[1]
             if slot not in live:
@@ -60,22 +77,29 @@ def _apply_ops(q, ops):
                 t.weight = op[3]
                 q.push(t)
                 live[slot] = t
+                note_push(t)
         elif op[0] == "pop":
-            got = q.pop_min()
-            if got is not None:
-                live = {s: t for s, t in live.items() if t is not got}
+            popped = q.pop_min()
+            if popped is not None:
+                live = {s: t for s, t in live.items() if t is not popped}
+                drop(popped)
             else:
                 assert not live
         elif op[0] == "remove":
             slot = op[1]
             if slot in live:
-                q.remove(live.pop(slot))
+                t = live.pop(slot)
+                q.remove(t)
+                drop(t)
         else:  # requeue with a changed vruntime (the yield path)
             slot = op[1]
             if slot in live:
-                live[slot].vruntime = op[2]
-                q.requeue(live[slot])
-        yield live
+                t = live[slot]
+                t.vruntime = op[2]
+                q.requeue(t)
+                drop(t)
+                note_push(t)
+        yield live, list(pushed), popped
 
 
 class TestRunQueueAggregates:
@@ -83,7 +107,8 @@ class TestRunQueueAggregates:
     @settings(max_examples=200, deadline=None)
     def test_cfs_aggregates_match_recompute(self, ops):
         q = CfsRunQueue()
-        for live in _apply_ops(q, ops):
+        before: list[tuple[float, int, Task]] = []
+        for live, pushed, popped in _apply_ops(q, ops):
             tasks = list(live.values())
             assert q.total_weight() == sum(t.weight for t in tasks)
             assert q.count == len(q) == len(tasks)
@@ -91,12 +116,18 @@ class TestRunQueueAggregates:
                 assert q.max_vruntime() == max(t.vruntime for t in tasks)
             else:
                 assert q.max_vruntime() == q.min_vruntime
+            # pop order against a scan of the plain list: smallest
+            # vruntime, then earliest push among equal vruntimes
+            if popped is not None:
+                assert popped is min(before, key=lambda e: (e[0], e[1]))[2]
+            assert q.tasks() == [e[2] for e in pushed]
+            before = pushed
 
     @given(ops=_ops)
     @settings(max_examples=200, deadline=None)
     def test_o1_aggregates_match_recompute(self, ops):
         q = O1RunQueue()
-        for live in _apply_ops(q, ops):
+        for live, _, _ in _apply_ops(q, ops):
             tasks = list(live.values())
             assert q.total_weight() == sum(t.weight for t in tasks)
             assert q.count == len(q) == len(tasks)

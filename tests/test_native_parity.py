@@ -6,11 +6,11 @@ core count, app shape, barrier wait mode, balancer, a cpu-hog
 co-runner, per-core scheduler policy and clock factors, seed -- and
 runs each under both engine backends.  It asserts more than equal end
 results: an engine observer snapshots the scheduling state at every
-dispatched event (each core's running task, queue length,
-``min_vruntime`` and event generation, the memory-contention index and
-the global load epoch), so the C twin of ``CoreSim._on_core_event``
-must follow the reference chain through every intermediate state, not
-just land on the same digest.  The runtime invariant checker
+dispatched event (each core's running task, queue length and queue
+order, ``min_vruntime`` and event generation, the memory-contention
+index and the global load epoch), so the C twin of
+``CoreSim._on_core_event`` must follow the reference chain through
+every intermediate state, not just land on the same digest.  The runtime invariant checker
 (INV001-INV006) is installed on every System by ``conftest.py`` and
 raises on the first violation.  On a failure, hypothesis shrinks to a
 minimal spec.
@@ -28,6 +28,7 @@ from repro.analysis.sanitizer import run_digest
 from repro.apps.workloads import AppSpec
 from repro.harness.experiment import run_app
 from repro.harness.scenarios import CorunnerSpec
+from repro.sched.runqueue import CfsRunQueue
 from repro.sim.backends import backend_available
 from repro.topology import presets
 
@@ -87,6 +88,16 @@ def specs(draw) -> Spec:
     )
 
 
+def _queue_order(rq) -> list:
+    """The queued tasks front to back: a CFS queue's sorted entry list
+    (so a C insert that disagrees with ``bisect.insort`` shows at the
+    dispatch that made it, not at a later pop), the O(1) queue's
+    active then expired array."""
+    if type(rq) is CfsRunQueue:
+        return [entry[2] for entry in rq._queue]
+    return rq.tasks()
+
+
 def _snapshot(system, ev, ids: dict[int, int]) -> tuple:
     """The scheduling state an event is dispatched into.
 
@@ -102,6 +113,7 @@ def _snapshot(system, ev, ids: dict[int, int]) -> tuple:
             (
                 ids.setdefault(c.current.tid, len(ids)) if c.current is not None else None,
                 c.rq.count,
+                tuple(ids.setdefault(t.tid, len(ids)) for t in _queue_order(c.rq)),
                 c.rq.min_vruntime,
                 c._gen,
             )

@@ -8,7 +8,10 @@ traffic takes.  A test that needs a fake job installs one with
 """
 
 import json
+import os
+import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.apps.workloads import AppSpec
 from repro.harness import parallel
 from repro.harness.parallel import RunSpec, run_spec
@@ -31,6 +35,7 @@ from repro.serve import (
     ShardedStore,
     TenantConfig,
 )
+from repro.serve import server as server_module
 from repro.serve.protocol import spec_to_wire
 from repro.serve.server import SNAPSHOT_NAME
 from repro.serve.workers import shard_index
@@ -734,6 +739,75 @@ class TestConnections:
             assert client.metrics()["connections"] == 2
         finally:
             bg.drain()
+
+    def test_idle_connection_is_closed_but_a_stream_is_not(
+        self, tmp_path, slow, serve_client, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
+        bg = _boot(tmp_path, workers=1)
+        try:
+            client = serve_client(bg.base_url)
+            jobs = client.submit([_spec(seed=s) for s in range(50, 56)])["jobs"]
+            with _connect(bg.base_url) as sock:
+                start = time.monotonic()
+                # six 50 ms jobs on one worker: the stream outlasts the limit
+                events = list(client.events(jobs[-1]["digest"], timeout_s=30))
+                assert events[-1] == ("end", {"digest": jobs[-1]["digest"], "state": "done"})
+                assert time.monotonic() - start > 0.2
+                assert sock.recv(1) == b""  # the silent connection was closed
+        finally:
+            bg.drain()
+
+    def test_pooled_connection_idle_past_the_limit_is_resent(
+        self, tmp_path, serve_client, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
+        bg = _boot(tmp_path, workers=1)
+        try:
+            client = serve_client(bg.base_url)
+            assert client.healthz()["status"] == "ok"
+            deadline = time.monotonic() + 10
+            while bg.server._open and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not bg.server._open  # the daemon closed the pooled one
+            assert len(client._idle) == 1
+            assert client.healthz()["status"] == "ok"  # through the resend
+            assert client.metrics()["connections"] == 2
+        finally:
+            bg.drain()
+
+    def test_drain_with_the_idle_limit_says_bye(self, tmp_path, serve_client):
+        # the daemon as ``repro serve`` runs it, SIGTERM included
+        script = (
+            "import sys; from repro.serve import server; "
+            "server.IDLE_TIMEOUT_S = 0.2; "
+            "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "serve", "--store", str(tmp_path / "s"),
+             "--port", "0", "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on http://" in line, line
+            base_url = line.split("listening on ", 1)[1].split()[0]
+            client = serve_client(base_url)
+            assert client.healthz()["status"] == "ok"
+            with _connect(base_url) as sock:
+                assert sock.recv(1) == b""  # closed by the idle limit
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, out
+        assert "repro serve: drained, bye" in out
 
     def test_a_failed_retry_is_not_retried_again(self, serve_client):
         """Only the first request on a server answers; the client's

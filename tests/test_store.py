@@ -524,6 +524,36 @@ class TestCorruptionDetection:
         assert store.verify() == []
 
 
+    def test_verify_reports_deleted_entry_file(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        spec = _spec()
+        digest = store.put(spec, run_spec(spec))
+        (store._object_dir(digest) / "entry.json").unlink()
+        findings = store.verify()
+        assert len(findings) == 1
+        assert findings[0].startswith(f"corrupt {digest[:12]}")
+        report = store.gc()
+        assert report.removed_corrupt == 1 and report.kept == 0
+        assert store.verify() == []
+
+    def test_entry_file_replaced_by_directory(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        a, b = _spec(seed=0), _spec(seed=1)
+        da = store.put(a, run_spec(a))
+        db = store.put(b, run_spec(b))
+        entry = store._object_dir(da) / "entry.json"
+        entry.unlink()
+        (entry / "nested").mkdir(parents=True)
+        findings = store.verify()
+        assert len(findings) == 1
+        assert findings[0].startswith(f"corrupt {da[:12]}")
+        report = store.gc()
+        assert report.removed_corrupt == 1 and report.kept == 1
+        assert not store._object_dir(da).exists()
+        assert store.digests() == [db]
+        assert store.verify() == []
+
+
 class TestMaintenance:
     def test_stats(self, tmp_path):
         store = ResultStore(tmp_path / "s")
