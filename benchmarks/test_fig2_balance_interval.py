@@ -17,13 +17,8 @@ Scaling: per-thread compute is 0.5 s instead of ~27 s; barrier periods
 keep the paper's x-axis magnitudes.
 """
 
-from repro.apps.barriers import WaitPolicy
-from repro.apps.workloads import ep_app
-from repro.core.speed_balancer import SpeedBalancerConfig
 from repro.harness import report
-from repro.harness.experiment import repeat_run
-from repro.sched.task import WaitMode
-from repro.topology import presets
+from repro.harness.scenarios import balance_interval_sweep
 
 BARRIER_PERIODS_US = [53, 440, 3_400, 27_000, 216_000]
 BALANCE_INTERVALS_US = [20_000, 50_000, 100_000, 200_000, 400_000]
@@ -32,24 +27,11 @@ SEEDS = range(3)
 
 
 def run_sweep():
-    out = {}
-    for period in BARRIER_PERIODS_US:
-        for interval in BALANCE_INTERVALS_US:
-            def factory(system, period=period):
-                return ep_app(
-                    system, n_threads=3,
-                    wait_policy=WaitPolicy(mode=WaitMode.YIELD),
-                    total_compute_us=TOTAL_US,
-                    barrier_period_us=period,
-                )
-
-            rr = repeat_run(
-                presets.tigerton, factory, balancer="speed", cores=2,
-                seeds=SEEDS,
-                speed_config=SpeedBalancerConfig(interval_us=interval),
-            )
-            out[(period, interval)] = rr.mean_time_us
-    return out
+    grid = balance_interval_sweep(
+        BARRIER_PERIODS_US, BALANCE_INTERVALS_US, total_compute_us=TOTAL_US,
+        seeds=SEEDS,
+    )
+    return {key: rr.mean_time_us for key, rr in grid.items()}
 
 
 def test_fig2_balance_interval_sweep(once):

@@ -27,64 +27,49 @@ bench with more seeds).
 
 import pytest
 
-from repro.apps.barriers import WaitPolicy
-from repro.apps.workloads import ep_app
 from repro.harness import report
-from repro.harness.experiment import repeat_run
-from repro.sched.task import WaitMode
-from repro.topology import presets
+from repro.harness.scenarios import ep_speedup_series
 
 CORE_COUNTS = [1, 2, 4, 6, 8, 10, 12, 14, 15, 16]
 SEEDS = range(3)
-TOTAL_16_US = 16 * 1_000_000  # total app compute, split over its threads
+PER_THREAD_US = 1_000_000  # at 16 threads: 16 s of total app compute
 
-YIELD = WaitPolicy(mode=WaitMode.YIELD)
-SLEEP = WaitPolicy(mode=WaitMode.SLEEP)
+#: series name -> (balancer, wait, one_per_core)
+TIGERTON = {
+    "One-per-core": ("pinned", "sleep", True),
+    "SPEED": ("speed", "yield", False),
+    "DWRR": ("dwrr", "yield", False),
+    "FreeBSD": ("ule", "yield", False),
+    "LOAD-SLEEP": ("load", "sleep", False),
+    "LOAD-YIELD": ("load", "yield", False),
+    "PINNED": ("pinned", "yield", False),
+}
+BARCELONA = {
+    "One-per-core": ("pinned", "sleep", True),
+    "SPEED-SLEEP": ("speed", "sleep", False),
+    "SPEED-YIELD": ("speed", "yield", False),
+    "LOAD-SLEEP": ("load", "sleep", False),
+    "LOAD-YIELD": ("load", "yield", False),
+}
 
 
-def _series(machine, balancer, wait, one_per_core=False):
-    speedups = {}
-    for n_cores in CORE_COUNTS:
-        threads = n_cores if one_per_core else 16
-        per_thread = TOTAL_16_US // threads
-
-        def factory(system, threads=threads, per_thread=per_thread, wait=wait):
-            return ep_app(system, n_threads=threads, wait_policy=wait,
-                          total_compute_us=per_thread)
-
-        rr = repeat_run(
-            machine,
-            factory,
-            balancer="pinned" if one_per_core else balancer,
-            cores=n_cores,
-            seeds=SEEDS,
+def _speedups(machine, series):
+    out = {}
+    for name, (balancer, wait, one_per_core) in series.items():
+        grid = ep_speedup_series(
+            machine, balancer, wait, CORE_COUNTS, one_per_core=one_per_core,
+            seeds=SEEDS, total_compute_us=PER_THREAD_US,
         )
-        speedups[n_cores] = rr.mean_speedup
-    return speedups
+        out[name] = {c: rr.mean_speedup for c, rr in grid.items()}
+    return out
 
 
 def run_tigerton():
-    m = presets.tigerton
-    return {
-        "One-per-core": _series(m, "pinned", SLEEP, one_per_core=True),
-        "SPEED": _series(m, "speed", YIELD),
-        "DWRR": _series(m, "dwrr", YIELD),
-        "FreeBSD": _series(m, "ule", YIELD),
-        "LOAD-SLEEP": _series(m, "load", SLEEP),
-        "LOAD-YIELD": _series(m, "load", YIELD),
-        "PINNED": _series(m, "pinned", YIELD),
-    }
+    return _speedups("tigerton", TIGERTON)
 
 
 def run_barcelona():
-    m = presets.barcelona
-    return {
-        "One-per-core": _series(m, "pinned", SLEEP, one_per_core=True),
-        "SPEED-SLEEP": _series(m, "speed", SLEEP),
-        "SPEED-YIELD": _series(m, "speed", YIELD),
-        "LOAD-SLEEP": _series(m, "load", SLEEP),
-        "LOAD-YIELD": _series(m, "load", YIELD),
-    }
+    return _speedups("barcelona", BARCELONA)
 
 
 def _print_figure(title, series):

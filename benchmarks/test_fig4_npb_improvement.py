@@ -18,34 +18,21 @@ Scaling: 6 seeds (paper: 10); per-thread compute 0.5 s; core counts
 {6, 10, 14} (the interesting non-divisors).
 """
 
-from repro.apps.barriers import WaitPolicy
-from repro.apps.workloads import make_nas_app
 from repro.harness import report
-from repro.harness.experiment import repeat_run
+from repro.harness.scenarios import npb_improvement
 from repro.metrics import stats
-from repro.sched.task import WaitMode
-from repro.topology import presets
 
 BENCHES = ["bt.A", "cg.B", "ft.B", "is.C"]
 CORE_COUNTS = [6, 10, 14]
 SEEDS = range(6)
 TOTAL_US = 500_000
-YIELD = WaitPolicy(mode=WaitMode.YIELD)
 
 
 def run_grid():
-    out = {}
-    for bench in BENCHES:
-        for n_cores in CORE_COUNTS:
-            for mode in ("speed", "load"):
-                def factory(system, bench=bench):
-                    return make_nas_app(system, bench, wait_policy=YIELD,
-                                        total_compute_us=TOTAL_US)
-
-                out[(bench, n_cores, mode)] = repeat_run(
-                    presets.tigerton, factory, mode, cores=n_cores, seeds=SEEDS
-                )
-    return out
+    return npb_improvement(
+        BENCHES, CORE_COUNTS, ("speed", "load"), seeds=SEEDS,
+        total_compute_us=TOTAL_US,
+    )
 
 
 def test_fig4_npb_improvements(once):

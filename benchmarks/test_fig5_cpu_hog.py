@@ -20,47 +20,22 @@ Shape targets:
 
 import pytest
 
-from repro.apps.barriers import WaitPolicy
-from repro.apps.multiprogram import CpuHog
-from repro.apps.workloads import ep_app
 from repro.harness import report
-from repro.harness.experiment import repeat_run
-from repro.sched.task import WaitMode
-from repro.topology import presets
+from repro.harness.scenarios import cpu_hog_series
 
 CORE_COUNTS = [2, 4, 8, 12, 16]
 SEEDS = range(3)
-TOTAL_16_US = 16 * 1_000_000
-SLEEP = WaitPolicy(mode=WaitMode.SLEEP)  # OpenMP-style sleeping waiters
-
-
-def _series(balancer, one_per_core=False):
-    out = {}
-    for n_cores in CORE_COUNTS:
-        threads = n_cores if one_per_core else 16
-        per_thread = TOTAL_16_US // threads
-
-        def factory(system, threads=threads, per_thread=per_thread):
-            return ep_app(system, n_threads=threads, wait_policy=SLEEP,
-                          total_compute_us=per_thread)
-
-        out[n_cores] = repeat_run(
-            presets.tigerton,
-            factory,
-            balancer="pinned" if one_per_core else balancer,
-            cores=n_cores,
-            seeds=SEEDS,
-            corunner_factories=[lambda s: CpuHog(s, core=0)],
-        )
-    return out
+PER_THREAD_US = 1_000_000  # at 16 threads: 16 s of total app compute
 
 
 def run_all():
+    # OpenMP-style sleeping waiters (the scenario's default wait)
+    grid = dict(core_counts=CORE_COUNTS, seeds=SEEDS, total_compute_us=PER_THREAD_US)
     return {
-        "One-per-core": _series("pinned", one_per_core=True),
-        "SPEED": _series("speed"),
-        "LOAD": _series("load"),
-        "PINNED": _series("pinned"),
+        "One-per-core": cpu_hog_series("pinned", one_per_core=True, **grid),
+        "SPEED": cpu_hog_series("speed", **grid),
+        "LOAD": cpu_hog_series("load", **grid),
+        "PINNED": cpu_hog_series("pinned", **grid),
     }
 
 

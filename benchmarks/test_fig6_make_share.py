@@ -12,36 +12,20 @@ largest for benchmarks whose synchronization is yield-based and
 granularity coarse enough to balance.
 """
 
-from repro.apps.barriers import WaitPolicy
-from repro.apps.multiprogram import MakeWorkload
-from repro.apps.workloads import make_nas_app
 from repro.harness import report
-from repro.harness.experiment import repeat_run
+from repro.harness.scenarios import make_share_series
 from repro.metrics import stats
-from repro.sched.task import WaitMode
-from repro.topology import presets
 
 BENCHES = ["bt.A", "cg.B", "ft.B", "is.C"]
 SEEDS = range(4)
 TOTAL_US = 500_000
-YIELD = WaitPolicy(mode=WaitMode.YIELD)
 
 
 def run_grid():
-    out = {}
-    for bench in BENCHES:
-        for mode in ("speed", "load"):
-            def factory(system, bench=bench):
-                return make_nas_app(system, bench, wait_policy=YIELD,
-                                    total_compute_us=TOTAL_US)
-
-            out[(bench, mode)] = repeat_run(
-                presets.tigerton, factory, mode, cores=16, seeds=SEEDS,
-                corunner_factories=[
-                    lambda s: MakeWorkload(s, j=16, jobs=64, mean_job_us=120_000)
-                ],
-            )
-    return out
+    # make -j 16 with 64 jobs of 120 ms on average
+    return make_share_series(
+        BENCHES, ("speed", "load"), j=16, seeds=SEEDS, total_compute_us=TOTAL_US,
+    )
 
 
 def test_fig6_make_share(once):

@@ -19,11 +19,11 @@ The OpenMP flavor uses Table 2's OMP inter-barrier times (coarser than
 UPC's: the Intel runtime aggregates loop barriers).
 """
 
-from repro.apps.barriers import WaitPolicy
 from repro.apps.spmd import SpmdApp
-from repro.apps.workloads import make_nas_app
+from repro.apps.workloads import WAIT_POLICIES
 from repro.harness import report
 from repro.harness.experiment import repeat_run
+from repro.harness.scenarios import npb_improvement
 from repro.metrics import stats
 from repro.topology import presets
 
@@ -32,27 +32,16 @@ CORE_COUNTS = [10, 14]
 SEEDS = range(4)
 TOTAL_US = 600_000
 
-DEF = WaitPolicy.omp_default()  # spin 200ms, then sleep
-INF = WaitPolicy.omp_infinite()  # poll forever
-
 
 def run_grid():
-    grid = {}
-    for bench in BENCHES:
-        for n_cores in CORE_COUNTS:
-            for pname, policy in (("def", DEF), ("inf", INF)):
-                for mode in ("speed", "load"):
-                    def factory(system, bench=bench, policy=policy):
-                        return make_nas_app(
-                            system, bench, wait_policy=policy, flavor="omp",
-                            total_compute_us=TOTAL_US,
-                        )
-
-                    grid[(bench, n_cores, pname, mode)] = repeat_run(
-                        presets.tigerton, factory, mode, cores=n_cores,
-                        seeds=SEEDS,
-                    )
-    return grid
+    # DEF = omp-default (spin 200 ms, then sleep); INF = spin (poll forever)
+    return {
+        wait: npb_improvement(
+            BENCHES, CORE_COUNTS, ("speed", "load"), wait=wait, seeds=SEEDS,
+            total_compute_us=TOTAL_US, flavor="omp",
+        )
+        for wait in ("omp-default", "spin")
+    }
 
 
 def run_class_s():
@@ -62,7 +51,7 @@ def run_class_s():
         def factory(system):
             return SpmdApp(
                 system, "classS", 16, work_us=2_000, iterations=50,
-                wait_policy=INF,
+                wait_policy=WAIT_POLICIES["spin"],
             )
 
         out[mode] = repeat_run(
@@ -79,10 +68,10 @@ def test_omp_blocktime_workload(once):
     def_changes = []
     for bench in BENCHES:
         for n_cores in CORE_COUNTS:
-            sb_inf = grid[(bench, n_cores, "inf", "speed")]
-            lb_inf = grid[(bench, n_cores, "inf", "load")]
-            sb_def = grid[(bench, n_cores, "def", "speed")]
-            lb_def = grid[(bench, n_cores, "def", "load")]
+            sb_inf = grid["spin"][(bench, n_cores, "speed")]
+            lb_inf = grid["spin"][(bench, n_cores, "load")]
+            sb_def = grid["omp-default"][(bench, n_cores, "speed")]
+            lb_def = grid["omp-default"][(bench, n_cores, "load")]
             inf_improvements.append(sb_inf.improvement_avg_pct(lb_inf))
             def_changes.append(sb_def.improvement_avg_pct(lb_def))
             rows.append([

@@ -17,29 +17,23 @@ residuals are recorded in EXPERIMENTS.md.
 
 import pytest
 
-from repro.apps.barriers import WaitPolicy
-from repro.apps.workloads import NAS_CATALOG, make_nas_app
+from repro.apps.workloads import NAS_CATALOG
 from repro.harness import report
-from repro.harness.experiment import run_app
-from repro.sched.task import WaitMode
-from repro.topology import presets
+from repro.harness.scenarios import npb_improvement
 
-SLEEP = WaitPolicy(mode=WaitMode.SLEEP)
 BENCHES = ["bt.A", "cg.B", "ft.B", "is.C", "sp.A", "ep.C"]
 TOTAL_US = 400_000
 
 
 def measure():
     out = {}
-    for bench in BENCHES:
-        for mname, machine in (("tigerton", presets.tigerton),
-                               ("barcelona", presets.barcelona)):
-            def factory(system, bench=bench):
-                return make_nas_app(system, bench, wait_policy=SLEEP,
-                                    total_compute_us=TOTAL_US)
-
-            res = run_app(machine, factory, balancer="pinned", cores=16, seed=0)
-            out[(bench, mname)] = res.speedup
+    for machine in ("tigerton", "barcelona"):
+        grid = npb_improvement(
+            BENCHES, [16], ["pinned"], wait="sleep", machine=machine,
+            seeds=[0], total_compute_us=TOTAL_US,
+        )
+        for (bench, _, _), rr in grid.items():
+            out[(bench, machine)] = rr.runs[0].speedup
     return out
 
 

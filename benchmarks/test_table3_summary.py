@@ -18,13 +18,9 @@ LOAD on average, beats LOAD's worst case by more, and has an order of
 magnitude less run-to-run variation than LOAD.
 """
 
-from repro.apps.barriers import WaitPolicy
-from repro.apps.workloads import make_nas_app
 from repro.harness import report
-from repro.harness.experiment import repeat_run
+from repro.harness.scenarios import npb_improvement
 from repro.metrics import stats
-from repro.sched.task import WaitMode
-from repro.topology import presets
 
 BENCHES = ["ep.C", "bt.A", "cg.B", "ft.B", "is.C"]
 #: coarse-grained members (inter-barrier time at or above the balance
@@ -33,22 +29,13 @@ COARSE = ["ep.C", "ft.B"]
 CORE_COUNTS = [6, 10, 12, 14]
 SEEDS = range(8)
 TOTAL_US = 600_000
-YIELD = WaitPolicy(mode=WaitMode.YIELD)
 
 
 def run_grid():
-    grid = {}
-    for bench in BENCHES:
-        for n_cores in CORE_COUNTS:
-            for mode in ("speed", "load", "pinned"):
-                def factory(system, bench=bench):
-                    return make_nas_app(system, bench, wait_policy=YIELD,
-                                        total_compute_us=TOTAL_US)
-
-                grid[(bench, n_cores, mode)] = repeat_run(
-                    presets.tigerton, factory, mode, cores=n_cores, seeds=SEEDS
-                )
-    return grid
+    return npb_improvement(
+        BENCHES, CORE_COUNTS, ("speed", "load", "pinned"), seeds=SEEDS,
+        total_compute_us=TOTAL_US,
+    )
 
 
 def test_table3_summary(once):

@@ -50,18 +50,21 @@ __all__ = [
     "FULL_CATALOG",
     "NAS_CATALOG",
     "NAS_EXTENDED_CATALOG",
-    "WAIT_MODES",
+    "WAIT_POLICIES",
     "AppSpec",
     "NasBenchmark",
     "ep_app",
     "make_nas_app",
 ]
 
-#: barrier wait policies by CLI/spec name
-WAIT_MODES: dict[str, WaitMode] = {
-    "yield": WaitMode.YIELD,
-    "sleep": WaitMode.SLEEP,
-    "spin": WaitMode.SPIN,
+#: barrier wait policies by CLI/spec name: the three plain wait modes
+#: (``spin`` polls forever, Intel OpenMP's KMP_BLOCKTIME=infinite), then
+#: OpenMP's KMP_BLOCKTIME default (spin 200 ms, then sleep)
+WAIT_POLICIES: dict[str, WaitPolicy] = {
+    "yield": WaitPolicy(mode=WaitMode.YIELD),
+    "sleep": WaitPolicy(mode=WaitMode.SLEEP),
+    "spin": WaitPolicy(mode=WaitMode.SPIN),
+    "omp-default": WaitPolicy.omp_default(),
 }
 
 GB = 1 << 30
@@ -164,6 +167,7 @@ class AppSpec:
     frozen dataclass of plain values, it pickles and therefore crosses
     process boundaries in :mod:`repro.harness.parallel` run specs.
 
+    ``wait`` names a policy of :data:`WAIT_POLICIES`.
     ``barrier_period_us`` selects the Section 6.1 modified-EP shape
     (:func:`ep_app` with periodic barriers, the Figure 2 knob) and
     overrides ``bench``/``flavor``.
@@ -176,12 +180,22 @@ class AppSpec:
     total_compute_us: int = 2_000_000
     barrier_period_us: Optional[int] = None
 
-    def build(self, system: "System") -> SpmdApp:
-        if self.wait not in WAIT_MODES:
+    def __post_init__(self) -> None:
+        # fail at construction, not in a worker: a served job naming an
+        # unknown wait policy, flavor or benchmark must be refused at admission
+        if self.wait not in WAIT_POLICIES:
             raise ValueError(
-                f"unknown wait mode {self.wait!r}; expected one of {sorted(WAIT_MODES)}"
+                f"unknown wait mode {self.wait!r}; expected one of {sorted(WAIT_POLICIES)}"
             )
-        policy = WaitPolicy(mode=WAIT_MODES[self.wait])
+        if self.flavor not in ("upc", "omp"):
+            raise ValueError(f"unknown flavor {self.flavor!r}; expected 'upc' or 'omp'")
+        if self.barrier_period_us is None and self.bench not in FULL_CATALOG:
+            raise ValueError(
+                f"unknown benchmark {self.bench!r}; expected one of {sorted(FULL_CATALOG)}"
+            )
+
+    def build(self, system: "System") -> SpmdApp:
+        policy = WAIT_POLICIES[self.wait]
         if self.barrier_period_us is not None:
             return ep_app(
                 system,

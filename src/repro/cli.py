@@ -27,8 +27,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.apps.barriers import WaitPolicy
-from repro.apps.workloads import FULL_CATALOG, WAIT_MODES, AppSpec, make_nas_app
+from repro.apps.workloads import FULL_CATALOG, WAIT_POLICIES, AppSpec
 from repro.core import analytical
 from repro.harness import report
 from repro.harness.experiment import BALANCER_MODES, repeat_run, run_app
@@ -38,8 +37,6 @@ from repro.topology import presets
 
 #: the named machines (shared with repro.harness.parallel run specs)
 MACHINES = MACHINE_PRESETS
-
-WAITS = WAIT_MODES
 
 
 def _cmd_machines(args: argparse.Namespace) -> int:
@@ -142,8 +139,8 @@ def _invariant_runs(args: argparse.Namespace):
         install_invariant_checker,
     )
 
-    total_us = int(args.seconds * 1_000_000)
-    wait = WaitPolicy(mode=WAITS[args.wait])
+    app = AppSpec(bench=args.bench, n_threads=6, wait=args.wait,
+                  total_compute_us=int(args.seconds * 1_000_000))
     machines = [("uniform4", lambda: presets.uniform(4)), ("barcelona", presets.barcelona)]
     checkers = []
 
@@ -159,13 +156,7 @@ def _invariant_runs(args: argparse.Namespace):
                 try:
                     run_app(
                         machine,
-                        lambda system: make_nas_app(
-                            system,
-                            args.bench,
-                            n_threads=6,
-                            wait_policy=wait,
-                            total_compute_us=total_us,
-                        ),
+                        app,
                         balancer=mode,
                         cores=4,
                         seed=seed,
@@ -799,7 +790,7 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--machine", default="tigerton", choices=sorted(MACHINES))
     parser.add_argument("--threads", type=int, default=16)
     parser.add_argument("--cores", type=int, default=12)
-    parser.add_argument("--wait", default="yield", choices=sorted(WAITS))
+    parser.add_argument("--wait", default="yield", choices=sorted(WAIT_POLICIES))
     parser.add_argument("--seconds", type=float, default=1.0,
                         help="per-thread compute demand in simulated seconds")
     parser.add_argument("--repeats", type=int, default=3)
@@ -855,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="analyze these paths (default: the installed repro package)",
     )
     check.add_argument("--bench", default="ep.C", choices=sorted(FULL_CATALOG))
-    check.add_argument("--wait", default="yield", choices=sorted(WAITS))
+    check.add_argument("--wait", default="yield", choices=sorted(WAIT_POLICIES))
     check.add_argument(
         "--seconds", type=float, default=0.3,
         help="per-thread compute demand of each smoke run (simulated seconds)",

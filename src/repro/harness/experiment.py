@@ -22,7 +22,7 @@ mode           meaning
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 from repro.apps.spmd import SpmdApp
 from repro.balance.base import NoBalancer
@@ -38,7 +38,9 @@ from repro.sched.cfs import CfsParams
 from repro.system import System
 from repro.topology.machine import Machine
 
-__all__ = ["BALANCER_MODES", "make_kernel_balancer", "run_app", "repeat_run"]
+__all__ = ["BALANCER_MODES", "make_kernel_balancer", "repeat_cells", "repeat_run", "run_app"]
+
+K = TypeVar("K")
 
 BALANCER_MODES = ("load", "speed", "pinned", "dwrr", "ule", "none")
 
@@ -190,7 +192,8 @@ def repeat_run(
     """The paper's methodology: "repeated ten times or more".
 
     Runs the same configuration across ``seeds`` and aggregates, one
-    :class:`~repro.harness.parallel.RunSpec` per seed.  ``machine`` is
+    :class:`~repro.harness.parallel.RunSpec` per seed: the one-cell case
+    of :func:`repeat_cells`.  ``machine`` is
     a preset name (see :func:`~repro.harness.parallel.resolve_machine`),
     a factory or an instance; a *factory* should be passed rather than
     an instance when the machine object is mutated by runs (presets are
@@ -215,8 +218,7 @@ def repeat_run(
     :class:`~repro.store.UnstorableSpecError` before anything runs.
     """
     # imported here: parallel and the service build on this module
-    from repro.harness.parallel import RunSpec, map_specs
-    from repro.service import run_specs_cached
+    from repro.harness.parallel import RunSpec
 
     specs = [
         RunSpec.make(
@@ -225,6 +227,33 @@ def repeat_run(
         )
         for s in seeds
     ]
+    return repeat_cells({0: specs}, workers=workers, store=store)[0]
+
+
+def repeat_cells(
+    cells: Mapping[K, Sequence], workers: Optional[int] = 1, store=None
+) -> dict[K, RepeatedResult]:
+    """A grid of repeated configurations, resolved as one batch.
+
+    ``cells`` maps each cell's key to its ``RunSpec`` s, one per seed.
+    All of them go to one ``map_specs`` call (one ``run_specs_cached``
+    call with ``store``), so workers stay busy across cells.  Returns
+    one :class:`RepeatedResult` per cell, in ``cells`` order;
+    ``workers`` and ``store`` are :func:`repeat_run`'s.
+    """
+    # imported here: parallel and the service build on this module
+    from repro.harness.parallel import map_specs
+
+    specs = [spec for group in cells.values() for spec in group]
     if store is None:
-        return RepeatedResult(runs=map_specs(specs, workers=workers))
-    return RepeatedResult(runs=run_specs_cached(specs, store, workers=workers))
+        runs = map_specs(specs, workers=workers)
+    else:
+        from repro.service import run_specs_cached
+
+        runs = run_specs_cached(specs, store, workers=workers)
+    out: dict[K, RepeatedResult] = {}
+    start = 0
+    for key, group in cells.items():
+        out[key] = RepeatedResult(runs=runs[start:start + len(group)])
+        start += len(group)
+    return out

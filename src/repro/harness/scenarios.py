@@ -1,7 +1,13 @@
 """Named scenarios: the configurations behind each figure and table.
 
-Each function returns plain data (dicts / result objects) so the
-benchmark harness can both assert on shapes and print paper-style
+Each figure function builds its whole grid -- a cell per configuration,
+a :class:`~repro.harness.parallel.RunSpec` per seed -- and resolves it
+in one :func:`~repro.harness.experiment.repeat_cells` batch: on the
+native engine when this machine can build it (the engines are
+digest-equivalent; only wall time differs), one worker per CPU, through
+the store when ``store=`` is given.  It returns one
+:class:`~repro.metrics.results.RepeatedResult` per cell, in grid order,
+so the benchmarks can both assert on shapes and print paper-style
 output.  Durations are scaled down from the paper's 2-80 s runs (see
 ``workloads`` module docstring); every scaling choice is recorded in
 EXPERIMENTS.md.
@@ -12,16 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.apps.barriers import WaitPolicy
 from repro.apps.multiprogram import CpuHog, MakeWorkload
-from repro.apps.workloads import WAIT_MODES, AppSpec, ep_app, make_nas_app
+from repro.apps.workloads import AppSpec
 from repro.core.speed_balancer import SpeedBalancerConfig
-from repro.harness.experiment import repeat_run, run_app
+from repro.harness.experiment import repeat_cells, run_app
+from repro.harness.parallel import RunSpec, run_app_kwargs
 from repro.metrics.results import RepeatedResult
-from repro.sched.task import WaitMode
+from repro.sim.backends import backend_available
 
 __all__ = [
-    "WAIT_POLICIES",
     "CorunnerSpec",
     "ScenarioSmoke",
     "ep_speedup_series",
@@ -31,15 +36,6 @@ __all__ = [
     "make_share_series",
     "scenario_smokes",
 ]
-
-#: wait-policy shorthand used across scenarios
-WAIT_POLICIES: dict[str, WaitPolicy] = {
-    "yield": WaitPolicy(mode=WaitMode.YIELD),
-    "sleep": WaitPolicy(mode=WaitMode.SLEEP),
-    "spin": WaitPolicy(mode=WaitMode.SPIN),
-    "omp-default": WaitPolicy.omp_default(),
-    "omp-infinite": WaitPolicy.omp_infinite(),
-}
 
 
 @dataclass(frozen=True)
@@ -58,63 +54,48 @@ class CorunnerSpec:
     core: int = 0  #: pin core of the cpu-hog
     j: int = 16  #: parallelism of the make workload
     jobs: Optional[int] = None  #: total make jobs (default 4*j)
+    mean_job_us: int = 150_000  #: mean length of one make job
+
+    def __post_init__(self) -> None:
+        # fail at construction, not in a worker: a served job naming an
+        # unknown co-runner must be refused at admission
+        if self.kind not in ("cpu-hog", "make-j"):
+            raise ValueError(
+                f"unknown co-runner kind {self.kind!r}; expected 'cpu-hog' or 'make-j'"
+            )
 
     def build(self, system):
         if self.kind == "cpu-hog":
             return CpuHog(system, core=self.core)
-        if self.kind == "make-j":
-            jobs = self.jobs if self.jobs is not None else 4 * self.j
-            return MakeWorkload(system, j=self.j, jobs=jobs)
-        raise ValueError(
-            f"unknown co-runner kind {self.kind!r}; expected 'cpu-hog' or 'make-j'"
-        )
+        jobs = self.jobs if self.jobs is not None else 4 * self.j
+        return MakeWorkload(system, j=self.j, jobs=jobs, mean_job_us=self.mean_job_us)
 
     __call__ = build
 
 
-def _app_factory(
-    wait: str,
-    n_threads: int,
-    total_compute_us: int,
-    bench: str = "ep.C",
-    barrier_period_us: Optional[int] = None,
-):
-    """An :class:`AppSpec` when the wait policy is expressible as one
-    (storable + picklable), else an equivalent closure.
+def _resolve(machine: str, cells: dict, seeds: Iterable[int], store) -> dict:
+    """Run each cell (key -> ``(app, run_app keywords)``) on ``machine``
+    once per seed, every cell in one batch (see the module docstring)."""
+    engine = "native" if backend_available("native") else "heap"
+    seeds = tuple(seeds)
+    specs = {
+        key: [RunSpec.make(machine, app, seed=s, engine=engine, **kw) for s in seeds]
+        for key, (app, kw) in cells.items()
+    }
+    return repeat_cells(specs, workers=None, store=store)
 
-    The two build byte-identical applications for the plain wait modes
-    (``AppSpec.build`` constructs the same ``WaitPolicy``/app); the
-    closure fallback covers the OMP-style policies (``omp-default``,
-    ``omp-infinite``) that carry extra spin parameters -- those run
-    fine serially but cannot key a store entry.
-    """
-    if wait in WAIT_MODES:
-        return AppSpec(
-            bench=bench,
-            n_threads=n_threads,
-            wait=wait,
-            total_compute_us=total_compute_us,
-            barrier_period_us=barrier_period_us,
-        )
 
-    def factory(system):
-        if barrier_period_us is not None:
-            return ep_app(
-                system,
-                n_threads=n_threads,
-                wait_policy=WAIT_POLICIES[wait],
-                total_compute_us=total_compute_us,
-                barrier_period_us=barrier_period_us,
-            )
-        return make_nas_app(
-            system,
-            bench,
-            n_threads=n_threads,
-            wait_policy=WAIT_POLICIES[wait],
-            total_compute_us=total_compute_us,
-        )
-
-    return factory
+def _ep_cells(balancer, wait, core_counts, n_threads, one_per_core, total_compute_us, **kw):
+    """EP per core count: ``n_threads`` threads, or one pinned per core;
+    ``total_compute_us`` is per thread at ``n_threads``."""
+    cells = {}
+    for n_cores in core_counts:
+        threads = n_cores if one_per_core else n_threads
+        app = AppSpec(n_threads=threads, wait=wait,
+                      total_compute_us=total_compute_us * n_threads // threads)
+        cells[n_cores] = (app, dict(
+            balancer="pinned" if one_per_core else balancer, cores=n_cores, **kw))
+    return cells
 
 
 # ----------------------------------------------------------------------
@@ -138,19 +119,8 @@ def ep_speedup_series(
     series incremental: cells already in the content-addressed store
     are served from it (see docs/store.md).
     """
-    out: dict[int, RepeatedResult] = {}
-    for n_cores in core_counts:
-        threads = n_cores if one_per_core else n_threads
-        per_thread = total_compute_us * n_threads // threads
-        out[n_cores] = repeat_run(
-            machine,
-            _app_factory(wait, threads, per_thread),
-            balancer="pinned" if one_per_core else balancer,
-            cores=n_cores,
-            seeds=seeds,
-            store=store,
-        )
-    return out
+    cells = _ep_cells(balancer, wait, core_counts, n_threads, one_per_core, total_compute_us)
+    return _resolve(machine, cells, seeds, store)
 
 
 # ----------------------------------------------------------------------
@@ -172,23 +142,17 @@ def balance_interval_sweep(
     x-axis is the computation between barriers, one line per balance
     interval, y-axis the slowdown vs one thread per core.
     """
-    out: dict[tuple[int, int], RepeatedResult] = {}
-    for period in barrier_periods_us:
-        for interval in balance_intervals_us:
-            cfg = SpeedBalancerConfig(interval_us=interval)
-            out[(period, interval)] = repeat_run(
-                machine,
-                _app_factory(
-                    "yield", n_threads, total_compute_us,
-                    barrier_period_us=period,
-                ),
-                balancer="speed",
-                cores=n_cores,
-                seeds=seeds,
-                speed_config=cfg,
-                store=store,
-            )
-    return out
+    cells = {
+        (period, interval): (
+            AppSpec(n_threads=n_threads, total_compute_us=total_compute_us,
+                    barrier_period_us=period),
+            dict(balancer="speed", cores=n_cores,
+                 speed_config=SpeedBalancerConfig(interval_us=interval)),
+        )
+        for period in barrier_periods_us
+        for interval in balance_intervals_us
+    }
+    return _resolve(machine, cells, seeds, store)
 
 
 # ----------------------------------------------------------------------
@@ -203,22 +167,26 @@ def npb_improvement(
     seeds: Iterable[int] = range(10),
     n_threads: int = 16,
     total_compute_us: int = 400_000,
+    flavor: str = "upc",
     store=None,
 ) -> dict[tuple[str, int, str], RepeatedResult]:
-    """NPB subset across core counts and balancers (Figure 4, Table 3)."""
-    out: dict[tuple[str, int, str], RepeatedResult] = {}
-    for bench in benches:
-        for n_cores in core_counts:
-            for balancer in balancers:
-                out[(bench, n_cores, balancer)] = repeat_run(
-                    machine,
-                    _app_factory(wait, n_threads, total_compute_us, bench=bench),
-                    balancer=balancer,
-                    cores=n_cores,
-                    seeds=seeds,
-                    store=store,
-                )
-    return out
+    """NPB subset across core counts and balancers (Figure 4, Table 3).
+
+    ``flavor`` selects Table 2's UPC or OpenMP (``"omp"``) inter-barrier
+    times; Section 6.2's OpenMP workload runs the latter.
+    """
+    core_counts = tuple(core_counts)
+    cells = {
+        (bench, n_cores, balancer): (
+            AppSpec(bench=bench, n_threads=n_threads, wait=wait, flavor=flavor,
+                    total_compute_us=total_compute_us),
+            dict(balancer=balancer, cores=n_cores),
+        )
+        for bench in benches
+        for n_cores in core_counts
+        for balancer in balancers
+    }
+    return _resolve(machine, cells, seeds, store)
 
 
 # ----------------------------------------------------------------------
@@ -236,20 +204,9 @@ def cpu_hog_series(
     store=None,
 ) -> dict[int, RepeatedResult]:
     """EP sharing the machine with a cpu-hog pinned to core 0."""
-    out: dict[int, RepeatedResult] = {}
-    for n_cores in core_counts:
-        threads = n_cores if one_per_core else n_threads
-        per_thread = total_compute_us * n_threads // threads
-        out[n_cores] = repeat_run(
-            machine,
-            _app_factory(wait, threads, per_thread),
-            balancer="pinned" if one_per_core else balancer,
-            cores=n_cores,
-            seeds=seeds,
-            corunner_factories=(CorunnerSpec("cpu-hog", core=0),),
-            store=store,
-        )
-    return out
+    cells = _ep_cells(balancer, wait, core_counts, n_threads, one_per_core, total_compute_us,
+                      corunner_factories=(CorunnerSpec("cpu-hog", core=0),))
+    return _resolve(machine, cells, seeds, store)
 
 
 # ----------------------------------------------------------------------
@@ -266,20 +223,19 @@ def make_share_series(
     total_compute_us: int = 300_000,
     store=None,
 ) -> dict[tuple[str, str], RepeatedResult]:
-    """NPB sharing all 16 cores with a make -j co-runner (Figure 6)."""
-    out: dict[tuple[str, str], RepeatedResult] = {}
-    for bench in benches:
-        for balancer in balancers:
-            out[(bench, balancer)] = repeat_run(
-                machine,
-                _app_factory(wait, n_threads, total_compute_us, bench=bench),
-                balancer=balancer,
-                cores=16,
-                seeds=seeds,
-                corunner_factories=(CorunnerSpec("make-j", j=j, jobs=4 * j),),
-                store=store,
-            )
-    return out
+    """NPB sharing all 16 cores with a make -j co-runner of ``4*j`` jobs
+    of 120 ms each on average (Figure 6)."""
+    make = (CorunnerSpec("make-j", j=j, jobs=4 * j, mean_job_us=120_000),)
+    cells = {
+        (bench, balancer): (
+            AppSpec(bench=bench, n_threads=n_threads, wait=wait,
+                    total_compute_us=total_compute_us),
+            dict(balancer=balancer, cores=16, corunner_factories=make),
+        )
+        for bench in benches
+        for balancer in balancers
+    }
+    return _resolve(machine, cells, seeds, store)
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +253,7 @@ class ScenarioSmoke:
     """A scaled-down, single-run representative of one scenario family.
 
     Every scenario function in this module expands into a grid of
-    :func:`repeat_run` calls -- far too much simulation to re-run under
+    seeded runs -- far too much simulation to re-run under
     full tracing on every CI push.  A ``ScenarioSmoke`` samples one
     representative configuration from the family at reduced compute
     demand, as a declarative record the schedule sanitizer
@@ -322,9 +278,6 @@ class ScenarioSmoke:
 
     def run(self, seed: int = 0, instrument=None, engine: str = "heap"):
         """Execute the smoke under full tracing; (result, system)."""
-        # imported here: parallel builds on the harness, not vice versa
-        from repro.harness.parallel import run_app_kwargs
-
         return run_app(
             **run_app_kwargs(self.spec(seed, engine)),
             trace=True,
@@ -340,9 +293,6 @@ class ScenarioSmoke:
         performs -- the parity tests lean on this to assert cached
         results equal fresh ones per family.
         """
-        # imported here: parallel builds on the harness, not vice versa
-        from repro.harness.parallel import RunSpec
-
         kwargs: dict = {}
         if self.corunners:
             kwargs["corunner_factories"] = tuple(

@@ -3,9 +3,10 @@
 ``sweep`` runs a cartesian grid of named parameters through a runner
 and returns a :class:`SweepResult` that can slice series out of the
 grid -- the shape every figure in the paper has (one varying x, one
-line per configuration).  The figure benches hand-roll their loops for
-readability; this module is the general-purpose version for users
-designing new studies, e.g.::
+line per configuration).  The paper's own grids are the figure
+functions of :mod:`repro.harness.scenarios`, which the benchmarks
+call; this module is the general-purpose version for users designing
+new studies, e.g.::
 
     result = sweep(
         dict(cores=[4, 8, 12, 16], balancer=["speed", "load"]),

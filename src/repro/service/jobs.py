@@ -30,6 +30,7 @@ event and receives the identical result object.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -331,7 +332,7 @@ class JobService:
 
 def run_specs_cached(
     specs: Iterable[RunSpec],
-    store: Union[ResultStore, JobService, str],
+    store: Union[ResultStore, JobService, str, os.PathLike],
     workers: Optional[int] = 1,
     trace: bool = False,
 ) -> list[AppRunResult]:
@@ -345,7 +346,7 @@ def run_specs_cached(
     if isinstance(store, JobService):
         service = store
     else:
-        if isinstance(store, str):
+        if isinstance(store, (str, os.PathLike)):
             store = ResultStore(store)
         service = JobService(store)
     return service.submit(specs, workers=workers, trace=trace)

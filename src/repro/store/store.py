@@ -511,8 +511,11 @@ class ResultStore:
 
         def commit() -> str:
             final = self._object_dir(digest)
-            if final.exists():
+            if os.path.isfile(self._entry_path(digest)):
                 return digest
+            # an object without a readable entry file reads as absent
+            # (see _read_entry_doc): replace it, or it stays a miss
+            self._remove_object(digest)
             fd, seq = self._open_log()
             try:
                 doc["seq"] = seq

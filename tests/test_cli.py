@@ -58,6 +58,15 @@ class TestCommands:
         assert "SPEED" in out and "PINNED" in out
         assert "ideal speedup 2" in out
 
+    def test_run_omp_wait(self):
+        rc, out = run_cli([
+            "run", "--bench", "bt.A", "--threads", "3", "--cores", "2",
+            "--seconds", "0.05", "--repeats", "1", "--balancer", "speed",
+            "--wait", "omp-default",
+        ])
+        assert rc == 0
+        assert "omp-default barriers" in out and "SPEED" in out
+
 
 class TestStoreCommands:
     SUBMIT = [

@@ -66,9 +66,15 @@ class TestAppSpec:
                       n_threads=4).build(uniform4)
         assert app.name == "ep.mod"
 
-    def test_unknown_wait_mode_rejected(self, uniform4):
+    def test_unknown_wait_mode_rejected(self):
         with pytest.raises(ValueError, match="wait mode"):
-            AppSpec(wait="naptime").build(uniform4)
+            AppSpec(wait="naptime")
+
+    def test_unknown_bench_rejected(self):
+        with pytest.raises(ValueError, match="unknown benchmark"):
+            AppSpec(bench="lu.Z")
+        # the modified-EP shape ignores bench
+        assert AppSpec(bench="lu.Z", barrier_period_us=1_000).bench == "lu.Z"
 
 
 class TestRunSpec:

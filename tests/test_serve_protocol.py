@@ -103,6 +103,29 @@ class TestSpecCodec:
         with pytest.raises(ValueError, match="expected one of \\('heap', 'native'\\)"):
             spec_from_wire(wire)
 
+    #: spec values that decode and digest but could never run (or, for
+    #: a flavor, would run the UPC timings): each is refused at
+    #: construction, so the wire is refused at decoding
+    UNRUNNABLE = {
+        "wait": ("app", "wait", "naptime", "unknown wait mode"),
+        "flavor": ("app", "flavor", "openmp", "unknown flavor"),
+        "bench": ("app", "bench", "zz.Z", "unknown benchmark"),
+        "corunner": ("corunner", "kind", "dd-bench", "unknown co-runner kind"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+    def test_rejects_unrunnable_spec_values(self, case):
+        from repro.harness.scenarios import CorunnerSpec
+
+        where, field, value, message = self.UNRUNNABLE[case]
+        wire = spec_to_wire(_spec(corunner_factories=(CorunnerSpec("cpu-hog"),)))
+        if where == "app":
+            wire["app"]["fields"][field] = value
+        else:
+            wire["params"]["corunner_factories"][0]["fields"][field] = value
+        with pytest.raises(ProtocolError, match=message):
+            spec_from_wire(wire)
+
     def test_rejects_non_repro_references(self):
         wire = spec_to_wire(_spec())
         wire["app"] = {"__function__": "os:system"}

@@ -549,6 +549,36 @@ class TestMalformedRequests:
             bg.drain()
         assert ran(counting) == []
 
+    def test_unrunnable_spec_values_get_400(self, tmp_path, counting, serve_client):
+        """Values that would fail only in a worker -- an unknown wait
+        policy, benchmark or co-runner -- or that would silently run
+        another configuration (an unknown flavor) are refused at
+        admission."""
+        from repro.harness.scenarios import CorunnerSpec
+
+        spec = RunSpec.make(
+            "tigerton", AppSpec(bench="ep.C", n_threads=4, total_compute_us=40_000),
+            cores=2, corunner_factories=(CorunnerSpec("cpu-hog"),),
+        )
+        bad = ((("app", "fields", "wait"), "naptime"),
+               (("app", "fields", "flavor"), "openmp"),
+               (("app", "fields", "bench"), "zz.Z"),
+               (("params", "corunner_factories", 0, "fields", "kind"), "dd-bench"))
+        bg = _boot(tmp_path, workers=1)
+        try:
+            for path, value in bad:
+                wire = spec_to_wire(spec)
+                node = wire
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                body = json.dumps({"specs": [wire]}).encode()
+                assert _post_status(bg.base_url, body) == 400
+            assert serve_client(bg.base_url).metrics()["admitted"] == 0
+        finally:
+            bg.drain()
+        assert ran(counting) == []
+
     def test_generated_malformed_bodies_get_4xx(self, tmp_path, serve_client):
         bg = _boot(tmp_path, workers=1)
         try:

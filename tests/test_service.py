@@ -289,7 +289,8 @@ class TestRunSpecsCached:
         by_store = run_specs_cached([spec], ResultStore(root))
         service = JobService(ResultStore(root))
         by_service = run_specs_cached([spec], service)
-        digests = {run_digest(r[0]) for r in (by_path, by_store, by_service)}
+        by_pathlib = run_specs_cached([spec], tmp_path / "s")
+        digests = {run_digest(r[0]) for r in (by_path, by_store, by_service, by_pathlib)}
         assert len(digests) == 1
         assert service.executed == 0  # everything after the first was cached
 

@@ -553,6 +553,28 @@ class TestCorruptionDetection:
         assert store.digests() == [db]
         assert store.verify() == []
 
+    @pytest.mark.parametrize("damage", ["deleted", "directory"])
+    def test_resubmit_replaces_object_without_entry_file(self, tmp_path, damage):
+        """An object with no readable entry.json reads as a miss; the
+        recompute's put must replace it, or every resubmit re-runs."""
+        from repro.service import JobService
+
+        store = ResultStore(tmp_path / "s")
+        spec = _spec()
+        JobService(store).submit([spec])
+        entry = store._object_dir(spec_digest(spec)) / "entry.json"
+        entry.unlink()
+        if damage == "directory":
+            entry.mkdir()
+        executed = []
+        for _ in range(2):
+            service = JobService(store)
+            (result,) = service.submit([spec])
+            executed.append(service.executed)
+        assert executed == [1, 0]
+        assert run_digest(result) == run_digest(run_spec(spec))
+        assert store.verify() == []
+
 
 class TestMaintenance:
     def test_stats(self, tmp_path):
