@@ -4,10 +4,10 @@ Fills a fresh store with ``--entries`` entries, timing every
 ``ResultStore.put``, and prints the p50 and p90 put time per bucket of
 ``--bucket`` entries (puts in the order they started), the puts per
 second over the whole fill, then the time of one ``digests()`` over the
-full store.  ``--kind value`` files small sweep-cell values; ``--kind
-run`` files one serve-sized run result (the serve-mixed job of
-perfbench) under a new seed each time, so each put also pays the result
-digest and the entry's JSON.
+full store.  ``--kind value`` files small plain values under dict keys
+(the store's value entries); ``--kind run`` files one serve-sized run
+result (the serve-mixed job of perfbench) under a new seed each time,
+so each put also pays the result digest and the entry's JSON.
 
 ``--writers N`` fills the store from N forked processes at once, the
 way ``repro serve --workers N`` does: writer ``k`` files every entry

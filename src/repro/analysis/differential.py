@@ -25,11 +25,10 @@ Perturbation legs
     Observers must be pure observation; a digest shift means the
     instrumentation perturbed the schedule.  Full digest.
 ``workers``
-    :func:`~repro.harness.experiment.repeat_run` serially and with two
+    The smoke's own spec over two seeds through
+    :func:`~repro.harness.parallel.map_specs`, serially and with two
     worker processes.  Results-only digest (traces do not cross the
-    process boundary), over every seed's canonical JSON.  Skipped for
-    smokes whose co-runner factories close over system state that does
-    not pickle.
+    process boundary), over every seed's canonical JSON.
 ``engines``
     The same scenario in-process under the ``heap`` backend and every
     other *available* event-dispatch backend (:mod:`repro.sim.backends`)
@@ -41,14 +40,17 @@ Perturbation legs
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis.sanitizer import SanFinding, run_digest
-from repro.harness.scenarios import ScenarioSmoke, scenario_smokes
+from repro.harness.parallel import RunSpec, map_specs, run_traced
+from repro.harness.scenarios import scenario_smokes
 
 __all__ = [
     "DIFFERENTIAL_LEGS",
@@ -71,13 +73,13 @@ def scenario_digest(
     ``engine`` selects the event-dispatch backend (the ``engines`` leg
     compares a ``heap`` digest against every other available backend's).
     """
-    smoke = scenario_smokes()[name]
+    spec = replace(scenario_smokes()[name], seed=seed, engine=engine)
     instrument = None
     if observers:
         from repro.analysis.invariants import install_invariant_checker
 
         instrument = lambda system: install_invariant_checker(system)  # noqa: E731
-    result, system = smoke.run(seed=seed, instrument=instrument, engine=engine)
+    result, system = run_traced(spec, instrument=instrument)
     return run_digest(result, system.trace, system.engine)
 
 
@@ -139,26 +141,11 @@ def compare_digests(
     ]
 
 
-def _workers_digest(
-    smoke: ScenarioSmoke, workers: int, seeds, engine: str = "heap"
-) -> str:
-    """Results-only digest of a repeat_run fan-out, in seed order."""
-    import hashlib
-
-    from repro.harness.experiment import repeat_run
-
-    rep = repeat_run(
-        smoke.machine,
-        smoke.app,
-        balancer=smoke.balancer,
-        cores=smoke.cores,
-        seeds=seeds,
-        workers=workers,
-        speed_config=smoke.speed_config,
-        engine=engine,
-    )
+def _workers_digest(spec: RunSpec, workers: int, seeds) -> str:
+    """Results-only digest of ``spec`` over ``seeds``, in seed order."""
+    runs = map_specs([replace(spec, seed=s) for s in seeds], workers=workers)
     h = hashlib.sha256()
-    for r in rep.runs:
+    for r in runs:
         h.update(r.canonical_json().encode())
         h.update(b"\n")
     return h.hexdigest()
@@ -174,21 +161,17 @@ def differential_check(
     """Run the differential determinism legs for one scenario smoke.
 
     Returns SAN008 findings (empty when every perturbation reproduced
-    the run bit-identically).  Unknown leg names raise; the ``workers``
-    leg silently narrows to smokes without co-runners (co-runner
-    factories are module-level and pickle fine, but the leg's value is
-    in re-deriving the *app* path across processes, and keeping it
-    uniform keeps digests comparable).  ``engine`` is the backend the
-    hashseed/observers/workers perturbations run under; the ``engines``
-    leg always compares heap against every other available backend
-    regardless (``native`` when a toolchain exists).
+    the run bit-identically).  Unknown leg names raise.  ``engine`` is
+    the backend the hashseed/observers/workers perturbations run under;
+    the ``engines`` leg always compares heap against every other
+    available backend regardless (``native`` when a toolchain exists).
     """
     unknown = [leg for leg in legs if leg not in DIFFERENTIAL_LEGS]
     if unknown:
         raise ValueError(
             f"unknown differential legs {unknown}; expected from {DIFFERENTIAL_LEGS}"
         )
-    smoke = scenario_smokes()[name]
+    spec = replace(scenario_smokes()[name], engine=engine)
     findings: list[SanFinding] = []
     if "hashseed" in legs:
         a = subprocess_digest(name, seed=seed, hashseed=hashseeds[0], engine=engine)
@@ -198,11 +181,9 @@ def differential_check(
         a = scenario_digest(name, seed=seed, observers=False, engine=engine)
         b = scenario_digest(name, seed=seed, observers=True, engine=engine)
         findings += compare_digests("observers", a, b, context=name)
-    if "workers" in legs and not smoke.corunners:
-        a = _workers_digest(smoke, workers=1, seeds=range(seed, seed + 2),
-                            engine=engine)
-        b = _workers_digest(smoke, workers=2, seeds=range(seed, seed + 2),
-                            engine=engine)
+    if "workers" in legs:
+        a = _workers_digest(spec, workers=1, seeds=range(seed, seed + 2))
+        b = _workers_digest(spec, workers=2, seeds=range(seed, seed + 2))
         findings += compare_digests("workers", a, b, context=name)
     if "engines" in legs:
         from repro.sim.backends import backend_available, backend_names

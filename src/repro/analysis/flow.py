@@ -32,8 +32,8 @@ FLOW004  Module-level mutable state written from a hot scheduling or
          harness-worker code path: process-global containers and
          iterators mutated by functions reachable from ``sched/``,
          ``core/``, ``balance/``, ``sim/`` or the worker entry modules
-         break fork-safety for ``repeat_run``/``sweep workers=N`` and
-         the serving daemon.
+         break fork-safety for ``repeat_run``/``map_specs workers=N``
+         and the serving daemon.
 FLOW005  A lambda, closure or local function flows into
          :mod:`repro.store` spec-key construction (``spec_digest``,
          ``canonical_value``, ``function_ref``, ...), which raises
@@ -119,7 +119,6 @@ WORKER_MODULES = frozenset(
     {
         "repro.harness.parallel",
         "repro.harness.experiment",
-        "repro.harness.sweeps",
         "repro.service.jobs",
         "repro.serve.workers",
     }
@@ -152,7 +151,6 @@ _SPEC_SINK_NAMES = frozenset(
         "spec_digest",
         "digest_of",
         "canonical_value",
-        "sweep_cell_key",
         "function_ref",
     }
 )
@@ -349,7 +347,7 @@ class FlowAnalysis:
                     f"`{write.var.module}.{write.var.name}` (bound at "
                     f"{write.var.module}:{write.var.lineno}) but {fn.name}() "
                     f"{how_reached}; process-global mutable state breaks "
-                    "fork-safety for repeat_run/sweep workers and the "
+                    "fork-safety for repeat_run/map_specs workers and the "
                     "serving daemon -- make it per-System state",
                 )
 

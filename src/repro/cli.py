@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,7 +32,7 @@ from repro.apps.workloads import FULL_CATALOG, WAIT_POLICIES, AppSpec
 from repro.core import analytical
 from repro.harness import report
 from repro.harness.experiment import BALANCER_MODES, repeat_run, run_app
-from repro.harness.parallel import MACHINE_PRESETS
+from repro.harness.parallel import MACHINE_PRESETS, run_traced
 from repro.sim.backends import backend_names
 from repro.topology import presets
 
@@ -227,14 +228,17 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     if args.stored is not None:
         return _sanitize_stored(args)
 
-    smokes = scenario_smokes()
+    smokes = {
+        name: replace(spec, seed=args.seed, engine=args.engine)
+        for name, spec in scenario_smokes().items()
+    }
     if args.digest is not None:
-        smoke = smokes.get(args.digest)
-        if smoke is None:
+        spec = smokes.get(args.digest)
+        if spec is None:
             print(f"repro: error: unknown scenario {args.digest!r}; "
                   f"expected one of {sorted(smokes)}", file=sys.stderr)
             return 2
-        result, system = smoke.run(seed=args.seed, engine=args.engine)
+        result, system = run_traced(spec)
         print(run_digest(result, system.trace, system.engine))
         return 0
 
@@ -247,7 +251,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
     findings = []
     for name in names:
-        result, system = smokes[name].run(seed=args.seed, engine=args.engine)
+        result, system = run_traced(smokes[name])
         found = sanitize_system(system, result=result, context=name)
         findings.extend(found)
         if not args.json:

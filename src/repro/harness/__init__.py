@@ -5,9 +5,10 @@
   ``dwrr``, ``ule``, ``none``), runs an application (plus optional
   co-runners) and returns an :class:`~repro.metrics.AppRunResult`;
   ``repeat_run`` is the paper's ten-seed repetition.
-* :mod:`repro.harness.parallel` -- process-pool fan-out for batches of
-  independent runs (``repeat_run(workers=N)`` / ``sweep(workers=N)``
-  route through it); results are bit-identical to serial execution.
+* :mod:`repro.harness.parallel` -- :class:`RunSpec`, the one
+  description of a run, and the process-pool fan-out for batches of
+  them (``repeat_run(workers=N)`` and the figure functions route
+  through it); results are bit-identical to serial execution.
 * :mod:`repro.harness.bench` -- perf trajectory tracking behind the
   ``repro bench`` CLI (``BENCH_<label>.json`` baselines).
 * :mod:`repro.harness.scenarios` -- the named configurations behind
@@ -24,23 +25,20 @@ from repro.harness.experiment import (
 from repro.harness.parallel import (
     RunSpec,
     map_specs,
-    register_machine,
     run_spec,
+    run_traced,
 )
-from repro.harness.sweeps import SweepResult, sweep
 from repro.harness import bench, report, scenarios
 
 __all__ = [
     "BALANCER_MODES",
     "RunSpec",
-    "SweepResult",
     "bench",
     "map_specs",
-    "register_machine",
     "repeat_run",
     "report",
     "run_app",
     "run_spec",
+    "run_traced",
     "scenarios",
-    "sweep",
 ]

@@ -32,11 +32,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from repro.apps.multiprogram import CpuHog
 from repro.apps.workloads import AppSpec
 from repro.harness.experiment import run_app
+from repro.harness.parallel import RunSpec, run_app_kwargs
+from repro.harness.scenarios import CorunnerSpec
 from repro.sim.backends import make_engine
-from repro.topology import presets
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -96,16 +96,17 @@ def _engine_throughput(quick: bool, engine: str) -> Callable[[], int]:
     return round
 
 
-def _scenario(spec: AppSpec, balancer: str, cores: int, engine: str,
+def _scenario(app: AppSpec, balancer: str, cores: int, engine: str,
               corunner: bool = False, machine: str = "tigerton",
               trace: bool = False) -> Callable[[], int]:
+    """A round that runs one seed-1 :class:`RunSpec` of ``app`` on the
+    ``machine`` preset; ``corunner`` adds a cpu-hog pinned to core 0."""
+    params = {"corunner_factories": (CorunnerSpec("cpu-hog", core=0),)} if corunner else {}
+    spec = RunSpec.make(machine, app, balancer=balancer, cores=cores, seed=1,
+                        engine=engine, **params)
+
     def round() -> int:
-        corunners = [lambda s: CpuHog(s, core=0)] if corunner else ()
-        _, system = run_app(
-            getattr(presets, machine)(), spec, balancer=balancer, cores=cores,
-            seed=1, corunner_factories=corunners, return_system=True,
-            trace=trace, engine=engine,
-        )
+        _, system = run_app(**run_app_kwargs(spec), return_system=True, trace=trace)
         return system.engine.dispatched
 
     return round

@@ -22,6 +22,7 @@ mode           meaning
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 from repro.apps.spmd import SpmdApp
@@ -60,6 +61,42 @@ def make_kernel_balancer(mode: str, linux_params: Optional[LinuxParams] = None):
     if mode == "none":
         return NoBalancer()
     raise ValueError(f"unknown balancer mode {mode!r}; expected one of {BALANCER_MODES}")
+
+
+def _check_core_subset(
+    cores: Optional[Union[int, Sequence[int]]], n_cores: Optional[int] = None, machine: str = ""
+) -> None:
+    """Raise ``ValueError`` unless ``cores`` -- ``None`` for every core,
+    an int n for cores ``0..n-1`` or a list of ids -- is not empty,
+    repeats no id, holds only non-negative int ids (no bool) and, given
+    ``n_cores``, none past the machine's last core.  Linear in the ids,
+    and an int is never expanded: :class:`~repro.harness.parallel.RunSpec`
+    runs this at construction, so the daemon runs it on every served spec.
+    """
+    if cores is None:
+        return
+    if isinstance(cores, bool):
+        raise ValueError(f"core subset {cores!r} is not a core count")
+    if isinstance(cores, int):
+        last = cores - 1
+    else:
+        for c in cores:
+            if type(c) is not int or c < 0:
+                raise ValueError(f"core id {c!r} in the core subset is not a core number")
+        dups = sorted(c for c, k in Counter(cores).items() if k > 1)
+        if dups:
+            raise ValueError(
+                f"duplicate core ids {dups[:8]} in the core subset; each core may "
+                "appear at most once (duplicates would inflate n_cores in the results)"
+            )
+        last = max(cores, default=-1)
+    if last < 0:
+        raise ValueError("the core subset is empty")
+    if n_cores is not None and last >= n_cores:
+        raise ValueError(
+            f"core {last} of the core subset is outside machine {machine!r} "
+            f"(cores 0..{n_cores - 1})"
+        )
 
 
 def run_app(
@@ -127,29 +164,9 @@ def run_app(
         c.spawn(at=0)
 
     app = app_factory(system)
-    core_list: Optional[list[int]]
-    if cores is None:
-        core_list = None
-    elif isinstance(cores, int):
-        core_list = list(range(cores))
-    else:
-        core_list = sorted(cores)
-        if len(core_list) != len(set(core_list)):
-            dups = sorted({c for c in core_list if core_list.count(c) > 1})
-            raise ValueError(
-                f"duplicate core ids {dups} in core subset {core_list}; "
-                "each core may appear at most once (duplicates would "
-                "silently inflate n_cores in the results)"
-            )
-    if core_list is not None:
-        if not core_list:
-            raise ValueError("the core subset is empty")
-        bad = [c for c in core_list if not 0 <= c < m.n_cores]
-        if bad:
-            raise ValueError(
-                f"core subset {bad} outside machine {m.name!r} "
-                f"(cores 0..{m.n_cores - 1})"
-            )
+    _check_core_subset(cores, m.n_cores, m.name)
+    core_list = None if cores is None else (
+        list(range(cores)) if isinstance(cores, int) else sorted(cores))
 
     if balancer == "speed":
         sb = SpeedBalancer(app, cores=core_list, config=speed_config)

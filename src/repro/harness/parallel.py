@@ -7,7 +7,7 @@ such batches across worker processes while keeping the results
 *bit-identical* to a serial execution:
 
 * every job is described by a picklable :class:`RunSpec` (machine
-  preset name or registered factory, app spec, balancer mode, core
+  preset name or module-level factory, app spec, balancer mode, core
   subset, seed, extra ``run_app`` keyword parameters);
 * each worker builds its own :class:`~repro.system.System` from the
   spec and returns the :class:`~repro.metrics.results.AppRunResult`;
@@ -15,13 +15,18 @@ such batches across worker processes while keeping the results
   of completion order, so aggregation downstream sees the exact
   sequence a serial loop would have produced.
 
+:func:`run_traced` runs one spec in this process under full tracing
+and hands back its :class:`~repro.system.System` as well -- the path
+of ``repro sanitize``, the differential checker and traced store
+entries.
+
 Pickling rules
 --------------
 ``ProcessPoolExecutor`` ships jobs to workers with :mod:`pickle`:
 
 * machine: pass a **preset name** (``"tigerton"``, ``"barcelona"``,
-  ``"nehalem"`` or anything added via :func:`register_machine`) or a
-  module-level factory function.  Closures and lambdas do not pickle.
+  ``"nehalem"``) or a module-level factory function.  Closures and
+  lambdas do not pickle.
 * app: pass an :class:`~repro.apps.workloads.AppSpec` (preferred) or a
   module-level ``system -> app`` factory function.
 * extra params (``cfs_params``, ``speed_config`` ...): plain
@@ -31,23 +36,21 @@ Pickling rules
 :func:`map_specs` pre-checks every spec and raises a descriptive
 ``ValueError`` naming the offending field before any process is
 spawned.
-
-Registered factories added at runtime (not importable from a module)
-are only visible to workers on platforms whose process start method is
-``fork`` (Linux); prefer module-level factories for portability.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
-from repro.harness.experiment import run_app
+from repro.harness.experiment import BALANCER_MODES, _check_core_subset, run_app
 from repro.metrics.results import AppRunResult
 from repro.sim.backends import backend_names
+from repro.system import System
 from repro.topology import presets
 from repro.topology.machine import Machine
 
@@ -56,11 +59,10 @@ __all__ = [
     "RunSpec",
     "SpecTimeoutError",
     "map_specs",
-    "register_machine",
     "resolve_machine",
     "run_app_kwargs",
     "run_spec",
-    "starmap_kwargs",
+    "run_traced",
 ]
 
 
@@ -81,14 +83,8 @@ MACHINE_PRESETS: dict[str, Callable[[], Machine]] = {
     "nehalem": presets.nehalem,
 }
 
-
-def register_machine(name: str, factory: Callable[[], Machine]) -> None:
-    """Make ``factory`` resolvable as ``RunSpec(machine=name)``."""
-    if not callable(factory):
-        raise ValueError(f"machine factory for {name!r} is not callable")
-    # registration must happen before any workers fork (module import
-    # time in practice); the registry is read-only on the worker path
-    MACHINE_PRESETS[name] = factory  # sim-lint: ignore[FLOW004]
+#: each preset's core count: a spec's cores are checked without building its machine
+_PRESET_N_CORES = {name: make().n_cores for name, make in MACHINE_PRESETS.items()}
 
 
 def resolve_machine(
@@ -101,7 +97,7 @@ def resolve_machine(
         except KeyError:
             raise ValueError(
                 f"unknown machine preset {machine!r}; expected one of "
-                f"{sorted(MACHINE_PRESETS)} (see register_machine)"
+                f"{sorted(MACHINE_PRESETS)}"
             ) from None
     return machine
 
@@ -131,12 +127,23 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         # fail at construction, not after a worker's retries: a served
-        # job naming an unregistered engine must be refused at admission
+        # job naming an unregistered engine, an unknown machine preset
+        # or balancer, or a core subset its machine lacks must be
+        # refused at admission
         if self.engine not in backend_names():
             raise ValueError(
                 f"unknown engine backend {self.engine!r}; expected one of "
                 f"{backend_names()}"
             )
+        if self.balancer not in BALANCER_MODES:
+            raise ValueError(
+                f"unknown balancer mode {self.balancer!r}; expected one of "
+                f"{BALANCER_MODES}"
+            )
+        preset = self.machine if isinstance(self.machine, str) else ""
+        if preset:
+            resolve_machine(preset)  # an unknown preset name raises
+        _check_core_subset(self.cores, _PRESET_N_CORES.get(preset), preset)
 
     @classmethod
     def make(
@@ -182,6 +189,20 @@ def run_spec(spec: RunSpec) -> AppRunResult:
     return run_app(**run_app_kwargs(spec))
 
 
+def run_traced(
+    spec: RunSpec, instrument: Optional[Callable[[System], None]] = None
+) -> tuple[AppRunResult, System]:
+    """Execute one spec in this process under full tracing.
+
+    Returns ``(result, system)``; the recorded history is
+    ``system.trace``.  ``instrument`` (``system -> None``) is passed to
+    ``run_app`` when given; a spec may carry its own in its params
+    instead, but not both.
+    """
+    hook = {} if instrument is None else {"instrument": instrument}
+    return run_app(**run_app_kwargs(spec), **hook, trace=True, return_system=True)
+
+
 def _require_picklable(obj: Any, what: str) -> None:
     try:
         pickle.dumps(obj)
@@ -194,80 +215,74 @@ def _require_picklable(obj: Any, what: str) -> None:
 
 
 def _fan_out(
-    submit_args: Sequence[tuple],
-    fn: Callable,
+    specs: Sequence[RunSpec],
     workers: int,
     return_exceptions: bool = False,
     timeout_s: Optional[float] = None,
 ) -> list:
-    """Run ``fn(*args)`` for each args tuple; results in submission order.
+    """Run every spec in worker processes; results in submission order.
 
     With ``return_exceptions`` a failed job yields its exception object
     in place of a result instead of aborting the whole batch -- the
     hook :class:`repro.service.JobService` uses to retry individual
     worker crashes without losing the rest of a fan-out.
 
-    With ``timeout_s`` each job gets that many wall seconds, measured
-    from the moment the collector reaches its future (jobs running
-    concurrently ahead of their turn only gain time, never lose it).
-    A job past its deadline yields :class:`SpecTimeoutError`; the job
-    that was mid-run cannot be interrupted cooperatively, so on any
-    timeout the pool is shut down without waiting and its worker
-    processes are killed -- safe because workers only *return* results
-    (the parent does all store writes), so no shared state can be left
-    half-written.
+    With ``timeout_s`` each job gets that many wall seconds, counted
+    from when the collector reaches its future: every earlier job has
+    finished by then, so the job is running (and may gain the time it
+    ran before).  A job past its deadline yields
+    :class:`SpecTimeoutError`.  A running job cannot be interrupted
+    cooperatively, so a timeout kills the pool's worker processes --
+    safe because workers only *return* results (the parent does all
+    store writes).  The jobs unfinished by then go to a fresh pool with
+    fresh deadlines: a hung job never uses up the time of the jobs
+    queued behind it.
     """
-    pool = ProcessPoolExecutor(max_workers=workers)
-    timed_out = False
-    try:
-        futures = [pool.submit(fn, *args) for args in submit_args]
-        out: list = []
-        for i, f in enumerate(futures):
-            try:
-                out.append(f.result(timeout=timeout_s))
-            except FuturesTimeoutError:
-                f.cancel()
-                timed_out = True
-                exc: Exception = SpecTimeoutError(
-                    f"job #{i} timeout: exceeded the {timeout_s:g}s "
-                    "wall-clock budget"
-                )
-                if not return_exceptions:
-                    raise exc from None
-                out.append(exc)
-            except Exception as exc:  # noqa: BLE001 - reported per job
-                if not return_exceptions:
-                    raise
-                out.append(exc)
-        return out
-    finally:
-        if timed_out:
-            # a timed-out job is still running in its worker; joining
-            # (or even interpreter exit) would block on it, so kill the
-            # workers outright -- they hold no shared state.  Snapshot
-            # the process table first: shutdown() clears it.
-            procs = list((getattr(pool, "_processes", None) or {}).values())
-            pool.shutdown(wait=False, cancel_futures=True)
-            for proc in procs:
-                proc.kill()
-        else:
-            pool.shutdown(wait=True)
-
-
-def _normalize_workers(workers: Optional[int]) -> int:
-    if workers is None:
-        import os
-
-        return max(1, os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1 (got {workers})")
-    return workers
+    out: list = [None] * len(specs)
+    pending = list(range(len(specs)))
+    while pending:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        futures = [(i, pool.submit(run_spec, specs[i])) for i in pending]
+        pending = []
+        timed_out = False
+        try:
+            for i, f in futures:
+                if timed_out and not f.done():
+                    pending.append(i)  # rerun in the next pool
+                    continue
+                try:
+                    out[i] = f.result(timeout=timeout_s)
+                except FuturesTimeoutError:
+                    timed_out = True
+                    exc: Exception = SpecTimeoutError(
+                        f"job #{i} timeout: exceeded the {timeout_s:g}s "
+                        "wall-clock budget"
+                    )
+                    if not return_exceptions:
+                        raise exc from None
+                    out[i] = exc
+                except Exception as exc:  # noqa: BLE001 - reported per job
+                    if not return_exceptions:
+                        raise
+                    out[i] = exc
+        finally:
+            if timed_out:
+                # a timed-out job is still running in its worker; joining
+                # (or even interpreter exit) would block on it, so kill
+                # the workers outright -- they hold no shared state.
+                # Snapshot the process table first: shutdown() clears it.
+                procs = list((getattr(pool, "_processes", None) or {}).values())
+                pool.shutdown(wait=False, cancel_futures=True)
+                for proc in procs:
+                    proc.kill()
+            else:
+                pool.shutdown(wait=True)
+    return out
 
 
 def map_specs(
     specs: Iterable[RunSpec],
     workers: Optional[int] = 1,
-    progress: Optional[Callable[[RunSpec, AppRunResult], None]] = None,
     return_exceptions: bool = False,
     timeout_s: Optional[float] = None,
 ) -> list[AppRunResult]:
@@ -275,73 +290,40 @@ def map_specs(
 
     ``workers=1`` (default) runs serially in-process -- the exact same
     code path a direct ``run_app`` loop takes.  ``workers=None`` uses
-    one worker per CPU.  With workers, ``progress`` is still invoked in
-    deterministic input order, after all results are in.
+    one worker per CPU.
 
     With ``return_exceptions`` a failed spec contributes its exception
     object (including :class:`concurrent.futures.process
     .BrokenProcessPool` for a crashed worker) instead of raising, so a
-    caller can retry just the failed subset; ``progress`` is skipped
-    for failed specs.
+    caller can retry just the failed subset.
 
     ``timeout_s`` bounds each spec's wall-clock time; a spec past it
-    contributes (or raises) :class:`SpecTimeoutError`.  Enforcing a
+    contributes (or raises) :class:`SpecTimeoutError`, and the specs
+    behind it still run, each with its own full budget.  Enforcing a
     deadline requires the process-pool path -- in-process execution
     cannot be interrupted -- so ``timeout_s`` forces the fan-out even
     for ``workers=1`` / single-spec batches (results stay
     byte-identical; the parity tests cover the pool path).
     """
     specs = list(specs)
-    workers = _normalize_workers(workers)
+    if workers is None:
+        workers = os.cpu_count() or 1
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1 (got {workers})")
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError(f"timeout_s must be > 0 (got {timeout_s})")
     if timeout_s is None and (workers == 1 or len(specs) <= 1):
         results = []
         for spec in specs:
             try:
-                result = run_spec(spec)
+                results.append(run_spec(spec))
             except Exception as exc:  # noqa: BLE001 - reported per job
                 if not return_exceptions:
                     raise
                 results.append(exc)
-                continue
-            results.append(result)
-            if progress is not None:
-                progress(spec, result)
         return results
     for i, spec in enumerate(specs):
         _require_picklable(spec, f"RunSpec #{i} ({spec.balancer}, seed={spec.seed})")
-    results = _fan_out(
-        [(spec,) for spec in specs], run_spec, workers,
-        return_exceptions=return_exceptions, timeout_s=timeout_s,
+    return _fan_out(
+        specs, workers, return_exceptions=return_exceptions, timeout_s=timeout_s
     )
-    if progress is not None:
-        for spec, result in zip(specs, results):
-            if not isinstance(result, Exception):
-                progress(spec, result)
-    return results
-
-
-def _apply_kwargs(fn: Callable, kwargs: dict) -> Any:
-    return fn(**kwargs)
-
-
-def starmap_kwargs(
-    fn: Callable[..., Any],
-    kwargs_list: Sequence[dict],
-    workers: Optional[int] = 1,
-) -> list:
-    """``[fn(**kw) for kw in kwargs_list]`` across worker processes.
-
-    The generic fan-out behind ``sweep(workers=N)``: outcomes come back
-    in input order, so grid assembly is independent of completion
-    order.  ``fn``, every kwargs dict and every outcome must pickle.
-    """
-    kwargs_list = list(kwargs_list)
-    workers = _normalize_workers(workers)
-    if workers == 1 or len(kwargs_list) <= 1:
-        return [fn(**kw) for kw in kwargs_list]
-    _require_picklable(fn, f"runner {getattr(fn, '__name__', fn)!r}")
-    for i, kw in enumerate(kwargs_list):
-        _require_picklable(kw, f"parameter assignment #{i} ({kw})")
-    return _fan_out([(fn, kw) for kw in kwargs_list], _apply_kwargs, workers)

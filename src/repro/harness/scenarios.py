@@ -15,20 +15,19 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from repro.apps.multiprogram import CpuHog, MakeWorkload
 from repro.apps.workloads import AppSpec
 from repro.core.speed_balancer import SpeedBalancerConfig
-from repro.harness.experiment import repeat_cells, run_app
-from repro.harness.parallel import RunSpec, run_app_kwargs
+from repro.harness.experiment import repeat_cells
+from repro.harness.parallel import RunSpec
 from repro.metrics.results import RepeatedResult
 from repro.sim.backends import backend_available
 
 __all__ = [
     "CorunnerSpec",
-    "ScenarioSmoke",
     "ep_speedup_series",
     "balance_interval_sweep",
     "npb_improvement",
@@ -241,141 +240,55 @@ def make_share_series(
 # ----------------------------------------------------------------------
 # smoke registry: one scaled-down run per scenario family
 # ----------------------------------------------------------------------
-#: co-runner factories addressable by name from a :class:`ScenarioSmoke`
-_CORUNNERS: dict[str, Callable] = {
-    "cpu-hog": CorunnerSpec("cpu-hog", core=0),
-    "make-j": CorunnerSpec("make-j", j=4, jobs=8),
-}
-
-
-@dataclass(frozen=True)
-class ScenarioSmoke:
-    """A scaled-down, single-run representative of one scenario family.
-
-    Every scenario function in this module expands into a grid of
-    seeded runs -- far too much simulation to re-run under
-    full tracing on every CI push.  A ``ScenarioSmoke`` samples one
-    representative configuration from the family at reduced compute
-    demand, as a declarative record the schedule sanitizer
-    (``repro sanitize``) and the differential determinism checker can
-    execute by name, in this process or a fresh subprocess.
-
-    Everything in a smoke is plain data (machine preset name,
-    :class:`~repro.apps.workloads.AppSpec`, co-runner *names* resolved
-    through ``_CORUNNERS``), so a smoke without co-runners can also be
-    fanned out through :mod:`repro.harness.parallel` workers -- the
-    serial-vs-parallel leg of the differential checker relies on that.
-    """
-
-    name: str
-    scenario: str  #: the scenario function this samples (documentation)
-    machine: str
-    app: AppSpec
-    balancer: str = "speed"
-    cores: Optional[int] = None
-    corunners: tuple[str, ...] = ()
-    speed_config: Optional[SpeedBalancerConfig] = field(default=None)
-
-    def run(self, seed: int = 0, instrument=None, engine: str = "heap"):
-        """Execute the smoke under full tracing; (result, system)."""
-        return run_app(
-            **run_app_kwargs(self.spec(seed, engine)),
-            trace=True,
-            return_system=True,
-            instrument=instrument,
-        )
-
-    def spec(self, seed: int = 0, engine: str = "heap"):
-        """The same configuration as a storable, digestable ``RunSpec``.
-
-        :meth:`run` executes exactly this spec, so
-        ``repro.store.spec_digest(smoke.spec())`` keys the run :meth:`run`
-        performs -- the parity tests lean on this to assert cached
-        results equal fresh ones per family.
-        """
-        kwargs: dict = {}
-        if self.corunners:
-            kwargs["corunner_factories"] = tuple(
-                _CORUNNERS[c] for c in self.corunners
-            )
-        if self.speed_config is not None:
-            kwargs["speed_config"] = self.speed_config
-        return RunSpec.make(
-            self.machine,
-            self.app,
-            balancer=self.balancer,
-            cores=self.cores,
-            seed=seed,
-            engine=engine,
-            **kwargs,
-        )
-
-
-def scenario_smokes() -> dict[str, ScenarioSmoke]:
+def scenario_smokes() -> dict[str, RunSpec]:
     """The smoke suite: every scenario family above, sampled once.
 
-    Returned fresh per call (configs are mutable dataclasses); keys are
-    stable names usable from the CLI and from subprocess digest runs.
+    Every figure function expands into a grid of seeded runs -- far too
+    much simulation to re-run under full tracing on every CI push.  A
+    smoke is one representative configuration of a family at reduced
+    compute demand, as a seed-0 heap :class:`RunSpec` that the schedule
+    sanitizer (``repro sanitize``), the differential determinism
+    checker and the golden digests run by name; another seed or engine
+    is a :func:`dataclasses.replace` away.  Keys are stable names
+    usable from the CLI and from subprocess digest runs.
     """
-    smokes = [
-        ScenarioSmoke(
-            name="ep-speedup",
-            scenario="ep_speedup_series",
-            machine="tigerton",
-            app=AppSpec(bench="ep.C", n_threads=8, total_compute_us=400_000),
-            balancer="speed",
-            cores=6,
+    return {
+        # ep_speedup_series
+        "ep-speedup": RunSpec.make(
+            "tigerton", AppSpec(bench="ep.C", n_threads=8, total_compute_us=400_000),
+            balancer="speed", cores=6,
         ),
-        ScenarioSmoke(
-            name="balance-interval",
-            scenario="balance_interval_sweep",
-            machine="tigerton",
-            app=AppSpec(n_threads=3, total_compute_us=300_000, barrier_period_us=3_400),
-            balancer="speed",
-            cores=2,
+        # balance_interval_sweep
+        "balance-interval": RunSpec.make(
+            "tigerton",
+            AppSpec(n_threads=3, total_compute_us=300_000, barrier_period_us=3_400),
+            balancer="speed", cores=2,
             speed_config=SpeedBalancerConfig(interval_us=50_000),
         ),
-        ScenarioSmoke(
-            name="npb-speed",
-            scenario="npb_improvement",
-            machine="tigerton",
-            app=AppSpec(bench="bt.A", n_threads=8, total_compute_us=200_000),
-            balancer="speed",
-            cores=6,
+        # npb_improvement, under SPEED, LOAD and on a NUMA machine
+        "npb-speed": RunSpec.make(
+            "tigerton", AppSpec(bench="bt.A", n_threads=8, total_compute_us=200_000),
+            balancer="speed", cores=6,
         ),
-        ScenarioSmoke(
-            name="npb-load",
-            scenario="npb_improvement",
-            machine="tigerton",
-            app=AppSpec(bench="cg.B", n_threads=8, total_compute_us=150_000),
-            balancer="load",
-            cores=6,
+        "npb-load": RunSpec.make(
+            "tigerton", AppSpec(bench="cg.B", n_threads=8, total_compute_us=150_000),
+            balancer="load", cores=6,
         ),
-        ScenarioSmoke(
-            name="npb-numa",
-            scenario="npb_improvement",
-            machine="barcelona",
-            app=AppSpec(bench="sp.A", n_threads=10, total_compute_us=150_000),
-            balancer="speed",
-            cores=8,
+        "npb-numa": RunSpec.make(
+            "barcelona", AppSpec(bench="sp.A", n_threads=10, total_compute_us=150_000),
+            balancer="speed", cores=8,
         ),
-        ScenarioSmoke(
-            name="cpu-hog",
-            scenario="cpu_hog_series",
-            machine="tigerton",
-            app=AppSpec(bench="ep.C", n_threads=6, wait="sleep", total_compute_us=300_000),
-            balancer="speed",
-            cores=4,
-            corunners=("cpu-hog",),
+        # cpu_hog_series
+        "cpu-hog": RunSpec.make(
+            "tigerton",
+            AppSpec(bench="ep.C", n_threads=6, wait="sleep", total_compute_us=300_000),
+            balancer="speed", cores=4,
+            corunner_factories=(CorunnerSpec("cpu-hog", core=0),),
         ),
-        ScenarioSmoke(
-            name="make-share",
-            scenario="make_share_series",
-            machine="tigerton",
-            app=AppSpec(bench="sp.A", n_threads=6, total_compute_us=150_000),
-            balancer="speed",
-            cores=8,
-            corunners=("make-j",),
+        # make_share_series
+        "make-share": RunSpec.make(
+            "tigerton", AppSpec(bench="sp.A", n_threads=6, total_compute_us=150_000),
+            balancer="speed", cores=8,
+            corunner_factories=(CorunnerSpec("make-j", j=4, jobs=8),),
         ),
-    ]
-    return {s.name: s for s in smokes}
+    }

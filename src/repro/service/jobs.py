@@ -36,8 +36,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from repro.harness.experiment import run_app
-from repro.harness.parallel import RunSpec, map_specs, run_app_kwargs
+from repro.harness.parallel import RunSpec, map_specs, run_traced
 from repro.metrics.results import AppRunResult
 from repro.store import ResultStore, spec_digest
 
@@ -69,10 +68,12 @@ class JobStatus:
 
 
 def _run_spec_traced(spec: RunSpec) -> tuple[AppRunResult, object]:
-    """Execute one spec in-process under full tracing; (result, trace)."""
-    result, system = run_app(
-        **run_app_kwargs(spec), trace=True, return_system=True
-    )
+    """Execute one spec in-process under full tracing; (result, trace).
+
+    The run's System is dropped on return, so a traced batch holds one
+    System at a time.
+    """
+    result, system = run_traced(spec)
     return result, system.trace
 
 

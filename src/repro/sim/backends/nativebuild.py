@@ -123,9 +123,9 @@ def _source_digest() -> str:
 def _compile(cc: str, out_path: Path) -> None:
     include_dir = sysconfig.get_paths()["include"]
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    # build to a temp name and os.replace so concurrent processes (the
-    # sweep worker pool) race benignly: last writer wins, every reader
-    # sees a complete artifact
+    # build to a temp name and os.replace so concurrent processes (a
+    # map_specs worker pool) race benignly: last writer wins, every
+    # reader sees a complete artifact
     fd, tmp_name = tempfile.mkstemp(
         suffix=".so", prefix=out_path.stem + ".", dir=str(out_path.parent)
     )

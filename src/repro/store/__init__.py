@@ -6,16 +6,16 @@ perfectly cacheable: every cell is a deterministic function of its
 configuration.  This package provides the persistence layer --
 
 * :mod:`repro.store.keys` turns a configuration
-  (:class:`~repro.harness.parallel.RunSpec`, sweep cell) into a
-  canonical SHA-256 digest;
+  (:class:`~repro.harness.parallel.RunSpec`) into a canonical SHA-256
+  digest;
 * :mod:`repro.store.store` files results (and optional gzipped traces)
   under those digests on disk, with integrity verified on every read,
   plus ``gc`` / ``verify`` / ``stats`` maintenance.
 
 The job layer on top (:mod:`repro.service`) dedupes submissions
 against this store so identical configurations simulate exactly once;
-``repeat_run(store=...)`` / ``sweep(store=...)`` and the ``repro
-submit`` CLI ride on both.  See docs/store.md.
+``repeat_run(store=...)``, the figure functions' ``store=`` and the
+``repro submit`` CLI ride on both.  See docs/store.md.
 """
 
 from repro.store.keys import (
@@ -26,7 +26,6 @@ from repro.store.keys import (
     function_ref,
     spec_digest,
     spec_key,
-    sweep_cell_key,
 )
 from repro.store.store import (
     DEFAULT_ROOT,
@@ -55,5 +54,4 @@ __all__ = [
     "function_ref",
     "spec_digest",
     "spec_key",
-    "sweep_cell_key",
 ]

@@ -7,9 +7,8 @@ without comparing anything but a hex string.  That only works if equal
 configurations serialize to equal bytes; this module defines that
 canonical form.
 
-A configuration -- a :class:`~repro.harness.parallel.RunSpec`, or a
-sweep cell ``(runner, assignment)`` -- is reduced to a *canonical
-value*: a JSON tree built from ``None``/``bool``/``int``/``float``/
+A configuration -- a :class:`~repro.harness.parallel.RunSpec` -- is
+reduced to a *canonical value*: a JSON tree built from ``None``/``bool``/``int``/``float``/
 ``str``, lists, and string-keyed objects, with the non-JSON leaves the
 harness actually uses encoded explicitly:
 
@@ -58,15 +57,13 @@ __all__ = [
     "resolve_ref",
     "spec_digest",
     "spec_key",
-    "sweep_cell_key",
 ]
 
 
 class UnstorableSpecError(ValueError):
     """A configuration has no canonical byte form.
 
-    Raised before any simulation runs when a spec (or sweep cell)
-    contains a value the store cannot key stably -- a lambda, a
+    Raised before any simulation runs when a spec contains a value the store cannot key stably -- a lambda, a
     closure, an interactively created object.  The fix is always the
     same one :mod:`repro.harness.parallel` already asks for: machine
     preset *names*, :class:`~repro.apps.workloads.AppSpec` instances,
@@ -225,19 +222,3 @@ def spec_digest(spec: RunSpec) -> str:
     equal to ``digest_of(spec_key(spec))``."""
     return hashlib.sha256(canonical_json(spec_key(spec)).encode()).hexdigest()
 
-
-def sweep_cell_key(runner: Any, assignment: dict) -> dict:
-    """The canonical key object of one sweep grid cell.
-
-    Keyed by the runner's code identity plus the full parameter
-    assignment, so one store serves many distinct sweeps without
-    collisions.
-    """
-    return {
-        "kind": "sweep-cell",
-        "runner": function_ref(runner),
-        "assignment": {
-            str(name): canonical_value(value)
-            for name, value in assignment.items()
-        },
-    }

@@ -12,8 +12,9 @@ Layout (under the store root, ``.repro-store/`` by default)::
 
 Every entry is keyed by the SHA-256 digest of the canonical form of
 the configuration that produced it (:mod:`repro.store.keys`), so a
-re-run of the same :class:`~repro.harness.parallel.RunSpec` or sweep
-cell resolves to the same object without executing anything.
+re-run of the same :class:`~repro.harness.parallel.RunSpec` resolves
+to the same object without executing anything.  A plain key object
+(any canonical dict) files a *value* entry the same way.
 
 Integrity
 ---------
@@ -26,8 +27,8 @@ result digest (the PR 3
 and, for traces, the SHA-256 of the decompressed bytes -- and raises
 :class:`StoreIntegrityError` on any mismatch.  A flipped bit on disk
 is therefore *detected*, never silently served; callers that
-recompute a miss (:class:`repro.service.JobService`, the serve workers,
-``sweep(store=...)``) read through :meth:`ResultStore.lookup`, which
+recompute a miss (:class:`repro.service.JobService`, the serve
+workers) read through :meth:`ResultStore.lookup`, which
 deletes the corrupt entry and reports a miss.
 
 Index log
@@ -475,7 +476,7 @@ class ResultStore:
         content digest; returns the digest.
 
         ``spec`` is a :class:`RunSpec` or an already-canonical key
-        object (e.g. :func:`~repro.store.keys.sweep_cell_key`).
+        object (a dict such as ``{"kind": "cell", "n": 3}``).
         ``outcome`` is an :class:`AppRunResult` / :class:`RepeatedResult`
         (stored with its PR 3 result digest) or any canonicalizable
         plain value.  Writing the same digest twice is a no-op (the

@@ -220,14 +220,17 @@ class TestScenarioDigestParity:
 
     @pytest.mark.parametrize("engine", backend_names())
     def test_run_digests_match_goldens(self, engine):
+        from dataclasses import replace
+
+        from repro.harness.parallel import run_traced
         from repro.harness.scenarios import scenario_smokes
         from repro.sim.backends import backend_available
 
         if not backend_available(engine):
             pytest.skip(f"{engine!r} backend unavailable (no C toolchain)")
         drifted = {}
-        for name, smoke in scenario_smokes().items():
-            result, system = smoke.run(engine=engine)
+        for name, spec in scenario_smokes().items():
+            result, system = run_traced(replace(spec, engine=engine))
             digest = run_digest(result, system.trace, system.engine)
             if digest != GOLDEN_RUN_DIGESTS[name]:
                 drifted[name] = digest

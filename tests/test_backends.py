@@ -10,6 +10,7 @@ that drives both backends through identical schedule/cancel churn and
 compares every observable, and the failure paths of the compiled loop.
 """
 
+import dataclasses
 import gc
 import random
 import sys
@@ -393,11 +394,12 @@ class TestNativeBackend:
 
     @needs_native
     def test_fused_path_is_exercised(self):
+        from repro.harness.parallel import run_traced
         from repro.harness.scenarios import scenario_smokes
         from repro.sim.backends.nativebuild import native_stats
 
         before = native_stats()
-        scenario_smokes()["ep-speedup"].run(engine="native")
+        run_traced(dataclasses.replace(scenario_smokes()["ep-speedup"], engine="native"))
         after = native_stats()
         fused = after["fused"] - before["fused"]
         generic = after["generic"] - before["generic"]
@@ -510,6 +512,7 @@ class TestNativeFailurePaths:
 
     @needs_native
     def test_exception_inside_core_dispatch_leaves_heap_state(self):
+        from repro.harness.parallel import run_traced
         from repro.harness.scenarios import scenario_smokes
 
         smoke = scenario_smokes()["npb-numa"]
@@ -528,7 +531,8 @@ class TestNativeFailurePaths:
                 systems.append(system)
 
             with pytest.raises(RuntimeError, match="charge observer exploded"):
-                smoke.run(engine=engine, instrument=instrument)
+                run_traced(dataclasses.replace(smoke, engine=engine),
+                           instrument=instrument)
             system = systems[0]
             eng = system.engine
 
@@ -550,13 +554,14 @@ class TestNativeFailurePaths:
 
     @needs_native
     def test_repeated_native_runs_keep_allocated_blocks_flat(self):
+        from repro.harness.parallel import run_traced
         from repro.harness.scenarios import scenario_smokes
 
         smokes = scenario_smokes()
 
         def run_once():
             for name in ("npb-numa", "cpu-hog"):
-                smokes[name].run(engine="native")
+                run_traced(dataclasses.replace(smokes[name], engine="native"))
             gc.collect()
 
         for _ in range(3):  # warm-up: caches, interned names, free lists

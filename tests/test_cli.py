@@ -268,12 +268,17 @@ class TestJobVerbs:
         assert "expected a fully cached batch" in capsys.readouterr().err
 
     def test_failed_job_exits_1_naming_it(self, target, capsys):
-        # cores 16..19 do not exist on tigerton: the run itself fails
-        argv = [*self.SUBMIT, *target, "--cores", "20"]
+        # a zero-thread app makes a spec, but the run itself fails
+        argv = [*self.SUBMIT, *target, "--threads", "0"]
         assert main(argv) == 1
         (spec,) = _submit_specs(build_parser().parse_args(argv))
         err = capsys.readouterr().err
         assert "repro submit:" in err and spec_digest(spec)[:12] in err
+
+    def test_core_subset_outside_machine_refused_before_submitting(self, target, capsys):
+        # cores 16..19 do not exist on tigerton: the spec is refused
+        assert main([*self.SUBMIT, *target, "--cores", "20"]) == 2
+        assert "outside machine 'tigerton'" in capsys.readouterr().err
 
     def test_submit_json(self, target):
         rc, out = run_cli([*self.SUBMIT, *target, "--json"])

@@ -136,6 +136,11 @@ class TestCoreSubsetValidation:
                 cores=[0, 99],
             )
 
+    @pytest.mark.parametrize("cores", [[0, "1"], [[0]], [True, 2], True])
+    def test_non_int_ids_rejected(self, cores):
+        with pytest.raises(ValueError, match="not a core"):
+            run_app(presets.uniform(4), ep_factory, balancer="pinned", cores=cores)
+
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             run_app(presets.uniform(4), ep_factory, balancer="pinned", cores=[])

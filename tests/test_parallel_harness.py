@@ -13,18 +13,17 @@ import pickle
 
 import pytest
 
+from repro.analysis.sanitizer import run_digest
 from repro.apps.workloads import AppSpec, ep_app
 from repro.harness.experiment import repeat_run, run_app
 from repro.harness.parallel import (
     MACHINE_PRESETS,
     RunSpec,
+    SpecTimeoutError,
     map_specs,
-    register_machine,
     resolve_machine,
     run_spec,
-    starmap_kwargs,
 )
-from repro.harness.sweeps import sweep
 from repro.topology import presets
 
 #: small-but-real workload: 6 threads on 4 cores, 0.1 simulated seconds
@@ -39,12 +38,6 @@ def ep_factory(system):
 def canonical(result) -> str:
     """Byte-exact form of an AppRunResult."""
     return json.dumps(result.as_dict(), sort_keys=True)
-
-
-def grid_runner(cores, balancer):
-    return run_app(
-        presets.uniform(8), ep_factory, balancer=balancer, cores=cores, seed=0
-    ).elapsed_us
 
 
 class TestAppSpec:
@@ -89,14 +82,6 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="unknown machine preset"):
             resolve_machine("cray1")
 
-    def test_register_machine(self):
-        register_machine("uniform8", uniform8_machine)
-        try:
-            res = run_spec(RunSpec.make("uniform8", SPEC, balancer="pinned", cores=4))
-            assert res.elapsed_us > 0
-        finally:
-            del MACHINE_PRESETS["uniform8"]
-
     def test_run_spec_matches_run_app(self):
         spec = RunSpec.make("barcelona", SPEC, balancer="load", cores=4, seed=5)
         direct = run_app(presets.barcelona, SPEC, balancer="load", cores=4, seed=5)
@@ -107,32 +92,19 @@ class TestRunSpec:
         assert pickle.loads(pickle.dumps(spec)) == spec
 
 
-def uniform8_machine():
-    return presets.uniform(8)
-
-
 class TestMapSpecs:
     def specs(self, n=3):
         return [RunSpec.make("tigerton", SPEC, balancer="speed", cores=4, seed=s)
                 for s in range(n)]
 
-    def test_serial_order_and_progress(self):
-        seen = []
-        results = map_specs(self.specs(), workers=1,
-                            progress=lambda s, r: seen.append(s.seed))
+    def test_serial_order(self):
+        results = map_specs(self.specs(), workers=1)
         assert [r.seed for r in results] == [0, 1, 2]
-        assert seen == [0, 1, 2]
 
     def test_parallel_identical_to_serial(self):
         serial = map_specs(self.specs(), workers=1)
         parallel = map_specs(self.specs(), workers=2)
         assert [canonical(r) for r in serial] == [canonical(r) for r in parallel]
-
-    def test_parallel_progress_in_input_order(self):
-        seen = []
-        map_specs(self.specs(), workers=2,
-                  progress=lambda s, r: seen.append(s.seed))
-        assert seen == [0, 1, 2]
 
     def test_unpicklable_spec_rejected_clearly(self):
         bad = [RunSpec.make("tigerton", lambda s: ep_factory(s), seed=0),
@@ -143,6 +115,21 @@ class TestMapSpecs:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             map_specs(self.specs(), workers=0)
+
+    def test_timeout_spares_the_jobs_queued_behind(self):
+        """A hung job times out alone: the jobs waiting behind it in a
+        full pool get a fresh pool and their own deadlines."""
+        hung = RunSpec.make(
+            "tigerton",
+            AppSpec(bench="cg.B", n_threads=16, total_compute_us=400_000_000),
+            cores=12,
+        )
+        fast = self.specs(2)
+        out = map_specs([hung, *fast], workers=1, timeout_s=3,
+                        return_exceptions=True)
+        assert isinstance(out[0], SpecTimeoutError)
+        assert [run_digest(r) for r in out[1:]] == \
+               [run_digest(run_spec(s)) for s in fast]
 
 
 class TestRepeatRunEquivalence:
@@ -175,30 +162,3 @@ class TestRepeatRunEquivalence:
         assert [canonical(r) for r in serial.runs] == \
                [canonical(r) for r in parallel.runs]
 
-
-class TestSweepEquivalence:
-    GRID = {"cores": [2, 4], "balancer": ["speed", "pinned"]}
-
-    def test_parallel_sweep_identical_to_serial(self):
-        serial = sweep(self.GRID, grid_runner, workers=1)
-        parallel = sweep(self.GRID, grid_runner, workers=2)
-        assert serial.param_names == parallel.param_names
-        assert list(serial.points) == list(parallel.points)  # grid order too
-        assert serial.points == parallel.points
-
-    def test_parallel_progress_in_grid_order(self):
-        serial_seen, parallel_seen = [], []
-        sweep(self.GRID, grid_runner, workers=1,
-              progress=lambda a, o: serial_seen.append((a["cores"], a["balancer"], o)))
-        sweep(self.GRID, grid_runner, workers=2,
-              progress=lambda a, o: parallel_seen.append((a["cores"], a["balancer"], o)))
-        assert serial_seen == parallel_seen
-
-    def test_unpicklable_runner_rejected_clearly(self):
-        with pytest.raises(ValueError, match="does not pickle"):
-            sweep({"x": [1, 2]}, lambda x: x, workers=2)
-
-    def test_starmap_kwargs_serial_path(self):
-        assert starmap_kwargs(grid_runner,
-                              [{"cores": 2, "balancer": "pinned"}],
-                              workers=1)[0] > 0

@@ -36,6 +36,7 @@ from repro.analysis.sanitizer import (
     sanitize_system,
     trace_digest,
 )
+from repro.harness.parallel import run_traced
 from repro.harness.scenarios import scenario_smokes
 from repro.metrics.trace import TraceRecorder, _MigrationsView, _SegmentsView
 from tests.test_export_roundtrip import recorders
@@ -405,7 +406,7 @@ class TestSanitizeStored:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(SMOKES))
 def test_clean_scenarios_have_zero_findings(name):
-    result, system = SMOKES[name].run(seed=0)
+    result, system = run_traced(SMOKES[name])
     findings = sanitize_system(system, result=result, context=name)
     assert findings == []
     # the run actually recorded history worth auditing
@@ -414,21 +415,21 @@ def test_clean_scenarios_have_zero_findings(name):
 
 
 def test_sanitize_requires_trace():
-    result, system = SMOKES["balance-interval"].run(seed=0)
+    result, system = run_traced(SMOKES["balance-interval"])
     system.trace = None
     with pytest.raises(ValueError, match="trace"):
         sanitize_system(system)
 
 
 def test_tampered_result_is_caught():
-    result, system = SMOKES["balance-interval"].run(seed=0)
+    result, system = run_traced(SMOKES["balance-interval"])
     result.thread_exec_us[0] += 1
     findings = sanitize_system(system, result=result)
     assert codes(findings) == ["SAN003"]
 
 
 def test_tampered_core_accounting_is_caught():
-    result, system = SMOKES["balance-interval"].run(seed=0)
+    result, system = run_traced(SMOKES["balance-interval"])
     system.cores[0].stats.busy_us += 7
     findings = sanitize_system(system, result=result)
     assert "SAN004" in codes(findings)
@@ -458,7 +459,7 @@ def test_trace_digest_sees_order_and_content():
 
 
 def test_run_digest_folds_all_parts():
-    result, system = SMOKES["balance-interval"].run(seed=0)
+    result, system = run_traced(SMOKES["balance-interval"])
     full = run_digest(result, system.trace, system.engine)
     assert full == run_digest(result, system.trace, system.engine)
     assert full != run_digest(result, system.trace)  # engine part matters
@@ -490,8 +491,28 @@ def test_observer_leg_in_process():
     assert differential_check("balance-interval", legs=("observers",)) == []
 
 
-def test_workers_leg_serial_vs_parallel():
-    assert differential_check("balance-interval", legs=("workers",)) == []
+@pytest.mark.parametrize("name", ["balance-interval", "cpu-hog", "make-share"])
+def test_workers_leg_serial_vs_parallel(name):
+    assert differential_check(name, legs=("workers",)) == []
+
+
+def test_workers_leg_catches_a_perturbed_worker_run(monkeypatch):
+    """One run perturbed on the two-worker side is a SAN008 finding,
+    co-runner smokes included."""
+    import repro.analysis.differential as differential
+
+    real = differential.map_specs
+
+    def perturbed(specs, workers=1):
+        runs = real(specs, workers=workers)
+        if workers == 2:
+            runs[1].elapsed_us += 1
+        return runs
+
+    monkeypatch.setattr(differential, "map_specs", perturbed)
+    findings = differential_check("cpu-hog", legs=("workers",))
+    assert codes(findings) == ["SAN008"]
+    assert "'workers' leg" in findings[0].message
 
 
 @pytest.mark.skipif(not backend_available("native"),

@@ -221,15 +221,15 @@ class TestScenarioStoreParity:
         from repro.service import JobService
         from repro.store import ResultStore
 
-        smoke = scenarios.scenario_smokes()[name]
-        fresh, _ = smoke.run(seed=0)
+        spec = scenarios.scenario_smokes()[name]
+        fresh, _ = parallel.run_traced(spec)
 
         store = ResultStore(tmp_path / "s")
         miss = JobService(store)
-        (stored,) = miss.submit([smoke.spec(seed=0)])
+        (stored,) = miss.submit([spec])
         assert miss.executed == 1
         hit = JobService(store)
-        (cached,) = hit.submit([smoke.spec(seed=0)])
+        (cached,) = hit.submit([spec])
         assert hit.executed == 0
 
         assert run_digest(stored) == run_digest(fresh)

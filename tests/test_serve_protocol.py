@@ -111,6 +111,17 @@ class TestSpecCodec:
         "flavor": ("app", "flavor", "openmp", "unknown flavor"),
         "bench": ("app", "bench", "zz.Z", "unknown benchmark"),
         "corunner": ("corunner", "kind", "dd-bench", "unknown co-runner kind"),
+        "machine": ("spec", "machine", "cray1", "unknown machine preset"),
+        "balancer": ("spec", "balancer", "bogus", "unknown balancer mode"),
+        "cores-repeated": ("spec", "cores", [1, 1], "duplicate core ids"),
+        "cores-empty": ("spec", "cores", [], "core subset is empty"),
+        "cores-zero": ("spec", "cores", 0, "core subset is empty"),
+        "cores-negative": ("spec", "cores", [-1, 0], "not a core number"),
+        "cores-bool": ("spec", "cores", True, "not a core count"),
+        "cores-bool-id": ("spec", "cores", [True, 2], "not a core number"),
+        "cores-mixed": ("spec", "cores", [0, "1"], "not a core number"),
+        "cores-outside": ("spec", "cores", [0, 99], "outside machine 'tigerton'"),
+        "cores-too-many": ("spec", "cores", 10**9, "outside machine 'tigerton'"),
     }
 
     @pytest.mark.parametrize("case", sorted(UNRUNNABLE))
@@ -121,6 +132,8 @@ class TestSpecCodec:
         wire = spec_to_wire(_spec(corunner_factories=(CorunnerSpec("cpu-hog"),)))
         if where == "app":
             wire["app"]["fields"][field] = value
+        elif where == "spec":
+            wire[field] = value
         else:
             wire["params"]["corunner_factories"][0]["fields"][field] = value
         with pytest.raises(ProtocolError, match=message):

@@ -551,9 +551,9 @@ class TestMalformedRequests:
 
     def test_unrunnable_spec_values_get_400(self, tmp_path, counting, serve_client):
         """Values that would fail only in a worker -- an unknown wait
-        policy, benchmark or co-runner -- or that would silently run
-        another configuration (an unknown flavor) are refused at
-        admission."""
+        policy, benchmark, co-runner, machine preset or balancer, or a
+        core subset no machine has -- or that would silently run another
+        configuration (an unknown flavor) are refused at admission."""
         from repro.harness.scenarios import CorunnerSpec
 
         spec = RunSpec.make(
@@ -563,7 +563,15 @@ class TestMalformedRequests:
         bad = ((("app", "fields", "wait"), "naptime"),
                (("app", "fields", "flavor"), "openmp"),
                (("app", "fields", "bench"), "zz.Z"),
-               (("params", "corunner_factories", 0, "fields", "kind"), "dd-bench"))
+               (("params", "corunner_factories", 0, "fields", "kind"), "dd-bench"),
+               (("machine",), "cray1"),
+               (("balancer",), "bogus"),
+               (("cores",), [1, 1]),
+               (("cores",), []),
+               (("cores",), 0),
+               (("cores",), [-1, 0]),
+               (("cores",), True),
+               (("cores",), [0, 99]))
         bg = _boot(tmp_path, workers=1)
         try:
             for path, value in bad:
@@ -578,6 +586,21 @@ class TestMalformedRequests:
         finally:
             bg.drain()
         assert ran(counting) == []
+
+    def test_oversized_core_subsets_get_400_quickly(self, tmp_path, serve_client):
+        """The daemon checks a core subset without expanding a core
+        count into ids or scanning a long id list once per id."""
+        bg = _boot(tmp_path, workers=1)
+        try:
+            for cores in (10**9, [0] * 400_000):
+                wire = dict(spec_to_wire(_spec()), cores=cores)
+                body = json.dumps({"specs": [wire]}).encode()
+                t0 = time.monotonic()
+                assert _post_status(bg.base_url, body) == 400
+                assert time.monotonic() - t0 < 5.0
+            assert serve_client(bg.base_url).metrics()["admitted"] == 0
+        finally:
+            bg.drain()
 
     def test_generated_malformed_bodies_get_4xx(self, tmp_path, serve_client):
         bg = _boot(tmp_path, workers=1)

@@ -204,6 +204,26 @@ class TestTimeouts:
         assert "timeout" in st.error
         assert not service.store.contains(spec)
 
+    def test_hung_job_fails_alone(self, tmp_path):
+        """The jobs queued behind a hung one in a full pool still run:
+        only the hung digest exhausts its attempts."""
+        hung = RunSpec.make(
+            "tigerton",
+            AppSpec(bench="cg.B", n_threads=16, total_compute_us=400_000_000),
+            cores=12,
+        )
+        fast = [_spec(seed=s) for s in range(2)]
+        service = JobService(
+            ResultStore(tmp_path / "s"), max_attempts=2, sleep=lambda s: None,
+        )
+        with pytest.raises(JobFailedError, match=r"^1 job\(s\) failed") as err:
+            service.submit([hung, *fast], timeout_s=2)
+        assert spec_digest(hung)[:12] in str(err.value)
+        assert service.executed == 2
+        for spec in fast:
+            assert run_digest(service.fetch(spec_digest(spec))) == \
+                   run_digest(run_spec(spec))
+
     def test_timeout_leaves_fast_jobs_untouched(self, tmp_path):
         fast = _spec()
         service = JobService(ResultStore(tmp_path / "s"))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.analysis.sanitizer import run_digest
 from repro.apps.workloads import AppSpec
 from repro.core.speed_balancer import SpeedBalancerConfig
-from repro.harness.parallel import RunSpec, run_spec
+from repro.harness.parallel import RunSpec, run_spec, run_traced
 from repro.sim.backends import backend_names
 from repro.metrics.export import trace_to_dict
 from repro.store import (
@@ -32,7 +32,6 @@ from repro.store import (
     function_ref,
     spec_digest,
     spec_key,
-    sweep_cell_key,
 )
 from repro.topology import presets
 from repro.topology.machine import DomainLevel
@@ -47,19 +46,12 @@ def _spec(seed=0, balancer="speed", **params):
 
 def _traced(spec):
     """Run a spec in-process with tracing; (result, trace)."""
-    from repro.harness.experiment import run_app
-    from repro.harness.parallel import resolve_machine
-
-    result, system = run_app(
-        resolve_machine(spec.machine), spec.app, balancer=spec.balancer,
-        cores=list(range(spec.cores)), seed=spec.seed, trace=True,
-        return_system=True,
-    )
+    result, system = run_traced(spec)
     return result, system.trace
 
 
 def _module_runner(a, b):
-    """Module-level sweep runner (addressable by function_ref)."""
+    """Module-level function (addressable by function_ref)."""
     return a * b
 
 
@@ -140,14 +132,6 @@ class TestCanonicalKeys:
         with pytest.raises(UnstorableSpecError):
             function_ref(local)
 
-    def test_sweep_cell_key_identifies_runner_and_assignment(self):
-        k1 = sweep_cell_key(_module_runner, {"a": 1, "b": 2})
-        k2 = sweep_cell_key(_module_runner, {"b": 2, "a": 1})
-        assert digest_of(k1) == digest_of(k2)
-        assert digest_of(k1) != digest_of(
-            sweep_cell_key(_module_runner, {"a": 1, "b": 3})
-        )
-
 
 def _parent_spec_digest(spec):
     """``spec_digest`` as the previous build computed it: a key with the
@@ -187,7 +171,9 @@ SPECS = st.builds(
             barrier_period_us=st.none() | st.integers(1, 10**5),
         ),
         "balancer": st.sampled_from(["speed", "load", "pinned", "ule"]),
-        "cores": st.none() | st.integers(1, 16) | st.lists(st.integers(0, 15), max_size=4),
+        # RunSpec refuses an empty or repeating core list
+        "cores": st.none() | st.integers(1, 16)
+        | st.lists(st.integers(0, 15), min_size=1, max_size=4, unique=True),
         "seed": st.integers(0, 2**40),
         "engine": st.sampled_from(backend_names()),
     }),
@@ -340,7 +326,7 @@ class TestStoreRoundTrip:
 
     def test_value_kind_roundtrip(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        key = sweep_cell_key(_module_runner, {"a": 3, "b": 4})
+        key = {"kind": "cell", "a": 3, "b": 4}
         digest = store.put(key, 12)
         entry = store.get(digest)
         assert entry.kind == "value"

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.apps.multiprogram import CpuHog, MakeWorkload
-from repro.apps.workloads import GB, NAS_CATALOG, ep_app, make_nas_app
+from repro.apps.workloads import (
+    FULL_CATALOG,
+    GB,
+    NAS_CATALOG,
+    NAS_EXTENDED_CATALOG,
+    ep_app,
+    make_nas_app,
+)
 from repro.balance.linux import LinuxLoadBalancer
 from repro.balance.pinned import PinnedBalancer
 from repro.sched.task import TaskState
@@ -159,3 +166,19 @@ class TestMakeWorkload:
             system.run(until=5_000_000)
             totals.append(sum(t.exec_us for t in make.tasks))
         assert len(set(totals)) > 1
+
+
+class TestExtendedCatalog:
+    def test_union_view(self):
+        assert set(FULL_CATALOG) >= set(NAS_EXTENDED_CATALOG)
+        assert "mg.B" in FULL_CATALOG and "lu.A" in FULL_CATALOG
+
+    def test_extended_entries_runnable(self, tigerton_system):
+        app = make_nas_app(tigerton_system, "lu.A", n_threads=4,
+                           total_compute_us=20_000)
+        app.spawn(cores=[0, 1, 2, 3])
+        tigerton_system.run_until_done([app])
+        assert app.done
+
+    def test_extended_marked_distinct_from_paper_table(self):
+        assert not (set(NAS_CATALOG) & set(NAS_EXTENDED_CATALOG))
