@@ -17,12 +17,9 @@ This package provides three layers:
 
 * :mod:`repro.analysis.static` -- the static analyzer
   (``python -m repro.analysis src/repro``): one parse of the source
-  tree, one rule registry (:mod:`repro.analysis.rules`) covering the
-  per-file SIM rules (:mod:`~repro.analysis.lint`), the interprocedural
-  FLOW rules (:mod:`~repro.analysis.flow`) and the KERN rules that
-  guard the native engine's assumptions (:mod:`~repro.analysis.kernel`),
-  with inline ``# sim-lint: ignore[...]`` comments as the only escape
-  hatch;
+  tree and one rule registry (:mod:`repro.analysis.rules`) of per-file
+  SIM rules (:mod:`~repro.analysis.lint`), with inline
+  ``# sim-lint: ignore[...]`` comments as the only escape hatch;
 * :mod:`repro.analysis.invariants` -- an opt-in runtime
   :class:`~repro.analysis.invariants.InvariantChecker` hooked into
   :class:`~repro.sim.engine.Engine` and :class:`~repro.system.System`

@@ -7,9 +7,9 @@ coding patterns that promise rests on, one module at a time (generic
 tools cannot know that ``repro.sim.rng`` is the only legal randomness
 source, or that ``engine.now`` must stay an ``int``).  They run as part
 of :func:`repro.analysis.static.analyze`, on the tree
-:func:`repro.analysis.program.load_modules` parsed; the FLOW rules
-follow the same properties across calls, but deliberately leave the
-local and module-level cases to these.
+:func:`repro.analysis.program.load_modules` parsed.  They are the only
+static layer: ``docs/analysis.md`` scores them, beside the runtime
+checks, against a catalogue of planted defects.
 
 Rule catalogue
 --------------
@@ -46,6 +46,24 @@ SIM007   O(n) aggregate recomputation in a *hot scheduling module*
          incrementally at mutation time instead (the way the run
          queues maintain ``total_weight``/``max_vruntime`` and the
          system maintains the per-scope memory-intensity index).
+SIM008   Module-level state written by a function of the same module:
+         a container or iterator bound at module level (``dict``/
+         ``list``/``set`` literals and constructors, ``defaultdict``,
+         ``deque``, ``itertools.count`` and the like) that a function
+         mutates -- item assignment or deletion, a mutating method,
+         ``next()`` on an iterator -- or any name a function rebinds
+         through ``global``.  Such state outlives a run and is shared
+         by every run a worker process or the serving daemon executes,
+         so a run stops being a pure function of its seed.  Everywhere.
+SIM009   ``eval``/``exec``/``locals()``/``globals()``/``vars()``/
+         ``compile``/``__import__``, a ``metaclass=`` argument or a
+         dynamic attribute hook (``__getattr__``, ``__getattribute__``,
+         ``__setattr__``, ``__delattr__``) in a *kernel module* -- any
+         file under ``sim/``, ``sched/``, ``balance/`` or ``mem/``.  The
+         native engine core reads and writes the kernel objects' slots
+         at fixed offsets, bypassing attribute hooks, so a hook makes
+         the two engines diverge; dynamic code can rebind state the C
+         core reads where no rule can see it.
 ======== =============================================================
 """
 
@@ -53,7 +71,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.analysis.program import SourceModule, parse_module, syntax_error
 from repro.analysis.rules import DECISION_DIRS, Finding, is_suppressed
@@ -106,6 +124,39 @@ _ORDER_PRESERVING_CALLS = frozenset({"list", "tuple", "iter", "enumerate", "reve
 #: int-producing wrappers that launder float arithmetic back to engine
 #: time (SIM004 exempt when they enclose the flagged expression)
 _INT_COERCIONS = frozenset({"int", "round", "ceil", "floor", "len"})
+
+#: constructors whose module-level result is a mutable container (SIM008)
+_MUTABLE_CONSTRUCTORS = frozenset(
+    {"dict", "list", "set", "bytearray", "defaultdict", "deque", "Counter", "OrderedDict"}
+)
+
+#: constructors of stateful iterators: advancing one *is* a write (SIM008)
+_ITERATOR_CONSTRUCTORS = frozenset({"count", "cycle", "chain"})
+
+#: container methods that mutate their receiver (SIM008)
+_MUTATORS = frozenset(
+    {
+        "append", "add", "update", "setdefault", "pop", "popitem", "clear",
+        "extend", "remove", "discard", "insert", "appendleft", "popleft",
+    }
+)
+
+#: directories whose classes the native engine core reads at fixed slot
+#: offsets (SIM009 scope)
+KERNEL_DIRS = frozenset({"sim", "sched", "balance", "mem"})
+
+#: calls that run dynamic code or reach into frames (SIM009)
+_DYNAMIC_CALLS = frozenset(
+    {"eval", "exec", "locals", "globals", "vars", "compile", "__import__"}
+)
+
+#: attribute hooks the native engine's direct slot access bypasses (SIM009)
+_ATTRIBUTE_HOOKS = frozenset(
+    {"__getattr__", "__getattribute__", "__setattr__", "__delattr__"}
+)
+
+#: nodes that open a new name scope (SIM008 stops at them)
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
 # ----------------------------------------------------------------------
@@ -196,6 +247,7 @@ class _Visitor(ast.NodeVisitor):
         self.decision = module.in_dirs(DECISION_DIRS)
         self.fs_order = module.in_dirs(FS_ORDER_DIRS)
         self.hot = module.in_dirs(HOT_AGG_DIRS)
+        self.kernel = module.in_dirs(KERNEL_DIRS)
         self.findings: list[Finding] = []
         self.sets = _SetTracker()
         self._time_alias: set[str] = set()  # names bound to the time module
@@ -295,6 +347,13 @@ class _Visitor(ast.NodeVisitor):
                 self._sorted_args.add(id(arg))
         self._check_fs_iteration(node)
         self._check_aggregate_sweep(node)
+        if self.kernel and isinstance(func, ast.Name) and func.id in _DYNAMIC_CALLS:
+            self._emit(
+                node,
+                "SIM009",
+                f"call to {func.id}() in a kernel module; dynamic code and frame "
+                "introspection can rebind state the native engine reads directly",
+            )
         if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
             owner, attr = func.value.id, func.attr
             if owner in self._random_alias or owner == "random":
@@ -467,6 +526,58 @@ class _Visitor(ast.NodeVisitor):
         self._check_defaults(node.args)
         self.generic_visit(node)
 
+    # -- kernel classes (SIM009) ----------------------------------------
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        if self.kernel:
+            if any(kw.arg == "metaclass" for kw in node.keywords):
+                self._emit(
+                    node,
+                    "SIM009",
+                    f"kernel class {node.name} uses a metaclass; the native engine "
+                    "assumes plain `type` instances with fields at fixed slot offsets",
+                )
+            for item in node.body:
+                if (
+                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name in _ATTRIBUTE_HOOKS
+                ):
+                    self._emit(
+                        item,
+                        "SIM009",
+                        f"kernel class {node.name} defines {item.name}; the native "
+                        "engine reads and writes slots at fixed offsets, bypassing "
+                        "attribute hooks",
+                    )
+        self.generic_visit(node)
+
+    # -- module-level state (SIM008) ------------------------------------
+    def check_module_state(self, tree: ast.Module) -> None:
+        """SIM008: functions writing the module's own mutable globals."""
+        state = _module_state(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                self._check_scope(node, state)
+
+    def _check_scope(self, fn: ast.AST, state: dict[str, tuple[int, str]]) -> None:
+        own = list(_own_nodes(fn))
+        declared = {n for s in own if isinstance(s, ast.Global) for n in s.names}
+        local = _bound_names(fn, own) - declared
+        for node in own:
+            write = _state_write(node, state, declared)
+            if write is None:
+                continue
+            name, how = write
+            if name in local:
+                continue
+            where = f" (bound at line {state[name][0]})" if name in state else ""
+            self._emit(
+                node,
+                "SIM008",
+                f"{how} module-level `{name}`{where}; module state outlives a run "
+                "and is shared by every run a worker process or the serving "
+                "daemon executes -- make it per-System state",
+            )
+
 
 def _is_timestamp_expr(node: ast.expr) -> bool:
     """Does this expression *denote* an engine timestamp?
@@ -512,6 +623,106 @@ def _floatish(node: ast.expr) -> bool:
     return False
 
 
+def _state_kind(value: ast.expr) -> Optional[str]:
+    """"container", "iterator" or None for a module-level bound value."""
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
+        return "container"
+    if isinstance(value, ast.Call):
+        name = _call_name(value)
+        if name in _MUTABLE_CONSTRUCTORS:
+            return "container"
+        if name in _ITERATOR_CONSTRUCTORS:
+            return "iterator"
+    return None
+
+
+def _module_state(tree: ast.Module) -> dict[str, tuple[int, str]]:
+    """Module-level names bound to a mutable container or iterator:
+    name -> (line, kind).  Bindings inside module-level ``if``/``try``
+    blocks count too."""
+    state: dict[str, tuple[int, str]] = {}
+    stack: list[ast.stmt] = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            stack.extend(n for n in ast.iter_child_nodes(node) if isinstance(n, ast.stmt))
+            continue
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        kind = _state_kind(value)
+        if kind is None:
+            continue
+        for t in targets:
+            if isinstance(t, ast.Name):
+                state[t.id] = (t.lineno, kind)
+    return state
+
+
+def _own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of one function's own scope: nested functions, lambdas
+    and classes are yielded but not entered."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bound_names(fn: ast.AST, own: list[ast.AST]) -> set[str]:
+    """Names local to ``fn``: its parameters and every name it binds."""
+    a = fn.args  # type: ignore[attr-defined]
+    params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+    bound = {p.arg for p in params}
+    for node in own:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).split(".", 1)[0])
+    return bound
+
+
+def _state_write(
+    node: ast.AST, state: dict[str, tuple[int, str]], declared: set[str]
+) -> Optional[tuple[str, str]]:
+    """``(name, how)`` when ``node`` writes module-level state."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        base = node.value
+        if isinstance(base, ast.Name) and base.id in state:
+            verb = "assigns" if isinstance(node.ctx, ast.Store) else "deletes"
+            return base.id, f"{verb} an item of"
+    elif isinstance(node, ast.Call):
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in _MUTATORS
+            and isinstance(func.value, ast.Name)
+            and state.get(func.value.id, (0, ""))[1] == "container"
+        ):
+            return func.value.id, f"calls .{func.attr}() on"
+        if (
+            isinstance(func, ast.Name)
+            and func.id == "next"
+            and node.args
+            and isinstance(node.args[0], ast.Name)
+            and state.get(node.args[0].id, (0, ""))[1] == "iterator"
+        ):
+            return node.args[0].id, "advances"
+    elif (
+        isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Store)
+        and node.id in declared
+    ):
+        return node.id, "rebinds"
+    return None
+
+
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
@@ -520,6 +731,7 @@ def lint_module(module: SourceModule) -> list[Finding]:
     visitor = _Visitor(module)
     visitor.collect_evidence(module.tree)
     visitor.visit(module.tree)
+    visitor.check_module_state(module.tree)
     return visitor.findings
 
 

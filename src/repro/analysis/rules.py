@@ -1,24 +1,15 @@
 """The static analyzer's rule registry, finding type and suppressions.
 
-One registry covers three rule families, all run by
-:func:`repro.analysis.static.analyze` over one parsed program:
-
-* ``SIM001``..``SIM007`` (:mod:`repro.analysis.lint`) -- per-file
-  determinism patterns;
-* ``FLOW001``..``FLOW005`` (:mod:`repro.analysis.flow`) -- determinism
-  taint followed across calls and modules, plus fork-safety and
-  store-key rules;
-* ``KERN002``/``KERN005``/``KERN006`` (:mod:`repro.analysis.kernel`) --
-  the object-layout assumptions the native engine core
-  (``repro/sim/backends/_native/engine_core.c``) makes about the
-  dispatch-hot classes.
+The registry holds the per-file SIM rules (:mod:`repro.analysis.lint`),
+``SIM001``..``SIM009``, which :func:`repro.analysis.static.analyze`
+runs over one parse of the tree.
 
 The only escape hatch is a trailing comment on the offending line::
 
     for cid in candidate_set:  # sim-lint: ignore[SIM001]
-    t = helper(now)            # sim-lint: ignore[FLOW001, SIM004]
+    t = now / 2                # sim-lint: ignore[SIM004, SIM003]
 
-The bracket list takes comma-separated ids from any family.  A bare
+The bracket list takes comma-separated rule ids.  A bare
 ``# sim-lint: ignore`` suppresses every rule on the line and
 ``# sim-lint: skip-file`` anywhere in a file skips the whole file;
 neither is allowed under ``src/repro`` (a tree test enforces it).
@@ -50,14 +41,8 @@ RULES: dict[str, str] = {
     "SIM005": "mutable default argument",
     "SIM006": "unordered filesystem iteration in a harness/analysis module",
     "SIM007": "O(n) aggregate recomputation in a hot scheduling module",
-    "FLOW001": "float arithmetic reaching an engine timestamp across call boundaries",
-    "FLOW002": "global/unseeded randomness flowing into a scheduling decision",
-    "FLOW003": "unordered set escaping into iteration in a decision module",
-    "FLOW004": "module-level mutable state written on a hot or worker path",
-    "FLOW005": "lambda/closure flowing into store spec-key construction",
-    "KERN002": "kernel attribute assigned incompatible types",
-    "KERN005": "closure/lambda/nested def created on a dispatch-reachable path",
-    "KERN006": "eval/exec/frame introspection, metaclass or attribute hook in a kernel module",
+    "SIM008": "module-level mutable state written by a function of the module",
+    "SIM009": "eval/exec/frame introspection, metaclass or attribute hook in a kernel module",
 }
 
 #: the rule id a file that does not parse is reported under; it is not
@@ -65,7 +50,7 @@ RULES: dict[str, str] = {
 PARSE_ERROR = "SIM000"
 
 #: directories whose modules make scheduling decisions (the scope of
-#: SIM001, FLOW002 and FLOW003)
+#: SIM001)
 DECISION_DIRS = frozenset({"balance", "sched", "core"})
 
 

@@ -1,10 +1,9 @@
-"""The static analyzer: one parse, one index, every rule, one command.
+"""The static analyzer: one parse, every rule, one command.
 
 :func:`analyze` parses each file once (:func:`~repro.analysis.program.
-load_modules`), builds one :class:`~repro.analysis.program.ProgramIndex`,
-solves the FLOW fixpoint once, runs the SIM visitor, the FLOW report and
-the KERN passes over that index, applies inline suppressions once and
-returns one list of :class:`~repro.analysis.rules.Finding`.
+load_modules`), runs the SIM rules (:mod:`repro.analysis.lint`) on each
+parsed module, applies inline suppressions once and returns one list of
+:class:`~repro.analysis.rules.Finding`.
 
 Command line (also what ``repro check`` and CI run)::
 
@@ -27,10 +26,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import repro
-from repro.analysis.flow import FlowAnalysis
-from repro.analysis.kernel import KernelAnalysis
 from repro.analysis.lint import lint_module
-from repro.analysis.program import ProgramIndex, load_modules
+from repro.analysis.program import load_modules
 from repro.analysis.rules import PARSE_ERROR, RULES, Finding, is_suppressed
 
 __all__ = ["analyze", "main"]
@@ -39,14 +36,9 @@ __all__ = ["analyze", "main"]
 def analyze(paths: Iterable[str | Path]) -> list[Finding]:
     """Every unsuppressed finding for the ``*.py`` files under ``paths``."""
     modules = load_modules(paths)
-    program = ProgramIndex(modules)
-    flow = FlowAnalysis(program)
-    flow.solve()
     found = list(modules.errors)
     for module in modules:
         found.extend(lint_module(module))
-    found.extend(flow.report())
-    found.extend(KernelAnalysis(program, flow).run())
     by_path = {str(m.path): m for m in modules}
     kept = [
         f for f in found if f.path not in by_path or not is_suppressed(f, by_path[f.path])
@@ -77,8 +69,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Static analysis of the repro sources: the SIM, FLOW and "
-        "KERN rules over one parsed program ('rules' lists them).",
+        description="Static analysis of the repro sources: the SIM rules over "
+        "one parse of the tree ('rules' lists them).",
     )
     parser.add_argument(
         "paths", nargs="*", help="files or directories (default: the repro package)"

@@ -71,6 +71,15 @@ GB = 1 << 30
 MB = 1 << 20
 
 
+def _check_counts(owner: str, **counts: object) -> None:
+    """Raise ``ValueError`` unless every value is an ``int`` of at least
+    1 (a bool is not a count: ``True`` would key a second store entry
+    for the run ``1`` keys)."""
+    for name, value in counts.items():
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{owner} {name} must be an int >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NasBenchmark:
     """Catalog entry describing one NAS benchmark configuration."""
@@ -182,7 +191,13 @@ class AppSpec:
 
     def __post_init__(self) -> None:
         # fail at construction, not in a worker: a served job naming an
-        # unknown wait policy, flavor or benchmark must be refused at admission
+        # unknown wait policy, flavor or benchmark, or a count no app can
+        # run, must be refused at admission
+        _check_counts(
+            "app", n_threads=self.n_threads, total_compute_us=self.total_compute_us
+        )
+        if self.barrier_period_us is not None:
+            _check_counts("app", barrier_period_us=self.barrier_period_us)
         if self.wait not in WAIT_POLICIES:
             raise ValueError(
                 f"unknown wait mode {self.wait!r}; expected one of {sorted(WAIT_POLICIES)}"

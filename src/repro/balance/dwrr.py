@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["DwrrBalancer"]
 
 
-# hoisted sort key: no closure allocated per round balance (KERN005)
+# hoisted sort key: a closure would cost an allocation per round balance
 def _by_tid(task: Task) -> int:
     return task.tid
 

@@ -33,7 +33,7 @@ __all__ = ["UleBalancer"]
 
 
 # module-level sort/extremum keys: hoisted out of the balancing hot
-# path so no closure is allocated per push/steal (KERN005)
+# path, where a closure would cost an allocation per push/steal
 def _by_nr_running(core: "CoreSim") -> int:
     return core.nr_running
 

@@ -179,8 +179,8 @@ def _invariant_runs(args: argparse.Namespace):
 def _cmd_check(args: argparse.Namespace) -> int:
     """Correctness tooling: static analysis + runtime invariants.
 
-    ``repro check`` runs the static analyzer (every SIM, FLOW and KERN
-    rule, exactly as ``python -m repro.analysis`` and CI run it) and
+    ``repro check`` runs the static analyzer (every SIM rule, exactly
+    as ``python -m repro.analysis`` and CI run it) and
     the invariant smoke; ``--invariants`` runs only the latter.  The
     invariant pass runs a smoke matrix of balancer modes on a UMA and a
     NUMA machine with an
@@ -838,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="correctness tooling: static analysis (SIM/FLOW/KERN rules) + "
+        help="correctness tooling: static analysis (SIM rules) + "
              "runtime invariant smoke",
     )
     check.add_argument(

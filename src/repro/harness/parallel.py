@@ -44,6 +44,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
@@ -128,8 +129,8 @@ class RunSpec:
     def __post_init__(self) -> None:
         # fail at construction, not after a worker's retries: a served
         # job naming an unregistered engine, an unknown machine preset
-        # or balancer, or a core subset its machine lacks must be
-        # refused at admission
+        # or balancer, or a core subset or co-runner core its machine
+        # lacks must be refused at admission
         if self.engine not in backend_names():
             raise ValueError(
                 f"unknown engine backend {self.engine!r}; expected one of "
@@ -143,7 +144,10 @@ class RunSpec:
         preset = self.machine if isinstance(self.machine, str) else ""
         if preset:
             resolve_machine(preset)  # an unknown preset name raises
-        _check_core_subset(self.cores, _PRESET_N_CORES.get(preset), preset)
+        n_cores = _PRESET_N_CORES.get(preset)
+        _check_core_subset(self.cores, n_cores, preset)
+        if n_cores is not None:
+            _check_corunner_cores(self.params, n_cores, preset)
 
     @classmethod
     def make(
@@ -167,6 +171,23 @@ class RunSpec:
             engine=engine,
             params=tuple(sorted(params.items())),
         )
+
+
+def _check_corunner_cores(params: tuple, n_cores: int, machine: str) -> None:
+    """Raise ``ValueError`` if a cpu-hog co-runner in ``params`` is
+    pinned to a core past the machine's last."""
+    corunners = dict(params).get("corunner_factories")
+    if not isinstance(corunners, (tuple, list)):
+        return
+    # imported here: scenarios builds on this module
+    from repro.harness.scenarios import CorunnerSpec
+
+    for c in corunners:
+        if isinstance(c, CorunnerSpec) and c.kind == "cpu-hog" and c.core >= n_cores:
+            raise ValueError(
+                f"co-runner core {c.core} is outside machine {machine!r} "
+                f"(cores 0..{n_cores - 1})"
+            )
 
 
 def run_app_kwargs(spec: RunSpec) -> dict[str, Any]:
@@ -227,6 +248,14 @@ def _fan_out(
     hook :class:`repro.service.JobService` uses to retry individual
     worker crashes without losing the rest of a fan-out.
 
+    A job whose worker process dies (``os._exit``, a crash in the
+    native core, an OOM kill) breaks the pool, and every unfinished job
+    of it sees :class:`BrokenProcessPool`.  Workers take jobs in
+    submission order, so the jobs running at the break are among the
+    first ``workers`` unfinished ones: each of those reruns alone in a
+    pool of its own, and the rest share a fresh pool.  Only the job
+    that kills its worker fails, with :class:`BrokenProcessPool`.
+
     With ``timeout_s`` each job gets that many wall seconds, counted
     from when the collector reaches its future: every earlier job has
     finished by then, so the job is running (and may gain the time it
@@ -239,12 +268,13 @@ def _fan_out(
     queued behind it.
     """
     out: list = [None] * len(specs)
-    pending = list(range(len(specs)))
-    while pending:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        futures = [(i, pool.submit(run_spec, specs[i])) for i in pending]
-        pending = []
-        timed_out = False
+    batches = [list(range(len(specs)))]  # each runs in a fresh pool
+    while batches:
+        batch = batches.pop(0)
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(batch)))
+        futures = [(i, pool.submit(run_spec, specs[i])) for i in batch]
+        pending: list[int] = []
+        timed_out = broken = False
         try:
             for i, f in futures:
                 if timed_out and not f.done():
@@ -252,6 +282,14 @@ def _fan_out(
                     continue
                 try:
                     out[i] = f.result(timeout=timeout_s)
+                except BrokenProcessPool as exc:
+                    if len(batch) > 1:
+                        broken = True
+                        pending.append(i)  # rerun: it may not be the crash
+                        continue
+                    if not return_exceptions:
+                        raise
+                    out[i] = exc
                 except FuturesTimeoutError:
                     timed_out = True
                     exc: Exception = SpecTimeoutError(
@@ -277,6 +315,11 @@ def _fan_out(
                     proc.kill()
             else:
                 pool.shutdown(wait=True)
+        if broken:
+            batches[:0] = [[i] for i in pending[:workers]]
+            pending = pending[workers:]
+        if pending:
+            batches.append(pending)
     return out
 
 
@@ -290,7 +333,9 @@ def map_specs(
 
     ``workers=1`` (default) runs serially in-process -- the exact same
     code path a direct ``run_app`` loop takes.  ``workers=None`` uses
-    one worker per CPU.
+    one worker per CPU.  With more than one worker every spec runs in
+    a worker process, a batch of one included, so a spec that kills
+    its process costs only its own result.
 
     With ``return_exceptions`` a failed spec contributes its exception
     object (including :class:`concurrent.futures.process
@@ -312,7 +357,7 @@ def map_specs(
         raise ValueError(f"workers must be >= 1 (got {workers})")
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError(f"timeout_s must be > 0 (got {timeout_s})")
-    if timeout_s is None and (workers == 1 or len(specs) <= 1):
+    if (timeout_s is None and workers == 1) or not specs:
         results = []
         for spec in specs:
             try:

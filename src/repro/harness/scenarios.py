@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.apps.multiprogram import CpuHog, MakeWorkload
-from repro.apps.workloads import AppSpec
+from repro.apps.workloads import AppSpec, _check_counts
 from repro.core.speed_balancer import SpeedBalancerConfig
 from repro.harness.experiment import repeat_cells
 from repro.harness.parallel import RunSpec
@@ -57,11 +57,18 @@ class CorunnerSpec:
 
     def __post_init__(self) -> None:
         # fail at construction, not in a worker: a served job naming an
-        # unknown co-runner must be refused at admission
+        # unknown co-runner, a negative core or a count no make can run
+        # must be refused at admission (RunSpec checks the core against
+        # a preset machine's cores)
         if self.kind not in ("cpu-hog", "make-j"):
             raise ValueError(
                 f"unknown co-runner kind {self.kind!r}; expected 'cpu-hog' or 'make-j'"
             )
+        if type(self.core) is not int or self.core < 0:
+            raise ValueError(f"co-runner core must be an int >= 0, got {self.core!r}")
+        _check_counts("co-runner", j=self.j, mean_job_us=self.mean_job_us)
+        if self.jobs is not None:
+            _check_counts("co-runner", jobs=self.jobs)
 
     def build(self, system):
         if self.kind == "cpu-hog":

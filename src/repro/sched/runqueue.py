@@ -80,7 +80,7 @@ class CfsRunQueue:
         # the counter only tie-breaks equal vruntimes *within* one queue;
         # absolute values never leave the process, so workers drifting
         # apart cannot change any schedule
-        entry = (task.vruntime, next(_entry_counter), task)  # sim-lint: ignore[FLOW004]
+        entry = (task.vruntime, next(_entry_counter), task)  # sim-lint: ignore[SIM008]
         self._live[task.tid] = entry
         insort(self._queue, entry)
         self._total_weight += task.weight

@@ -231,7 +231,7 @@ class Task:
         # comparisons go through the sanitizer, which renumbers tids in
         # creation order, so worker processes disagreeing on raw values
         # is harmless by construction
-        self.tid: int = next(_task_ids)  # sim-lint: ignore[FLOW004]
+        self.tid: int = next(_task_ids)  # sim-lint: ignore[SIM008]
         self.name = name or f"task{self.tid}"
         self.program: Program = program if program is not None else _ExitProgram()
         self.nice = nice

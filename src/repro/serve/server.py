@@ -221,10 +221,7 @@ class ReproServer:
             self._handle, host=self.config.host, port=self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.config.job_timeout_s is not None:
-            self._monitor_task = self._loop.create_task(
-                self._monitor(self.config.job_timeout_s)
-            )
+        self._monitor_task = self._loop.create_task(self._monitor())
         self._try_dispatch()
 
     async def wait_stopped(self) -> None:
@@ -451,21 +448,32 @@ class ReproServer:
         for q in rec.subscribers:
             q.put_nowait(view)
 
-    # -- timeout monitor ------------------------------------------------
-    async def _monitor(self, budget: float) -> None:
-        """Kill + respawn any worker past its job deadline."""
-        error = (
-            f"timeout: exceeded the {budget:g}s wall-clock budget; "
-            "worker killed and respawned"
-        )
+    # -- worker monitor -------------------------------------------------
+    async def _monitor(self) -> None:
+        """Settle the job of any worker that is past its job deadline
+        (killing it) or whose process has died, then respawn the worker.
+        The job fails through :meth:`_on_result`, so retries apply."""
+        budget = self.config.job_timeout_s
+        period = 0.25 if budget is None else min(0.25, budget / 10)
         while True:
-            await asyncio.sleep(min(0.25, budget / 10))
+            await asyncio.sleep(period)
             now = self._clock()
             for w, (digest, deadline) in sorted(self.busy.items()):
-                if now > deadline:
+                code = self._pool.exitcode(w)
+                if budget is not None and now > deadline:
                     self.metrics.timeouts += 1
-                    self._pool.kill_worker(w)
-                    self._on_result((w, digest, "failed", error, budget))
+                    error = (
+                        f"timeout: exceeded the {budget:g}s wall-clock budget; "
+                        "worker killed and respawned"
+                    )
+                    busy_s = budget
+                elif code is not None:
+                    error = f"worker died (exit code {code}); respawned"
+                    busy_s = now - (self.jobs[digest].started_at or now)
+                else:
+                    continue
+                self._pool.kill_worker(w)
+                self._on_result((w, digest, "failed", error, busy_s))
 
     # -- HTTP -----------------------------------------------------------
     async def _handle(

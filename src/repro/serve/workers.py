@@ -14,9 +14,9 @@ and every other direct reader look for it.
 Each worker is a forked OS process that resolves a job exactly as a
 direct ``repro submit --store`` would: through a fresh
 :class:`~repro.service.JobService` on the root.  A hung or crashed
-simulation costs only that process: the parent detects it by deadline,
-kills it and respawns just that worker; the kernel drops a store lock
-the killed worker held.
+simulation costs only that process: the parent detects it by deadline
+or by the process having exited, kills it if need be and respawns just
+that worker; the kernel drops a store lock the killed worker held.
 
 Messages: parent sends ``("job", digest, wire_spec)`` or ``("stop",)``
 on the worker's private queue; the worker replies
@@ -160,13 +160,19 @@ class ProcessWorkerPool:
         self._inqs[w].put(("job", digest, wire))
         return w
 
+    def exitcode(self, i: int) -> Optional[int]:
+        """Worker ``i``'s exit code once its process has ended, else None."""
+        proc = self._procs[i]
+        return None if proc is None or proc.is_alive() else proc.exitcode
+
     def kill_worker(self, i: int) -> None:
-        """Kill + respawn worker ``i`` (the hung-job escape hatch).
+        """Kill (if still alive) and respawn worker ``i``: the escape
+        hatch for a hung job and the restart after a dead worker.
 
         The worker's private queue survives, so jobs already routed to
-        it are picked up by the replacement; only the job that
-        was *running* is lost, and the server reports it failed with a
-        timeout reason.
+        it are picked up by the replacement; only the job that was
+        *running* is lost, and the server reports it failed with a
+        timeout or worker-died reason.
         """
         proc = self._procs[i]
         if proc is not None and proc.is_alive():

@@ -116,7 +116,7 @@ def _source_digest() -> str:
     h.update(f"|abi{_ABI_VERSION}".encode())
     digest = h.hexdigest()[:16]
     # a pure function of the file the stamp names -- determinism-neutral
-    _digests[stamp] = digest  # sim-lint: ignore[FLOW004]
+    _digests[stamp] = digest  # sim-lint: ignore[SIM008]
     return digest
 
 
@@ -257,7 +257,7 @@ def load_native_lib() -> ctypes.PyDLL:
     # a dlopen-handle memo, not simulation state: handles survive fork,
     # the library is immutable once built, and every worker binding the
     # same digest gets an equivalent handle -- determinism-neutral
-    _loaded[digest] = bound  # sim-lint: ignore[FLOW004]
+    _loaded[digest] = bound  # sim-lint: ignore[SIM008]
     return bound
 
 

@@ -62,6 +62,19 @@ class SimulationError(RuntimeError):
     """
 
 
+def _bad_time(kind: str, value: object, now: int) -> str:
+    """Why ``schedule`` (``kind`` "delay") or ``schedule_at`` ("time")
+    refused ``value``."""
+    if type(value) is not int:
+        return (
+            f"cannot schedule with {kind}={value!r} ({type(value).__name__}); "
+            "engine time is integer microseconds"
+        )
+    if kind == "delay":
+        return f"cannot schedule {value}us in the past (now={now})"
+    return f"cannot schedule at t={value} before now={now}"
+
+
 class Event:
     """Handle for a scheduled callback.
 
@@ -75,9 +88,10 @@ class Event:
     callback at dispatch (``callback(payload)``); a ``None`` payload
     means a zero-argument callback.  The dispatch core uses this to
     schedule a long-lived bound method plus a generation integer
-    instead of allocating a fresh closure per dispatched event -- the
-    payload slot is what keeps the hot kernel closure-free (KERN005)
-    and therefore portable to the compiled ``native`` backend.
+    instead of allocating a fresh closure per dispatched event: the
+    ``native`` backend's C chain recognises the core event by the
+    identity of ``CoreSim._on_core_event``, so a closure in its place
+    would silently send every dispatch down the generic call path.
     """
 
     __slots__ = (
@@ -185,18 +199,20 @@ class Engine:
     ) -> Event:
         """Schedule ``callback`` to run ``delay`` microseconds from now.
 
-        ``delay`` must be a non-negative integer; a zero delay runs the
-        callback after all events already queued for the current time.
-        When ``payload`` is not None the callback is invoked as
-        ``callback(payload)``, which lets hot call sites schedule a
-        long-lived bound method instead of a fresh closure per event.
-        Returns the :class:`Event` handle, which may be cancelled.
+        ``delay`` must be a non-negative ``int`` (a float or a bool
+        raises :class:`SimulationError` rather than being truncated); a
+        zero delay runs the callback after all events already queued for
+        the current time.  When ``payload`` is not None the callback is
+        invoked as ``callback(payload)``, which lets hot call sites
+        schedule a long-lived bound method instead of a fresh closure
+        per event.  Returns the :class:`Event` handle, which may be
+        cancelled.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay}us in the past (now={self.now})")
+        if type(delay) is not int or delay < 0:
+            raise SimulationError(_bad_time("delay", delay, self.now))
         # inlined schedule_at: delay >= 0 already guarantees time >= now,
         # and this is the hottest allocation site in the simulator.
-        ev = Event(self.now + int(delay), self._seq, callback, label, self, payload)
+        ev = Event(self.now + delay, self._seq, callback, label, self, payload)
         self._seq += 1
         heappush(self._heap, (ev.time, ev.seq, ev))
         return ev
@@ -208,10 +224,11 @@ class Engine:
         label: str = "",
         payload: Optional[Any] = None,
     ) -> Event:
-        """Schedule ``callback`` at absolute simulation ``time``."""
-        if time < self.now:
-            raise SimulationError(f"cannot schedule at t={time} before now={self.now}")
-        ev = Event(int(time), self._seq, callback, label, self, payload)
+        """Schedule ``callback`` at absolute simulation ``time``, an ``int``
+        no earlier than now."""
+        if type(time) is not int or time < self.now:
+            raise SimulationError(_bad_time("time", time, self.now))
+        ev = Event(time, self._seq, callback, label, self, payload)
         self._seq += 1
         heappush(self._heap, (ev.time, ev.seq, ev))
         return ev

@@ -5,8 +5,9 @@ Each rule gets a positive case (the violation fires), a suppressed case
 case showing the exemptions work.  The mutation tests are the
 acceptance check: injecting a real determinism bug into a copy of
 ``speed_balancer.py`` must be caught.  ``TestCli`` covers the one
-command, ``python -m repro.analysis``, for every rule family, and
-``repro check``, which runs the same analyzer.
+command, ``python -m repro.analysis``, and ``repro check``, which runs
+the same analyzer.  ``TestDefectMatrix`` keeps the rule registries and
+the planted-defect matrix in ``docs/analysis.md`` in step.
 """
 
 import ast
@@ -22,12 +23,15 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis import flow, program
-from repro.analysis.lint import lint_source
+from repro.analysis import program
+from repro.analysis.invariants import INVARIANTS
+from repro.analysis.lint import lint_module, lint_source
 from repro.analysis.rules import MARKER, RULES, suppressed_rules
+from repro.analysis.sanitizer import SAN_RULES
 from repro.analysis.static import analyze
 from repro.analysis.static import main as analysis_main
-from tests.test_analysis_flow import write_tree
+
+REPO = Path(__file__).resolve().parents[1]
 
 #: a path inside a scheduling-decision directory (SIM001 applies) ...
 DECISION = Path("src/repro/balance/fake.py")
@@ -37,6 +41,20 @@ PLAIN = Path("src/repro/harness/fake.py")
 
 def rule_ids(source: str, path: Path = DECISION) -> list[str]:
     return [f.rule for f in lint_source(textwrap.dedent(source), path)]
+
+
+def write_tree(root: Path, files: dict) -> None:
+    """Materialize ``relative-path -> source`` with package __init__ chain."""
+    for rel, src in files.items():
+        p = root / rel
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_text(textwrap.dedent(src))
+        d = p.parent
+        while d != root:
+            init = d / "__init__.py"
+            if not init.exists():
+                init.write_text("")
+            d = d.parent
 
 
 class TestSim001SetIteration:
@@ -183,6 +201,14 @@ class TestSuppression:
         src = "# sim-lint: skip-file\nimport random\nfor x in {1}:\n    pass\n"
         assert rule_ids(src) == []
 
+    def test_several_ids_parse(self):
+        rules = suppressed_rules("x = 1  # sim-lint: ignore[SIM004, SIM008]")
+        assert rules == frozenset({"SIM004", "SIM008"})
+
+    def test_lint_honours_several_ids(self):
+        src = "for x in {1, 2, 3}:  # sim-lint: ignore[SIM004, SIM001]\n    pass\n"
+        assert rule_ids(src) == []
+
     def test_ignore_wrong_rule_does_not_suppress(self):
         src = "import random  # sim-lint: ignore[SIM001]\n"
         assert rule_ids(src, PLAIN) == ["SIM002"]
@@ -198,12 +224,13 @@ class TestRepoIsClean:
         assert analysis_main([]) == 0, capsys.readouterr().out
 
     def test_rule_catalogue_complete(self):
-        assert sorted(RULES) == [
-            "FLOW001", "FLOW002", "FLOW003", "FLOW004", "FLOW005",
-            "KERN002", "KERN005", "KERN006",
-            "SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006",
-            "SIM007",
-        ]
+        assert sorted(RULES) == [f"SIM00{i}" for i in range(1, 10)]
+
+    def test_rules_command_prints_every_catalogue(self, capsys):
+        assert analysis_main(["rules"]) == 0
+        out = capsys.readouterr().out
+        for rid in [*RULES, *INVARIANTS, *SAN_RULES]:
+            assert rid in out
 
     def test_inline_suppressions_follow_policy(self):
         """The one escape hatch stays narrow: no suppression in the
@@ -245,7 +272,7 @@ class TestRepoIsClean:
         assert "repro.analysis.sanitizer" in loaded
         static = {
             "repro.analysis.static", "repro.analysis.rules", "repro.analysis.program",
-            "repro.analysis.lint", "repro.analysis.flow", "repro.analysis.kernel",
+            "repro.analysis.lint",
         }
         assert not loaded & static
 
@@ -268,6 +295,10 @@ class TestCli:
         f.write_text("x = 1\n")
         assert analysis_main([str(f)]) == 0
 
+    def test_exit_zero_on_clean_tree(self, tmp_path, capsys):
+        write_tree(tmp_path, {"repro/sched/ok.py": "def f(x):\n    return x + 1\n"})
+        assert analysis_main([str(tmp_path)]) == 0
+
     def test_exit_one_and_report_on_findings(self, tmp_path, capsys):
         f = tmp_path / "bad.py"
         f.write_text("import random\n")
@@ -282,11 +313,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "SIM005" in out and "SIM002" not in out
 
-    def test_select_mixes_families(self, tmp_path, capsys):
+    def test_select_takes_several_ids(self, tmp_path, capsys):
         write_tree(tmp_path, self.TREE)
-        assert analysis_main([str(tmp_path), "--select", "SIM002,FLOW004"]) == 1
+        assert analysis_main([str(tmp_path), "--select", "SIM002,SIM008"]) == 1
         out = capsys.readouterr().out
-        assert "SIM002" in out and "FLOW004" in out and "SIM005" not in out
+        assert "SIM002" in out and "SIM008" in out and "SIM005" not in out
 
     def test_unknown_select_rejected(self, tmp_path, capsys):
         f = tmp_path / "bad.py"
@@ -320,38 +351,32 @@ class TestCli:
         for command in ("lint", "flow", "kernel"):
             assert analysis_main([command, "ok.py"]) == 2
 
-    def test_one_parse_per_file_one_index_one_solve(self, tmp_path, monkeypatch):
+    def test_one_parse_per_file(self, tmp_path, monkeypatch):
         calls: Counter = Counter()
 
-        def counting(name, fn):
+        def counting(fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls["parse"] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(program, "parse_module", counting("parse", program.parse_module))
-        monkeypatch.setattr(
-            program.ProgramIndex, "__init__", counting("index", program.ProgramIndex.__init__)
-        )
-        monkeypatch.setattr(
-            flow.FlowAnalysis, "solve", counting("solve", flow.FlowAnalysis.solve)
-        )
+        monkeypatch.setattr(program, "parse_module", counting(program.parse_module))
         write_tree(tmp_path, self.TREE)
         files = sorted(tmp_path.rglob("*.py"))
-        assert [f.rule for f in analyze([tmp_path])] == ["SIM002", "SIM005", "FLOW004"]
-        assert calls == {"parse": len(files), "index": 1, "solve": 1}
+        assert [f.rule for f in analyze([tmp_path])] == ["SIM002", "SIM005", "SIM008"]
+        assert calls == {"parse": len(files)}
 
     def test_check_runs_every_rule(self, tmp_path, capsys):
-        """``repro check`` runs the KERN rules CI runs, not just SIM/FLOW."""
+        """``repro check`` runs every rule CI runs, the kernel-only SIM009 too."""
         from repro.cli import main as cli_main
 
-        write_tree(tmp_path, {"repro/sim/loop.py": "def run() -> None: f = lambda: 1\n"})
+        write_tree(tmp_path, {"repro/sim/loop.py": "def run() -> None: f = eval('1')\n"})
         rc = cli_main([
             "check", "--paths", str(tmp_path), "--seconds", "0.02", "--repeats", "1",
         ])
         assert rc == 1
         out = capsys.readouterr().out
-        assert "KERN005" in out and "invariants: ok" in out
+        assert "SIM009" in out and "invariants: ok" in out
 
 
 class TestMutationCatches:
@@ -488,3 +513,198 @@ class TestSim007AggregateSweeps:
             "  # sim-lint: ignore[SIM007]\n"
         )
         assert rule_ids(src, self.HOT) == []
+
+
+class TestSim008ModuleState:
+    """Module-level mutable state written by a function of the module."""
+
+    def test_global_dict_write(self):
+        src = """\
+        _CACHE = {}
+
+
+        def remember(key, value):
+            _CACHE[key] = value
+        """
+        assert rule_ids(src) == ["SIM008"]
+
+    def test_mutating_method_and_delete(self):
+        src = """\
+        from collections import deque
+
+        _SEEN = deque()
+        _BY_ID = dict()
+
+
+        def note(x):
+            _SEEN.append(x)
+            del _BY_ID[x]
+        """
+        assert rule_ids(src) == ["SIM008", "SIM008"]
+
+    def test_iterator_advance_counts_as_write(self):
+        src = """\
+        import itertools
+
+        _ids = itertools.count()
+
+
+        def fresh():
+            return next(_ids)
+        """
+        assert rule_ids(src) == ["SIM008"]
+
+    def test_global_rebinding(self):
+        src = """\
+        _runs = 0
+
+
+        def bump():
+            global _runs
+            _runs += 1
+        """
+        assert rule_ids(src) == ["SIM008"]
+
+    def test_applies_outside_the_hot_directories(self):
+        src = "_LOG = []\n\n\ndef log(x):\n    _LOG.append(x)\n"
+        assert rule_ids(src, PLAIN) == ["SIM008"]
+
+    def test_local_shadow_is_clean(self):
+        src = """\
+        _CACHE = {}
+
+
+        def remember(key, value):
+            _CACHE = {}
+            _CACHE[key] = value
+            return _CACHE
+        """
+        assert rule_ids(src) == []
+
+    def test_reads_and_import_time_writes_are_clean(self):
+        src = """\
+        _TABLE = {"a": 1}
+        _TABLE["b"] = 2
+
+
+        def lookup(key):
+            return _TABLE.get(key)
+        """
+        assert rule_ids(src) == []
+
+    def test_suppression_comment(self):
+        src = "_LOG = []\n\n\ndef log(x):\n    _LOG.append(x)  # sim-lint: ignore[SIM008]\n"
+        assert rule_ids(src) == []
+
+    def test_in_tree_sites_are_the_four_suppressed_ones(self):
+        """Without their suppressions the shipped tree has exactly four
+        SIM008 sites, each carrying one."""
+        pkg = Path(repro.__file__).resolve().parent
+        sites = []
+        for module in program.load_modules([pkg]):
+            for f in lint_module(module):
+                if f.rule == "SIM008":
+                    line = module.lines[f.line - 1]
+                    assert "# sim-lint: ignore[SIM008]" in line, f.format()
+                    sites.append((module.name, f.message.split("`")[1]))
+        assert sorted(sites) == [
+            ("repro.sched.runqueue", "_entry_counter"),
+            ("repro.sched.task", "_task_ids"),
+            ("repro.sim.backends.nativebuild", "_digests"),
+            ("repro.sim.backends.nativebuild", "_loaded"),
+        ]
+
+
+class TestSim009KernelHooks:
+    """Dynamic code and attribute hooks in the kernel modules."""
+
+    KERNEL = Path("src/repro/sim/fake.py")
+
+    def test_eval_and_vars(self):
+        src = "def parse(s):\n    return eval(s), vars()\n"
+        assert rule_ids(src, self.KERNEL) == ["SIM009", "SIM009"]
+
+    def test_metaclass_and_attribute_hook(self):
+        src = """\
+        class Meta(type):
+            pass
+
+
+        class Reg(metaclass=Meta):
+            pass
+
+
+        class Lazy:
+            def __getattr__(self, name):
+                return 0
+        """
+        assert rule_ids(src, self.KERNEL) == ["SIM009", "SIM009"]
+
+    def test_every_kernel_directory_in_scope(self):
+        for d in ("sim", "sched", "balance", "mem"):
+            assert rule_ids("x = eval('1')\n", Path(f"src/repro/{d}/fake.py")) == ["SIM009"]
+
+    def test_outside_the_kernel_exempt(self):
+        assert rule_ids("x = eval('1')\n", PLAIN) == []
+        assert rule_ids("x = eval('1')\n", Path("src/repro/core/fake.py")) == []
+
+    def test_suppression_comment(self):
+        src = "x = eval('1')  # sim-lint: ignore[SIM009]\n"
+        assert rule_ids(src, self.KERNEL) == []
+
+
+class TestMovedRuleCatches:
+    """SIM008 and SIM009 catch the planted defects of docs/analysis.md
+    that the deleted FLOW004 and KERN006 caught (I1, I2, H1)."""
+
+    @staticmethod
+    def planted(rel: str, *edits: tuple[str, str]) -> list[str]:
+        path = Path(repro.__file__).resolve().parent / rel
+        source = path.read_text()
+        for old, new in edits:
+            assert source.count(old) == 1, old
+            source = source.replace(old, new)
+        return [f.rule for f in lint_source(source, Path("src/repro") / rel)]
+
+    def test_i1_module_counter_steering_linux_pulls(self):
+        assert self.planted(
+            "balance/linux.py",
+            ('__all__ = ["LinuxParams", "LinuxLoadBalancer"]\n',
+             '__all__ = ["LinuxParams", "LinuxLoadBalancer"]\n\n_passes = [0]\n'),
+            ("        n_to_move = (busiest_load - local_load) // 2\n",
+             "        _passes[0] += 1\n"
+             "        n_to_move = (busiest_load - local_load) // 2 + _passes[0] % 2\n"),
+        ) == ["SIM008"]
+
+    def test_i2_module_level_pure_memo(self):
+        assert self.planted(
+            "sched/task.py",
+            ("    w = NICE_0_WEIGHT / (1.25 ** nice)\n    return max(1, int(round(w)))\n",
+             "    if nice not in _WEIGHTS:\n"
+             "        _WEIGHTS[nice] = max(1, int(round(NICE_0_WEIGHT / (1.25 ** nice))))\n"
+             "    return _WEIGHTS[nice]\n\n\n_WEIGHTS = {}\n"),
+        ) == ["SIM008"]
+
+    def test_h1_task_setattr_hook(self):
+        assert self.planted(
+            "sched/task.py",
+            ('        "round_number", "throttled",\n    )\n',
+             '        "round_number", "throttled",\n    )\n\n'
+             "    def __setattr__(self, name, value):\n"
+             '        if name == "work_remaining":\n'
+             "            value = round(value, 6)\n"
+             "        object.__setattr__(self, name, value)\n"),
+        ) == ["SIM009"]
+
+
+class TestDefectMatrix:
+    """docs/analysis.md scores every check against planted defects; a
+    rule, invariant or sanitizer rule cannot ship unscored."""
+
+    def test_every_registered_check_is_scored(self):
+        doc = (REPO / "docs" / "analysis.md").read_text()
+        start = doc.index("## Planted defects")
+        end = doc.find("\n## ", start + 1)
+        matrix = doc[start:end if end >= 0 else len(doc)]
+        missing = [rid for rid in [*RULES, *INVARIANTS, *SAN_RULES] if rid not in matrix]
+        assert missing == []

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.apps.workloads import AppSpec
 from repro.cli import _submit_specs, build_parser, main
 from repro.store import spec_digest
 
@@ -267,13 +268,26 @@ class TestJobVerbs:
         assert rc == 1
         assert "expected a fully cached batch" in capsys.readouterr().err
 
-    def test_failed_job_exits_1_naming_it(self, target, capsys):
-        # a zero-thread app makes a spec, but the run itself fails
-        argv = [*self.SUBMIT, *target, "--threads", "0"]
+    @pytest.fixture
+    def failing_app(self, monkeypatch):
+        """Every app build raises, so a valid spec's run fails in the
+        worker; requested before ``target``, so a daemon's workers fork
+        with the patch."""
+        def fail(self, system):
+            raise RuntimeError("the app failed to build")
+
+        monkeypatch.setattr(AppSpec, "__call__", fail)
+
+    def test_failed_job_exits_1_naming_it(self, failing_app, target, capsys):
+        argv = [*self.SUBMIT, *target]
         assert main(argv) == 1
         (spec,) = _submit_specs(build_parser().parse_args(argv))
         err = capsys.readouterr().err
         assert "repro submit:" in err and spec_digest(spec)[:12] in err
+
+    def test_zero_threads_refused_before_submitting(self, target, capsys):
+        assert main([*self.SUBMIT, *target, "--threads", "0"]) == 2
+        assert "n_threads must be an int >= 1" in capsys.readouterr().err
 
     def test_core_subset_outside_machine_refused_before_submitting(self, target, capsys):
         # cores 16..19 do not exist on tigerton: the spec is refused

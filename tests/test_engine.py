@@ -64,6 +64,16 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             eng.run()
 
+    @pytest.mark.parametrize("when", [2.5, 10.0, True, False, None, "10"])
+    @pytest.mark.parametrize("verb", ["schedule", "schedule_at"])
+    def test_non_int_time_rejected(self, verb, when):
+        """Engine time is integer microseconds: a float is refused, not
+        truncated, and so is a bool."""
+        eng = Engine()
+        with pytest.raises(SimulationError, match="integer microseconds"):
+            getattr(eng, verb)(when, lambda: None)
+        assert eng.pending == 0
+
     def test_clock_starts_at_zero(self):
         assert Engine().now == 0
 

@@ -173,3 +173,25 @@ def test_heap_and_native_agree_at_every_dispatch(spec):
     native_digest = _run(spec, "native", follow)
     assert next(step) == len(states), "native dispatched fewer events than heap"
     assert native_digest == heap_digest
+
+
+@pytest.mark.parametrize("nice", [-5, 3])
+def test_niced_tasks_agree(nice):
+    """Priorities reach the C chain through the weight slot it reads as
+    an integer: a niced task beside a default one on one core schedules
+    identically on both engines (the specs above are all nice 0)."""
+    from repro.balance.linux import LinuxLoadBalancer
+    from repro.system import System
+    from tests.test_core_sim import OneShot, pinned_task
+
+    ends = []
+    for engine in ("heap", "native"):
+        system = System(presets.uniform(2), seed=0, engine=engine)
+        system.set_balancer(LinuxLoadBalancer())
+        tasks = [pinned_task(OneShot(200_000), 0, name="default"),
+                 pinned_task(OneShot(200_000), 0, name="niced", nice=nice)]
+        system.spawn_burst(tasks)
+        system.run(until=500_000)
+        ends.append([(t.exec_us, t.finished_at, t.vruntime) for t in tasks]
+                    + [system.cores[0].stats.context_switches])
+    assert ends[0] == ends[1]

@@ -9,7 +9,9 @@ makes the fan-out possible.
 """
 
 import json
+import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -33,6 +35,12 @@ SPEC = AppSpec(bench="ep.C", n_threads=6, wait="yield", total_compute_us=100_000
 def ep_factory(system):
     """Module-level factory: picklable by reference."""
     return ep_app(system, n_threads=6, total_compute_us=100_000)
+
+
+def crashing_factory(system):
+    """Module-level factory whose worker process dies mid-job, as a
+    crash in the native core or an OOM kill would end it."""
+    os._exit(1)
 
 
 def canonical(result) -> str:
@@ -130,6 +138,23 @@ class TestMapSpecs:
         assert isinstance(out[0], SpecTimeoutError)
         assert [run_digest(r) for r in out[1:]] == \
                [run_digest(run_spec(s)) for s in fast]
+
+    @pytest.mark.parametrize("workers, timeout_s", [(2, None), (1, 30)])
+    def test_crashed_worker_fails_only_its_own_job(self, workers, timeout_s):
+        """A job that kills its worker process breaks the pool; the jobs
+        beside and behind it rerun in fresh pools and still succeed."""
+        crash = RunSpec.make("tigerton", crashing_factory, cores=4)
+        fast = self.specs(2)
+        out = map_specs([crash, *fast], workers=workers, timeout_s=timeout_s,
+                        return_exceptions=True)
+        assert isinstance(out[0], BrokenProcessPool)
+        assert [run_digest(r) for r in out[1:]] == \
+               [run_digest(run_spec(s)) for s in fast]
+
+    def test_single_spec_runs_in_a_worker_when_workers_exceed_one(self):
+        crash = RunSpec.make("tigerton", crashing_factory, cores=4)
+        (out,) = map_specs([crash], workers=2, return_exceptions=True)
+        assert isinstance(out, BrokenProcessPool)
 
 
 class TestRepeatRunEquivalence:

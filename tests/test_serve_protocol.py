@@ -122,6 +122,18 @@ class TestSpecCodec:
         "cores-mixed": ("spec", "cores", [0, "1"], "not a core number"),
         "cores-outside": ("spec", "cores", [0, 99], "outside machine 'tigerton'"),
         "cores-too-many": ("spec", "cores", 10**9, "outside machine 'tigerton'"),
+        "threads-zero": ("app", "n_threads", 0, "n_threads must be an int >= 1"),
+        "threads-negative": ("app", "n_threads", -1, "n_threads must be an int >= 1"),
+        "threads-bool": ("app", "n_threads", True, "n_threads must be an int >= 1"),
+        "compute-zero": ("app", "total_compute_us", 0, "total_compute_us must be"),
+        "compute-negative": ("app", "total_compute_us", -100, "total_compute_us must be"),
+        "barrier-zero": ("app", "barrier_period_us", 0, "barrier_period_us must be"),
+        "barrier-negative": ("app", "barrier_period_us", -5, "barrier_period_us must be"),
+        "corunner-core-negative": ("corunner", "core", -1, "core must be an int >= 0"),
+        "corunner-core-outside": ("corunner", "core", 99, "outside machine 'tigerton'"),
+        "corunner-j-zero": ("corunner", "j", 0, "j must be an int >= 1"),
+        "corunner-jobs-zero": ("corunner", "jobs", 0, "jobs must be an int >= 1"),
+        "corunner-mean-zero": ("corunner", "mean_job_us", 0, "mean_job_us must be"),
     }
 
     @pytest.mark.parametrize("case", sorted(UNRUNNABLE))

@@ -551,9 +551,10 @@ class TestMalformedRequests:
 
     def test_unrunnable_spec_values_get_400(self, tmp_path, counting, serve_client):
         """Values that would fail only in a worker -- an unknown wait
-        policy, benchmark, co-runner, machine preset or balancer, or a
-        core subset no machine has -- or that would silently run another
-        configuration (an unknown flavor) are refused at admission."""
+        policy, benchmark, co-runner, machine preset or balancer, a
+        core subset or co-runner core no machine has, or a count below
+        one -- or that would silently run another configuration (an
+        unknown flavor, a bool count) are refused at admission."""
         from repro.harness.scenarios import CorunnerSpec
 
         spec = RunSpec.make(
@@ -571,7 +572,19 @@ class TestMalformedRequests:
                (("cores",), 0),
                (("cores",), [-1, 0]),
                (("cores",), True),
-               (("cores",), [0, 99]))
+               (("cores",), [0, 99]),
+               (("app", "fields", "n_threads"), 0),
+               (("app", "fields", "n_threads"), -1),
+               (("app", "fields", "n_threads"), True),
+               (("app", "fields", "total_compute_us"), 0),
+               (("app", "fields", "total_compute_us"), -100),
+               (("app", "fields", "barrier_period_us"), 0),
+               (("app", "fields", "barrier_period_us"), -5),
+               (("params", "corunner_factories", 0, "fields", "core"), -1),
+               (("params", "corunner_factories", 0, "fields", "core"), 99),
+               (("params", "corunner_factories", 0, "fields", "j"), 0),
+               (("params", "corunner_factories", 0, "fields", "jobs"), 0),
+               (("params", "corunner_factories", 0, "fields", "mean_job_us"), 0))
         bg = _boot(tmp_path, workers=1)
         try:
             for path, value in bad:
@@ -1062,3 +1075,31 @@ class TestTimeouts:
             assert client.metrics()["timeouts"] == 1
         finally:
             bg.drain()
+
+    def test_dead_worker_fails_its_job_and_is_respawned(
+        self, tmp_path, monkeypatch, serve_client
+    ):
+        """With no job timeout (the ``repro serve`` default), a worker
+        process that dies mid-job neither wedges that job nor the jobs
+        queued behind it, and the drain still completes."""
+        log = tmp_path / "ran.log"
+        fake_job(monkeypatch, 60.0, log=log)
+        bg = _boot(tmp_path, workers=1, max_attempts=1)
+        try:
+            client = serve_client(bg.base_url)
+            (long_job,) = client.submit([_spec(seed=1)])["jobs"]
+            deadline = time.monotonic() + 20
+            while ran(log) != ["speed/1"] and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert ran(log) == ["speed/1"]
+            monkeypatch.undo()  # the respawned worker runs jobs quickly
+            fake_job(monkeypatch, 0.0)
+            (queued,) = client.submit([_spec(seed=2)])["jobs"]
+            os.kill(bg.server._pool._procs[0].pid, signal.SIGKILL)
+            view = client.wait(long_job["digest"], poll_s=0.05, timeout_s=20)
+            assert view["state"] == "failed"
+            assert "worker died" in view["error"]
+            view = client.wait(queued["digest"], poll_s=0.05, timeout_s=20)
+            assert view["state"] == "done"
+        finally:
+            bg.drain(timeout_s=20)
