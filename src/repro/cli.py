@@ -1005,7 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port; 0 picks a free one (default: 8421)")
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="worker processes; each digest runs on one (default: 2)",
+        help="worker processes; any idle one takes the next job (default: 2)",
     )
     serve.add_argument(
         "--tenant", action="append", default=[], metavar="SPEC",

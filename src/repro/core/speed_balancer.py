@@ -192,9 +192,6 @@ class SpeedBalancer:
         self._interval_factor: dict[int, int] = {}
         self.stats_pulls = 0
         self.stats_wakeups = 0
-        #: optional trace of (time, core, local_speed, global_speed)
-        self.speed_trace: list[tuple[int, int, float, float]] = []
-        self.trace_speeds = False
         # -- O(residents) monitoring state (built in attach) -----------
         #: tid -> position in app.tasks, the sampling order the shared
         #: estimator noise stream depends on
@@ -333,8 +330,6 @@ class SpeedBalancer:
         # step 3: global core speed from the published values
         published = [self.core_speed[c] for c in self.requested_cores or []]
         s_global = sum(published) / len(published) if published else 1.0
-        if self.trace_speeds:
-            self.speed_trace.append((now, cid, s_j, s_global))
 
         # step 4: pull if the local core is faster than the global mean
         pulls_before = self.stats_pulls

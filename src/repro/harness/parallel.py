@@ -22,7 +22,8 @@ entries.
 
 Pickling rules
 --------------
-``ProcessPoolExecutor`` ships jobs to workers with :mod:`pickle`:
+The worker pool (:mod:`repro.harness.pool`) ships jobs to its forked
+workers with :mod:`pickle`:
 
 * machine: pass a **preset name** (``"tigerton"``, ``"barcelona"``,
   ``"nehalem"``) or a module-level factory function.  Closures and
@@ -42,13 +43,12 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from repro.harness.experiment import BALANCER_MODES, _check_core_subset, run_app
+from repro.harness.pool import SpecTimeoutError, WorkerPool
 from repro.metrics.results import AppRunResult
 from repro.sim.backends import backend_names
 from repro.system import System
@@ -66,16 +66,6 @@ __all__ = [
     "run_traced",
 ]
 
-
-class SpecTimeoutError(RuntimeError):
-    """One spec exceeded its wall-clock budget (a timeout failure).
-
-    Produced by :func:`map_specs` when ``timeout_s`` is set; with
-    ``return_exceptions`` it appears in the result list like any other
-    per-job failure, so :class:`repro.service.JobService` retries a
-    timed-out job exactly as it retries a crash, and the final error
-    string a caller sees names the timeout explicitly.
-    """
 
 #: machine factories resolvable by name in a :class:`RunSpec`
 MACHINE_PRESETS: dict[str, Callable[[], Machine]] = {
@@ -235,92 +225,10 @@ def _require_picklable(obj: Any, what: str) -> None:
         ) from None
 
 
-def _fan_out(
-    specs: Sequence[RunSpec],
-    workers: int,
-    return_exceptions: bool = False,
-    timeout_s: Optional[float] = None,
-) -> list:
-    """Run every spec in worker processes; results in submission order.
-
-    With ``return_exceptions`` a failed job yields its exception object
-    in place of a result instead of aborting the whole batch -- the
-    hook :class:`repro.service.JobService` uses to retry individual
-    worker crashes without losing the rest of a fan-out.
-
-    A job whose worker process dies (``os._exit``, a crash in the
-    native core, an OOM kill) breaks the pool, and every unfinished job
-    of it sees :class:`BrokenProcessPool`.  Workers take jobs in
-    submission order, so the jobs running at the break are among the
-    first ``workers`` unfinished ones: each of those reruns alone in a
-    pool of its own, and the rest share a fresh pool.  Only the job
-    that kills its worker fails, with :class:`BrokenProcessPool`.
-
-    With ``timeout_s`` each job gets that many wall seconds, counted
-    from when the collector reaches its future: every earlier job has
-    finished by then, so the job is running (and may gain the time it
-    ran before).  A job past its deadline yields
-    :class:`SpecTimeoutError`.  A running job cannot be interrupted
-    cooperatively, so a timeout kills the pool's worker processes --
-    safe because workers only *return* results (the parent does all
-    store writes).  The jobs unfinished by then go to a fresh pool with
-    fresh deadlines: a hung job never uses up the time of the jobs
-    queued behind it.
-    """
-    out: list = [None] * len(specs)
-    batches = [list(range(len(specs)))]  # each runs in a fresh pool
-    while batches:
-        batch = batches.pop(0)
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(batch)))
-        futures = [(i, pool.submit(run_spec, specs[i])) for i in batch]
-        pending: list[int] = []
-        timed_out = broken = False
-        try:
-            for i, f in futures:
-                if timed_out and not f.done():
-                    pending.append(i)  # rerun in the next pool
-                    continue
-                try:
-                    out[i] = f.result(timeout=timeout_s)
-                except BrokenProcessPool as exc:
-                    if len(batch) > 1:
-                        broken = True
-                        pending.append(i)  # rerun: it may not be the crash
-                        continue
-                    if not return_exceptions:
-                        raise
-                    out[i] = exc
-                except FuturesTimeoutError:
-                    timed_out = True
-                    exc: Exception = SpecTimeoutError(
-                        f"job #{i} timeout: exceeded the {timeout_s:g}s "
-                        "wall-clock budget"
-                    )
-                    if not return_exceptions:
-                        raise exc from None
-                    out[i] = exc
-                except Exception as exc:  # noqa: BLE001 - reported per job
-                    if not return_exceptions:
-                        raise
-                    out[i] = exc
-        finally:
-            if timed_out:
-                # a timed-out job is still running in its worker; joining
-                # (or even interpreter exit) would block on it, so kill
-                # the workers outright -- they hold no shared state.
-                # Snapshot the process table first: shutdown() clears it.
-                procs = list((getattr(pool, "_processes", None) or {}).values())
-                pool.shutdown(wait=False, cancel_futures=True)
-                for proc in procs:
-                    proc.kill()
-            else:
-                pool.shutdown(wait=True)
-        if broken:
-            batches[:0] = [[i] for i in pending[:workers]]
-            pending = pending[workers:]
-        if pending:
-            batches.append(pending)
-    return out
+def _run_one(spec: RunSpec) -> AppRunResult:
+    """A pool worker's job.  It looks ``run_spec`` up when it runs, so a
+    worker runs whatever this module binds at the worker's fork."""
+    return run_spec(spec)
 
 
 def map_specs(
@@ -333,22 +241,24 @@ def map_specs(
 
     ``workers=1`` (default) runs serially in-process -- the exact same
     code path a direct ``run_app`` loop takes.  ``workers=None`` uses
-    one worker per CPU.  With more than one worker every spec runs in
-    a worker process, a batch of one included, so a spec that kills
-    its process costs only its own result.
+    one worker per CPU.  Otherwise every spec runs in a
+    :class:`~repro.harness.pool.WorkerPool` of ``min(workers,
+    len(specs))`` forked workers, a batch of one included: the specs
+    go out in input order, each to the next idle worker, so a spec
+    that kills its worker costs only its own result.
 
     With ``return_exceptions`` a failed spec contributes its exception
-    object (including :class:`concurrent.futures.process
-    .BrokenProcessPool` for a crashed worker) instead of raising, so a
-    caller can retry just the failed subset.
+    object (:class:`~repro.harness.pool.WorkerDiedError` for a worker
+    that died under it) instead of raising, so a caller can retry just
+    the failed subset.
 
-    ``timeout_s`` bounds each spec's wall-clock time; a spec past it
-    contributes (or raises) :class:`SpecTimeoutError`, and the specs
-    behind it still run, each with its own full budget.  Enforcing a
-    deadline requires the process-pool path -- in-process execution
-    cannot be interrupted -- so ``timeout_s`` forces the fan-out even
-    for ``workers=1`` / single-spec batches (results stay
-    byte-identical; the parity tests cover the pool path).
+    ``timeout_s`` bounds each spec's wall-clock time, counted from when
+    its worker receives it; a spec past it contributes (or raises)
+    :class:`SpecTimeoutError`, and only its worker is killed.
+    Enforcing a deadline needs a worker process -- in-process
+    execution cannot be interrupted -- so ``timeout_s`` runs the pool
+    even for ``workers=1`` (results stay byte-identical; the parity
+    tests cover the pool path).
     """
     specs = list(specs)
     if workers is None:
@@ -369,6 +279,18 @@ def map_specs(
         return results
     for i, spec in enumerate(specs):
         _require_picklable(spec, f"RunSpec #{i} ({spec.balancer}, seed={spec.seed})")
-    return _fan_out(
-        specs, workers, return_exceptions=return_exceptions, timeout_s=timeout_s
-    )
+    out: list = [None] * len(specs)
+    todo = deque(enumerate(specs))
+    with WorkerPool(min(workers, len(specs)), _run_one, timeout_s) as pool:
+        for w in range(pool.n):
+            pool.submit(w, *todo.popleft())
+        left = len(specs)
+        while left:
+            for outcome in pool.wait():
+                left -= 1
+                if not (outcome.ok or return_exceptions):
+                    raise outcome.value
+                out[outcome.token] = outcome.value
+                if todo:
+                    pool.submit(outcome.worker, *todo.popleft())
+    return out

@@ -51,6 +51,7 @@ from repro.sched.task import (
     WAIT_YIELD,
     Task,
 )
+from repro.sim.engine import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -313,15 +314,17 @@ class CoreSim:
         task = self.current
         if task is None:
             return
+        if task.state is not TASK_RUNNING:
+            # a task leaves RUNNING only through its own core, which
+            # clears ``current`` as it does: the running state is corrupt
+            raise SimulationError(
+                f"core {self.cid} puts back {task!r}, which is not running"
+            )
         self.current = None
         self._mem_note_off(task)
         task.last_descheduled_at = self.engine.now
         task.last_core = self.cid
         self.stats.context_switches += 1
-        if task.state is not TASK_RUNNING:
-            # already slept/exited/migrated under us: nr_running dropped
-            self._load_epoch[0] += 1
-            return
         task.state = TASK_RUNNABLE
         if task.throttled:
             self._load_epoch[0] += 1

@@ -12,7 +12,7 @@ Modules:
 * :mod:`~repro.serve.protocol` -- wire spec codec, HTTP/1.1, SSE
 * :mod:`~repro.serve.tenants`  -- queues, token buckets, service windows
 * :mod:`~repro.serve.dispatch` -- speed-aware weighted-fair dispatcher
-* :mod:`~repro.serve.workers`  -- digest routing + worker processes
+* :mod:`~repro.serve.workers`  -- the daemon's store and served job
 * :mod:`~repro.serve.metrics`  -- counters, latency percentiles
 * :mod:`~repro.serve.server`   -- the asyncio daemon
 * :mod:`~repro.serve.client`   -- blocking stdlib client
@@ -29,12 +29,11 @@ from repro.serve.server import (
     run_server,
 )
 from repro.serve.tenants import AdmissionError, Tenant, TenantConfig
-from repro.serve.workers import ProcessWorkerPool, ShardedStore, shard_index
+from repro.serve.workers import ShardedStore
 
 __all__ = [
     "AdmissionError",
     "BackgroundServer",
-    "ProcessWorkerPool",
     "ProtocolError",
     "ReproServer",
     "ServeClient",
@@ -47,7 +46,6 @@ __all__ = [
     "TenantConfig",
     "percentile",
     "run_server",
-    "shard_index",
     "spec_from_wire",
     "spec_to_wire",
 ]

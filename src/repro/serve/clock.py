@@ -22,7 +22,8 @@ def monotonic() -> float:
 
     The one SIM003-exempt wall-clock read of the serving layer
     (mirroring the ``repro/harness/bench.py`` precedent): admission
-    windows, token buckets, latency percentiles and worker-timeout
-    deadlines are all measured in real seconds, never simulated ones.
+    windows, token buckets and latency percentiles are all measured in
+    real seconds, never simulated ones.  Job deadlines are the worker
+    pool's (:mod:`repro.harness.pool`).
     """
     return time.monotonic()  # sim-lint: ignore[SIM003]

@@ -32,7 +32,7 @@ order deterministic for the tests.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.serve.tenants import Tenant
 
@@ -40,30 +40,20 @@ __all__ = ["SpeedAwareDispatcher"]
 
 
 class SpeedAwareDispatcher:
-    """Pick the slowest-served eligible tenant (see module docs).
+    """Pick the slowest-served tenant with queued work (see module docs).
 
     Stateless: each tenant's ``dispatched`` counter (in the
     ``/v1/metrics`` snapshot) already counts the picks.
     """
 
     def pick(
-        self,
-        tenants: Iterable[Tenant],
-        now: Optional[float] = None,
-        eligible: Optional[Callable[[Tenant], bool]] = None,
+        self, tenants: Iterable[Tenant], now: Optional[float] = None
     ) -> Optional[Tenant]:
-        """The tenant to serve next, or ``None`` if nothing is eligible.
-
-        ``eligible`` narrows candidacy beyond queue-nonempty -- the
-        server passes "has a job routed to this idle worker"
-        (:meth:`~repro.serve.tenants.Tenant.has_routable`).
-        """
+        """The tenant to serve next, or ``None`` if no queue holds work."""
         best: Optional[Tenant] = None
         best_key: Optional[tuple[float, str]] = None
         for tenant in tenants:
             if not tenant.queue:
-                continue
-            if eligible is not None and not eligible(tenant):
                 continue
             key = (tenant.service_share(now), tenant.name)
             if best_key is None or key < best_key:

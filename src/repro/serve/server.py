@@ -3,10 +3,11 @@
 One asyncio loop owns everything except simulation itself: it parses
 requests, admits batches against per-tenant token buckets and bounded
 queues, runs the speed-aware dispatcher whenever a worker goes idle,
-and streams job lifecycles over SSE.  Simulations run in the
-:mod:`repro.serve.workers` pool (one process per worker; each digest
-routes to one of them); completions re-enter the loop via
-``call_soon_threadsafe``, so no handler ever blocks on a simulation.
+and streams job lifecycles over SSE.  Simulations run in a
+:class:`~repro.harness.pool.WorkerPool` (one forked process per
+worker; any idle one takes the next job); a pump thread waits on the
+pool and its outcomes re-enter the loop via ``call_soon_threadsafe``,
+so no handler ever blocks on a simulation.
 
 Endpoints (all JSON unless noted)::
 
@@ -60,9 +61,11 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+from repro.harness.pool import Outcome, SpecTimeoutError, WorkerPool
 from repro.metrics.export import result_to_dict
 from repro.serve import clock as _clock
 from repro.serve.dispatch import SpeedAwareDispatcher
@@ -80,7 +83,7 @@ from repro.serve.protocol import (
     sse_event,
 )
 from repro.serve.tenants import AdmissionError, Tenant, TenantConfig
-from repro.serve.workers import ProcessWorkerPool, ShardedStore, shard_index
+from repro.serve.workers import ShardedStore, run_served_job
 from repro.store import StoreIntegrityError, UnstorableSpecError, spec_digest
 
 __all__ = [
@@ -110,15 +113,15 @@ class ServeConfig:
     host: str = "127.0.0.1"
     #: 0 picks an ephemeral port (tests); read it from ``server.port``
     port: int = 8421
-    #: worker processes; each digest routes to exactly one
+    #: worker processes; any idle one takes the next job
     workers: int = 2
     #: tenants declared up front; unknown tenants are created on first
     #: submit with :class:`TenantConfig`'s defaults
     tenants: tuple[TenantConfig, ...] = ()
     #: service-speed measurement window (the dispatcher's memory)
     window_s: float = 30.0
-    #: per-job wall-clock budget; a worker past it is killed + respawned
-    #: (checked every tenth of the budget, at least every 0.25 s)
+    #: per-job wall-clock budget, counted from when the worker receives
+    #: the job; a worker past it is killed and respawned
     job_timeout_s: Optional[float] = None
     #: dispatch attempts per job (1 = no retry)
     max_attempts: int = 2
@@ -135,8 +138,7 @@ class JobRecord:
 
     __slots__ = (
         "digest", "tenant", "wire", "state", "attempts", "error",
-        "worker", "submitted_at", "started_at", "finished_at",
-        "history", "subscribers",
+        "submitted_at", "finished_at", "history", "subscribers",
     )
 
     def __init__(self, digest: str, tenant: str, wire: dict, now: float):
@@ -146,9 +148,7 @@ class JobRecord:
         self.state = "pending"
         self.attempts = 0
         self.error = ""
-        self.worker: Optional[int] = None
         self.submitted_at = now
-        self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         #: every status view published so far (SSE replay)
         self.history: list[dict] = []
@@ -188,16 +188,16 @@ class ReproServer:
         for tc in config.tenants:
             self.tenants[tc.name] = Tenant(tc, config.window_s, clock)
         self.jobs: dict[str, JobRecord] = {}
-        #: worker id -> (digest, deadline) while a job is on that worker
-        self.busy: dict[int, tuple[str, float]] = {}
-        self.idle: set[int] = set(range(config.workers))
+        #: worker id -> digest while a job is on that worker
+        self.busy: dict[int, str] = {}
         self.draining = False
         self.port = config.port
         self._clock = clock
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        self._pool: Any = None
-        self._monitor_task: Optional[asyncio.Task] = None
+        #: the worker pool and the thread that waits on it, from start()
+        self._pool: WorkerPool
+        self._pump: threading.Thread
         self._drain_task: Optional[asyncio.Task] = None
         self._stopped: Optional[asyncio.Event] = None
         #: open connections, and those of them waiting for a request
@@ -212,16 +212,20 @@ class ReproServer:
         """Spawn workers, resume any queue snapshot, bind the socket."""
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
-        self._pool = ProcessWorkerPool(
-            self.store, on_result=self._on_result_threadsafe
+        self._pool = WorkerPool(
+            self.config.workers,
+            partial(run_served_job, str(self.store.root)),
+            self.config.job_timeout_s,
         )
-        self._pool.start()
+        self._pump = threading.Thread(
+            target=self._pump_outcomes, name="serve-pump", daemon=True
+        )
+        self._pump.start()
         self._resume_snapshot()
         self._server = await asyncio.start_server(
             self._handle, host=self.config.host, port=self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._monitor_task = self._loop.create_task(self._monitor())
         self._try_dispatch()
 
     async def wait_stopped(self) -> None:
@@ -241,14 +245,13 @@ class ReproServer:
         self.metrics.drains += 1
         while self.busy:
             await asyncio.sleep(0.02)
-        if self._monitor_task is not None:
-            self._monitor_task.cancel()
         self._persist_snapshot()
         # release every live SSE stream before closing the socket
         for rec in self.jobs.values():
             for q in rec.subscribers:
                 q.put_nowait(None)
         self._pool.stop()
+        self._pump.join()
         if self._server is not None:
             self._server.close()
             # the open connections end before the drain does (Python
@@ -345,87 +348,60 @@ class ReproServer:
         return tenant
 
     # -- dispatch -------------------------------------------------------
-    def _routable(self, worker_id: int) -> Callable[[str], bool]:
-        n = self.config.workers
-        return lambda digest: shard_index(digest, n) == worker_id
-
     def _try_dispatch(self) -> None:
-        """Hand queued jobs to idle workers, slowest-served first.
-
-        Each idle worker can only take digests routed to it, so the
-        dispatcher is asked per worker with a routability predicate;
-        the loop repeats until no idle worker can be fed.
-        """
+        """Give the slowest-served tenant's oldest job to the
+        lowest-numbered idle worker, while both exist."""
         if self.draining:
             return
         now = self._clock()
-        progress = True
-        while progress:
-            progress = False
-            for w in sorted(self.idle):
-                routable = self._routable(w)
-                tenant = self.dispatcher.pick(
-                    (self.tenants[n] for n in sorted(self.tenants)),
-                    now=now,
-                    eligible=lambda t: t.has_routable(routable),
-                )
-                if tenant is None:
-                    continue
-                digest = tenant.pop_routable(routable)
-                if digest is None:  # pragma: no cover - guarded by pick
-                    continue
-                rec = self.jobs[digest]
-                rec.state = "running"
-                rec.attempts += 1
-                rec.worker = w
-                rec.started_at = now
-                self.idle.discard(w)
-                deadline = (
-                    now + self.config.job_timeout_s
-                    if self.config.job_timeout_s is not None
-                    else float("inf")
-                )
-                self.busy[w] = (digest, deadline)
-                self._publish(rec)
-                self._pool.submit(digest, rec.wire)
-                progress = True
-
-    def _on_result_threadsafe(self, msg: tuple) -> None:
-        """Pump-thread entry: bounce a completion into the loop."""
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(self._on_result, msg)
-
-    def _on_result(self, msg: tuple) -> None:
-        """Settle one job: requeue a failure with attempts left, else
-        finish it.  Completions and timeouts (``_monitor``) both land
-        here."""
-        worker_id, digest, state, error, busy_s = msg
-        inflight = self.busy.get(worker_id)
-        if inflight is None or inflight[0] != digest:
-            # stale completion from a worker killed after a timeout --
-            # the job was already failed/requeued; only the busy-time
-            # accounting is still meaningful
-            self.metrics.record_worker_busy(worker_id, busy_s)
-            return
-        del self.busy[worker_id]
-        self.idle.add(worker_id)
-        self.metrics.record_worker_busy(worker_id, busy_s)
-        rec = self.jobs[digest]
-        tenant = self.tenants[rec.tenant]
-        tenant.record_service(busy_s)
-        if (
-            state == "failed"
-            and rec.attempts < self.config.max_attempts
-            and not self.draining
-        ):
-            self.metrics.retries += 1
-            rec.state = "pending"
-            rec.error = error
-            rec.worker = None
-            tenant.requeue_front(digest)
+        while len(self.busy) < self.config.workers:
+            tenant = self.dispatcher.pick(
+                (self.tenants[n] for n in sorted(self.tenants)), now=now
+            )
+            if tenant is None:
+                return
+            digest = tenant.pop()
+            rec = self.jobs[digest]
+            rec.state = "running"
+            rec.attempts += 1
+            w = min(set(range(self.config.workers)) - self.busy.keys())
+            self.busy[w] = digest
             self._publish(rec)
-        else:
-            self._finish(rec, state, error)
+            self._pool.submit(w, digest, rec.wire)
+
+    def _pump_outcomes(self) -> None:
+        """Pump thread: pass the pool's outcomes to the loop until it stops."""
+        assert self._loop is not None
+        while outcomes := self._pool.wait():
+            self._loop.call_soon_threadsafe(self._on_outcomes, outcomes)
+
+    def _on_outcomes(self, outcomes: list[Outcome]) -> None:
+        """Settle each job: requeue a failure with attempts left, else
+        finish it; then refill the idle workers."""
+        for outcome in outcomes:
+            del self.busy[outcome.worker]
+            self.metrics.record_worker_busy(outcome.worker, outcome.busy_s)
+            if outcome.ok:
+                state, error = outcome.value
+            else:
+                state, error = "failed", f"{type(outcome.value).__name__}: {outcome.value}"
+                if isinstance(outcome.value, SpecTimeoutError):
+                    self.metrics.timeouts += 1
+            rec = self.jobs[outcome.token]
+            tenant = self.tenants[rec.tenant]
+            tenant.record_service(outcome.busy_s)
+            if (
+                state == "failed"
+                and rec.attempts < self.config.max_attempts
+                and not self.draining
+            ):
+                self.metrics.retries += 1
+                rec.state = "pending"
+                rec.error = error
+                tenant.requeue_front(rec.digest)
+                self._publish(rec)
+            else:
+                self._finish(rec, state, error)
         self._try_dispatch()
 
     def _finish(self, rec: JobRecord, state: str, error: str = "") -> None:
@@ -447,33 +423,6 @@ class ReproServer:
         rec.history.append(view)
         for q in rec.subscribers:
             q.put_nowait(view)
-
-    # -- worker monitor -------------------------------------------------
-    async def _monitor(self) -> None:
-        """Settle the job of any worker that is past its job deadline
-        (killing it) or whose process has died, then respawn the worker.
-        The job fails through :meth:`_on_result`, so retries apply."""
-        budget = self.config.job_timeout_s
-        period = 0.25 if budget is None else min(0.25, budget / 10)
-        while True:
-            await asyncio.sleep(period)
-            now = self._clock()
-            for w, (digest, deadline) in sorted(self.busy.items()):
-                code = self._pool.exitcode(w)
-                if budget is not None and now > deadline:
-                    self.metrics.timeouts += 1
-                    error = (
-                        f"timeout: exceeded the {budget:g}s wall-clock budget; "
-                        "worker killed and respawned"
-                    )
-                    busy_s = budget
-                elif code is not None:
-                    error = f"worker died (exit code {code}); respawned"
-                    busy_s = now - (self.jobs[digest].started_at or now)
-                else:
-                    continue
-                self._pool.kill_worker(w)
-                self._on_result((w, digest, "failed", error, busy_s))
 
     # -- HTTP -----------------------------------------------------------
     async def _handle(
@@ -557,7 +506,7 @@ class ReproServer:
                 self.metrics.snapshot(
                     self.tenants.values(),
                     n_workers=self.config.workers,
-                    inflight={d: str(w) for w, (d, _) in self.busy.items()},
+                    inflight={d: str(w) for w, d in self.busy.items()},
                 )
             )
         m = re.fullmatch(r"/v1/jobs/([0-9a-f]{64})", path)
@@ -638,7 +587,7 @@ class ReproServer:
             try:
                 entry = self.store.get(digest)
             except StoreIntegrityError:
-                # a miss; the worker the digest routes to deletes and recomputes
+                # a miss; the worker that runs it deletes and recomputes
                 entry = None
             if entry is not None and entry.result is not None:
                 # store hit: terminal immediately, no queue slot used

@@ -14,14 +14,14 @@ Each tenant of the daemon owns three small mechanisms:
   tenant actually received.  The dispatcher reads it as the tenant's
   observed *service speed* -- the serving-layer analogue of the
   paper's thread speed (executed time over wall time) -- and pulls the
-  slowest-served eligible tenant first, instead of balancing on queue
-  *length* the way naive FCFS admission would.
+  slowest-served tenant with queued work first, instead of balancing
+  on queue *length* the way naive FCFS admission would.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.serve import clock as _clock
@@ -211,30 +211,6 @@ class Tenant:
     def pop(self) -> str:
         self.counters.dispatched += 1
         return self.queue.popleft()
-
-    def has_routable(self, routable: Callable[[str], bool]) -> bool:
-        """Whether any queued digest satisfies ``routable``.
-
-        Digests are routed to workers by prefix, so an idle worker can
-        only take jobs that route to it;
-        dispatch eligibility is therefore per-(tenant, worker), not
-        just queue-nonempty.
-        """
-        return any(routable(d) for d in self.queue)
-
-    def pop_routable(self, routable: Callable[[str], bool]) -> Optional[str]:
-        """Remove and return the first routable digest, if any.
-
-        Skipped entries keep their relative order: per-tenant FIFO is
-        preserved *within* each worker's digests, which is the strongest
-        order prefix routing admits.
-        """
-        for i, digest in enumerate(self.queue):
-            if routable(digest):
-                del self.queue[i]
-                self.counters.dispatched += 1
-                return digest
-        return None
 
     def record_service(self, busy_s: float, now: Optional[float] = None) -> None:
         """Credit ``busy_s`` worker seconds to this tenant's window."""

@@ -1267,18 +1267,20 @@ static int put_back_current(core_ctx *c) {
         not_a(task, CLS_TK);
         goto done;
     }
+    int running = sis(task, TK_state, S.st_running);
+    if (running < 0) goto done;
+    if (!running) {
+        /* a task leaves RUNNING only through its own core, which clears
+         * current as it does: the running state is corrupt */
+        PyErr_Format(S.SimulationError, "core %S puts back %R, which is not running",
+                     c->cid_obj, task);
+        goto done;
+    }
     sset(c->core, CO_current, Py_None);
     if (mem_note_off(c, task) < 0) goto done;
     sset(task, TK_last_descheduled_at, c->t_obj);
     sset(task, TK_last_core, c->cid_obj);
     if (sadd_ll(c->stats, ST_context_switches, 1) < 0) goto done;
-    int running = sis(task, TK_state, S.st_running);
-    if (running < 0) goto done;
-    if (!running) {
-        /* already slept/exited/migrated under us: nr_running dropped */
-        rc = cell_add(c->load_epoch, 1);
-        goto done;
-    }
     sset(task, TK_state, S.st_runnable);
     int throttled = strue(task, TK_throttled);
     if (throttled < 0) goto done;

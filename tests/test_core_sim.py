@@ -5,6 +5,8 @@ import pytest
 from repro.apps.barriers import Barrier, WaitPolicy
 from repro.balance.base import NoBalancer
 from repro.sched.task import Action, Program, Task, TaskState, WaitMode
+from repro.sim.backends import backend_available
+from repro.sim.engine import SimulationError
 from repro.system import System
 from repro.topology import presets
 
@@ -314,3 +316,29 @@ class TestIdleCallbacks:
         assert b.migrations >= 1
         # with the steal, a and b each get a core: both done by ~55ms
         assert max(a.finished_at, b.finished_at) < 62_000
+
+
+@pytest.mark.no_invariants  # INV004's scan would see the corrupt state first
+@pytest.mark.parametrize("engine", [
+    "heap",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not backend_available("native"), reason="native backend unavailable (no C toolchain)",
+    )),
+])
+def test_put_back_of_a_task_that_is_not_running_raises(engine):
+    """A task leaves RUNNING only through its own core, so a core whose
+    current task is in another state at put-back refuses to go on, on
+    the Python chain and its C twin alike."""
+    system = System(presets.uniform(2), seed=0, engine=engine)
+    system.set_balancer(NoBalancer())
+    task = pinned_task(OneShot(100_000), 0)
+    system.spawn_burst([task])
+
+    def corrupt():
+        assert system.cores[0].current is task
+        task.state = TaskState.SLEEPING  # without descheduling it
+
+    system.engine.schedule(1_000, corrupt)
+    with pytest.raises(SimulationError, match="not running"):
+        system.run(until=200_000)
+

@@ -3,9 +3,9 @@
 The golden digests pin seven hand-picked scenarios.  This module draws
 run specs from a much wider space -- machine preset (UMA, NUMA, SMT),
 core count, app shape, barrier wait mode, balancer, a cpu-hog
-co-runner, per-core scheduler policy and clock factors, seed -- and
-runs each under both engine backends.  It asserts more than equal end
-results: an engine observer snapshots the scheduling state at every
+co-runner and its nice value, per-core scheduler policy and clock
+factors, seed -- and runs each under both engine backends.  It asserts
+more than equal end results: an engine observer snapshots the scheduling state at every
 dispatched event (each core's running task, queue length and queue
 order, ``min_vruntime`` and event generation, the memory-contention
 index and the global load epoch), so the C twin of
@@ -25,9 +25,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sanitizer import run_digest
+from repro.apps.multiprogram import CpuHog
 from repro.apps.workloads import AppSpec
 from repro.harness.experiment import run_app
-from repro.harness.scenarios import CorunnerSpec
 from repro.sched.runqueue import CfsRunQueue
 from repro.sim.backends import backend_available
 from repro.topology import presets
@@ -51,6 +51,7 @@ class Spec:
     app: AppSpec
     balancer: str
     hog_core: int | None
+    hog_nice: int
     scheduler: str
     clocks: tuple[float, ...]
     seed: int
@@ -79,6 +80,9 @@ def specs(draw) -> Spec:
         app=app,
         balancer=draw(st.sampled_from(["speed", "load", "dwrr", "ule", "pinned"])),
         hog_core=draw(st.one_of(st.none(), st.integers(0, cores - 1))),
+        # a niced hog puts priorities (the weight slot the C chain
+        # reads) under the dispatch-by-dispatch comparison
+        hog_nice=draw(st.sampled_from([-5, 0, 3, 10])),
         scheduler=draw(st.sampled_from(["cfs", "o1"])),
         clocks=tuple(
             draw(st.lists(st.sampled_from([0.5, 0.8, 1.0, 1.3]),
@@ -133,7 +137,9 @@ def _run(spec: Spec, engine: str, on_state) -> str:
         ids: dict[int, int] = {}
         system.engine.observers.append(lambda ev: on_state(_snapshot(system, ev, ids)))
 
-    corunners = () if spec.hog_core is None else (CorunnerSpec("cpu-hog", core=spec.hog_core),)
+    corunners = () if spec.hog_core is None else (
+        lambda system: CpuHog(system, spec.hog_core, nice=spec.hog_nice),
+    )
     result, system = run_app(
         PRESETS[spec.machine],
         spec.app,

@@ -11,12 +11,13 @@ makes the fan-out possible.
 import json
 import os
 import pickle
-from concurrent.futures.process import BrokenProcessPool
+import time
 
 import pytest
 
 from repro.analysis.sanitizer import run_digest
 from repro.apps.workloads import AppSpec, ep_app
+from repro.harness import parallel
 from repro.harness.experiment import repeat_run, run_app
 from repro.harness.parallel import (
     MACHINE_PRESETS,
@@ -26,6 +27,7 @@ from repro.harness.parallel import (
     resolve_machine,
     run_spec,
 )
+from repro.harness.pool import WorkerDiedError
 from repro.topology import presets
 
 #: small-but-real workload: 6 threads on 4 cores, 0.1 simulated seconds
@@ -41,6 +43,49 @@ def crashing_factory(system):
     """Module-level factory whose worker process dies mid-job, as a
     crash in the native core or an OOM kill would end it."""
     os._exit(1)
+
+
+#: the log and plan of :func:`timed_run`, set by :func:`timed_job`
+_TIMED: dict = {}
+
+
+def timed_run(spec):
+    """:func:`run_spec` that logs its start and end to ``_TIMED["log"]``
+    and first waits as ``_TIMED["plan"]`` says (see :func:`timed_job`).
+    Module-level, so it pickles by reference where a pool ships it."""
+    def note(what):
+        with open(_TIMED["log"], "a") as f:
+            f.write(f"{what} {spec.seed} {time.monotonic()}\n")
+
+    note("start")
+    how = _TIMED["plan"].get(spec.seed, 1.0)
+    if how == "crash":
+        time.sleep(0.2)
+        os._exit(3)
+    time.sleep(how)
+    result = run_spec(spec)
+    note("end")
+    return result
+
+
+def timed_job(monkeypatch, log, plan):
+    """Make each pool job a :func:`timed_run` logging to ``log``.
+
+    Patches :func:`repro.harness.parallel.run_spec`, which a pool
+    worker looks up when it runs a job; the forked workers inherit the
+    patch.  The job for seed ``s`` first sleeps ``plan[s]`` seconds
+    (1 s if the plan names no time), or with ``"crash"`` exits its
+    process with code 3 after 0.2 s.
+    """
+    monkeypatch.setitem(_TIMED, "log", log)
+    monkeypatch.setitem(_TIMED, "plan", plan)
+    monkeypatch.setattr(parallel, "run_spec", timed_run)
+
+
+def logged(log, what):
+    """``[(seed, time)]`` of every ``what`` (start or end) :func:`timed_job` logged."""
+    rows = [line.split() for line in log.read_text().splitlines()]
+    return [(int(seed), float(t)) for w, seed, t in rows if w == what]
 
 
 def canonical(result) -> str:
@@ -125,8 +170,8 @@ class TestMapSpecs:
             map_specs(self.specs(), workers=0)
 
     def test_timeout_spares_the_jobs_queued_behind(self):
-        """A hung job times out alone: the jobs waiting behind it in a
-        full pool get a fresh pool and their own deadlines."""
+        """A hung job times out alone: the jobs waiting behind it get its
+        worker's replacement and their own deadlines."""
         hung = RunSpec.make(
             "tigerton",
             AppSpec(bench="cg.B", n_threads=16, total_compute_us=400_000_000),
@@ -139,22 +184,55 @@ class TestMapSpecs:
         assert [run_digest(r) for r in out[1:]] == \
                [run_digest(run_spec(s)) for s in fast]
 
+    def test_hung_job_times_out_alone_and_the_rest_start_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Only the overdue worker is killed: the job beside the hung one
+        and the job behind it each start once and keep their results."""
+        log = tmp_path / "runs.log"
+        timed_job(monkeypatch, log, {0: 600.0})
+        specs = self.specs(3)
+        out = map_specs(specs, workers=2, timeout_s=1.5, return_exceptions=True)
+        assert isinstance(out[0], SpecTimeoutError)
+        assert [run_digest(r) for r in out[1:]] == \
+               [run_digest(run_spec(s)) for s in specs[1:]]
+        assert sorted(seed for seed, _ in logged(log, "start")) == [0, 1, 2]
+
+    def test_crash_fails_alone_while_the_rest_run_side_by_side(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker's death fails its own job, naming the exit code, and
+        the healthy jobs keep running in the other workers meanwhile."""
+        log = tmp_path / "runs.log"
+        timed_job(monkeypatch, log, {0: "crash"})
+        specs = self.specs(4)
+        out = map_specs(specs, workers=4, return_exceptions=True)
+        assert isinstance(out[0], WorkerDiedError)
+        assert "exit code 3" in str(out[0])
+        assert [run_digest(r) for r in out[1:]] == \
+               [run_digest(run_spec(s)) for s in specs[1:]]
+        starts = dict(logged(log, "start"))
+        ends = dict(logged(log, "end"))
+        assert sorted(ends) == [1, 2, 3]
+        assert max(starts[s] for s in ends) < min(ends.values())
+
     @pytest.mark.parametrize("workers, timeout_s", [(2, None), (1, 30)])
     def test_crashed_worker_fails_only_its_own_job(self, workers, timeout_s):
-        """A job that kills its worker process breaks the pool; the jobs
-        beside and behind it rerun in fresh pools and still succeed."""
+        """A job that kills its worker process fails alone: the jobs
+        beside and behind it run in the other workers or the dead one's
+        replacement and still succeed."""
         crash = RunSpec.make("tigerton", crashing_factory, cores=4)
         fast = self.specs(2)
         out = map_specs([crash, *fast], workers=workers, timeout_s=timeout_s,
                         return_exceptions=True)
-        assert isinstance(out[0], BrokenProcessPool)
+        assert isinstance(out[0], WorkerDiedError)
         assert [run_digest(r) for r in out[1:]] == \
                [run_digest(run_spec(s)) for s in fast]
 
     def test_single_spec_runs_in_a_worker_when_workers_exceed_one(self):
         crash = RunSpec.make("tigerton", crashing_factory, cores=4)
         (out,) = map_specs([crash], workers=2, return_exceptions=True)
-        assert isinstance(out, BrokenProcessPool)
+        assert isinstance(out, WorkerDiedError)
 
 
 class TestRepeatRunEquivalence:

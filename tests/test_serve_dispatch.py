@@ -11,7 +11,7 @@ from repro.serve.tenants import (
     TenantConfig,
     TokenBucket,
 )
-from repro.serve.workers import ShardedStore, shard_index
+from repro.serve.workers import ShardedStore
 from repro.store import ResultStore
 
 
@@ -86,17 +86,6 @@ class TestAdmission:
         assert err.value.retry_after_s == pytest.approx(0.2)
         assert list(tenant.queue) == ["a", "b", "c", "d"]
 
-    def test_pop_routable_preserves_per_shard_fifo(self):
-        clock = FakeClock()
-        tenant = _tenant(clock)
-        tenant.admit(["aa", "bb", "ab", "ba"], now=0.0)
-        starts_a = lambda d: d.startswith("a")  # noqa: E731
-        assert tenant.pop_routable(starts_a) == "aa"
-        assert tenant.pop_routable(starts_a) == "ab"
-        assert tenant.pop_routable(starts_a) is None
-        assert list(tenant.queue) == ["bb", "ba"]  # order intact
-        assert tenant.has_routable(lambda d: d.startswith("b"))
-
 
 class TestSpeedAwareDispatcher:
     def test_prefers_slowest_served_tenant(self):
@@ -137,18 +126,6 @@ class TestSpeedAwareDispatcher:
         picked.pop()
         # each pick the server acts on is one tenant's dispatched job
         assert (a.counters.dispatched, b.counters.dispatched) == (1, 1)
-
-    def test_eligibility_predicate_narrows_candidates(self):
-        clock = FakeClock()
-        a = _tenant(clock, name="a")
-        b = _tenant(clock, name="b")
-        a.admit(["a-job"], now=0.0)
-        b.admit(["b-job"], now=0.0)
-        picked = SpeedAwareDispatcher().pick(
-            [a, b], now=0.0,
-            eligible=lambda t: t.has_routable(lambda d: d.startswith("b")),
-        )
-        assert picked is b
 
     def test_starvation_free_under_flood(self):
         """A flooding tenant cannot monopolize: shares level out."""
@@ -202,14 +179,6 @@ class TestMetrics:
 
 
 class TestSharding:
-    def test_shard_index_partitions_uniformly_enough(self):
-        digests = [f"{i:02x}" + "0" * 62 for i in range(256)]
-        counts = [0, 0, 0]
-        for d in digests:
-            counts[shard_index(d, 3)] += 1
-        assert sum(counts) == 256
-        assert min(counts) > 0
-
     def test_sharded_store_routes_reads(self, tmp_path):
         store = ShardedStore(tmp_path, 4)
         # every worker's view is the one root

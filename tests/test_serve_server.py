@@ -38,7 +38,6 @@ from repro.serve import (
 from repro.serve import server as server_module
 from repro.serve.protocol import spec_to_wire
 from repro.serve.server import SNAPSHOT_NAME
-from repro.serve.workers import shard_index
 from repro.service import run_specs_cached
 from repro.store import ResultStore, spec_digest
 from tests.test_serve_protocol import JSON_TREES
@@ -71,14 +70,15 @@ def _json(tree):
     return json.dumps(tree, sort_keys=True)
 
 
-def fake_job(monkeypatch, sleep_s, log=None, simulate=False):
+def fake_job(monkeypatch, sleep_s, log=None, simulate=False, spans=None):
     """Make each job of a daemon booted after this call a fake one.
 
     Patches :func:`repro.harness.parallel.run_spec`, which the workers'
     job service executes through; the forked workers inherit the patch.
     Each execution sleeps ``sleep_s`` and appends ``balancer/seed`` to
-    ``log``, the one record the workers and the test share.  The job
-    returns :func:`_fake_result`, or with ``simulate`` the real run.
+    ``log``, the one record the workers and the test share, and its
+    monotonic start and end times to ``spans``.  The job returns
+    :func:`_fake_result`, or with ``simulate`` the real run.
     """
     real = parallel.run_spec
 
@@ -86,7 +86,11 @@ def fake_job(monkeypatch, sleep_s, log=None, simulate=False):
         if log is not None:
             with open(log, "a") as f:
                 f.write(f"{spec.balancer}/{spec.seed}\n")
+        start = time.monotonic()
         time.sleep(sleep_s)
+        if spans is not None:
+            with open(spans, "a") as f:
+                f.write(f"{start} {time.monotonic()}\n")
         return real(spec) if simulate else _fake_result(spec)
 
     monkeypatch.setattr(parallel, "run_spec", run)
@@ -298,11 +302,11 @@ class TestDedup:
         assert len(ran(counting)) == 1
 
     def test_two_workers_file_into_one_clean_root(self, tmp_path, counting, serve_client):
-        """Every worker writes the one root: each digest runs once, on the
-        worker it routes to, and the root lists and verifies it once."""
+        """Every worker writes the one root: each digest runs once, on
+        whichever worker was idle, and the root lists and verifies it
+        once."""
         specs = [_spec(seed=s) for s in range(8)]
         digests = [spec_digest(s) for s in specs]
-        assert {shard_index(d, 2) for d in digests} == {0, 1}
         bg = _boot(tmp_path, workers=2)
         try:
             client = serve_client(bg.base_url)
@@ -316,6 +320,31 @@ class TestDedup:
         store = ResultStore(tmp_path / "serve-store")
         assert store.verify() == []
         assert sorted(store.digests()) == sorted(digests)
+
+
+class TestDispatch:
+    def test_any_idle_worker_takes_the_next_job(self, tmp_path, monkeypatch, serve_client):
+        """Four 1-s jobs whose digests share the parity of their first
+        byte (once all routed to one worker of two) run two at a time:
+        both workers report busy time, and two jobs' runs overlap."""
+        spans = tmp_path / "spans.log"
+        fake_job(monkeypatch, 1.0, spans=spans)
+        even = (s for s in map(_spec, range(64)) if int(spec_digest(s)[:2], 16) % 2 == 0)
+        specs = [next(even) for _ in range(4)]
+        bg = _boot(tmp_path, workers=2)
+        try:
+            client = serve_client(bg.base_url)
+            digests = [j["digest"] for j in client.submit(specs)["jobs"]]
+            views = [client.wait(d, poll_s=0.02, timeout_s=60) for d in digests]
+            busy = client.metrics()["workers"]["busy_s"]
+        finally:
+            bg.drain()
+        assert {v["state"] for v in views} == {"done"}
+        assert sorted(busy) == ["0", "1"]
+        assert min(busy.values()) >= 1.0
+        runs = sorted(tuple(map(float, line.split())) for line in spans.read_text().splitlines())
+        assert len(runs) == 4
+        assert any(later[0] < earlier[1] for earlier, later in zip(runs, runs[1:]))
 
 
 class TestSse:

@@ -226,8 +226,8 @@ class TestTimeouts:
 
     def test_crashed_worker_fails_alone(self, tmp_path):
         """A job whose worker process dies fails by itself: the jobs
-        that shared its pool run, and the retry of the crash runs in a
-        worker process too, never in the caller's."""
+        beside it run, and the retry of the crash runs in a worker
+        process too, never in the caller's."""
         from tests.test_parallel_harness import crashing_factory
 
         crash = RunSpec.make("tigerton", crashing_factory, cores=4)
@@ -238,7 +238,7 @@ class TestTimeouts:
         with pytest.raises(JobFailedError, match=r"^1 job\(s\) failed") as err:
             service.submit([crash, *fast], workers=2)
         assert spec_digest(crash)[:12] in str(err.value)
-        assert "BrokenProcessPool" in service.status(spec_digest(crash)).error
+        assert "WorkerDiedError" in service.status(spec_digest(crash)).error
         assert service.executed == 2
         for spec in fast:
             assert run_digest(service.fetch(spec_digest(spec))) == \
