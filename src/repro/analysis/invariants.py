@@ -61,7 +61,8 @@ from repro.sim.engine import Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sched.core import CoreSim
-    from repro.system import MigrationRecord, System
+    from repro.metrics.trace import MigrationEvent
+    from repro.system import System
 
 __all__ = [
     "INVARIANTS",
@@ -231,7 +232,7 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # system hook: every migration
     # ------------------------------------------------------------------
-    def _on_migration(self, task: Task, rec: "MigrationRecord") -> None:
+    def _on_migration(self, task: Task, rec: "MigrationEvent") -> None:
         self.stats["migrations"] += 1
         self._scan_running_state()
         if not self.config.check_balancer_policy:
@@ -257,7 +258,7 @@ class InvariantChecker:
                 out.append(b)
         return out
 
-    def _check_pull_block(self, rec: "MigrationRecord", balancers: list) -> None:
+    def _check_pull_block(self, rec: "MigrationEvent", balancers: list) -> None:
         """INV005: both involved cores must be outside their block window.
 
         Mirrors ``SpeedBalancer._try_pull``: the destination's window is
@@ -287,7 +288,7 @@ class InvariantChecker:
             f"dst={max(b.last_migration_at.get(rec.dst, never) for b in balancers)})",
         )
 
-    def _check_domain_fence(self, rec: "MigrationRecord", balancers: list) -> None:
+    def _check_domain_fence(self, rec: "MigrationEvent", balancers: list) -> None:
         """INV006: the crossed domain level must be enabled somewhere."""
         assert rec.src is not None
         level = self.system.machine.domain_level_between(rec.src, rec.dst)

@@ -511,8 +511,7 @@ def _submit_to_store(args: argparse.Namespace, specs: list):
         specs, workers=1 if args.workers is None else args.workers,
         trace=bool(args.trace), timeout_s=args.job_timeout,
     )
-    states = {d: st.state for d, st in service.statuses().items()}
-    return [export.result_to_dict(r) for r in results], states, service.executed
+    return [export.result_to_dict(r) for r in results], service.states, service.executed
 
 
 def _daemon(args: argparse.Namespace):

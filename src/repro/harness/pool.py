@@ -15,7 +15,10 @@ job with :class:`SpecTimeoutError`.  Only that worker is joined and
 replaced, before the failure is reported, and its pipe goes with it,
 so a late or partial message from it is never read.  A worker is a
 fork of the parent as it is at spawn time, so it runs the job function
-with the module globals the parent had then.
+with the module globals the parent had then, and it points every
+socket it inherited but its own pipe at ``/dev/null``: the other
+workers' pipes, and a daemon's listening socket and connections when
+it is respawned while they are open.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+import stat
 import threading
 import time
 from multiprocessing.connection import Connection, wait
@@ -58,13 +62,35 @@ def _now() -> float:
     return time.monotonic()  # sim-lint: ignore[SIM003]
 
 
-def _worker_main(
-    conn: Connection, job: Callable[[Any], Any], inherited: list[Connection]
-) -> None:
-    # drop the parent's pipe ends this fork inherited: a worker that dies
-    # mid-reply then leaves its parent an EOF, never a half message
-    for end in inherited:
-        end.close()
+def _release_sockets(keep: int) -> None:
+    """Point every socket descriptor of this process but ``keep`` and
+    0-2 at ``/dev/null``.
+
+    A fork holds every descriptor its parent had open.  Kept, a socket
+    the parent closes stays open: a daemon's client connection would
+    never read EOF, and a pool pipe (a socket pair) would not report
+    its other end gone.  ``dup2`` rather than ``close`` leaves each
+    number taken, so a finaliser that later closes it can never hit a
+    reused descriptor.  Pipes stay: the process sentinel is one.
+    """
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in map(int, sorted(os.listdir(fd_dir))):
+            if fd <= 2 or fd in (keep, null):
+                continue
+            try:
+                mode = os.fstat(fd).st_mode
+            except OSError:  # the listing's own descriptor, closed since
+                continue
+            if stat.S_ISSOCK(mode):
+                os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
+def _worker_main(conn: Connection, job: Callable[[Any], Any]) -> None:
+    _release_sockets(keep=conn.fileno())
     while True:
         try:
             payload = conn.recv()
@@ -121,9 +147,8 @@ class WorkerPool:
 
     def _spawn(self, w: int) -> None:
         parent_end, child_end = self._ctx.Pipe()
-        inherited = [c for c in self._conns if c is not None] + [parent_end]
         proc = self._ctx.Process(
-            target=_worker_main, args=(child_end, self._job, inherited), daemon=True
+            target=_worker_main, args=(child_end, self._job), daemon=True
         )
         proc.start()
         child_end.close()

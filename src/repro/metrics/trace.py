@@ -93,9 +93,8 @@ class Segment:
 
 @dataclass(frozen=True)
 class MigrationEvent:
-    """One recorded migration (the trace-level mirror of
-    :class:`~repro.system.MigrationRecord`, kept independent so the
-    trace module has no dependency on the system layer)."""
+    """One migration: a trace record, and what a
+    :attr:`~repro.system.System.migration_observers` hook receives."""
 
     time: int
     tid: int

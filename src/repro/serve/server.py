@@ -27,9 +27,9 @@ serve-smoke job:
   run directly through :func:`repro.service.run_specs_cached`;
 * **dedup** -- one spec digest is one job: resubmissions attach to
   the existing record, store hits complete instantly as ``cached``, and
-  a worker resolves each job through :class:`~repro.service.JobService`
-  on the store root, which re-checks the store before running
-  (drain-resume never runs a job twice);
+  a worker looks each job up in the store root before running it
+  (:func:`~repro.serve.workers.run_served_job`), so drain-resume never
+  runs a job twice;
 * **backpressure** -- an over-rate or over-queue batch gets 429 with a
   concrete ``Retry-After``, atomically (nothing admitted, nothing
   consumed);
@@ -382,7 +382,7 @@ class ReproServer:
             del self.busy[outcome.worker]
             self.metrics.record_worker_busy(outcome.worker, outcome.busy_s)
             if outcome.ok:
-                state, error = outcome.value
+                state, error = outcome.value, ""
             else:
                 state, error = "failed", f"{type(outcome.value).__name__}: {outcome.value}"
                 if isinstance(outcome.value, SpecTimeoutError):

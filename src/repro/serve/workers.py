@@ -13,9 +13,10 @@ any store size, and the workers take turns on that lock
 workers).  A served result lands in the root, where ``repro submit
 --store <root>`` and every other direct reader look for it.
 
-A worker resolves a job exactly as a direct ``repro submit --store``
-would: through a fresh :class:`~repro.service.JobService` on the root
-(:func:`run_served_job`).  A hung or crashed simulation costs only its
+A worker resolves a job as a direct ``repro submit --store`` would:
+it looks the spec up in the root, runs a miss and files the result
+(:func:`run_served_job`).  A failure goes back through the pool, and
+retries are the daemon's.  A hung or crashed simulation costs only its
 own worker, which the pool kills if need be and respawns; the kernel
 drops a store lock the killed worker held.
 """
@@ -25,8 +26,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
+from repro.harness import parallel
+from repro.metrics.results import AppRunResult
 from repro.serve.protocol import spec_from_wire
-from repro.service import JobFailedError, JobService
 from repro.store import ResultStore
 
 __all__ = ["ShardedStore", "run_served_job"]
@@ -52,19 +54,20 @@ class ShardedStore(ResultStore):
         return [self] * self.n_shards
 
 
-def run_served_job(root: str, wire: dict) -> tuple[str, str]:
-    """One served job: ``(state, error)`` with ``state`` in
-    ``done | cached | failed``.
+def run_served_job(root: str, wire: dict) -> str:
+    """One served job: ``cached`` when the root already holds its
+    result, else ``done`` once the run is filed there.
 
-    A fresh single-attempt :class:`JobService` per job keeps a
-    long-lived worker free of cached results and leaves retries to the
-    daemon.  A spec that fails to decode raises, and the pool reports
-    the exception as the job's failure.
+    The same :meth:`~repro.store.ResultStore.lookup` (a corrupt entry is
+    a miss) and ``put`` as :class:`~repro.service.JobService`.  A spec
+    that fails to decode or a run that raises fails the job, and the
+    pool reports the exception as ``Type: message``.
     """
-    service = JobService(ResultStore(root), max_attempts=1)
-    try:
-        service.submit([spec_from_wire(wire)])
-    except JobFailedError:
-        (status,) = service.statuses().values()
-        return "failed", status.error
-    return ("done" if service.executed else "cached"), ""
+    store = ResultStore(root)
+    spec = spec_from_wire(wire)
+    entry = store.lookup(spec)
+    if entry is not None and isinstance(entry.result, AppRunResult):
+        return "cached"
+    # looked up at call time: a forked worker runs the parent's run_spec
+    store.put(spec, parallel.run_spec(spec))
+    return "done"

@@ -2,140 +2,79 @@
 
 :class:`JobService` sits between callers that *want* results for a
 batch of :class:`~repro.harness.parallel.RunSpec` configurations and
-the machinery that *produces* them:
+the machinery that *produces* them.  ``submit(specs)``:
 
-1. ``submit(specs)`` reduces each spec to its content digest
-   (:func:`repro.store.spec_digest`) and dedupes three ways -- within
-   the batch, against jobs already in flight on other threads of this
-   service, and against the on-disk store;
-2. the remaining cache misses are batched through
-   :func:`repro.harness.parallel.map_specs` (``workers=N`` fans them
-   out over processes);
-3. a crashed or failed job is retried up to ``max_attempts`` times
-   with linear backoff; what still fails is reported as ``failed``,
-   never silently dropped;
-4. every state transition streams a :class:`JobStatus`
-   (``pending -> running -> cached | done | failed``) to the
-   ``on_status`` callback, and fresh results are filed back into the
-   store before ``submit`` returns.
+1. reduces each spec to its content digest
+   (:func:`repro.store.spec_digest`), so a digest repeated in the batch
+   resolves once, and serves every digest the store already holds;
+2. runs the misses through :func:`repro.harness.parallel.map_specs`
+   (``workers=N`` fans them out over processes), or with ``trace=True``
+   in-process, each filed before the next starts;
+3. files each fresh result back into the store, and gives a failed job
+   up to :data:`MAX_ATTEMPTS` attempts with linear backoff; what still
+   fails raises :class:`JobFailedError`, never silently dropped.
 
 A corrupt store entry is a miss (:meth:`~repro.store.ResultStore.lookup`
 deletes it) and the configuration is recomputed -- corrupt bytes are
 never returned to a caller.
 
-Concurrent ``submit`` calls of the *same* spec from two threads
-execute it once: the second submitter blocks on the first's in-flight
-event and receives the identical result object.
+One service serves one thread.  Across processes the store's lock
+serialises the writers, so two processes that race on one spec leave
+one entry.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence, Union
+from itertools import repeat
+from typing import Iterable, Optional, Union
 
 from repro.harness.parallel import RunSpec, map_specs, run_traced
 from repro.metrics.results import AppRunResult
+from repro.metrics.trace import TraceRecorder
 from repro.store import ResultStore, spec_digest
 
-__all__ = [
-    "JOB_STATES",
-    "JobFailedError",
-    "JobService",
-    "JobStatus",
-    "run_specs_cached",
-]
+__all__ = ["JobFailedError", "JobService", "run_specs_cached"]
 
-#: the lifecycle of one submitted configuration
-JOB_STATES = ("pending", "running", "cached", "done", "failed")
+#: attempts a job gets in one ``submit`` before it fails permanently
+MAX_ATTEMPTS = 3
+#: seconds slept before the k-th retry of a batch's failures, times k
+BACKOFF_S = 0.05
 
 
 class JobFailedError(RuntimeError):
     """A submitted configuration exhausted its attempts."""
 
 
-@dataclass(frozen=True)
-class JobStatus:
-    """One snapshot of one job's lifecycle (streamed to ``on_status``)."""
-
-    digest: str
-    state: str  #: one of :data:`JOB_STATES`
-    spec: Optional[RunSpec] = None
-    attempts: int = 0
-    error: str = ""
-
-
-def _run_spec_traced(spec: RunSpec) -> tuple[AppRunResult, object]:
-    """Execute one spec in-process under full tracing; (result, trace).
+def _run_traced(
+    spec: RunSpec,
+) -> tuple[Union[AppRunResult, Exception], Optional[TraceRecorder]]:
+    """One spec run in-process under full tracing: ``(result, trace)``,
+    or ``(exception, None)`` when it fails.
 
     The run's System is dropped on return, so a traced batch holds one
     System at a time.
     """
-    result, system = run_traced(spec)
+    try:
+        result, system = run_traced(spec)
+    except Exception as exc:  # noqa: BLE001 - retried by JobService.submit
+        return exc, None
     return result, system.trace
 
 
 class JobService:
-    """Submit/execute/cache layer over a :class:`ResultStore`.
+    """Resolve spec batches against a :class:`ResultStore` (see the
+    module docs).  One service serves one thread."""
 
-    One service instance is a session object: it remembers completed
-    digests in memory (``fetch`` fast path) and coordinates in-flight
-    dedup across its threads.  Store-level dedup works across service
-    instances and across processes.
-    """
-
-    def __init__(
-        self,
-        store: ResultStore,
-        max_attempts: int = 3,
-        backoff_s: float = 0.05,
-        on_status: Optional[Callable[[JobStatus], None]] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1 (got {max_attempts})")
+    def __init__(self, store: ResultStore):
         self.store = store
-        self.max_attempts = max_attempts
-        self.backoff_s = backoff_s
-        self.on_status = on_status
-        self._sleep = sleep
-        self._lock = threading.Lock()
-        self._inflight: dict[str, threading.Event] = {}
-        self._results: dict[str, AppRunResult] = {}
-        self._statuses: dict[str, JobStatus] = {}
+        #: digest -> ``cached``, ``done`` or ``failed``, for every digest
+        #: this service resolved
+        self.states: dict[str, str] = {}
         #: simulations actually executed by this service (not cached)
         self.executed = 0
 
-    # -- status ---------------------------------------------------------
-    def status(self, digest: str) -> Optional[JobStatus]:
-        with self._lock:
-            return self._statuses.get(digest)
-
-    def statuses(self) -> dict[str, JobStatus]:
-        with self._lock:
-            return dict(self._statuses)
-
-    def _transition(self, status: JobStatus) -> None:
-        with self._lock:
-            self._statuses[status.digest] = status
-        if self.on_status is not None:
-            self.on_status(status)
-
-    # -- fetch ----------------------------------------------------------
-    def fetch(self, digest: str) -> AppRunResult:
-        """The result behind a digest, from memory or the store."""
-        with self._lock:
-            if digest in self._results:
-                return self._results[digest]
-        entry = self.store.get(digest)
-        if entry is None or entry.result is None:
-            raise KeyError(f"no stored result for digest {digest!r}")
-        assert isinstance(entry.result, AppRunResult)
-        return entry.result
-
-    # -- submit ---------------------------------------------------------
     def submit(
         self,
         specs: Iterable[RunSpec],
@@ -146,21 +85,21 @@ class JobService:
         """Resolve every spec to its result, simulating only misses.
 
         Results come back in input order and are byte-identical to an
-        uncached run (asserted by the parity tests via the PR 3
-        digests).  ``trace=True`` additionally stores each run's full
-        trace (forcing those runs in-process, since traces do not
-        cross the process boundary); a cached entry *without* a trace
-        is treated as a miss and re-archived with one.  Raises
+        uncached run (the parity tests compare their run digests); the
+        repeats of a digest share one result object.
+        ``trace=True`` additionally stores each run's full trace
+        (forcing those runs in-process, since traces do not cross the
+        process boundary); a cached entry *without* a trace is a miss,
+        replaced once its traced rerun is ready to file.  Raises
         :class:`JobFailedError` if any spec exhausts its attempts.
 
         ``timeout_s`` bounds each job's wall-clock time per attempt: a
         job past the budget fails with a
-        :class:`~repro.harness.parallel.SpecTimeoutError`, re-enters
-        the retry loop like any crash, and -- if every attempt times
-        out -- surfaces ``timeout`` in its permanent failure reason.
-        Deadlines need the interruptible process-pool path, so
-        ``timeout_s`` is incompatible with ``trace=True`` (traced runs
-        execute in-process).
+        :class:`~repro.harness.pool.SpecTimeoutError`, re-enters the
+        retry loop like any crash, and -- if every attempt times out --
+        surfaces ``timeout`` in its permanent failure reason.  Deadlines
+        need a worker process, so ``timeout_s`` is incompatible with
+        ``trace=True`` (traced runs execute in-process).
         """
         if timeout_s is not None and trace:
             raise ValueError(
@@ -170,165 +109,61 @@ class JobService:
             )
         specs = list(specs)
         digests = [spec_digest(s) for s in specs]
+        unique = dict(zip(digests, specs))
 
-        unique: dict[str, RunSpec] = {}
-        for d, s in zip(digests, specs):
-            unique.setdefault(d, s)
-
-        owned: list[str] = []
-        awaited: dict[str, threading.Event] = {}
-        with self._lock:
-            for d in unique:
-                if d in self._results:
-                    continue
-                if d in self._inflight:
-                    awaited[d] = self._inflight[d]
-                else:
-                    self._inflight[d] = threading.Event()
-                    owned.append(d)
-        for d in owned:
-            self._transition(JobStatus(digest=d, state="pending", spec=unique[d]))
-
-        try:
-            to_run = self._resolve_cached(owned, unique, trace=trace)
-            self._execute(
-                to_run, unique, workers=workers, trace=trace,
-                timeout_s=timeout_s,
-            )
-        except BaseException:
-            # never leave waiters hanging on an event that won't fire
-            with self._lock:
-                for d in owned:
-                    ev = self._inflight.pop(d, None)
-                    if ev is not None:
-                        ev.set()
-            raise
-
-        for d, ev in sorted(awaited.items()):
-            ev.wait()
-
-        out: list[AppRunResult] = []
-        failed: list[JobStatus] = []
-        with self._lock:
-            for d in digests:
-                if d in self._results:
-                    out.append(self._results[d])
-                else:
-                    failed.append(self._statuses[d])
-        if failed:
-            detail = "; ".join(
-                f"{st.digest[:12]}... after {st.attempts} attempt(s): {st.error}"
-                for st in failed
-            )
-            raise JobFailedError(
-                f"{len(failed)} job(s) failed permanently: {detail}"
-            )
-        return out
-
-    def _resolve_cached(
-        self, owned: Sequence[str], unique: dict[str, RunSpec], trace: bool
-    ) -> list[str]:
-        """Serve owned digests from the store; return the misses."""
-        to_run: list[str] = []
-        for d in owned:
+        results: dict[str, AppRunResult] = {}
+        untraced: set[str] = set()  # cached without the trace asked for
+        for d in unique:
             entry = self.store.lookup(d)
-            if entry is not None and isinstance(entry.result, AppRunResult):
-                if trace and not entry.has_trace:
-                    # the caller wants a trace but the cached entry has
-                    # none; re-running is byte-identical (parity tests),
-                    # so replace the entry with a traced one
+            if entry is None or not isinstance(entry.result, AppRunResult):
+                continue
+            if trace and not entry.has_trace:
+                untraced.add(d)
+            else:
+                results[d] = entry.result
+                self.states[d] = "cached"
+
+        pending = [d for d in unique if d not in results]
+        errors: dict[str, Exception] = {}
+        for attempt in range(1, MAX_ATTEMPTS + 1):
+            if not pending:
+                break
+            if attempt > 1:
+                time.sleep(BACKOFF_S * (attempt - 1))
+            batch = [unique[d] for d in pending]
+            runs: Iterable[tuple[object, Optional[TraceRecorder]]]
+            if trace:  # lazily: each run is filed before the next starts
+                runs = map(_run_traced, batch)
+            else:
+                runs = zip(
+                    map_specs(batch, workers=workers, return_exceptions=True,
+                              timeout_s=timeout_s),
+                    repeat(None),
+                )
+            failed = []
+            for d, (outcome, rec) in zip(pending, runs):
+                if isinstance(outcome, Exception):
+                    errors[d] = outcome
+                    failed.append(d)
+                    continue
+                self.executed += 1
+                if d in untraced:
                     self.store.delete(d)
-                    to_run.append(d)
-                else:
-                    self._finish(d, entry.result, "cached", attempts=0)
-            else:
-                to_run.append(d)
-        return to_run
+                self.store.put(unique[d], outcome, trace=rec)
+                results[d] = outcome
+                self.states[d] = "done"
+            pending = failed
 
-    def _execute(
-        self,
-        to_run: list[str],
-        unique: dict[str, RunSpec],
-        workers: Optional[int],
-        trace: bool,
-        timeout_s: Optional[float] = None,
-    ) -> None:
-        """Run the cache misses with bounded retries, store, finish."""
-        pending = list(to_run)
-        attempt = 0
-        while pending and attempt < self.max_attempts:
-            attempt += 1
-            for d in pending:
-                self._transition(
-                    JobStatus(
-                        digest=d, state="running", spec=unique[d],
-                        attempts=attempt,
-                    )
-                )
-            still_failed: list[tuple[str, Exception]] = []
-            if trace:
-                for d in pending:
-                    try:
-                        result, rec = _run_spec_traced(unique[d])
-                    except Exception as exc:  # noqa: BLE001 - retried below
-                        still_failed.append((d, exc))
-                        continue
-                    self.executed += 1
-                    self.store.put(unique[d], result, trace=rec)
-                    self._finish(d, result, "done", attempts=attempt)
-            else:
-                outcomes = map_specs(
-                    [unique[d] for d in pending],
-                    workers=workers,
-                    return_exceptions=True,
-                    timeout_s=timeout_s,
-                )
-                for d, outcome in zip(pending, outcomes):
-                    if isinstance(outcome, Exception):
-                        still_failed.append((d, outcome))
-                        continue
-                    self.executed += 1
-                    self.store.put(unique[d], outcome)
-                    self._finish(d, outcome, "done", attempts=attempt)
-            pending = [d for d, _ in still_failed]
-            errors = {d: exc for d, exc in still_failed}
-            if pending and attempt < self.max_attempts:
-                self._sleep(self.backoff_s * attempt)
-        for d in pending:
-            exc = errors[d]
-            self._fail(d, f"{type(exc).__name__}: {exc}", attempts=attempt)
-
-    def _finish(
-        self, digest: str, result: AppRunResult, state: str, attempts: int
-    ) -> None:
-        with self._lock:
-            self._results[digest] = result
-            ev = self._inflight.pop(digest, None)
-        self._transition(
-            replace(
-                self._statuses.get(digest)
-                or JobStatus(digest=digest, state=state),
-                state=state,
-                attempts=attempts,
+        lost = [d for d in digests if d not in results]
+        if lost:
+            self.states.update(dict.fromkeys(lost, "failed"))
+            detail = "; ".join(
+                f"{d[:12]}... after {MAX_ATTEMPTS} attempt(s): "
+                f"{type(errors[d]).__name__}: {errors[d]}"
+                for d in lost
             )
-        )
-        if ev is not None:
-            ev.set()
-
-    def _fail(self, digest: str, error: str, attempts: int) -> None:
-        with self._lock:
-            ev = self._inflight.pop(digest, None)
-        self._transition(
-            replace(
-                self._statuses.get(digest)
-                or JobStatus(digest=digest, state="failed"),
-                state="failed",
-                attempts=attempts,
-                error=error,
-            )
-        )
-        if ev is not None:
-            ev.set()
+            raise JobFailedError(f"{len(lost)} job(s) failed permanently: {detail}")
+        return [results[d] for d in digests]
 
 
 def run_specs_cached(
@@ -341,8 +176,8 @@ def run_specs_cached(
 
     This is the function ``repeat_run(store=...)`` and the scenario
     ``store=`` paths call: pass a directory path or a
-    :class:`ResultStore` to get a throwaway service, or a long-lived
-    :class:`JobService` to share in-flight dedup across calls.
+    :class:`ResultStore` to get a throwaway service, or a
+    :class:`JobService` whose ``executed`` count the caller reads.
     """
     if isinstance(store, JobService):
         service = store

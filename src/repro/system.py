@@ -24,12 +24,11 @@ The system itself has no balancing policy; it only provides mechanism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.balance.base import KernelBalancer
 from repro.mem.cache_model import CacheModel
-from repro.metrics.trace import TraceRecorder
+from repro.metrics.trace import MigrationEvent, TraceRecorder
 from repro.sched.cfs import CfsParams, O1Params
 from repro.sched.core import CoreSim
 from repro.sched.task import TASK_FINISHED, TASK_RUNNABLE, TASK_RUNNING, TASK_SLEEPING, Task
@@ -38,20 +37,7 @@ from repro.sim.engine import Engine
 from repro.sim.rng import SimRng
 from repro.topology.machine import Machine
 
-__all__ = ["System", "MigrationRecord"]
-
-
-@dataclass
-class MigrationRecord:
-    """One migration, for post-run analysis and the test suite."""
-
-    time: int
-    tid: int
-    task_name: str
-    src: Optional[int]
-    dst: int
-    forced: bool
-    reason: str
+__all__ = ["System"]
 
 
 class System:
@@ -73,9 +59,6 @@ class System:
         queued co-runner.  (With an empty queue, yield returns
         immediately and the waiter effectively polls; that case is
         simulated in whole scheduler slices.)
-    migration_log_limit:
-        Keep at most this many :class:`MigrationRecord` entries
-        (counters are always exact).
     trace:
         Record every execution interval and migration into a
         :class:`~repro.metrics.trace.TraceRecorder` (post-hoc speed
@@ -104,8 +87,7 @@ class System:
         "machine", "engine", "engine_backend", "rng", "scheduler",
         "cfs_params", "cache_model", "yield_check_us", "trace",
         "_mem_scope_busy", "_load_epoch", "_residents", "cores", "tasks",
-        "kernel_balancer", "_kb_on_charge", "user_balancers",
-        "migration_log", "_migration_log_limit", "migration_counts",
+        "kernel_balancer", "_kb_on_charge", "user_balancers", "migration_counts",
         "_exit_callbacks", "_watch", "_watching", "charge_observers",
         "migration_observers", "invariant_checker",
     )
@@ -117,7 +99,6 @@ class System:
         cfs_params: Optional[CfsParams] = None,
         cache_model: Optional[CacheModel] = None,
         yield_check_us: int = 20,
-        migration_log_limit: int = 100_000,
         trace: Union[bool, TraceRecorder] = False,
         scheduler: str = "cfs",
         engine: str = "heap",
@@ -169,8 +150,6 @@ class System:
         self._kb_on_charge: Optional[Callable[[CoreSim, Task, int], None]] = None
         self.user_balancers: list = []
         # -- bookkeeping ----------------------------------------------
-        self.migration_log: list[MigrationRecord] = []
-        self._migration_log_limit = migration_log_limit
         self.migration_counts: dict[str, int] = {}
         self._exit_callbacks: dict[int, list[Callable[[Task], None]]] = {}
         self._watch: set[int] = set()
@@ -179,9 +158,9 @@ class System:
         #: observers called as fn(core, task, dt) after every execution-
         #: time charge (in addition to the kernel balancer's on_charge)
         self.charge_observers: list[Callable[[CoreSim, Task, int], None]] = []
-        #: observers called as fn(task, record) after every successful
+        #: observers called as fn(task, event) after every successful
         #: migration, before the task is enqueued on its destination
-        self.migration_observers: list[Callable[[Task, MigrationRecord], None]] = []
+        self.migration_observers: list[Callable[[Task, MigrationEvent], None]] = []
         #: the installed invariant checker, if any (opt-in; set by
         #: repro.analysis.invariants.install_invariant_checker)
         self.invariant_checker: Optional[object] = None
@@ -364,24 +343,13 @@ class System:
         self, task: Task, src: Optional[int], dst: int, forced: bool, reason: str
     ) -> None:
         self.migration_counts[reason] = self.migration_counts.get(reason, 0) + 1
-        record = MigrationRecord(
-            time=self.engine.now,
-            tid=task.tid,
-            task_name=task.name,
-            src=src,
-            dst=dst,
-            forced=forced,
-            reason=reason,
-        )
-        if len(self.migration_log) < self._migration_log_limit:
-            self.migration_log.append(record)
+        now = self.engine.now
         if self.trace is not None:
-            self.trace.record_migration(
-                record.time, record.tid, record.task_name,
-                record.src, record.dst, record.forced, record.reason,
-            )
-        for observer in self.migration_observers:
-            observer(task, record)
+            self.trace.record_migration(now, task.tid, task.name, src, dst, forced, reason)
+        if self.migration_observers:
+            event = MigrationEvent(now, task.tid, task.name, src, dst, forced, reason)
+            for observer in self.migration_observers:
+                observer(task, event)
 
     # ------------------------------------------------------------------
     # hooks

@@ -61,7 +61,7 @@ class TestBalancingUnderThrottling:
     def _run(self, balancer: str, n_threads: int, n_cores: int = 8, seed=0,
              per_thread_us=3_000_000):
         """At t=0.3s cores 0 and 1 throttle to 0.6x."""
-        system = System(presets.uniform(n_cores), seed=seed)
+        system = System(presets.uniform(n_cores), seed=seed, trace=True)
         system.set_balancer(LinuxLoadBalancer())
         app = ep_app(
             system, n_threads=n_threads,
@@ -84,7 +84,7 @@ class TestBalancingUnderThrottling:
         sys_speed, app_speed = self._run("speed", n_threads=8)
         sys_load, app_load = self._run("load", n_threads=8)
         assert app_speed.elapsed_us <= 1.02 * app_load.elapsed_us
-        pulls = [r for r in sys_speed.migration_log if r.reason == "speed.pull"]
+        pulls = [r for r in sys_speed.trace.migrations if r.reason == "speed.pull"]
         assert len(pulls) == 0
 
     def test_oversubscribed_throttle_speed_adapts(self):
@@ -95,7 +95,7 @@ class TestBalancingUnderThrottling:
         sys_load, app_load = self._run("load", n_threads=12,
                                        per_thread_us=2_000_000)
         assert app_speed.elapsed_us < 0.9 * app_load.elapsed_us
-        pulls = [r for r in sys_speed.migration_log if r.reason == "speed.pull"]
+        pulls = [r for r in sys_speed.trace.migrations if r.reason == "speed.pull"]
         assert any(r.src in (0, 1) for r in pulls)
 
     def test_load_blind_to_clock_change(self):
@@ -103,7 +103,7 @@ class TestBalancingUnderThrottling:
         throttle: queue lengths still look balanced."""
         system, app = self._run("load", n_threads=8)
         after_throttle = [
-            r for r in system.migration_log if r.time > 310_000
+            r for r in system.trace.migrations if r.time > 310_000
         ]
         assert after_throttle == []
         # held to the throttled cores: elapsed ~ work / 0.6

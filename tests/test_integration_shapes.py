@@ -205,11 +205,11 @@ class TestNuma:
     def test_speed_numa_blocking_keeps_memory_local(self):
         res, system = run_app(
             presets.barcelona, ep_factory(), "speed", cores=12, seed=1,
-            return_system=True,
+            return_system=True, trace=True,
         )
         from repro.topology.machine import DomainLevel
 
-        for rec in system.migration_log:
+        for rec in system.trace.migrations:
             if rec.reason == "speed.pull":
                 assert (
                     system.machine.domain_level_between(rec.src, rec.dst)

@@ -28,7 +28,9 @@ MODES = ["speed", "load", "pinned", "dwrr", "ule", "none"]
 WAITS = [WaitMode.SPIN, WaitMode.YIELD, WaitMode.SLEEP]
 
 
-def run_random_config(mode, wait, n_threads, n_cores, iterations, work_us, seed):
+def run_random_config(
+    mode, wait, n_threads, n_cores, iterations, work_us, seed, trace=False
+):
     def factory(system):
         return SpmdApp(
             system,
@@ -46,6 +48,7 @@ def run_random_config(mode, wait, n_threads, n_cores, iterations, work_us, seed)
         cores=n_cores,
         seed=seed,
         return_system=True,
+        trace=trace,
     )
 
 
@@ -112,11 +115,11 @@ def test_lifecycle_sanity(mode, wait, n_threads, n_cores, iterations, work_us, s
 def test_affinity_never_violated(mode, wait, n_threads, n_cores, iterations, work_us, seed):
     """No migration ever lands a task outside the core subset."""
     res, system = run_random_config(
-        mode, wait, n_threads, n_cores, iterations, work_us, seed
+        mode, wait, n_threads, n_cores, iterations, work_us, seed, trace=True
     )
     allowed = set(range(n_cores))
     tids = {t.tid for t in system.tasks_of_app("papp")}
-    for rec in system.migration_log:
+    for rec in system.trace.migrations:
         if rec.tid in tids:
             assert rec.dst in allowed
 

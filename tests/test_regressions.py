@@ -82,10 +82,10 @@ class TestLruSlowCoreCoverage:
         res, system = run_app(
             presets.barcelona,
             lambda s: ep_app(s, n_threads=16, total_compute_us=1_000_000),
-            "speed", cores=10, seed=0, return_system=True,
+            "speed", cores=10, seed=0, return_system=True, trace=True,
         )
         pull_srcs = {
-            r.src for r in system.migration_log if r.reason == "speed.pull"
+            r.src for r in system.trace.migrations if r.reason == "speed.pull"
         }
         # rotation visited several distinct donors, not one noisy favourite
         assert len(pull_srcs) >= 4

@@ -73,8 +73,8 @@ def _json(tree):
 def fake_job(monkeypatch, sleep_s, log=None, simulate=False, spans=None):
     """Make each job of a daemon booted after this call a fake one.
 
-    Patches :func:`repro.harness.parallel.run_spec`, which the workers'
-    job service executes through; the forked workers inherit the patch.
+    Patches :func:`repro.harness.parallel.run_spec`, which a served job
+    looks up when it runs; the forked workers inherit the patch.
     Each execution sleeps ``sleep_s`` and appends ``balancer/seed`` to
     ``log``, the one record the workers and the test share, and its
     monotonic start and end times to ``spans``.  The job returns
@@ -492,6 +492,35 @@ def _connect(base_url):
     return socket.create_connection((url.hostname, url.port), timeout=30)
 
 
+def _respawn_idle_worker(bg):
+    """SIGKILL the one idle worker of ``bg``; its replacement's pid."""
+    procs = bg.server._pool._procs
+    old = procs[0].pid
+    os.kill(old, signal.SIGKILL)
+    deadline = time.monotonic() + 20
+    while time.monotonic() < deadline:
+        try:
+            if procs[0].pid != old:
+                return procs[0].pid
+        except ValueError:  # the dead worker's handle, closed mid-respawn
+            pass
+        time.sleep(0.01)
+    raise AssertionError("the killed worker was not respawned")
+
+
+def _socket_inodes(pid):
+    """The inodes of the sockets process ``pid`` holds open."""
+    out = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            link = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:  # closed since the listing
+            continue
+        if link.startswith("socket:["):
+            out.add(int(link[len("socket:["):-1]))
+    return out
+
+
 def _read_response(f):
     """One response from the buffered reader ``f`` of a raw socket:
     ``(status, headers, body)``, the body de-chunked; ``None`` at EOF."""
@@ -871,6 +900,43 @@ class TestConnections:
         finally:
             bg.drain()
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_respawned_worker_holds_no_daemon_socket(self, tmp_path):
+        """A worker forked after the socket is bound holds neither the
+        listening socket nor an accepted connection."""
+        bg = _boot(tmp_path, workers=1)
+        try:
+            with _connect(bg.base_url) as sock, sock.makefile("rb") as f:
+                sock.sendall(_get("/v1/healthz"))
+                assert _read_response(f)[0] == 200
+                (writer,) = bg.server._open
+                daemon = {
+                    os.fstat(s.fileno()).st_ino
+                    for s in (bg.server._server.sockets[0], writer.get_extra_info("socket"))
+                }
+                pid = _respawn_idle_worker(bg)
+                deadline = time.monotonic() + 10
+                while daemon & _socket_inodes(pid) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert not daemon & _socket_inodes(pid)
+        finally:
+            bg.drain()
+
+    def test_idle_limit_closes_a_connection_despite_a_respawn(self, tmp_path, monkeypatch):
+        """The daemon's close reaches the client: a respawned worker
+        does not keep the connection open."""
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.5)
+        bg = _boot(tmp_path, workers=1)
+        try:
+            with _connect(bg.base_url) as sock, sock.makefile("rb") as f:
+                sock.sendall(_get("/v1/healthz"))
+                assert _read_response(f)[0] == 200
+                _respawn_idle_worker(bg)
+                sock.settimeout(5)
+                assert sock.recv(1) == b""
+        finally:
+            bg.drain()
+
     def test_drain_with_the_idle_limit_says_bye(self, tmp_path, serve_client):
         # the daemon as ``repro serve`` runs it, SIGTERM included
         script = (
@@ -1102,6 +1168,36 @@ class TestTimeouts:
             assert view["state"] == "failed"
             assert "timeout" in view["error"]
             assert client.metrics()["timeouts"] == 1
+        finally:
+            bg.drain()
+
+    def test_job_whose_run_raises_is_retried_then_fails(
+        self, tmp_path, monkeypatch, serve_client
+    ):
+        """A run that raises fails its job with ``Type: message`` after
+        the daemon's attempts; the job beside it is untouched."""
+        log = tmp_path / "ran.log"
+        fake_job(monkeypatch, 0.0, log=log)
+        logged = parallel.run_spec
+
+        def run(spec):
+            result = logged(spec)
+            if spec.seed == 3:
+                raise RuntimeError("boom")
+            return result
+
+        monkeypatch.setattr(parallel, "run_spec", run)
+        bg = _boot(tmp_path, workers=1, max_attempts=2)
+        try:
+            client = serve_client(bg.base_url)
+            bad, good = client.submit([_spec(seed=3), _spec(seed=4)])["jobs"]
+            view = client.wait(bad["digest"], poll_s=0.05, timeout_s=30)
+            assert (view["state"], view["error"], view["attempts"]) == (
+                "failed", "RuntimeError: boom", 2,
+            )
+            assert client.wait(good["digest"], poll_s=0.05, timeout_s=30)["state"] == "done"
+            assert sorted(ran(log)) == ["speed/3", "speed/3", "speed/4"]
+            assert client.metrics()["retries"] == 1
         finally:
             bg.drain()
 

@@ -1,14 +1,14 @@
 """Tests for the deduplicating job service (repro.service)."""
 
 import multiprocessing
-import threading
 
 import pytest
 
+import repro.service.jobs as jobs
 from repro.analysis.sanitizer import run_digest
 from repro.apps.workloads import AppSpec
 from repro.harness.parallel import RunSpec, run_spec
-from repro.service import JobFailedError, JobService, JobStatus, run_specs_cached
+from repro.service import JobFailedError, JobService, run_specs_cached
 from repro.store import ResultStore, spec_digest
 
 
@@ -17,6 +17,12 @@ def _spec(seed=0, balancer="speed"):
     return RunSpec.make(
         "tigerton", app, balancer=balancer, cores=2, seed=seed
     )
+
+
+def _attempts(monkeypatch, n):
+    """Give each job ``n`` attempts, with no backoff between them."""
+    monkeypatch.setattr(jobs, "MAX_ATTEMPTS", n)
+    monkeypatch.setattr(jobs, "BACKOFF_S", 0.0)
 
 
 class TestSubmit:
@@ -33,8 +39,7 @@ class TestSubmit:
         cached = second.submit(specs)
         assert second.executed == 0
         assert [run_digest(r) for r in cached] == [run_digest(r) for r in results]
-        states = {st.state for st in second.statuses().values()}
-        assert states == {"cached"}
+        assert set(second.states.values()) == {"cached"}
 
     def test_within_batch_dedup(self, tmp_path):
         service = JobService(ResultStore(tmp_path / "s"))
@@ -52,28 +57,6 @@ class TestSubmit:
         (cached,) = JobService(service.store).submit([spec])
         assert run_digest(stored) == run_digest(fresh)
         assert run_digest(cached) == run_digest(fresh)
-
-    def test_status_stream_order(self, tmp_path):
-        seen = []
-        service = JobService(
-            ResultStore(tmp_path / "s"), on_status=lambda st: seen.append(st)
-        )
-        spec = _spec()
-        service.submit([spec])
-        assert [st.state for st in seen] == ["pending", "running", "done"]
-        assert all(st.digest == spec_digest(spec) for st in seen)
-
-    def test_fetch(self, tmp_path):
-        service = JobService(ResultStore(tmp_path / "s"))
-        spec = _spec()
-        (result,) = service.submit([spec])
-        digest = spec_digest(spec)
-        assert service.fetch(digest) is result
-        # a fresh service reads through to the store
-        other = JobService(service.store)
-        assert run_digest(other.fetch(digest)) == run_digest(result)
-        with pytest.raises(KeyError):
-            other.fetch("0" * 64)
 
     def test_trace_archival(self, tmp_path):
         service = JobService(ResultStore(tmp_path / "s"))
@@ -104,6 +87,30 @@ class TestSubmit:
         again = JobService(store)
         again.submit([spec], trace=True)
         assert again.executed == 0
+
+    def test_failed_traced_resubmit_keeps_the_untraced_entry(
+        self, tmp_path, monkeypatch
+    ):
+        """The untraced entry goes only when its traced replacement is
+        ready to file: a traced rerun that fails leaves it served."""
+        store = ResultStore(tmp_path / "s")
+        spec = _spec()
+        (plain,) = JobService(store).submit([spec])
+        digest = spec_digest(spec)
+
+        def boom(spec):
+            raise RuntimeError("traced run failed")
+
+        monkeypatch.setattr(jobs, "run_traced", boom)
+        with pytest.raises(JobFailedError, match="traced run failed"):
+            JobService(store).submit([spec], trace=True)
+        entry = store.get(digest)
+        assert entry is not None and not entry.has_trace
+        assert store.verify() == []
+        again = JobService(store)
+        (cached,) = again.submit([spec])
+        assert again.executed == 0
+        assert run_digest(cached) == run_digest(plain)
 
     def test_corrupt_entry_recomputed_never_returned(self, tmp_path):
         store = ResultStore(tmp_path / "s")
@@ -144,44 +151,35 @@ class TestRetries:
 
     def test_crash_retried_with_backoff(self, tmp_path, monkeypatch):
         spec = _spec()
-        self._flaky(monkeypatch, {spec_digest(spec): 2})
+        failures = {spec_digest(spec): 2}
+        self._flaky(monkeypatch, failures)
         naps = []
-        service = JobService(
-            ResultStore(tmp_path / "s"), max_attempts=3, backoff_s=0.01,
-            sleep=naps.append,
-        )
+        monkeypatch.setattr(jobs, "BACKOFF_S", 0.01)
+        monkeypatch.setattr(jobs.time, "sleep", naps.append)
+        service = JobService(ResultStore(tmp_path / "s"))
         (result,) = service.submit([spec])
         assert run_digest(result) == run_digest(run_spec(spec))
-        assert service.status(spec_digest(spec)).attempts == 3
+        # the third of the default three attempts succeeded
+        assert failures == {spec_digest(spec): 0}
+        assert service.states == {spec_digest(spec): "done"}
         # linear backoff between the three attempts
         assert naps == [pytest.approx(0.01), pytest.approx(0.02)]
 
     def test_exhausted_attempts_fail_loudly(self, tmp_path, monkeypatch):
         good, bad = _spec(seed=0), _spec(seed=1)
         self._flaky(monkeypatch, {spec_digest(bad): 99})
-        service = JobService(
-            ResultStore(tmp_path / "s"), max_attempts=2, sleep=lambda s: None,
-        )
-        with pytest.raises(JobFailedError, match="injected worker crash"):
+        _attempts(monkeypatch, 2)
+        service = JobService(ResultStore(tmp_path / "s"))
+        with pytest.raises(
+            JobFailedError, match=r"after 2 attempt\(s\): RuntimeError: injected worker crash"
+        ):
             service.submit([good, bad])
         # the good spec still completed and was stored
-        assert service.status(spec_digest(good)).state == "done"
+        assert service.states == {
+            spec_digest(good): "done", spec_digest(bad): "failed",
+        }
         assert service.store.contains(good)
-        st = service.status(spec_digest(bad))
-        assert st.state == "failed"
-        assert st.attempts == 2
         assert not service.store.contains(bad)
-
-    def test_waiters_released_on_failure(self, tmp_path, monkeypatch):
-        spec = _spec()
-        self._flaky(monkeypatch, {spec_digest(spec): 99})
-        service = JobService(
-            ResultStore(tmp_path / "s"), max_attempts=1, sleep=lambda s: None,
-        )
-        with pytest.raises(JobFailedError):
-            service.submit([spec])
-        # nothing left in flight: a later submit starts from scratch
-        assert service._inflight == {}
 
 
 class TestTimeouts:
@@ -191,20 +189,17 @@ class TestTimeouts:
         app = AppSpec(bench="ep.C", n_threads=4, total_compute_us=30_000_000)
         return RunSpec.make("tigerton", app, balancer="speed", cores=2)
 
-    def test_timed_out_job_fails_with_timeout_reason(self, tmp_path):
+    def test_timed_out_job_fails_with_timeout_reason(self, tmp_path, monkeypatch):
         spec = self._slow_spec()
-        service = JobService(
-            ResultStore(tmp_path / "s"), max_attempts=2, sleep=lambda s: None,
-        )
-        with pytest.raises(JobFailedError, match="timeout"):
+        _attempts(monkeypatch, 2)
+        service = JobService(ResultStore(tmp_path / "s"))
+        # the timeout fed the normal retry path
+        with pytest.raises(JobFailedError, match=r"after 2 attempt\(s\): .*timeout"):
             service.submit([spec], timeout_s=0.2)
-        st = service.status(spec_digest(spec))
-        assert st.state == "failed"
-        assert st.attempts == 2  # the timeout fed the normal retry path
-        assert "timeout" in st.error
+        assert service.states == {spec_digest(spec): "failed"}
         assert not service.store.contains(spec)
 
-    def test_hung_job_fails_alone(self, tmp_path):
+    def test_hung_job_fails_alone(self, tmp_path, monkeypatch):
         """The jobs queued behind a hung one in a full pool still run:
         only the hung digest exhausts its attempts."""
         hung = RunSpec.make(
@@ -213,18 +208,17 @@ class TestTimeouts:
             cores=12,
         )
         fast = [_spec(seed=s) for s in range(2)]
-        service = JobService(
-            ResultStore(tmp_path / "s"), max_attempts=2, sleep=lambda s: None,
-        )
+        _attempts(monkeypatch, 2)
+        service = JobService(ResultStore(tmp_path / "s"))
         with pytest.raises(JobFailedError, match=r"^1 job\(s\) failed") as err:
             service.submit([hung, *fast], timeout_s=2)
         assert spec_digest(hung)[:12] in str(err.value)
         assert service.executed == 2
         for spec in fast:
-            assert run_digest(service.fetch(spec_digest(spec))) == \
+            assert run_digest(service.store.get(spec).result) == \
                    run_digest(run_spec(spec))
 
-    def test_crashed_worker_fails_alone(self, tmp_path):
+    def test_crashed_worker_fails_alone(self, tmp_path, monkeypatch):
         """A job whose worker process dies fails by itself: the jobs
         beside it run, and the retry of the crash runs in a worker
         process too, never in the caller's."""
@@ -232,16 +226,16 @@ class TestTimeouts:
 
         crash = RunSpec.make("tigerton", crashing_factory, cores=4)
         fast = [_spec(seed=s) for s in range(2)]
-        service = JobService(
-            ResultStore(tmp_path / "s"), max_attempts=2, sleep=lambda s: None,
-        )
+        _attempts(monkeypatch, 2)
+        service = JobService(ResultStore(tmp_path / "s"))
         with pytest.raises(JobFailedError, match=r"^1 job\(s\) failed") as err:
             service.submit([crash, *fast], workers=2)
-        assert spec_digest(crash)[:12] in str(err.value)
-        assert "WorkerDiedError" in service.status(spec_digest(crash)).error
+        assert f"{spec_digest(crash)[:12]}... after 2 attempt(s): WorkerDiedError" \
+            in str(err.value)
+        assert service.states[spec_digest(crash)] == "failed"
         assert service.executed == 2
         for spec in fast:
-            assert run_digest(service.fetch(spec_digest(spec))) == \
+            assert run_digest(service.store.get(spec).result) == \
                    run_digest(run_spec(spec))
 
     def test_timeout_leaves_fast_jobs_untouched(self, tmp_path):
@@ -249,7 +243,7 @@ class TestTimeouts:
         service = JobService(ResultStore(tmp_path / "s"))
         (result,) = service.submit([fast], timeout_s=120.0)
         assert run_digest(result) == run_digest(run_spec(fast))
-        assert service.status(spec_digest(fast)).state == "done"
+        assert service.states == {spec_digest(fast): "done"}
 
     def test_timeout_rejects_trace(self, tmp_path):
         service = JobService(ResultStore(tmp_path / "s"))
@@ -294,32 +288,6 @@ class TestConcurrency:
         entry = store.get(spec_digest(spec))
         assert run_digest(entry.result) == digests.pop()
 
-    def test_concurrent_submit_single_execution(self, tmp_path):
-        service = JobService(ResultStore(tmp_path / "s"))
-        spec = _spec()
-        results = {}
-        errors = []
-        gate = threading.Barrier(2)
-
-        def worker(name):
-            try:
-                gate.wait()
-                results[name] = service.submit([spec])[0]
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(n,)) for n in ("a", "b")
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        # exactly one simulation ran; both submitters got the result
-        assert service.executed == 1
-        assert run_digest(results["a"]) == run_digest(results["b"])
-
 
 class TestRunSpecsCached:
     def test_accepts_path_store_and_service(self, tmp_path):
@@ -333,12 +301,3 @@ class TestRunSpecsCached:
         digests = {run_digest(r[0]) for r in (by_path, by_store, by_service, by_pathlib)}
         assert len(digests) == 1
         assert service.executed == 0  # everything after the first was cached
-
-
-class TestJobStatus:
-    def test_states_enumerated(self):
-        from repro.service import JOB_STATES
-
-        assert JOB_STATES == ("pending", "running", "cached", "done", "failed")
-        st = JobStatus(digest="d" * 64, state="pending")
-        assert st.attempts == 0 and st.error == ""

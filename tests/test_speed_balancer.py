@@ -20,8 +20,9 @@ def build(
     seed=0,
     config=None,
     mode=WaitMode.YIELD,
+    trace=False,
 ):
-    system = System(machine or presets.uniform(4), seed=seed)
+    system = System(machine or presets.uniform(4), seed=seed, trace=trace)
     system.set_balancer(LinuxLoadBalancer())
     app = SpmdApp(
         system,
@@ -126,10 +127,10 @@ class TestNumaBlocking:
     def test_numa_migrations_blocked_by_default(self):
         system, app, sb = build(
             machine=presets.barcelona(), n_threads=6, cores=[0, 1, 4, 5],
-            work_us=2_000_000,
+            work_us=2_000_000, trace=True,
         )
         system.run_until_done([app])
-        for rec in system.migration_log:
+        for rec in system.trace.migrations:
             if rec.reason == "speed.pull":
                 level = system.machine.domain_level_between(rec.src, rec.dst)
                 assert level != DomainLevel.NUMA
@@ -139,12 +140,12 @@ class TestNumaBlocking:
         cfg = SpeedBalancerConfig(level_enabled=enabled)
         system, app, sb = build(
             machine=presets.barcelona(), n_threads=6, cores=[0, 1, 4, 5],
-            work_us=2_000_000, config=cfg,
+            work_us=2_000_000, config=cfg, trace=True,
         )
         system.run_until_done([app])
         numa_pulls = [
             rec
-            for rec in system.migration_log
+            for rec in system.trace.migrations
             if rec.reason == "speed.pull"
             and system.machine.domain_level_between(rec.src, rec.dst)
             == DomainLevel.NUMA
@@ -197,12 +198,12 @@ class TestDeterminism:
 
     def test_different_seeds_jitter_differs(self):
         a = build(machine=presets.uniform(2), n_threads=3, cores=[0, 1],
-                  work_us=1_000_000, seed=1)
+                  work_us=1_000_000, seed=1, trace=True)
         b = build(machine=presets.uniform(2), n_threads=3, cores=[0, 1],
-                  work_us=1_000_000, seed=2)
+                  work_us=1_000_000, seed=2, trace=True)
         a[0].run_until_done([a[1]])
         b[0].run_until_done([b[1]])
         # jitter shifts wake times, so migration timings differ
-        pulls_a = [r.time for r in a[0].migration_log if r.reason == "speed.pull"]
-        pulls_b = [r.time for r in b[0].migration_log if r.reason == "speed.pull"]
+        pulls_a = [r.time for r in a[0].trace.migrations if r.reason == "speed.pull"]
+        pulls_b = [r.time for r in b[0].trace.migrations if r.reason == "speed.pull"]
         assert pulls_a != pulls_b

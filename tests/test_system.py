@@ -136,11 +136,11 @@ class TestMigrate:
         )
 
     def test_migration_log_and_counts(self):
-        system = make_system()
+        system = make_system(trace=True)
         _, queued = self._runnable_pair(system)
         system.migrate(queued, 1, reason="unit.test")
         assert system.migration_counts["unit.test"] == 1
-        rec = system.migration_log[-1]
+        rec = system.trace.migrations[-1]
         assert rec.src == 0 and rec.dst == 1 and rec.reason == "unit.test"
         assert system.total_migrations() == 1
 
