@@ -26,7 +26,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.apps.workloads import FULL_CATALOG, WAIT_POLICIES, AppSpec
 from repro.core import analytical
@@ -483,8 +483,8 @@ def _submit_specs(args: argparse.Namespace) -> list:
     ]
 
 
-def _follow(client, digest: str, deadline: Optional[float], echo: bool = False) -> str:
-    """Follow one job's SSE stream to its ``end``; the final state.
+def _follow(client, digest: str, deadline: Optional[float], echo: bool = False) -> dict:
+    """Follow one job's SSE stream to its ``end``; the job's last view.
 
     Each event is awaited for at most what is left of ``deadline``
     (forever without one); ``echo`` prints events as JSON lines.
@@ -492,12 +492,25 @@ def _follow(client, digest: str, deadline: Optional[float], echo: bool = False) 
     from repro.serve import clock as _clock
 
     timeout = None if deadline is None else max(deadline - _clock.monotonic(), 1e-3)
-    state = ""
+    view = {"digest": digest, "state": "", "error": ""}
     for event, data in client.events(digest, timeout_s=timeout):
         if echo:
             print(json.dumps({"event": event, **data}, sort_keys=True), flush=True)
-        state = data.get("state", state)
-    return state
+        if event == "status":
+            view = data
+    return view
+
+
+def _require_done(views: Iterable[dict]) -> None:
+    """Raise the ``JobFailedError`` ``--store`` would for the job views
+    not ``done`` or ``cached`` (one a drain ended reads its state)."""
+    from repro.service import JobFailedError
+
+    failures = {v["digest"]: v["error"] if v["state"] == "failed"
+                else f"ended in state {v['state']!r}"
+                for v in views if v["state"] not in ("done", "cached")}
+    if failures:
+        raise JobFailedError(failures)
 
 
 def _submit_to_store(args: argparse.Namespace, specs: list):
@@ -527,21 +540,14 @@ def _daemon(args: argparse.Namespace):
 def _submit_to_daemon(args: argparse.Namespace, specs: list):
     """``submit --url``: the same triple; a job that was not terminal in
     the 202 response counts as executed and is followed to its end."""
-    from repro.service import JobFailedError
-
     with _daemon(args) as client:
         jobs = client.submit(specs, tenant=args.tenant or "default")["jobs"]
         views = {j["digest"]: j for j in jobs}
         ran = [d for d, v in views.items()
                if v["state"] not in ("done", "cached", "failed")]
         for d in ran:
-            _follow(client, d, deadline=None)
-            views[d] = client.status(d)
-        failed = [v for v in views.values() if v["state"] not in ("done", "cached")]
-        if failed:
-            raise JobFailedError("; ".join(
-                f"job {v['digest'][:12]}... {v['state']}: {v['error']}" for v in failed
-            ))
+            views[d] = _follow(client, d, deadline=None)
+        _require_done(views.values())
         results = [client.result(j["digest"])["result"] for j in jobs]
     return results, {d: v["state"] for d, v in views.items()}, len(ran)
 
@@ -652,8 +658,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _status_daemon(client, args: argparse.Namespace, deadline: Optional[float]) -> int:
-    from repro.service import JobFailedError
-
     if not args.digest:
         print(json.dumps(client.metrics(), indent=2, sort_keys=True))
         return 0
@@ -664,13 +668,12 @@ def _status_daemon(client, args: argparse.Namespace, deadline: Optional[float]) 
         return 0
     for i, d in enumerate(digests):
         try:
-            state = _follow(client, d, deadline, echo=True)
+            view = _follow(client, d, deadline, echo=True)
         except TimeoutError:
             if deadline is None:
                 raise
             raise _still_waiting(digests[i:], args.timeout) from None
-        if state not in ("done", "cached"):
-            raise JobFailedError(f"job {d[:12]}... ended in state {state!r}")
+        _require_done([view])
     return 0
 
 
@@ -773,7 +776,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tenants=tuple(_parse_tenant(t) for t in args.tenant),
         window_s=args.window,
         job_timeout_s=args.job_timeout,
-        max_attempts=args.max_attempts,
     )
     asyncio.run(run_server(config))
     return 0
@@ -963,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--job-timeout", type=float,
         help="--store only: per-job wall-clock budget in seconds; a job "
-             "past it fails and re-enters the retry loop (not with --trace)",
+             "past it fails (not with --trace)",
     )
     submit.add_argument("--expect-cached", action="store_true",
                         help="exit 1 if any job had to run (the CI smokes)")
@@ -1019,10 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--job-timeout", type=float, default=None,
         help="per-job wall-clock budget in seconds; a worker past it is "
              "killed and respawned (default: none)",
-    )
-    serve.add_argument(
-        "--max-attempts", type=int, default=2,
-        help="dispatch attempts per job before it is failed (default: 2)",
     )
 
     store_p = sub.add_parser(

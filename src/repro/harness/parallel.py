@@ -117,9 +117,9 @@ class RunSpec:
     params: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        # fail at construction, not after a worker's retries: a served
-        # job naming an unregistered engine, an unknown machine preset
-        # or balancer, or a core subset or co-runner core its machine
+        # fail at construction, not in a worker: a served job naming
+        # an unregistered engine, an unknown machine preset or
+        # balancer, or a core subset or co-runner core its machine
         # lacks must be refused at admission
         if self.engine not in backend_names():
             raise ValueError(
@@ -249,8 +249,8 @@ def map_specs(
 
     With ``return_exceptions`` a failed spec contributes its exception
     object (:class:`~repro.harness.pool.WorkerDiedError` for a worker
-    that died under it) instead of raising, so a caller can retry just
-    the failed subset.
+    that died under it) instead of raising, so a caller can keep the
+    results of the others and report each failure.
 
     ``timeout_s`` bounds each spec's wall-clock time, counted from when
     its worker receives it; a spec past it contributes (or raises)

@@ -37,8 +37,8 @@ __all__ = ["Outcome", "SpecTimeoutError", "WorkerDiedError", "WorkerPool"]
 
 class SpecTimeoutError(RuntimeError):
     """A job outlived its wall-clock budget, and its worker was killed.
-    :class:`repro.service.JobService` retries it like any other failed
-    job, and the error a caller sees names the timeout."""
+    The job fails like any other, and the error a caller sees names the
+    timeout."""
 
 
 class WorkerDiedError(RuntimeError):

@@ -58,7 +58,6 @@ class ServeMetrics:
         self.completed = 0
         self.cached = 0  #: completions served from the store, no simulation
         self.failed = 0
-        self.retries = 0
         self.timeouts = 0
         self.sse_streams = 0
         self.drains = 0
@@ -143,7 +142,6 @@ class ServeMetrics:
             "executed": executed,
             "cached": self.cached,
             "failed": self.failed,
-            "retries": self.retries,
             "timeouts": self.timeouts,
             "sse_streams": self.sse_streams,
             "cache_hit_ratio": (hits / lookups) if lookups else 0.0,

@@ -26,7 +26,8 @@ serve-smoke job:
   (same :func:`~repro.analysis.sanitizer.run_digest`) to the same spec
   run directly through :func:`repro.service.run_specs_cached`;
 * **dedup** -- one spec digest is one job: resubmissions attach to
-  the existing record, store hits complete instantly as ``cached``, and
+  the existing record (unless it failed, or its result's entry is
+  gone), store hits complete instantly as ``cached``, and
   a worker looks each job up in the store root before running it
   (:func:`~repro.serve.workers.run_served_job`), so drain-resume never
   runs a job twice;
@@ -63,10 +64,11 @@ import threading
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from repro.harness.pool import Outcome, SpecTimeoutError, WorkerPool
 from repro.metrics.export import result_to_dict
+from repro.metrics.results import AppRunResult, RepeatedResult
 from repro.serve import clock as _clock
 from repro.serve.dispatch import SpeedAwareDispatcher
 from repro.serve.metrics import ServeMetrics
@@ -103,6 +105,26 @@ IDLE_TIMEOUT_S = 60.0
 
 #: tenant names a request may introduce
 _TENANT_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
+_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
+
+
+def _snapshot_jobs(snapshot: Any) -> list[dict]:
+    """The jobs of a queue snapshot as :meth:`ReproServer.drain` writes
+    it; ``ValueError`` for a document of any other shape."""
+    if not isinstance(snapshot, dict):
+        raise ValueError("not a JSON object")
+    if snapshot.get("schema") != SNAPSHOT_SCHEMA:
+        raise ValueError(f"schema {snapshot.get('schema')!r}, want {SNAPSHOT_SCHEMA}")
+    jobs = snapshot.get("jobs")
+    if not isinstance(jobs, list) or not all(
+        isinstance(job, dict)
+        and isinstance(job.get("digest"), str) and _DIGEST_RE.fullmatch(job["digest"])
+        and isinstance(job.get("tenant"), str) and _TENANT_RE.fullmatch(job["tenant"])
+        and isinstance(job.get("wire"), dict)
+        for job in jobs
+    ):
+        raise ValueError("'jobs' is not a list of {digest, tenant, wire} objects")
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -123,21 +145,17 @@ class ServeConfig:
     #: per-job wall-clock budget, counted from when the worker receives
     #: the job; a worker past it is killed and respawned
     job_timeout_s: Optional[float] = None
-    #: dispatch attempts per job (1 = no retry)
-    max_attempts: int = 2
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1 (got {self.workers})")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1 (got {self.max_attempts})")
 
 
 class JobRecord:
     """One digest's lifecycle inside the daemon."""
 
     __slots__ = (
-        "digest", "tenant", "wire", "state", "attempts", "error",
+        "digest", "tenant", "wire", "state", "error",
         "submitted_at", "finished_at", "history", "subscribers",
     )
 
@@ -146,7 +164,6 @@ class JobRecord:
         self.tenant = tenant
         self.wire = wire
         self.state = "pending"
-        self.attempts = 0
         self.error = ""
         self.submitted_at = now
         self.finished_at: Optional[float] = None
@@ -164,7 +181,6 @@ class JobRecord:
             "digest": self.digest,
             "tenant": self.tenant,
             "state": self.state,
-            "attempts": self.attempts,
             "error": self.error,
         }
         if self.finished_at is not None:
@@ -209,7 +225,8 @@ class ReproServer:
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
-        """Spawn workers, resume any queue snapshot, bind the socket."""
+        """Spawn workers, bind the socket, resume any queue snapshot; a
+        start that fails stops the workers and leaves the snapshot."""
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         self._pool = WorkerPool(
@@ -221,11 +238,20 @@ class ReproServer:
             target=self._pump_outcomes, name="serve-pump", daemon=True
         )
         self._pump.start()
-        self._resume_snapshot()
-        self._server = await asyncio.start_server(
-            self._handle, host=self.config.host, port=self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        try:
+            self._server = await asyncio.start_server(
+                self._handle, host=self.config.host, port=self.config.port
+            )
+            self.port = self._server.sockets[0].getsockname()[1]
+            # no request is read before start() returns to the loop, so
+            # none arrives before the resumed queue
+            self._resume_snapshot()
+        except BaseException:
+            if self._server is not None:
+                self._server.close()
+            self._pool.stop()
+            self._pump.join()
+            raise
         self._try_dispatch()
 
     async def wait_stopped(self) -> None:
@@ -302,30 +328,23 @@ class ReproServer:
     def _resume_snapshot(self) -> None:
         path = self._snapshot_path
         try:
-            snapshot = json.loads(path.read_text())
+            jobs = _snapshot_jobs(json.loads(path.read_text()))
         except FileNotFoundError:
             return
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             print(
                 f"repro serve: ignoring unreadable queue snapshot "
                 f"{path} ({exc})",
                 file=sys.stderr,
             )
             return
-        if snapshot.get("schema") != SNAPSHOT_SCHEMA:
-            print(
-                f"repro serve: ignoring queue snapshot {path} with "
-                f"schema {snapshot.get('schema')!r}",
-                file=sys.stderr,
-            )
-            return
         now = self._clock()
-        for job in snapshot.get("jobs", []):
-            digest, wire = job["digest"], job["wire"]
+        for job in jobs:
+            digest = job["digest"]
             if digest in self.jobs:
                 continue
-            tenant = self._tenant(str(job["tenant"]))
-            rec = JobRecord(digest, tenant.name, wire, now)
+            tenant = self._tenant(job["tenant"])
+            rec = JobRecord(digest, tenant.name, job["wire"], now)
             self.jobs[digest] = rec
             # resumed work was admitted by the previous daemon; it
             # re-enters the queue without consuming tokens again
@@ -363,7 +382,6 @@ class ReproServer:
             digest = tenant.pop()
             rec = self.jobs[digest]
             rec.state = "running"
-            rec.attempts += 1
             w = min(set(range(self.config.workers)) - self.busy.keys())
             self.busy[w] = digest
             self._publish(rec)
@@ -376,32 +394,19 @@ class ReproServer:
             self._loop.call_soon_threadsafe(self._on_outcomes, outcomes)
 
     def _on_outcomes(self, outcomes: list[Outcome]) -> None:
-        """Settle each job: requeue a failure with attempts left, else
-        finish it; then refill the idle workers."""
+        """Finish each job, a failed one included (a resubmit reruns
+        it); then refill the idle workers."""
         for outcome in outcomes:
             del self.busy[outcome.worker]
             self.metrics.record_worker_busy(outcome.worker, outcome.busy_s)
-            if outcome.ok:
-                state, error = outcome.value, ""
-            else:
-                state, error = "failed", f"{type(outcome.value).__name__}: {outcome.value}"
-                if isinstance(outcome.value, SpecTimeoutError):
-                    self.metrics.timeouts += 1
             rec = self.jobs[outcome.token]
-            tenant = self.tenants[rec.tenant]
-            tenant.record_service(outcome.busy_s)
-            if (
-                state == "failed"
-                and rec.attempts < self.config.max_attempts
-                and not self.draining
-            ):
-                self.metrics.retries += 1
-                rec.state = "pending"
-                rec.error = error
-                tenant.requeue_front(rec.digest)
-                self._publish(rec)
-            else:
-                self._finish(rec, state, error)
+            self.tenants[rec.tenant].record_service(outcome.busy_s)
+            if outcome.ok:
+                self._finish(rec, outcome.value)
+                continue
+            if isinstance(outcome.value, SpecTimeoutError):
+                self.metrics.timeouts += 1
+            self._finish(rec, "failed", f"{type(outcome.value).__name__}: {outcome.value}")
         self._try_dispatch()
 
     def _finish(self, rec: JobRecord, state: str, error: str = "") -> None:
@@ -583,18 +588,10 @@ class ReproServer:
             if existing is not None and not (existing.state == "failed"):
                 self.metrics.deduped += 1
                 continue
-            rec = JobRecord(digest, tenant.name, by_digest[digest], now)
-            try:
-                entry = self.store.get(digest)
-            except StoreIntegrityError:
-                # a miss; the worker that runs it deletes and recomputes
-                entry = None
-            if entry is not None and entry.result is not None:
-                # store hit: terminal immediately, no queue slot used
-                fresh[digest] = rec
-                continue
-            to_admit.append(digest)
-            fresh[digest] = rec
+            fresh[digest] = JobRecord(digest, tenant.name, by_digest[digest], now)
+            # a store hit is terminal immediately and uses no queue slot
+            if self._stored_result(digest) is None:
+                to_admit.append(digest)
 
         try:
             tenant.admit(to_admit, now)
@@ -625,6 +622,18 @@ class ReproServer:
         )
 
     # -- GET /v1/results/{digest} ---------------------------------------
+    def _stored_result(
+        self, digest: str
+    ) -> Optional[Union[AppRunResult, RepeatedResult]]:
+        """The run result the root holds for ``digest``; ``None`` when
+        it holds none or a corrupt entry (which the worker that reruns
+        the job deletes)."""
+        try:
+            entry = self.store.get(digest)
+        except StoreIntegrityError:
+            return None
+        return None if entry is None else entry.result
+
     def _get_result(self, digest: str) -> Response:
         rec = self.jobs.get(digest)
         if rec is not None and rec.state == "failed":
@@ -641,14 +650,15 @@ class ReproServer:
                 ),
                 404,
             )
-        entry = self.store.get(digest)
-        if entry is None or entry.result is None:
+        result = self._stored_result(digest)
+        if result is None:
+            # a done job whose entry is gone or corrupt: forget it, so
+            # the next submit of its spec is admitted and recomputed
+            self.jobs.pop(digest, None)
             return json_response(
                 error_body(404, f"no stored result for {digest[:12]}..."), 404
             )
-        return json_response(
-            {"digest": digest, "result": result_to_dict(entry.result)}
-        )
+        return json_response({"digest": digest, "result": result_to_dict(result)})
 
     # -- GET /v1/jobs/{digest}/events (SSE) -----------------------------
     async def _serve_events(
@@ -746,6 +756,7 @@ class BackgroundServer:
         if not self._ready.wait(timeout_s):
             raise RuntimeError("serve daemon did not come up in time")
         if self._startup_error is not None:
+            self._thread.join()
             raise RuntimeError(
                 f"serve daemon failed to start: {self._startup_error}"
             ) from self._startup_error

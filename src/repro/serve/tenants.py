@@ -204,10 +204,6 @@ class Tenant:
         self.counters.admitted += n
         self.queue.extend(digests)
 
-    def requeue_front(self, digest: str) -> None:
-        """Put a job back at the head (retry / drain-resume path)."""
-        self.queue.appendleft(digest)
-
     def pop(self) -> str:
         self.counters.dispatched += 1
         return self.queue.popleft()

@@ -14,11 +14,12 @@ workers).  A served result lands in the root, where ``repro submit
 --store <root>`` and every other direct reader look for it.
 
 A worker resolves a job as a direct ``repro submit --store`` would:
-it looks the spec up in the root, runs a miss and files the result
-(:func:`run_served_job`).  A failure goes back through the pool, and
-retries are the daemon's.  A hung or crashed simulation costs only its
-own worker, which the pool kills if need be and respawns; the kernel
-drops a store lock the killed worker held.
+it looks the spec up in the root, runs a miss once and files the
+result (:func:`run_served_job`).  A failure goes back through the
+pool and ends the job; a resubmit of its spec reruns it.  A hung or
+crashed simulation costs only its own worker, which the pool kills if
+need be and respawns; the kernel drops a store lock the killed worker
+held.
 """
 
 from __future__ import annotations

@@ -7,12 +7,13 @@ the machinery that *produces* them.  ``submit(specs)``:
 1. reduces each spec to its content digest
    (:func:`repro.store.spec_digest`), so a digest repeated in the batch
    resolves once, and serves every digest the store already holds;
-2. runs the misses through :func:`repro.harness.parallel.map_specs`
+2. runs each miss once through :func:`repro.harness.parallel.map_specs`
    (``workers=N`` fans them out over processes), or with ``trace=True``
    in-process, each filed before the next starts;
-3. files each fresh result back into the store, and gives a failed job
-   up to :data:`MAX_ATTEMPTS` attempts with linear backoff; what still
-   fails raises :class:`JobFailedError`, never silently dropped.
+3. files each fresh result back into the store, then raises
+   :class:`JobFailedError` for what failed, never silently dropped.
+   A run is a pure function of its spec, so a failed one is not rerun
+   here: submitting the batch again reruns what the store lacks.
 
 A corrupt store entry is a miss (:meth:`~repro.store.ResultStore.lookup`
 deletes it) and the configuration is recomputed -- corrupt bytes are
@@ -26,9 +27,8 @@ one entry.
 from __future__ import annotations
 
 import os
-import time
 from itertools import repeat
-from typing import Iterable, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from repro.harness.parallel import RunSpec, map_specs, run_traced
 from repro.metrics.results import AppRunResult
@@ -37,14 +37,15 @@ from repro.store import ResultStore, spec_digest
 
 __all__ = ["JobFailedError", "JobService", "run_specs_cached"]
 
-#: attempts a job gets in one ``submit`` before it fails permanently
-MAX_ATTEMPTS = 3
-#: seconds slept before the k-th retry of a batch's failures, times k
-BACKOFF_S = 0.05
-
 
 class JobFailedError(RuntimeError):
-    """A submitted configuration exhausted its attempts."""
+    """Jobs of a batch failed.  ``failures`` maps each failed digest,
+    once and in batch order, to its error text (``Type: message``)."""
+
+    def __init__(self, failures: Mapping[str, str]):
+        self.failures = dict(failures)
+        detail = "; ".join(f"{d[:12]}...: {why}" for d, why in self.failures.items())
+        super().__init__(f"{len(self.failures)} job(s) failed: {detail}")
 
 
 def _run_traced(
@@ -58,7 +59,7 @@ def _run_traced(
     """
     try:
         result, system = run_traced(spec)
-    except Exception as exc:  # noqa: BLE001 - retried by JobService.submit
+    except Exception as exc:  # noqa: BLE001 - reported by JobService.submit
         return exc, None
     return result, system.trace
 
@@ -90,16 +91,15 @@ class JobService:
         ``trace=True`` additionally stores each run's full trace
         (forcing those runs in-process, since traces do not cross the
         process boundary); a cached entry *without* a trace is a miss,
-        replaced once its traced rerun is ready to file.  Raises
-        :class:`JobFailedError` if any spec exhausts its attempts.
+        replaced once its traced rerun is ready to file.  Each miss runs
+        once; raises :class:`JobFailedError` after filing the rest if
+        any of them failed.
 
-        ``timeout_s`` bounds each job's wall-clock time per attempt: a
-        job past the budget fails with a
-        :class:`~repro.harness.pool.SpecTimeoutError`, re-enters the
-        retry loop like any crash, and -- if every attempt times out --
-        surfaces ``timeout`` in its permanent failure reason.  Deadlines
-        need a worker process, so ``timeout_s`` is incompatible with
-        ``trace=True`` (traced runs execute in-process).
+        ``timeout_s`` bounds each job's wall-clock time: a job past the
+        budget fails with a :class:`~repro.harness.pool.SpecTimeoutError`,
+        whose message names the ``timeout``.  Deadlines need a worker
+        process, so ``timeout_s`` is incompatible with ``trace=True``
+        (traced runs execute in-process).
         """
         if timeout_s is not None and trace:
             raise ValueError(
@@ -124,45 +124,32 @@ class JobService:
                 self.states[d] = "cached"
 
         pending = [d for d in unique if d not in results]
-        errors: dict[str, Exception] = {}
-        for attempt in range(1, MAX_ATTEMPTS + 1):
-            if not pending:
-                break
-            if attempt > 1:
-                time.sleep(BACKOFF_S * (attempt - 1))
-            batch = [unique[d] for d in pending]
-            runs: Iterable[tuple[object, Optional[TraceRecorder]]]
-            if trace:  # lazily: each run is filed before the next starts
-                runs = map(_run_traced, batch)
-            else:
-                runs = zip(
-                    map_specs(batch, workers=workers, return_exceptions=True,
-                              timeout_s=timeout_s),
-                    repeat(None),
-                )
-            failed = []
-            for d, (outcome, rec) in zip(pending, runs):
-                if isinstance(outcome, Exception):
-                    errors[d] = outcome
-                    failed.append(d)
-                    continue
-                self.executed += 1
-                if d in untraced:
-                    self.store.delete(d)
-                self.store.put(unique[d], outcome, trace=rec)
-                results[d] = outcome
-                self.states[d] = "done"
-            pending = failed
-
-        lost = [d for d in digests if d not in results]
-        if lost:
-            self.states.update(dict.fromkeys(lost, "failed"))
-            detail = "; ".join(
-                f"{d[:12]}... after {MAX_ATTEMPTS} attempt(s): "
-                f"{type(errors[d]).__name__}: {errors[d]}"
-                for d in lost
+        if not pending:
+            return [results[d] for d in digests]
+        batch = [unique[d] for d in pending]
+        runs: Iterable[tuple[object, Optional[TraceRecorder]]]
+        if trace:  # lazily: each run is filed before the next starts
+            runs = map(_run_traced, batch)
+        else:
+            runs = zip(
+                map_specs(batch, workers=workers, return_exceptions=True,
+                          timeout_s=timeout_s),
+                repeat(None),
             )
-            raise JobFailedError(f"{len(lost)} job(s) failed permanently: {detail}")
+        failures: dict[str, str] = {}
+        for d, (outcome, rec) in zip(pending, runs):
+            if isinstance(outcome, Exception):
+                failures[d] = f"{type(outcome).__name__}: {outcome}"
+                self.states[d] = "failed"
+                continue
+            self.executed += 1
+            if d in untraced:
+                self.store.delete(d)
+            self.store.put(unique[d], outcome, trace=rec)
+            results[d] = outcome
+            self.states[d] = "done"
+        if failures:
+            raise JobFailedError(failures)
         return [results[d] for d in digests]
 
 

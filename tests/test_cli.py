@@ -375,6 +375,43 @@ class TestOneJobCli:
         _, direct = run_cli([*self.SUBMIT, "--store", str(tmp_path / "s"), "--json"])
         assert served == direct and json.loads(direct)
 
+    def test_failed_batch_reported_byte_identically_on_store_and_url(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Each failed digest is named once, in batch order, with the
+        run's error, and both targets print the same stderr; ``status
+        --watch`` names a failed job the same way."""
+        from repro.harness import parallel
+
+        real = parallel.run_spec
+
+        def run(spec):
+            if spec.balancer == "speed":
+                raise RuntimeError("boom")
+            return real(spec)
+
+        monkeypatch.setattr(parallel, "run_spec", run)  # before the workers fork
+        argv = ["submit", "--threads", "4", "--cores", "2", "--seconds", "0.02",
+                "--repeats", "2", "--balancer", "speed", "speed", "load"]
+        speed = list(dict.fromkeys(
+            spec_digest(s) for s in _submit_specs(build_parser().parse_args(argv))
+            if s.balancer == "speed"
+        ))
+        want = "repro submit: 2 job(s) failed: " + "; ".join(
+            f"{d[:12]}...: RuntimeError: boom" for d in speed
+        ) + "\n"
+        bg = _daemon(tmp_path)
+        try:
+            assert main([*argv, "--url", bg.base_url]) == 1
+            served = capsys.readouterr().err
+            assert main(["status", speed[0][:10], "--url", bg.base_url, "--watch"]) == 1
+            watched = capsys.readouterr().err
+        finally:
+            bg.drain()
+        assert main([*argv, "--store", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err == served == want
+        assert watched == f"repro status: 1 job(s) failed: {speed[0][:12]}...: RuntimeError: boom\n"
+
     def test_served_batch_is_cached_for_the_store_target(self, tmp_path):
         """The daemon's workers file results in its root, so a direct
         submit of the same sweep on that root runs nothing."""

@@ -8,6 +8,7 @@ traffic takes.  A test that needs a fake job installs one with
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -1160,7 +1161,7 @@ class TestTimeouts:
         self, tmp_path, monkeypatch, serve_client
     ):
         fake_job(monkeypatch, 600.0)
-        bg = _boot(tmp_path, workers=1, job_timeout_s=0.5, max_attempts=1)
+        bg = _boot(tmp_path, workers=1, job_timeout_s=0.5)
         try:
             client = serve_client(bg.base_url)
             (job,) = client.submit([_spec(seed=6)])["jobs"]
@@ -1171,11 +1172,12 @@ class TestTimeouts:
         finally:
             bg.drain()
 
-    def test_job_whose_run_raises_is_retried_then_fails(
+    def test_job_whose_run_raises_fails_after_one_run(
         self, tmp_path, monkeypatch, serve_client
     ):
-        """A run that raises fails its job with ``Type: message`` after
-        the daemon's attempts; the job beside it is untouched."""
+        """A run that raises fails its job with ``Type: message`` the
+        first time, without a second run; the job beside it is
+        untouched."""
         log = tmp_path / "ran.log"
         fake_job(monkeypatch, 0.0, log=log)
         logged = parallel.run_spec
@@ -1187,17 +1189,17 @@ class TestTimeouts:
             return result
 
         monkeypatch.setattr(parallel, "run_spec", run)
-        bg = _boot(tmp_path, workers=1, max_attempts=2)
+        bg = _boot(tmp_path, workers=1)
         try:
             client = serve_client(bg.base_url)
             bad, good = client.submit([_spec(seed=3), _spec(seed=4)])["jobs"]
             view = client.wait(bad["digest"], poll_s=0.05, timeout_s=30)
-            assert (view["state"], view["error"], view["attempts"]) == (
-                "failed", "RuntimeError: boom", 2,
-            )
+            assert view["state"] == "failed" and view["error"] == "RuntimeError: boom"
+            states = [v["state"] for e, v in client.events(bad["digest"]) if e == "status"]
+            assert states == ["pending", "running", "failed"]
             assert client.wait(good["digest"], poll_s=0.05, timeout_s=30)["state"] == "done"
-            assert sorted(ran(log)) == ["speed/3", "speed/3", "speed/4"]
-            assert client.metrics()["retries"] == 1
+            assert sorted(ran(log)) == ["speed/3", "speed/4"]
+            assert client.metrics()["failed"] == 1
         finally:
             bg.drain()
 
@@ -1209,7 +1211,7 @@ class TestTimeouts:
         queued behind it, and the drain still completes."""
         log = tmp_path / "ran.log"
         fake_job(monkeypatch, 60.0, log=log)
-        bg = _boot(tmp_path, workers=1, max_attempts=1)
+        bg = _boot(tmp_path, workers=1)
         try:
             client = serve_client(bg.base_url)
             (long_job,) = client.submit([_spec(seed=1)])["jobs"]
@@ -1228,3 +1230,135 @@ class TestTimeouts:
             assert view["state"] == "done"
         finally:
             bg.drain(timeout_s=20)
+
+    def test_failed_job_reruns_when_resubmitted(self, tmp_path, monkeypatch, serve_client):
+        """Resubmitting is the one retry: a job whose run raised ends
+        ``failed`` after one run, and a resubmit of its spec is
+        admitted, runs once more and is served."""
+        log = tmp_path / "ran.log"
+        marker = tmp_path / "fail-next-run"
+        marker.touch()
+        fake_job(monkeypatch, 0.0, log=log)
+        logged = parallel.run_spec
+
+        def run(spec):
+            result = logged(spec)
+            if marker.exists():  # the forked worker sees the test's file
+                marker.unlink()
+                raise RuntimeError("first run fails")
+            return result
+
+        monkeypatch.setattr(parallel, "run_spec", run)
+        spec = _spec(seed=8)
+        bg = _boot(tmp_path, workers=1)
+        try:
+            client = serve_client(bg.base_url)
+            (job,) = client.submit([spec])["jobs"]
+            digest = job["digest"]
+            view = client.wait(digest, poll_s=0.05, timeout_s=30)
+            assert (view["state"], view["error"]) == ("failed", "RuntimeError: first run fails")
+            assert ran(log) == ["speed/8"]
+
+            client.submit([spec])
+            assert client.wait(digest, poll_s=0.05, timeout_s=30)["state"] == "done"
+            assert ran(log) == ["speed/8", "speed/8"]
+            assert client.metrics()["deduped"] == 0
+            served = client.result(digest)["result"]
+        finally:
+            bg.drain()
+        assert _json(served) == _json(result_to_dict(_fake_result(spec)))
+
+
+class TestResults:
+    @pytest.mark.parametrize("damage", ["corrupt", "deleted"])
+    def test_done_job_whose_entry_goes_bad_is_rerun_on_resubmit(
+        self, tmp_path, counting, serve_client, damage
+    ):
+        """A done job's entry that is corrupted or deleted afterwards
+        (``repro store gc`` evicts) answers 404, and the next submit of
+        its spec runs it again instead of attaching to the record."""
+        spec = _spec(seed=5)
+        bg = _boot(tmp_path, workers=1)
+        try:
+            client = serve_client(bg.base_url)
+            digest = client.submit([spec])["jobs"][0]["digest"]
+            assert client.wait(digest, poll_s=0.02)["state"] == "done"
+            store = ResultStore(tmp_path / "serve-store")
+            if damage == "corrupt":
+                entry = store._object_dir(digest) / "entry.json"
+                data = bytearray(entry.read_bytes())
+                data[len(data) // 2] ^= 0xFF
+                entry.write_bytes(bytes(data))
+            else:
+                assert store.delete(digest)
+            with pytest.raises(ServeError) as err:
+                client.result(digest)
+            assert err.value.status == 404 and "no stored result" in str(err.value)
+
+            client.submit([spec])
+            assert client.wait(digest, poll_s=0.02)["state"] == "done"
+            served = client.result(digest)["result"]
+            assert client.metrics()["deduped"] == 0
+        finally:
+            bg.drain()
+        assert ran(counting) == ["speed/5", "speed/5"]
+        assert _json(served) == _json(result_to_dict(_fake_result(spec)))
+        assert store.verify() == []
+
+
+class TestStartup:
+    def test_failed_bind_stops_the_workers_and_keeps_the_snapshot(
+        self, tmp_path, counting, serve_client
+    ):
+        """A daemon whose port is taken leaves no worker process or
+        thread behind, and the queue snapshot waits for the next start."""
+        spec = _spec(seed=9)
+        root = tmp_path / "serve-store"
+        root.mkdir()
+        snapshot = root / SNAPSHOT_NAME
+        snapshot.write_text(json.dumps({"schema": 1, "jobs": [
+            {"digest": spec_digest(spec), "tenant": "t", "wire": spec_to_wire(spec)},
+        ]}))
+        children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            config = ServeConfig(
+                store_root=str(root), port=taken.getsockname()[1], workers=2
+            )
+            with pytest.raises(RuntimeError, match="failed to start"):
+                BackgroundServer(config).start()
+        assert set(multiprocessing.active_children()) <= children
+        assert set(threading.enumerate()) <= threads
+        assert snapshot.exists()
+
+        bg = _boot(tmp_path, workers=1)
+        try:
+            view = serve_client(bg.base_url).wait(spec_digest(spec), poll_s=0.02)
+            assert view["state"] == "done"
+        finally:
+            bg.drain()
+        assert ran(counting) == ["speed/9"]
+
+    @pytest.mark.parametrize("snapshot", [
+        {"schema": 1, "jobs": [{"digest": "ab" * 32, "tenant": "t"}]},
+        {"schema": 1, "jobs": "x"},
+        [1, 2],
+    ], ids=["job-without-wire", "jobs-not-a-list", "not-an-object"])
+    def test_malformed_snapshot_is_ignored(
+        self, tmp_path, counting, serve_client, capsys, snapshot
+    ):
+        root = tmp_path / "serve-store"
+        root.mkdir()
+        (root / SNAPSHOT_NAME).write_text(json.dumps(snapshot))
+        bg = _boot(tmp_path, workers=1)
+        try:
+            err = capsys.readouterr().err
+            assert f"ignoring unreadable queue snapshot {root / SNAPSHOT_NAME}" in err
+            client = serve_client(bg.base_url)
+            (job,) = client.submit([_spec(seed=2)])["jobs"]
+            assert client.wait(job["digest"], poll_s=0.02)["state"] == "done"
+        finally:
+            bg.drain()
+        assert ran(counting) == ["speed/2"]

@@ -1,6 +1,7 @@
 """Tests for the deduplicating job service (repro.service)."""
 
 import multiprocessing
+import time
 
 import pytest
 
@@ -19,10 +20,14 @@ def _spec(seed=0, balancer="speed"):
     )
 
 
-def _attempts(monkeypatch, n):
-    """Give each job ``n`` attempts, with no backoff between them."""
-    monkeypatch.setattr(jobs, "MAX_ATTEMPTS", n)
-    monkeypatch.setattr(jobs, "BACKOFF_S", 0.0)
+#: one entry per build of :func:`failing_factory` in this process
+BUILDS: list = []
+
+
+def failing_factory(system):
+    """Module-level app factory whose build raises."""
+    BUILDS.append(1)
+    raise RuntimeError("boom")
 
 
 class TestSubmit:
@@ -129,10 +134,11 @@ class TestSubmit:
 
 
 class TestRetries:
+    """A failed job runs once per submit; submitting it again is the
+    retry."""
+
     def _flaky(self, monkeypatch, failures_by_digest):
         """Patch the service's executor to fail N times per digest."""
-        import repro.service.jobs as jobs
-
         real = jobs.map_specs
 
         def flaky(specs, workers=1, return_exceptions=False, **kwargs):
@@ -149,29 +155,48 @@ class TestRetries:
 
         monkeypatch.setattr(jobs, "map_specs", flaky)
 
-    def test_crash_retried_with_backoff(self, tmp_path, monkeypatch):
+    def test_failed_job_runs_once_then_a_resubmit_files_it(self, tmp_path, monkeypatch):
         spec = _spec()
-        failures = {spec_digest(spec): 2}
+        digest = spec_digest(spec)
+        failures = {digest: 1}
         self._flaky(monkeypatch, failures)
-        naps = []
-        monkeypatch.setattr(jobs, "BACKOFF_S", 0.01)
-        monkeypatch.setattr(jobs.time, "sleep", naps.append)
-        service = JobService(ResultStore(tmp_path / "s"))
-        (result,) = service.submit([spec])
-        assert run_digest(result) == run_digest(run_spec(spec))
-        # the third of the default three attempts succeeded
-        assert failures == {spec_digest(spec): 0}
-        assert service.states == {spec_digest(spec): "done"}
-        # linear backoff between the three attempts
-        assert naps == [pytest.approx(0.01), pytest.approx(0.02)]
+        store = ResultStore(tmp_path / "s")
+        first = JobService(store)
+        with pytest.raises(JobFailedError):
+            first.submit([spec])
+        assert failures == {digest: 0}  # one run, no second in the submit
+        assert first.states == {digest: "failed"} and first.executed == 0
+        assert not store.contains(spec)
 
-    def test_exhausted_attempts_fail_loudly(self, tmp_path, monkeypatch):
+        second = JobService(store)
+        (result,) = second.submit([spec])
+        assert second.states == {digest: "done"} and second.executed == 1
+        assert run_digest(result) == run_digest(run_spec(spec))
+        assert run_digest(store.get(digest).result) == run_digest(result)
+
+    def test_raising_run_is_built_once_and_nothing_sleeps(self, tmp_path, monkeypatch):
+        """A batch that repeats a failing spec builds its app once,
+        names its digest once and never backs off."""
+        naps = []
+        monkeypatch.setattr(time, "sleep", naps.append)
+        BUILDS.clear()
+        spec = RunSpec.make("tigerton", failing_factory, cores=2)
+        service = JobService(ResultStore(tmp_path / "s"))
+        with pytest.raises(JobFailedError) as err:
+            service.submit([spec, spec])
+        assert len(BUILDS) == 1 and naps == []
+        digest = spec_digest(spec)
+        assert err.value.failures == {digest: "RuntimeError: boom"}
+        assert str(err.value) == f"1 job(s) failed: {digest[:12]}...: RuntimeError: boom"
+
+    def test_failed_job_fails_loudly(self, tmp_path, monkeypatch):
         good, bad = _spec(seed=0), _spec(seed=1)
         self._flaky(monkeypatch, {spec_digest(bad): 99})
-        _attempts(monkeypatch, 2)
         service = JobService(ResultStore(tmp_path / "s"))
         with pytest.raises(
-            JobFailedError, match=r"after 2 attempt\(s\): RuntimeError: injected worker crash"
+            JobFailedError,
+            match=rf"^1 job\(s\) failed: {spec_digest(bad)[:12]}\.\.\.: "
+                  r"RuntimeError: injected worker crash$",
         ):
             service.submit([good, bad])
         # the good spec still completed and was stored
@@ -189,26 +214,27 @@ class TestTimeouts:
         app = AppSpec(bench="ep.C", n_threads=4, total_compute_us=30_000_000)
         return RunSpec.make("tigerton", app, balancer="speed", cores=2)
 
-    def test_timed_out_job_fails_with_timeout_reason(self, tmp_path, monkeypatch):
+    def test_timed_out_job_fails_with_timeout_reason(self, tmp_path):
         spec = self._slow_spec()
-        _attempts(monkeypatch, 2)
         service = JobService(ResultStore(tmp_path / "s"))
-        # the timeout fed the normal retry path
-        with pytest.raises(JobFailedError, match=r"after 2 attempt\(s\): .*timeout"):
+        with pytest.raises(
+            JobFailedError,
+            match=rf"^1 job\(s\) failed: {spec_digest(spec)[:12]}\.\.\.: "
+                  r"SpecTimeoutError: timeout",
+        ):
             service.submit([spec], timeout_s=0.2)
         assert service.states == {spec_digest(spec): "failed"}
         assert not service.store.contains(spec)
 
-    def test_hung_job_fails_alone(self, tmp_path, monkeypatch):
+    def test_hung_job_fails_alone(self, tmp_path):
         """The jobs queued behind a hung one in a full pool still run:
-        only the hung digest exhausts its attempts."""
+        only the hung digest fails."""
         hung = RunSpec.make(
             "tigerton",
             AppSpec(bench="cg.B", n_threads=16, total_compute_us=400_000_000),
             cores=12,
         )
         fast = [_spec(seed=s) for s in range(2)]
-        _attempts(monkeypatch, 2)
         service = JobService(ResultStore(tmp_path / "s"))
         with pytest.raises(JobFailedError, match=r"^1 job\(s\) failed") as err:
             service.submit([hung, *fast], timeout_s=2)
@@ -218,19 +244,17 @@ class TestTimeouts:
             assert run_digest(service.store.get(spec).result) == \
                    run_digest(run_spec(spec))
 
-    def test_crashed_worker_fails_alone(self, tmp_path, monkeypatch):
-        """A job whose worker process dies fails by itself: the jobs
-        beside it run, and the retry of the crash runs in a worker
-        process too, never in the caller's."""
+    def test_crashed_worker_fails_alone(self, tmp_path):
+        """A job whose worker process dies fails by itself, and the jobs
+        beside it run."""
         from tests.test_parallel_harness import crashing_factory
 
         crash = RunSpec.make("tigerton", crashing_factory, cores=4)
         fast = [_spec(seed=s) for s in range(2)]
-        _attempts(monkeypatch, 2)
         service = JobService(ResultStore(tmp_path / "s"))
         with pytest.raises(JobFailedError, match=r"^1 job\(s\) failed") as err:
             service.submit([crash, *fast], workers=2)
-        assert f"{spec_digest(crash)[:12]}... after 2 attempt(s): WorkerDiedError" \
+        assert f"{spec_digest(crash)[:12]}...: WorkerDiedError: worker died" \
             in str(err.value)
         assert service.states[spec_digest(crash)] == "failed"
         assert service.executed == 2
