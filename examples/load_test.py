@@ -5,14 +5,12 @@ Boots a daemon on an ephemeral port (or targets a running one via
 ``--url``), then runs one closed-loop client thread per tenant: each
 submits a batch of distinct simulation specs, waits for every job to
 finish, and immediately submits the next batch until the wall-clock
-budget runs out.  Tenants get different fair-share weights and batch
-sizes, so the run exercises exactly the properties the serving layer
-claims:
+budget runs out.  The tenants differ only in batch size, so the run
+shows what the serving layer claims:
 
-* speed-aware weighted fair queuing (heavy tenants get proportionally
-  more worker time, light tenants are never starved);
-* token-bucket backpressure (the greedy tenant sees 429s and backs
-  off by the server-suggested ``Retry-After``);
+* every batch is admitted, however large;
+* the tenants take turns on the workers, so the one with small
+  batches is never stuck behind the others' whole queues;
 * digest dedup and store caching across repeated submissions.
 
 At the end it prints per-tenant closed-loop stats next to the
@@ -24,29 +22,15 @@ Run:  python examples/load_test.py [--duration 10] [--workers 2]
 
 import argparse
 import threading
-import time
 
 from repro.apps.workloads import AppSpec
 from repro.harness import report
 from repro.harness.parallel import RunSpec
-from repro.serve import (
-    BackgroundServer,
-    ServeClient,
-    ServeConfig,
-    ServeError,
-    TenantConfig,
-)
+from repro.serve import BackgroundServer, ServeClient, ServeConfig
 from repro.serve import clock as _clock
 
-#: (tenant, weight, submit rate jobs/s, batch size) -- "heavy" is
-#: entitled to 4x the worker time of "light" and submits bigger
-#: batches; "greedy" floods but has a tight token bucket, so it is the
-#: one that sees 429s and backs off
-TENANTS = [
-    ("heavy", 4.0, 200.0, 6),
-    ("light", 1.0, 200.0, 2),
-    ("greedy", 1.0, 12.0, 10),
-]
+#: (tenant, batch size)
+TENANTS = [("large", 10), ("medium", 6), ("small", 2)]
 
 
 def _spec(seed: int) -> RunSpec:
@@ -66,7 +50,6 @@ class TenantLoop(threading.Thread):
         self.deadline = deadline
         self.submitted = 0
         self.completed = 0
-        self.rejections = 0
         self.batches = 0
         self.errors = []
 
@@ -76,14 +59,7 @@ class TenantLoop(threading.Thread):
             while _clock.monotonic() < self.deadline:
                 specs = [_spec(seed + i) for i in range(self.batch)]
                 seed += self.batch
-                try:
-                    resp = self.client.submit(specs, tenant=self.tenant)
-                except ServeError as exc:
-                    if exc.status != 429:
-                        raise
-                    self.rejections += 1
-                    time.sleep(exc.retry_after_s or 1.0)
-                    continue
+                resp = self.client.submit(specs, tenant=self.tenant)
                 self.submitted += len(specs)
                 for job in resp["jobs"]:
                     view = self.client.wait(
@@ -115,11 +91,7 @@ def main() -> int:
     if url is None:
         background = BackgroundServer(ServeConfig(
             store_root=args.store, port=0, workers=args.workers,
-            tenants=tuple(
-                TenantConfig(name=name, weight=weight, rate=rate,
-                             burst=2 * rate, queue_limit=256)
-                for name, weight, rate, _batch in TENANTS
-            ),
+            tenants=tuple(name for name, _batch in TENANTS),
         )).start()
         url = background.base_url
         print(f"booted daemon at {url} ({args.workers} workers)")
@@ -127,7 +99,7 @@ def main() -> int:
     deadline = _clock.monotonic() + args.duration
     loops = [
         TenantLoop(url, name, batch, seed_base=1000 * i, deadline=deadline)
-        for i, (name, _weight, _rate, batch) in enumerate(TENANTS)
+        for i, (name, batch) in enumerate(TENANTS)
     ]
     print(f"driving {len(loops)} tenants for {args.duration:g}s ...")
     for loop in loops:
@@ -146,21 +118,18 @@ def main() -> int:
             loop.batches,
             loop.submitted,
             loop.completed,
-            loop.rejections,
-            stats.get("weight", "-"),
+            stats.get("dispatched", "-"),
             stats.get("cached", "-"),
-            f"{stats.get('service_rate_busy_s_per_s', 0.0):.3f}",
         ])
     print(report.table(
-        ["tenant", "batches", "submitted", "completed", "429 batches",
-         "weight", "cached", "busy s/s"],
+        ["tenant", "batches", "submitted", "completed", "dispatched",
+         "cached"],
         rows,
         title="closed-loop load test",
     ))
     latency = snapshot["latency"]
     print(
         f"daemon: {snapshot['completed']} completed, "
-        f"{snapshot['rejected']} jobs rejected, "
         f"cache-hit ratio {snapshot['cache_hit_ratio']:.2f}, "
         f"p50 {latency['p50_s']:.3f}s p95 {latency['p95_s']:.3f}s, "
         f"worker utilization {snapshot['workers']['utilization']:.2f}"

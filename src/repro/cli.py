@@ -738,46 +738,28 @@ def _cmd_store(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # serving daemon (repro.serve)
 # ----------------------------------------------------------------------
-def _parse_tenant(text: str):
-    """``name[:weight[:rate[:burst[:queue_limit]]]]`` -> TenantConfig.
-
-    Omitted fields take :class:`~repro.serve.TenantConfig`'s defaults.
-    """
-    from repro.serve import TenantConfig
-
-    name, *fields = text.split(":")
-    if not name:
-        raise ValueError(f"tenant spec {text!r} has an empty name")
-    if len(fields) > 4:
-        raise ValueError(
-            f"tenant spec {text!r} has too many fields; expected "
-            "name[:weight[:rate[:burst[:queue_limit]]]]"
-        )
-    knobs = zip(("weight", "rate", "burst", "queue_limit"),
-                (float, float, float, int), fields)
-    try:
-        return TenantConfig(name=name, **{k: cast(v) for k, cast, v in knobs})
-    except ValueError as exc:
-        raise ValueError(f"tenant spec {text!r}: {exc}") from None
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the serving daemon until SIGTERM/SIGINT drains it."""
+    """Run the serving daemon until SIGTERM/SIGINT drains it; exit 1
+    with one line when it cannot listen."""
     import asyncio
 
     from repro.serve import ServeConfig
-    from repro.serve.server import run_server
+    from repro.serve.server import ListenError, run_server
 
     config = ServeConfig(
         store_root=args.store,
         host=args.host,
         port=args.port,
         workers=args.workers,
-        tenants=tuple(_parse_tenant(t) for t in args.tenant),
-        window_s=args.window,
+        # name[:weight[:rate[:burst[:queue_limit]]]]: only the name counts
+        tenants=tuple(t.split(":", 1)[0] for t in args.tenant),
         job_timeout_s=args.job_timeout,
     )
-    asyncio.run(run_server(config))
+    try:
+        asyncio.run(run_server(config))
+    except ListenError as exc:
+        print(f"repro serve: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -1009,13 +991,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes; any idle one takes the next job (default: 2)",
     )
     serve.add_argument(
-        "--tenant", action="append", default=[], metavar="SPEC",
-        help="declare a tenant as name[:weight[:rate[:burst[:queue_limit]]]] "
-             "(repeatable); undeclared tenants get the defaults",
-    )
-    serve.add_argument(
-        "--window", type=float, default=30.0,
-        help="service-speed measurement window in seconds (default: 30)",
+        "--tenant", action="append", default=[], metavar="NAME",
+        help="declare a tenant, so its metrics row exists from start-up "
+             "(repeatable); a submit names any other.  The older form "
+             "name:weight:rate:burst:queue_limit is accepted, and "
+             "everything after the name is ignored",
     )
     serve.add_argument(
         "--job-timeout", type=float, default=None,

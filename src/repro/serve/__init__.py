@@ -1,17 +1,17 @@
 """`repro serve` -- simulation-as-a-service over the content store.
 
 The serving layer turns the batch pipeline
-(:func:`repro.service.run_specs_cached`) into a long-lived multi-tenant
-daemon without changing what a result *is*: a job submitted over HTTP
-is keyed, executed, stored and digested exactly as a direct call would
-key, execute, store and digest it (byte-identical results -- the
-parity contract the serve tests and CI smoke assert).
+(:func:`repro.service.run_specs_cached`) into a long-lived daemon whose
+tenants take turns on one worker pool, without changing what a result
+*is*: a job submitted over HTTP is keyed, executed, stored and
+digested exactly as a direct call would key, execute, store and digest
+it (byte-identical results -- the parity contract the serve tests and
+CI smoke assert).
 
 Modules:
 
 * :mod:`~repro.serve.protocol` -- wire spec codec, HTTP/1.1, SSE
-* :mod:`~repro.serve.tenants`  -- queues, token buckets, service windows
-* :mod:`~repro.serve.dispatch` -- speed-aware weighted-fair dispatcher
+* :mod:`~repro.serve.tenants`  -- per-tenant queues and counters
 * :mod:`~repro.serve.workers`  -- the daemon's store and served job
 * :mod:`~repro.serve.metrics`  -- counters, latency percentiles
 * :mod:`~repro.serve.server`   -- the asyncio daemon
@@ -19,7 +19,6 @@ Modules:
 """
 
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.dispatch import SpeedAwareDispatcher
 from repro.serve.metrics import ServeMetrics, percentile
 from repro.serve.protocol import ProtocolError, spec_from_wire, spec_to_wire
 from repro.serve.server import (
@@ -28,11 +27,10 @@ from repro.serve.server import (
     ServeConfig,
     run_server,
 )
-from repro.serve.tenants import AdmissionError, Tenant, TenantConfig
+from repro.serve.tenants import Tenant
 from repro.serve.workers import ShardedStore
 
 __all__ = [
-    "AdmissionError",
     "BackgroundServer",
     "ProtocolError",
     "ReproServer",
@@ -41,9 +39,7 @@ __all__ = [
     "ServeError",
     "ServeMetrics",
     "ShardedStore",
-    "SpeedAwareDispatcher",
     "Tenant",
-    "TenantConfig",
     "percentile",
     "run_server",
     "spec_from_wire",

@@ -45,15 +45,6 @@ class ServeError(Exception):
         self.status = status
         self.payload = payload
 
-    @property
-    def retry_after_s(self) -> Optional[float]:
-        """The server-suggested backoff on a 429/503, if any."""
-        if isinstance(self.payload, dict):
-            value = self.payload.get("retry_after_s")
-            if isinstance(value, (int, float)):
-                return float(value)
-        return None
-
 
 def _decode(raw: bytes) -> Any:
     """A response body: JSON when it parses, else the text."""

@@ -4,12 +4,13 @@ Everything ``GET /v1/metrics`` reports is computed here from plain
 monotonic counters and a bounded reservoir of completion latencies --
 no background sampling threads, no wall-clock reads outside the
 injected ``clock``.  The snapshot is a plain JSON-able dict so the
-fairness and backpressure tests can assert on exact counter values.
+tests can assert on exact counter values.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import asdict
 from typing import Callable, Iterable, Mapping, Optional
 
 from repro.serve import clock as _clock
@@ -53,7 +54,7 @@ class ServeMetrics:
         self.bad_requests = 0
         self.submitted = 0
         self.admitted = 0
-        self.rejected = 0
+        self.rejected = 0  #: POSTs refused with 503 while draining
         self.deduped = 0  #: submissions resolved to an existing job/entry
         self.completed = 0
         self.cached = 0  #: completions served from the store, no simulation
@@ -113,22 +114,10 @@ class ServeMetrics:
         executed = self.completed - self.cached - self.failed
         hits = self.cached + self.deduped
         lookups = hits + executed
-        tenant_rows = {}
-        for t in sorted(tenants, key=lambda t: t.name):
-            c = t.counters
-            tenant_rows[t.name] = {
-                "queue_depth": len(t.queue),
-                "queue_limit": t.config.queue_limit,
-                "weight": t.config.weight,
-                "admitted": c.admitted,
-                "rejected": c.rejected,
-                "dispatched": c.dispatched,
-                "completed": c.completed,
-                "cached": c.cached,
-                "failed": c.failed,
-                "service_rate_busy_s_per_s": t.window.rate(now),
-                "service_share": t.service_share(now),
-            }
+        tenant_rows = {
+            t.name: {"queue_depth": len(t.queue), **asdict(t.counters)}
+            for t in sorted(tenants, key=lambda t: t.name)
+        }
         return {
             "uptime_s": now - self.started_at,
             "connections": self.connections,

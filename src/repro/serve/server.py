@@ -1,8 +1,8 @@
 """The `repro serve` daemon: asyncio HTTP front over the content-addressed store.
 
 One asyncio loop owns everything except simulation itself: it parses
-requests, admits batches against per-tenant token buckets and bounded
-queues, runs the speed-aware dispatcher whenever a worker goes idle,
+requests, queues each batch's jobs on its tenant's FIFO queue, lets
+the tenants with queued work take turns whenever a worker goes idle,
 and streams job lifecycles over SSE.  Simulations run in a
 :class:`~repro.harness.pool.WorkerPool` (one forked process per
 worker; any idle one takes the next job); a pump thread waits on the
@@ -12,7 +12,7 @@ so no handler ever blocks on a simulation.
 Endpoints (all JSON unless noted)::
 
     GET  /v1/healthz               liveness + drain state
-    POST /v1/jobs                  submit a spec batch (202; 400/429/503)
+    POST /v1/jobs                  submit a spec batch (202; 400/503)
     GET  /v1/jobs                  every job's status view
     GET  /v1/jobs/{digest}         one job's status view
     GET  /v1/jobs/{digest}/events  SSE stream of status transitions
@@ -31,9 +31,13 @@ serve-smoke job:
   a worker looks each job up in the store root before running it
   (:func:`~repro.serve.workers.run_served_job`), so drain-resume never
   runs a job twice;
-* **backpressure** -- an over-rate or over-queue batch gets 429 with a
-  concrete ``Retry-After``, atomically (nothing admitted, nothing
-  consumed);
+* **admission** -- a batch is admitted whole, whatever its size (only
+  ``MAX_BODY_BYTES`` bounds a request), or refused whole: one spec
+  that does not decode gets 400 and changes nothing;
+* **turns** -- while a worker is idle and a job waits, the next tenant
+  in name order after the one served last gives its oldest job to the
+  lowest-numbered idle worker, so no tenant waits behind another's
+  whole queue, and the order never depends on measured time;
 * **drain** -- SIGTERM stops admission (503), lets in-flight jobs
   finish, snapshots the still-queued remainder to
   ``serve-queue.json`` under the store root, and a restarted daemon
@@ -64,13 +68,12 @@ import threading
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.harness.pool import Outcome, SpecTimeoutError, WorkerPool
 from repro.metrics.export import result_to_dict
 from repro.metrics.results import AppRunResult, RepeatedResult
 from repro.serve import clock as _clock
-from repro.serve.dispatch import SpeedAwareDispatcher
 from repro.serve.metrics import ServeMetrics
 from repro.serve.protocol import (
     LAST_CHUNK,
@@ -84,12 +87,13 @@ from repro.serve.protocol import (
     spec_from_wire,
     sse_event,
 )
-from repro.serve.tenants import AdmissionError, Tenant, TenantConfig
+from repro.serve.tenants import Tenant
 from repro.serve.workers import ShardedStore, run_served_job
 from repro.store import StoreIntegrityError, UnstorableSpecError, spec_digest
 
 __all__ = [
     "BackgroundServer",
+    "ListenError",
     "ReproServer",
     "ServeConfig",
     "SNAPSHOT_NAME",
@@ -137,18 +141,29 @@ class ServeConfig:
     port: int = 8421
     #: worker processes; any idle one takes the next job
     workers: int = 2
-    #: tenants declared up front; unknown tenants are created on first
-    #: submit with :class:`TenantConfig`'s defaults
-    tenants: tuple[TenantConfig, ...] = ()
-    #: service-speed measurement window (the dispatcher's memory)
-    window_s: float = 30.0
+    #: tenant names whose metrics rows exist from start-up; a submit
+    #: creates any other tenant it names
+    tenants: tuple[str, ...] = ()
     #: per-job wall-clock budget, counted from when the worker receives
     #: the job; a worker past it is killed and respawned
     job_timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in 0..65535 (got {self.port})")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1 (got {self.workers})")
+        for name in self.tenants:
+            if not _TENANT_RE.fullmatch(name):
+                raise ValueError(
+                    f"invalid tenant {name!r} (want {_TENANT_RE.pattern})"
+                )
+        if self.job_timeout_s is not None and self.job_timeout_s <= 0:
+            raise ValueError(f"timeout_s must be > 0 (got {self.job_timeout_s})")
+
+
+class ListenError(OSError):
+    """The daemon cannot listen on its host and port."""
 
 
 class JobRecord:
@@ -191,24 +206,18 @@ class JobRecord:
 class ReproServer:
     """The daemon (see module docs).  Owned by one asyncio loop."""
 
-    def __init__(
-        self,
-        config: ServeConfig,
-        clock: Callable[[], float] = _clock.monotonic,
-    ):
+    def __init__(self, config: ServeConfig):
         self.config = config
         self.store = ShardedStore(config.store_root, config.workers)
-        self.metrics = ServeMetrics(clock=clock)
-        self.dispatcher = SpeedAwareDispatcher()
-        self.tenants: dict[str, Tenant] = {}
-        for tc in config.tenants:
-            self.tenants[tc.name] = Tenant(tc, config.window_s, clock)
+        self.metrics = ServeMetrics()
+        self.tenants = {name: Tenant(name) for name in config.tenants}
+        #: the tenant whose job went to a worker last ("" before any)
+        self._served_last = ""
         self.jobs: dict[str, JobRecord] = {}
         #: worker id -> digest while a job is on that worker
         self.busy: dict[int, str] = {}
         self.draining = False
         self.port = config.port
-        self._clock = clock
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         #: the worker pool and the thread that waits on it, from start()
@@ -239,9 +248,13 @@ class ReproServer:
         )
         self._pump.start()
         try:
-            self._server = await asyncio.start_server(
-                self._handle, host=self.config.host, port=self.config.port
-            )
+            host, port = self.config.host, self.config.port
+            try:
+                self._server = await asyncio.start_server(
+                    self._handle, host=host, port=port
+                )
+            except OSError as exc:
+                raise ListenError(f"cannot listen on {host}:{port}: {exc}") from exc
             self.port = self._server.sockets[0].getsockname()[1]
             # no request is read before start() returns to the loop, so
             # none arrives before the resumed queue
@@ -338,7 +351,7 @@ class ReproServer:
                 file=sys.stderr,
             )
             return
-        now = self._clock()
+        now = _clock.monotonic()
         for job in jobs:
             digest = job["digest"]
             if digest in self.jobs:
@@ -346,10 +359,7 @@ class ReproServer:
             tenant = self._tenant(job["tenant"])
             rec = JobRecord(digest, tenant.name, job["wire"], now)
             self.jobs[digest] = rec
-            # resumed work was admitted by the previous daemon; it
-            # re-enters the queue without consuming tokens again
-            tenant.counters.admitted += 1
-            tenant.queue.append(digest)
+            tenant.admit(digest)
             self.metrics.submitted += 1
             self.metrics.admitted += 1
             self._publish(rec)
@@ -360,26 +370,24 @@ class ReproServer:
     def _tenant(self, name: str) -> Tenant:
         tenant = self.tenants.get(name)
         if tenant is None:
-            tenant = Tenant(
-                TenantConfig(name=name), self.config.window_s, self._clock
-            )
-            self.tenants[name] = tenant
+            tenant = self.tenants[name] = Tenant(name)
         return tenant
 
     # -- dispatch -------------------------------------------------------
     def _try_dispatch(self) -> None:
-        """Give the slowest-served tenant's oldest job to the
-        lowest-numbered idle worker, while both exist."""
+        """While a worker is idle and a job waits: the first tenant with
+        queued work whose name sorts after the one served last (or the
+        first one, wrapping around) gives its oldest job to the
+        lowest-numbered idle worker."""
         if self.draining:
             return
-        now = self._clock()
         while len(self.busy) < self.config.workers:
-            tenant = self.dispatcher.pick(
-                (self.tenants[n] for n in sorted(self.tenants)), now=now
-            )
-            if tenant is None:
+            waiting = [n for n, t in self.tenants.items() if t.queue]
+            if not waiting:
                 return
-            digest = tenant.pop()
+            name = min((n for n in waiting if n > self._served_last), default=min(waiting))
+            self._served_last = name
+            digest = self.tenants[name].pop()
             rec = self.jobs[digest]
             rec.state = "running"
             w = min(set(range(self.config.workers)) - self.busy.keys())
@@ -400,7 +408,6 @@ class ReproServer:
             del self.busy[outcome.worker]
             self.metrics.record_worker_busy(outcome.worker, outcome.busy_s)
             rec = self.jobs[outcome.token]
-            self.tenants[rec.tenant].record_service(outcome.busy_s)
             if outcome.ok:
                 self._finish(rec, outcome.value)
                 continue
@@ -410,7 +417,7 @@ class ReproServer:
         self._try_dispatch()
 
     def _finish(self, rec: JobRecord, state: str, error: str = "") -> None:
-        now = self._clock()
+        now = _clock.monotonic()
         rec.state = state
         rec.error = error
         rec.finished_at = now
@@ -542,6 +549,7 @@ class ReproServer:
     # -- POST /v1/jobs --------------------------------------------------
     def _post_jobs(self, req: Request) -> Response:
         if self.draining:
+            self.metrics.rejected += 1
             return json_response(
                 error_body(503, "daemon is draining; not admitting jobs"),
                 503,
@@ -564,8 +572,8 @@ class ReproServer:
             )
 
         # validate + digest every spec before touching any state: a 400
-        # or 429 must leave the daemon exactly as it found it.  A job is
-        # keyed by its spec's digest, the key its worker files it under
+        # must leave the daemon exactly as it found it.  A job is keyed
+        # by its spec's digest, the key its worker files it under
         digests: list[str] = []
         by_digest: dict[str, dict] = {}
         for i, wire in enumerate(wires):
@@ -579,39 +587,22 @@ class ReproServer:
 
         self.metrics.submitted += len(wires)
         tenant = self._tenant(tenant_name)
-        now = self._clock()
-
-        to_admit: list[str] = []
-        fresh: dict[str, JobRecord] = {}
-        for digest in by_digest:
+        now = _clock.monotonic()
+        for digest, wire in by_digest.items():
             existing = self.jobs.get(digest)
-            if existing is not None and not (existing.state == "failed"):
+            if existing is not None and existing.state != "failed":
                 self.metrics.deduped += 1
                 continue
-            fresh[digest] = JobRecord(digest, tenant.name, by_digest[digest], now)
-            # a store hit is terminal immediately and uses no queue slot
-            if self._stored_result(digest) is None:
-                to_admit.append(digest)
-
-        try:
-            tenant.admit(to_admit, now)
-        except AdmissionError as exc:
-            self.metrics.rejected += len(to_admit)
-            retry_after = max(1, int(exc.retry_after_s + 0.999))
-            return json_response(
-                error_body(429, str(exc), retry_after_s=exc.retry_after_s),
-                429,
-                headers={"Retry-After": str(retry_after)},
-            )
-
-        for digest, rec in fresh.items():
-            self.jobs[digest] = rec
-            if digest in to_admit:
-                self.metrics.admitted += 1
-                self._publish(rec)
-            else:
+            stored = self._stored_result(digest) is not None
+            rec = self.jobs[digest] = JobRecord(digest, tenant.name, wire, now)
+            if stored:
+                # a store hit is terminal at once and never queues
                 tenant.counters.admitted += 1
                 self._finish(rec, "cached")
+            else:
+                tenant.admit(digest)
+                self.metrics.admitted += 1
+                self._publish(rec)
         self._try_dispatch()
         return json_response(
             {

@@ -769,8 +769,12 @@ class ResultStore:
 
         Eviction order is insertion order (``seq``), which is
         deterministic and wall-clock free; see docs/store.md for the
-        policy rationale.  Returns a :class:`GcReport`.
+        policy rationale.  Returns a :class:`GcReport`.  A negative cap
+        is a ``ValueError``, raised before anything is touched.
         """
+        for flag, cap in (("max_entries", max_entries), ("max_bytes", max_bytes)):
+            if cap is not None and cap < 0:
+                raise ValueError(f"{flag} must be >= 0 (got {cap})")
 
         def commit() -> GcReport:
             report = GcReport()

@@ -134,6 +134,19 @@ class TestStoreCommands:
         rc, out = run_cli(["store", "gc", "--store", store, "--max-entries", "0"])
         assert rc == 0 and "evicted 1" in out
 
+    @pytest.mark.parametrize("cap", ["--max-entries", "--max-bytes"])
+    def test_gc_refuses_a_negative_cap(self, tmp_path, capsys, cap):
+        from repro.store import ResultStore
+
+        store = str(tmp_path / "s")
+        self._submit(store)
+        before = ResultStore(store).digests(), ResultStore(store).verify()
+        assert before[0]
+        assert main(["store", "gc", "--store", store, cap, "-1"]) == 2
+        flag = cap[2:].replace("-", "_")
+        assert f"{flag} must be >= 0 (got -1)" in capsys.readouterr().err
+        assert (ResultStore(store).digests(), ResultStore(store).verify()) == before
+
     def test_verify_reports_corruption(self, tmp_path):
         import json
 
@@ -412,6 +425,21 @@ class TestOneJobCli:
         assert capsys.readouterr().err == served == want
         assert watched == f"repro status: 1 job(s) failed: {speed[0][:12]}...: RuntimeError: boom\n"
 
+    def test_batch_over_the_old_burst_runs_on_url_as_on_store(self, tmp_path):
+        """102 new specs, more than the 100-job burst every undeclared
+        tenant once had: the daemon runs the batch as the store does."""
+        sweep = ["submit", "--threads", "2", "--cores", "2", "--seconds", "0.001",
+                 "--repeats", "51", "--balancer", "speed", "load", "--json"]
+        bg = _daemon(tmp_path, workers=2)
+        try:
+            rc, served = run_cli([*sweep, "--url", bg.base_url])
+        finally:
+            bg.drain()
+        assert rc == 0
+        rc, direct = run_cli([*sweep, "--store", str(tmp_path / "s")])
+        assert rc == 0
+        assert served == direct and len(json.loads(direct)) == 102
+
     def test_served_batch_is_cached_for_the_store_target(self, tmp_path):
         """The daemon's workers file results in its root, so a direct
         submit of the same sweep on that root runs nothing."""
@@ -470,6 +498,71 @@ class TestOneJobCli:
             bg.drain()
         assert rc == 1
         assert "still waiting on" in capsys.readouterr().err
+
+
+class TestServeCli:
+    """`repro serve`'s flags, checked before the daemon starts."""
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        """The ``ServeConfig`` of each `repro serve` that got as far as
+        running the daemon, which is not run."""
+        from repro.serve import server
+
+        seen = []
+
+        async def run_server(config):
+            seen.append(config)
+
+        monkeypatch.setattr(server, "run_server", run_server)
+        return seen
+
+    def test_tenant_declares_its_name_only(self, configs):
+        assert main(["serve", "--tenant", "a:1:1000000:1000000:4096",
+                     "--tenant", "ci"]) == 0
+        assert [c.tenants for c in configs] == [("a", "ci")]
+
+    @pytest.mark.parametrize("spec", ["a b", ":1"])
+    def test_tenant_name_no_request_could_carry_exits_2(self, configs, capsys, spec):
+        assert main(["serve", "--tenant", spec]) == 2
+        assert "invalid tenant" in capsys.readouterr().err
+        assert configs == []
+
+    def test_window_is_gone(self, configs):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--window", "30"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("port", ["70000", "-5"])
+    def test_port_out_of_range_exits_2(self, configs, capsys, port):
+        assert main(["serve", "--port", port]) == 2
+        assert f"port must be in 0..65535 (got {port})" in capsys.readouterr().err
+        assert configs == []
+
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_job_timeout_not_above_zero_exits_2(self, configs, capsys, timeout):
+        from repro.serve import ServeConfig
+
+        assert main(["serve", "--job-timeout", timeout]) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro: error: timeout_s must be > 0 (got {float(timeout)})\n"
+        assert configs == []
+        with pytest.raises(ValueError, match="timeout_s must be > 0"):
+            ServeConfig(job_timeout_s=float(timeout))
+
+    def test_taken_port_is_one_line_and_exit_1(self, tmp_path, capsys):
+        import socket
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            rc = main(["serve", "--store", str(tmp_path / "s"), "--port", str(port),
+                       "--workers", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"repro serve: cannot listen on 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestCliErrorHandling:

@@ -8,6 +8,7 @@ narrative landed.
 import contextlib
 import io
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,19 @@ class TestExamples:
         out = run_example("trace_gantt.py")
         assert "core  0" in out and "core  1" in out
         assert "Jain" in out
+
+    def test_load_test(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", [
+            "load_test.py", "--duration", "1", "--workers", "1",
+            "--store", str(tmp_path / "store"),
+        ])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(EXAMPLES / "load_test.py"), run_name="__main__")
+        out = capsys.readouterr().out
+        assert exc.value.code == 0, out
+        table = out.split("closed-loop load test\n", 1)[1].split("daemon:", 1)[0]
+        header, _rule, *rows = table.splitlines()
+        col = header.split().index("completed")
+        completed = {row.split()[0]: int(row.split()[col]) for row in rows}
+        assert set(completed) == {"large", "medium", "small"}
+        assert min(completed.values()) >= 1

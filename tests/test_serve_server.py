@@ -34,7 +34,6 @@ from repro.serve import (
     ServeConfig,
     ServeError,
     ShardedStore,
-    TenantConfig,
 )
 from repro.serve import server as server_module
 from repro.serve.protocol import spec_to_wire
@@ -76,10 +75,11 @@ def fake_job(monkeypatch, sleep_s, log=None, simulate=False, spans=None):
 
     Patches :func:`repro.harness.parallel.run_spec`, which a served job
     looks up when it runs; the forked workers inherit the patch.
-    Each execution sleeps ``sleep_s`` and appends ``balancer/seed`` to
-    ``log``, the one record the workers and the test share, and its
-    monotonic start and end times to ``spans``.  The job returns
-    :func:`_fake_result`, or with ``simulate`` the real run.
+    Each execution sleeps ``sleep_s`` (``sleep_s(spec)`` when it is a
+    function) and appends ``balancer/seed`` to ``log``, the one record
+    the workers and the test share, and its monotonic start and end
+    times to ``spans``.  The job returns :func:`_fake_result`, or with
+    ``simulate`` the real run.
     """
     real = parallel.run_spec
 
@@ -88,7 +88,7 @@ def fake_job(monkeypatch, sleep_s, log=None, simulate=False, spans=None):
             with open(log, "a") as f:
                 f.write(f"{spec.balancer}/{spec.seed}\n")
         start = time.monotonic()
-        time.sleep(sleep_s)
+        time.sleep(sleep_s(spec) if callable(sleep_s) else sleep_s)
         if spans is not None:
             with open(spans, "a") as f:
                 f.write(f"{start} {time.monotonic()}\n")
@@ -403,37 +403,6 @@ class TestSse:
 
 
 class TestBackpressure:
-    def test_over_rate_batch_gets_429_with_retry_after(self, tmp_path, counting, serve_client):
-        tiny = TenantConfig(name="tiny", rate=1.0, burst=3.0, queue_limit=64)
-        bg = _boot(tmp_path, workers=1, tenants=(tiny,))
-        try:
-            client = serve_client(bg.base_url)
-            specs = [_spec(seed=s) for s in range(6)]
-            with pytest.raises(ServeError) as err:
-                client.submit(specs, tenant="tiny")
-            assert err.value.status == 429
-            assert err.value.retry_after_s > 0
-            # the rejection admitted nothing
-            snap = client.metrics()
-            assert snap["tenants"]["tiny"]["queue_depth"] == 0
-            assert snap["rejected"] == 6
-            # a within-burst batch still goes through afterwards
-            resp = client.submit([_spec(seed=9)], tenant="tiny")
-            client.wait(resp["jobs"][0]["digest"], poll_s=0.02)
-        finally:
-            bg.drain()
-
-    def test_queue_overflow_gets_429(self, tmp_path, slow, serve_client):
-        tiny = TenantConfig(name="tiny", rate=1000.0, burst=1000.0, queue_limit=2)
-        bg = _boot(tmp_path, workers=1, tenants=(tiny,))
-        try:
-            client = serve_client(bg.base_url)
-            with pytest.raises(ServeError) as err:
-                client.submit([_spec(seed=s) for s in range(8)], tenant="tiny")
-            assert err.value.status == 429
-        finally:
-            bg.drain()
-
     def test_invalid_spec_rejected_with_400(self, tmp_path, serve_client):
         bg = _boot(tmp_path, workers=1)
         try:
@@ -1053,7 +1022,7 @@ class TestConnections:
 class TestFairness:
     def test_three_tenant_overload_no_starvation(self, tmp_path, counting, serve_client):
         """The acceptance scenario: a flood cannot starve small tenants."""
-        bg = _boot(tmp_path, workers=1, window_s=60.0)
+        bg = _boot(tmp_path, workers=1)
         try:
             client = serve_client(bg.base_url)
             flood = [_spec(seed=100 + s) for s in range(20)]
@@ -1066,7 +1035,7 @@ class TestFairness:
                 client.wait(j["digest"], poll_s=0.02, timeout_s=60)
             snap = client.metrics()
             # the flood is still deep in queue when the small tenants
-            # are fully served -- speed-aware dispatch interleaved them
+            # are fully served -- the tenants took turns
             assert snap["tenants"]["flood"]["queue_depth"] > 0
             assert snap["tenants"]["alice"]["completed"] == 3
             assert snap["tenants"]["bob"]["completed"] == 3
@@ -1075,6 +1044,56 @@ class TestFairness:
                 client.wait(j["digest"], poll_s=0.02, timeout_s=60)
         finally:
             bg.drain()
+
+    def test_tenants_take_turns_in_name_order(self, tmp_path, monkeypatch, serve_client):
+        """One worker; 4 flood jobs, then 2 for alice and 2 for bob while
+        the first runs.  The next tenant in name order after the one
+        served last goes next, however long its jobs took: a flood job
+        takes six times as long as the others."""
+        log = tmp_path / "runs.log"
+        fake_job(monkeypatch, lambda spec: 0.3 if spec.seed < 200 else 0.05, log)
+        bg = _boot(tmp_path, workers=1)
+        try:
+            client = serve_client(bg.base_url)
+            jobs = []
+            for tenant, seeds in (("flood", range(100, 104)),
+                                  ("alice", range(200, 202)),
+                                  ("bob", range(300, 302))):
+                jobs += client.submit([_spec(seed=s) for s in seeds], tenant=tenant)["jobs"]
+            for j in jobs:
+                client.wait(j["digest"], poll_s=0.02, timeout_s=60)
+        finally:
+            bg.drain()
+        assert ran(log) == [
+            "speed/100", "speed/200", "speed/300", "speed/101",
+            "speed/201", "speed/301", "speed/102", "speed/103",
+        ]
+
+
+class TestAdmission:
+    def test_600_spec_batch_is_admitted_and_every_job_ends_done(
+        self, tmp_path, monkeypatch, serve_client
+    ):
+        """No admission limit is left: a batch of 600 new specs, over
+        any queue bound or token burst the daemon once had, gets 202."""
+        fake_job(monkeypatch, 0)
+        specs = [_spec(seed=s) for s in range(600)]
+        body = {"tenant": "one", "specs": [spec_to_wire(s) for s in specs]}
+        bg = _boot(tmp_path, workers=2)
+        try:
+            assert _post_status(bg.base_url, json.dumps(body).encode()) == 202
+            client = serve_client(bg.base_url)
+            views = [
+                client.wait(spec_digest(s), poll_s=0.02, timeout_s=120) for s in specs
+            ]
+            snap = client.metrics()
+        finally:
+            bg.drain()
+        assert len({v["digest"] for v in views}) == 600
+        assert {v["state"] for v in views} == {"done"}
+        assert snap["rejected"] == 0
+        assert snap["tenants"]["one"]["admitted"] == 600
+        assert snap["tenants"]["one"]["completed"] == 600
 
 
 class TestDrain:
@@ -1111,6 +1130,28 @@ class TestDrain:
         # pre-drain completions were never re-executed on resume
         assert len(ran(slow)) == len(specs)
         assert len(set(ran(slow))) == len(specs)
+
+    def test_submit_while_draining_gets_503_and_counts_as_rejected(
+        self, tmp_path, monkeypatch, serve_client
+    ):
+        fake_job(monkeypatch, 1.0)
+        bg = _boot(tmp_path, workers=1)
+        try:
+            client = serve_client(bg.base_url)
+            client.submit([_spec(seed=1)])
+            bg._loop.call_soon_threadsafe(bg.server.request_drain)
+            deadline = time.monotonic() + 10
+            while not bg.server.draining and time.monotonic() < deadline:
+                time.sleep(0.01)
+            body = json.dumps({"specs": [spec_to_wire(_spec(seed=2))]}).encode()
+            with _connect(bg.base_url) as sock, sock.makefile("rb") as f:
+                sock.sendall(_post(body))
+                status, headers, _ = _read_response(f)
+            snap = client.metrics()
+        finally:
+            bg.drain()
+        assert (status, headers["retry-after"]) == (503, "5")
+        assert (snap["rejected"], snap["submitted"]) == (1, 1)
 
     def test_corrupt_entry_reruns_once_across_resume(
         self, tmp_path, monkeypatch, serve_client
